@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race check bench bench-compile bench-engine bench-serve bench-energy bench-topo service-smoke trace-smoke cache-smoke fuzz-smoke serve-smoke energy-smoke topo-smoke fleet-smoke crosscheck cover clean
+.PHONY: all build fmt funnel-gate vet test race check bench bench-compile bench-engine bench-serve bench-energy bench-topo service-smoke trace-smoke cache-smoke fuzz-smoke serve-smoke energy-smoke topo-smoke fleet-smoke crosscheck cover clean
 
 all: check
 
@@ -11,6 +11,11 @@ build:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Structure gate: engine stacks are assembled only in core.NewStack; also
+# prints the non-test Go line count (scripts/funnel_gate.sh).
+funnel-gate:
+	bash scripts/funnel_gate.sh
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +36,7 @@ race:
 check:
 	$(GO) build ./...
 	$(MAKE) fmt
+	$(MAKE) funnel-gate
 	$(GO) vet ./...
 	$(GO) test -race -short -run 'TestEquivalence|TestParallel' ./internal/togsim/
 	$(GO) test -race -timeout 3600s ./...
@@ -76,10 +82,9 @@ serve-smoke:
 	bash scripts/serve_smoke.sh
 
 # End-to-end energy-accounting check: the activity counters and derived
-# energy breakdowns must be bit-identical across serial/parallel and
-# event/strict engines, per-unit energies must sum exactly to the total,
-# and ptserve must report per-phase energy and mJ/token
-# (scripts/energy_smoke.sh).
+# energy breakdowns must be bit-identical across serial/parallel engines,
+# per-unit energies must sum exactly to the total, and ptserve must report
+# per-phase energy and mJ/token (scripts/energy_smoke.sh).
 energy-smoke:
 	bash scripts/energy_smoke.sh
 

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/compiler"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/service"
@@ -93,10 +92,8 @@ func run() error {
 	}
 	opts := compiler.DefaultOptions()
 	compile := func(spec modelzoo.Spec) (*compiler.Compiled, bool, error) {
-		key := service.CompileKey(spec, npuCfg, opts)
-		return cc.Compile(key, npuCfg, opts, func() (*graph.Graph, error) {
-			return modelzoo.BuildFor(spec, npuCfg.Mem)
-		})
+		comp, _, hit, err := cc.CompileSpec(spec, npuCfg, opts)
+		return comp, hit, err
 	}
 
 	cfg := serve.Config{

@@ -23,19 +23,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/obs/report"
-	"repro/internal/parallel"
 	"repro/internal/service/cache"
 	"repro/internal/service/modelzoo"
 	"repro/internal/tog"
-	"repro/internal/togsim"
-	"repro/internal/topo"
 )
 
 func main() {
@@ -103,8 +98,8 @@ func run() error {
 		if *mode != "tls" {
 			return fmt.Errorf("-topology %s requires -mode tls", *topology)
 		}
-		if *autotune || *traceOut != "" {
-			return fmt.Errorf("-autotune and -trace are not supported with multi-package topologies")
+		if *autotune {
+			return fmt.Errorf("-autotune is not supported with multi-package topologies")
 		}
 	}
 	g, err := modelzoo.BuildRankGraph(spec, tc.Packages())
@@ -127,6 +122,7 @@ func run() error {
 	sim := core.NewSimulator(cfg, opts)
 	sim.MaxCycles = *maxCycles
 	sim.EngineWorkers = *engineWorkers
+	sim.Topo = tc
 	switch *tuneObjective {
 	case "cycles":
 	case "energy-delay":
@@ -198,7 +194,8 @@ func run() error {
 			rep.String(), ils.Instrs, ils.KernelRuns)
 	case "tls":
 		if multi {
-			return runTopology(logw, cfg, tc, spec, comp, *engineWorkers, *showReport, *jsonOut)
+			fmt.Fprintf(logw, "topology %s: %d packages x %d cores, %s parallelism, one rank per package\n",
+				tc.Name, tc.Packages(), tc.CoresPerPackage, spec.Normalize().Parallel)
 		}
 		rep, err := sim.SimulateTLS(comp, kind)
 		if err != nil {
@@ -216,13 +213,7 @@ func run() error {
 		}
 		// One formatter for every surface: the CLI summary, -report, -json,
 		// and the ptsimd job response all render the same report.Report.
-		full := report.Build(cfg, report.Inputs{
-			Res:      togsim.Result{Cycles: rep.Cycles, Jobs: rep.Jobs, Cores: rep.Cores},
-			Mem:      rep.MemStats,
-			NoCFlits: rep.NoCFlits,
-			Rounds:   rep.Rounds,
-			Wall:     rep.WallClock,
-		})
+		full := report.Build(rep.Machine, rep.Inputs())
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
@@ -249,49 +240,6 @@ func run() error {
 		}
 	default:
 		return fmt.Errorf("unknown mode %q (tls, ils)", *mode)
-	}
-	return nil
-}
-
-// runTopology simulates one rank of the compiled artifact per package of
-// the topology: place ranks around the collective ring, run them on a
-// topo.Fabric (serial or parallel engine — bit-identical), and render the
-// same report.Report as the single-package path, now with the per-package
-// and collective breakdown attached.
-func runTopology(logw io.Writer, cfg npu.Config, tc topo.Config, spec modelzoo.Spec,
-	comp *compiler.Compiled, workers int, showReport, jsonOut bool) error {
-	spec = spec.Normalize()
-	jobs, err := parallel.PlaceJobs(spec.Model, comp, tc)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(logw, "topology %s: %d packages x %d cores, %s parallelism, %d ranks placed\n",
-		tc.Name, tc.Packages(), tc.CoresPerPackage, spec.Parallel, len(jobs))
-	start := time.Now()
-	res, fab, err := parallel.Simulate(cfg, tc, jobs, workers)
-	if err != nil {
-		return err
-	}
-	cfg.Cores = tc.TotalCores()
-	full := report.Build(cfg, report.Inputs{
-		Res:       res,
-		Mem:       fab.MemTotals(),
-		LinkFlits: fab.LinkFlits,
-		Wall:      time.Since(start),
-		Topo:      fab,
-	})
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(full)
-	}
-	fmt.Printf("TLS: %s\n", full.Summary())
-	if showReport {
-		fmt.Print(full.Text())
-	} else {
-		brief := full
-		brief.Jobs = nil
-		fmt.Print(brief.Text())
 	}
 	return nil
 }

@@ -1,0 +1,85 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// ptsimBin is the command under test, built once by TestMain.
+var ptsimBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "ptsim-test")
+	if err != nil {
+		panic(err)
+	}
+	ptsimBin = filepath.Join(dir, "ptsim")
+	if out, err := exec.Command("go", "build", "-o", ptsimBin, ".").CombinedOutput(); err != nil {
+		panic("building ptsim: " + err.Error() + "\n" + string(out))
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// ptsimTopo runs the command with the two-package tensor-parallel spec plus
+// extra flags and returns stdout, stderr and the error.
+func ptsimTopo(extra ...string) (string, string, error) {
+	args := append([]string{"-model", "decoder-tiny", "-ctx", "8", "-small",
+		"-topology", "pkg2", "-parallel", "tensor"}, extra...)
+	cmd := exec.Command(ptsimBin, args...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	return stdout.String(), stderr.String(), err
+}
+
+// A multi-package run takes the same funnel as a single-package one, so
+// the run knobs apply to it: -max-cycles bounds it, -trace records it, and
+// -engine-workers >= 2 reports its round split.
+func TestTopologyRunHonoursRunFlags(t *testing.T) {
+	if _, stderr, err := ptsimTopo("-max-cycles", "100"); err == nil {
+		t.Fatal("-max-cycles 100 must abort a ~10k-cycle run with a non-zero exit")
+	} else if !strings.Contains(stderr, "exceeded max cycles (100)") || !strings.Contains(stderr, "unfinished") {
+		t.Fatalf("want the deadlock diagnostic on stderr, got %q", stderr)
+	}
+
+	trace := filepath.Join(t.TempDir(), "pkg2.trace.json")
+	if _, stderr, err := ptsimTopo("-trace", trace); err != nil {
+		t.Fatalf("-trace on a multi-package topology: %v\n%s", err, stderr)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("trace is not a non-empty Perfetto document: %v", err)
+	}
+
+	stdout, stderr, err := ptsimTopo("-engine-workers", "4", "-json")
+	if err != nil {
+		t.Fatalf("-engine-workers 4 -json: %v\n%s", err, stderr)
+	}
+	var rep struct {
+		Rounds   *json.RawMessage `json:"parallel_rounds"`
+		Topology *json.RawMessage `json:"topology"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+		t.Fatalf("stdout is not one JSON document: %v", err)
+	}
+	if rep.Rounds == nil || rep.Topology == nil {
+		t.Fatalf("want parallel_rounds and topology sections, got rounds=%v topology=%v", rep.Rounds != nil, rep.Topology != nil)
+	}
+
+	if _, _, err := ptsimTopo("-autotune"); err == nil {
+		t.Fatal("-autotune stays unsupported on multi-package topologies")
+	}
+}

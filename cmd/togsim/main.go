@@ -32,7 +32,6 @@ func main() {
 	netKind := flag.String("net", "sn", "interconnect model: sn (simple) or cn (cycle-accurate crossbar)")
 	sched := flag.String("sched", "frfcfs", "memory scheduler: frfcfs or fcfs")
 	small := flag.Bool("small", false, "use the small NPU config instead of TPUv3")
-	strict := flag.Bool("strict", false, "tick every cycle instead of event-driven cycle skipping (results are identical; slower)")
 	engineWorkers := flag.Int("engine-workers", 0, "host goroutines stepping simulated cores in parallel (0 or 1 = serial; results are bit-identical, so the report cache key is unchanged)")
 	dump := flag.Bool("stats", false, "print TOG static statistics only (no simulation)")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this JSON file")
@@ -73,16 +72,24 @@ func main() {
 		cfg = npu.SmallConfig()
 	}
 	kind := togsim.SimpleNet
-	if *netKind == "cn" {
+	switch *netKind {
+	case "cn":
 		kind = togsim.CycleNet
+	case "sn":
+	default:
+		fatal(fmt.Errorf("unknown net %q (sn, cn)", *netKind))
 	}
 	policy := dram.FRFCFS
-	if *sched == "fcfs" {
+	switch *sched {
+	case "fcfs":
 		policy = dram.FCFS
+	case "frfcfs":
+	default:
+		fatal(fmt.Errorf("unknown sched %q (frfcfs, fcfs)", *sched))
 	}
-	// The run is deterministic in (TOG, config, net, scheduler, strictness),
-	// so the finished report can be served content-addressed from disk. A
-	// trace request always simulates for real: the trace IS the run.
+	// The run is deterministic in (TOG, config, net, scheduler), so the
+	// finished report can be served content-addressed from disk. A trace
+	// request always simulates for real: the trace IS the run.
 	var store *cache.Disk
 	var reportKey string
 	if *cacheDir != "" && *traceOut == "" {
@@ -90,7 +97,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		reportKey = "report-" + cache.CanonicalHash(string(data), cfg, *netKind, *sched, *strict)
+		reportKey = "report-" + cache.CanonicalHash(string(data), cfg, *netKind, *sched)
 		if blob, ok := store.Get(reportKey); ok {
 			var rep report.Report
 			if err := json.Unmarshal(blob, &rep); err == nil {
@@ -102,7 +109,6 @@ func main() {
 	}
 
 	s := togsim.NewStandard(cfg, kind, policy)
-	s.Engine.StrictTick = *strict
 	s.Engine.Workers = *engineWorkers
 	var tw *obs.TraceWriter
 	if *traceOut != "" {

@@ -1,0 +1,62 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/npu"
+	"repro/internal/tog"
+)
+
+// A misspelt model selector must fail loudly instead of silently running
+// the default, and the strict-tick reference loop is not a user option.
+func TestRejectsUnknownSelectors(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "togsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building togsim: %v\n%s", err, out)
+	}
+	b := tog.NewBuilder("tiny", "in")
+	b.Load("in", npu.DMADesc{Rows: 8, Cols: 128}, tog.AddrExpr{}, 0, 0)
+	b.Wait(0)
+	b.Compute(tog.UnitSA, 20)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := tog.Encode(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	togPath := filepath.Join(dir, "tiny.tog.json")
+	if err := os.WriteFile(togPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(extra ...string) (string, error) {
+		out, err := exec.Command(bin, append([]string{"-tog", togPath, "-small"}, extra...)...).CombinedOutput()
+		return string(out), err
+	}
+
+	if out, err := run("-net", "cn", "-sched", "fcfs"); err != nil {
+		t.Fatalf("valid selectors: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-net", "xyz"}, `unknown net "xyz"`},
+		{[]string{"-sched", "foo"}, `unknown sched "foo"`},
+		{[]string{"-strict"}, "flag provided but not defined"},
+	} {
+		out, err := run(tc.args...)
+		if err == nil {
+			t.Fatalf("togsim %v must exit non-zero, got:\n%s", tc.args, out)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Fatalf("togsim %v: want %q in the output, got:\n%s", tc.args, tc.want, out)
+		}
+	}
+}

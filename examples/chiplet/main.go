@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/chiplet"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/npu"
 	"repro/internal/togsim"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -34,8 +34,12 @@ func main() {
 	}
 	outName := comp.OutputTensors[mm.ID]
 
-	chipCfg := chiplet.DefaultConfig(cfg.Mem)
-	chipCfg.MemPerChiplet.Channels = cfg.Mem.Channels / 2
+	// The §5.4 machine: two single-core packages, each with half the HBM
+	// channels, joined by the paper's narrow link.
+	chipCfg, err := topo.Preset("pkg2", cfg.Mem)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("2 chiplets, %d-cycle link, %d B/cycle link bandwidth\n\n",
 		chipCfg.LinkLatency, chipCfg.LinkBytesPerCycle)
 
@@ -45,9 +49,9 @@ func main() {
 			Name: fmt.Sprintf("core%d", core),
 			TOGs: comp.TOGs,
 			Bases: fill(len(comp.TOGs), map[string]uint64{
-				"x":     chipCfg.ChipletBase(xCh) + uint64(core)*(xBytes+wBytes+4096),
-				"w":     chipCfg.ChipletBase(wCh) + uint64(core)*(xBytes+wBytes+4096) + xBytes,
-				outName: chipCfg.ChipletBase(oCh) + 1<<26 + uint64(core)*(m*n*4+4096),
+				"x":     chipCfg.PackageBase(xCh) + uint64(core)*(xBytes+wBytes+4096),
+				"w":     chipCfg.PackageBase(wCh) + uint64(core)*(xBytes+wBytes+4096) + xBytes,
+				outName: chipCfg.PackageBase(oCh) + 1<<26 + uint64(core)*(m*n*4+4096),
 			}),
 			Core: core,
 			Src:  core,
@@ -62,12 +66,11 @@ func main() {
 		{"weights remote", []*togsim.Job{place(0, 0, 1, 0), place(1, 1, 0, 1)}},
 		{"everything remote", []*togsim.Job{place(0, 1, 1, 1), place(1, 0, 0, 0)}},
 	} {
-		fab := chiplet.NewFabric(chipCfg)
-		eng := togsim.NewEngine(cfg, fab)
-		res, err := eng.Run(pl.jobs)
+		res, in, err := core.NewStack(cfg, togsim.SimpleNet, chipCfg).Run(pl.jobs)
 		if err != nil {
 			log.Fatal(err)
 		}
+		fab := in.Topo
 		local := float64(fab.LocalBytes) / float64(fab.LocalBytes+fab.RemoteBytes)
 		fmt.Printf("%-34s %8d cycles, %5.1f%% traffic stayed on-chiplet\n",
 			pl.name, res.Cycles, 100*local)

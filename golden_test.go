@@ -22,7 +22,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/npu"
 	"repro/internal/obs/report"
-	"repro/internal/parallel"
 	"repro/internal/serve"
 	"repro/internal/service/modelzoo"
 	"repro/internal/togsim"
@@ -149,18 +148,17 @@ func goldenTopoReport(t *testing.T) report.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := parallel.PlaceJobs(spec.Model, comp, tc)
+	st := core.NewStack(cfg, togsim.SimpleNet, tc)
+	jobs, err := st.Place(spec.Model, comp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, fab, err := parallel.Simulate(cfg, tc, jobs, 0)
+	_, in, err := st.Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cores = tc.TotalCores()
-	return report.Build(cfg, report.Inputs{
-		Res: res, Mem: fab.MemTotals(), LinkFlits: fab.LinkFlits, Topo: fab,
-	})
+	in.Wall = 0
+	return report.Build(st.Cfg, in)
 }
 
 // TestGoldenTopoReport pins the text rendering of a mesh2x2 tensor-

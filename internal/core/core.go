@@ -26,6 +26,7 @@ import (
 	"repro/internal/service/cache"
 	"repro/internal/tensor"
 	"repro/internal/togsim"
+	"repro/internal/topo"
 )
 
 // NetKind re-exports the interconnect model selector (§4.1: SN vs CN).
@@ -42,6 +43,11 @@ const (
 type Simulator struct {
 	Cfg      npu.Config
 	Compiler *compiler.Compiler
+
+	// Topo, when it has more than one package, spreads every TLS run over
+	// the topology: SimulateTLS places one rank of the artifact per package
+	// and the run uses the topology fabric (the zero value = one package).
+	Topo topo.Config
 
 	// MaxCycles bounds every timing simulation this simulator runs — the
 	// deadlock guard, configurable per run instead of only the package
@@ -134,8 +140,28 @@ type Report struct {
 	Cores     []togsim.CoreStats
 	MemStats  *dram.Stats
 	NoCFlits  int64
+	LinkFlits int64
 	Rounds    togsim.RoundStats
 	WallClock time.Duration
+
+	// Machine is the NPU the engine simulated (the simulator's config with
+	// the topology's total core count) — the config to render Inputs with.
+	Machine npu.Config
+	// Topo is the topology fabric of a multi-package run (nil otherwise).
+	Topo *topo.Fabric
+}
+
+// Inputs returns the report.Build inputs of this run.
+func (r Report) Inputs() report.Inputs {
+	return report.Inputs{
+		Res:       togsim.Result{Cycles: r.Cycles, Jobs: r.Jobs, Cores: r.Cores},
+		Mem:       r.MemStats,
+		NoCFlits:  r.NoCFlits,
+		LinkFlits: r.LinkFlits,
+		Rounds:    r.Rounds,
+		Wall:      r.WallClock,
+		Topo:      r.Topo,
+	}
 }
 
 // Time converts simulated cycles to simulated wall time at the core clock.
@@ -149,34 +175,57 @@ func (r Report) String() string {
 		r.Cycles, float64(r.Cycles)/float64(r.FreqMHz)/1e3, r.FreqMHz, r.WallClock.Round(time.Millisecond))
 }
 
-// SimulateTLS runs the compiled model in Tile-Level Simulation mode on one
-// core with the selected interconnect model.
+// SimulateTLS runs the compiled model in Tile-Level Simulation mode with
+// the selected interconnect model: on core 0, or one rank per package of
+// s.Topo.
 func (s *Simulator) SimulateTLS(comp *compiler.Compiled, kind NetKind) (Report, error) {
-	return s.SimulateJobs([]*togsim.Job{comp.Job(comp.Name, 0, 0)}, kind)
+	return s.simulateTLS(comp, kind, s.Probe)
+}
+
+func (s *Simulator) simulateTLS(comp *compiler.Compiled, kind NetKind, probe obs.Probe) (Report, error) {
+	st := s.stack(kind, probe)
+	jobs, err := st.Place(comp.Name, comp)
+	if err != nil {
+		return Report{}, err
+	}
+	return run(st, jobs)
 }
 
 // SimulateJobs runs an arbitrary multi-core, multi-tenant job set (§5.2).
 func (s *Simulator) SimulateJobs(jobs []*togsim.Job, kind NetKind) (Report, error) {
-	setup := togsim.NewStandard(s.Cfg, kind, dram.FRFCFS)
-	setup.Engine.MaxCycles = s.MaxCycles
-	setup.Engine.Workers = s.EngineWorkers
-	if s.Probe != nil {
-		setup.AttachProbe(s.Probe)
+	return run(s.stack(kind, s.Probe), jobs)
+}
+
+// stack builds a fresh TLS stack carrying this simulator's run knobs.
+func (s *Simulator) stack(kind NetKind, probe obs.Probe) *Stack {
+	st := NewStack(s.Cfg, kind, s.Topo)
+	st.Engine.MaxCycles = s.MaxCycles
+	st.Engine.Workers = s.EngineWorkers
+	if probe != nil {
+		st.AttachProbe(probe)
 	}
-	start := time.Now()
-	res, err := setup.Engine.Run(jobs)
+	return st
+}
+
+// run is the one run body behind SimulateTLS, SimulateJobs and every
+// AutoTune candidate.
+func run(st *Stack, jobs []*togsim.Job) (Report, error) {
+	res, in, err := st.Run(jobs)
 	if err != nil {
 		return Report{}, err
 	}
 	return Report{
 		Cycles:    res.Cycles,
-		FreqMHz:   s.Cfg.FreqMHz,
+		FreqMHz:   st.Cfg.FreqMHz,
 		Jobs:      res.Jobs,
 		Cores:     res.Cores,
-		MemStats:  &setup.Mem.Stats,
-		NoCFlits:  setup.NetFlits(),
-		Rounds:    setup.Engine.Rounds,
-		WallClock: time.Since(start),
+		MemStats:  in.Mem,
+		NoCFlits:  in.NoCFlits,
+		LinkFlits: in.LinkFlits,
+		Rounds:    in.Rounds,
+		WallClock: in.Wall,
+		Machine:   st.Cfg,
+		Topo:      in.Topo,
 	}, nil
 }
 
@@ -213,21 +262,12 @@ func (s *Simulator) AutoTune(g *graph.Graph, candidates []compiler.Options, kind
 				// scratchpad) is skipped, not fatal.
 				return
 			}
-			setup := togsim.NewStandard(s.Cfg, kind, dram.FRFCFS)
-			setup.Engine.MaxCycles = s.MaxCycles
-			setup.Engine.Workers = s.EngineWorkers
-			start := time.Now()
-			res, err := setup.Engine.Run([]*togsim.Job{comp.Job(comp.Name, 0, 0)})
+			// Untraced: concurrent candidates would interleave on one probe.
+			rep, err := s.simulateTLS(comp, kind, nil)
 			if err != nil {
 				return
 			}
-			results[i] = &outcome{
-				comp: comp,
-				rep: Report{Cycles: res.Cycles, FreqMHz: s.Cfg.FreqMHz, Jobs: res.Jobs,
-					Cores: res.Cores, MemStats: &setup.Mem.Stats, NoCFlits: setup.NetFlits(),
-					Rounds: setup.Engine.Rounds, WallClock: time.Since(start)},
-				measured: c.MeasureCount(),
-			}
+			results[i] = &outcome{comp: comp, rep: rep, measured: c.MeasureCount()}
 		}(i, opts)
 	}
 	wg.Wait()
@@ -262,9 +302,8 @@ func (s *Simulator) AutoTune(g *graph.Graph, candidates []compiler.Options, kind
 // sweep picks the same winner on every run and at every worker count.
 func (s *Simulator) tuneScore(rep Report) float64 {
 	if s.Objective == TuneEnergyDelay {
-		totals := report.Totals(togsim.Result{Cycles: rep.Cycles, Jobs: rep.Jobs, Cores: rep.Cores},
-			rep.MemStats, rep.NoCFlits, 0)
-		if e := report.BuildEnergy(s.Cfg, totals); e != nil {
+		in := rep.Inputs()
+		if e := report.BuildEnergy(rep.Machine, report.Totals(in.Res, in.Mem, in.NoCFlits, in.LinkFlits)); e != nil {
 			return float64(rep.Cycles) * e.TotalMilliJ
 		}
 	}

@@ -1,0 +1,137 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/compiler"
+	"repro/internal/graph"
+	"repro/internal/nn"
+	"repro/internal/npu"
+	"repro/internal/obs"
+	"repro/internal/parallel"
+	"repro/internal/togsim"
+	"repro/internal/topo"
+)
+
+// TestStackFunnel drives the one run funnel over both fabrics: for each
+// machine the Result must be identical at every engine worker count and
+// with or without a recording probe, and the report inputs must carry
+// everything report.Build reads for that fabric kind.
+func TestStackFunnel(t *testing.T) {
+	cfg := npu.SmallConfig()
+	preset := func(name string) topo.Config {
+		tc, err := topo.Preset(name, cfg.Mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tc
+	}
+	for _, m := range []struct {
+		name  string
+		kind  togsim.NetKind
+		tc    topo.Config
+		graph *graph.Graph
+		// windowed: the fabric supports the windowed parallel engine, so
+		// workers >= 2 must report a round split.
+		windowed bool
+	}{
+		{"single/sn", togsim.SimpleNet, topo.Config{}, gemmGraph(32), true},
+		{"single/cn", togsim.CycleNet, preset("single"), gemmGraph(32), false},
+		{"pkg2/tensor", togsim.SimpleNet, preset("pkg2"), nn.DecoderTP(nn.DecoderTinyConfig(1, 8, false), 2).Graph, true},
+		{"mesh2x2/data", togsim.SimpleNet, preset("mesh2x2"), parallel.DataParallel(gemmGraph(32), 4), true},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			comp, err := compiler.New(cfg, compiler.DefaultOptions()).Compile(m.graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			multi := m.tc.Packages() > 1
+			var want togsim.Result
+			for i, workers := range []int{0, 4, 0, 4} {
+				var tw *obs.TraceWriter
+				st := NewStack(cfg, m.kind, m.tc)
+				st.Engine.Workers = workers
+				if i >= 2 {
+					tw = obs.NewTraceWriter()
+					st.AttachProbe(tw)
+				}
+				what := fmt.Sprintf("workers=%d probe=%v", workers, tw != nil)
+				jobs, err := st.Place("job", comp)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if wantJobs := max(m.tc.Packages(), 1); len(jobs) != wantJobs {
+					t.Fatalf("%s: placed %d jobs, want %d", what, len(jobs), wantJobs)
+				}
+				res, in, err := st.Run(jobs)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if i == 0 {
+					want = res
+				} else if !reflect.DeepEqual(res, want) {
+					t.Fatalf("%s: result diverges from serial/unprobed:\n%+v\nvs\n%+v", what, res, want)
+				}
+				if tw != nil && tw.Len() == 0 {
+					t.Fatalf("%s: attached probe recorded nothing", what)
+				}
+
+				if !reflect.DeepEqual(in.Res, res) || res.Cycles <= 0 || in.Wall <= 0 {
+					t.Fatalf("%s: inputs carry %d cycles, %v wall; result has %d", what, in.Res.Cycles, in.Wall, res.Cycles)
+				}
+				if in.Mem == nil || in.Mem.TotalBytes == 0 {
+					t.Fatalf("%s: no DRAM stats: %+v", what, in.Mem)
+				}
+				if multi {
+					if in.Topo == nil || in.LinkFlits == 0 || in.LinkFlits != in.Topo.LinkFlits || in.NoCFlits != 0 {
+						t.Fatalf("%s: topology inputs incomplete: topo=%v link=%d noc=%d", what, in.Topo != nil, in.LinkFlits, in.NoCFlits)
+					}
+					if st.Cfg.Cores != m.tc.TotalCores() {
+						t.Fatalf("%s: machine has %d cores, topology %d", what, st.Cfg.Cores, m.tc.TotalCores())
+					}
+				} else if in.Topo != nil || in.LinkFlits != 0 || in.NoCFlits == 0 {
+					t.Fatalf("%s: single-package inputs wrong: topo=%v link=%d noc=%d", what, in.Topo != nil, in.LinkFlits, in.NoCFlits)
+				}
+				if rounds := in.Rounds.Window + in.Rounds.Serial; (rounds > 0) != (workers > 1 && m.windowed) {
+					t.Fatalf("%s: %d parallel rounds reported (windowed fabric: %v)", what, rounds, m.windowed)
+				}
+			}
+		})
+	}
+}
+
+// TestSimulatorTopology: a Simulator with a multi-package Topo runs
+// SimulateTLS through the same body as a single-package one — the cycle
+// bound applies and the report carries what the renderer needs.
+func TestSimulatorTopology(t *testing.T) {
+	cfg := npu.SmallConfig()
+	tc, err := topo.Preset("pkg2", cfg.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := NewSimulator(cfg, compiler.DefaultOptions())
+	sim.Topo = tc
+	comp, err := sim.Compile(nn.DecoderTP(nn.DecoderTinyConfig(1, 8, false), 2).Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sim.SimulateTLS(comp, SimpleNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Jobs) != 2 || rep.Machine.Cores != 2 || rep.Topo == nil || rep.LinkFlits == 0 {
+		t.Fatalf("want 2 ranks on a 2-core machine with link traffic: %d jobs, %d cores, topo=%v, %d flits",
+			len(rep.Jobs), rep.Machine.Cores, rep.Topo != nil, rep.LinkFlits)
+	}
+	if in := rep.Inputs(); in.Topo != rep.Topo || in.LinkFlits != rep.LinkFlits || in.Res.Cycles != rep.Cycles {
+		t.Fatalf("Inputs() drops run state: %+v", in)
+	}
+	sim.MaxCycles = rep.Cycles / 2
+	var dl *togsim.DeadlockError
+	if _, err := sim.SimulateTLS(comp, SimpleNet); !errors.As(err, &dl) {
+		t.Fatalf("MaxCycles=%d on a %d-cycle run: want a DeadlockError, got %v", sim.MaxCycles, rep.Cycles, err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/nn"
@@ -276,21 +277,15 @@ func checkTopoDecoderNumerics(cfg nn.DecoderConfig, parts int, seed uint64) (*gr
 }
 
 // runTopoEngine places the compiled rank graph across the topology and
-// runs it on a fresh fabric in the selected engine mode.
+// runs it on a fresh stack in the selected engine mode.
 func runTopoEngine(tc topo.Config, name string, art *compiler.Compiled, workers int, strict bool) (togsim.Result, *topo.Fabric, error) {
-	jobs, err := parallel.PlaceJobs(name, art, tc)
+	st := core.NewStack(npu.SmallConfig(), togsim.SimpleNet, tc)
+	st.Engine.Workers = workers
+	st.Engine.StrictTick = strict
+	jobs, err := st.Place(name, art)
 	if err != nil {
 		return togsim.Result{}, nil, err
 	}
-	cfg := npu.SmallConfig()
-	cfg.Cores = tc.TotalCores()
-	fab := topo.NewFabric(tc)
-	eng := togsim.NewEngine(cfg, fab)
-	eng.Workers = workers
-	eng.StrictTick = strict
-	res, err := eng.Run(jobs)
-	if err != nil {
-		return togsim.Result{}, nil, err
-	}
-	return res, fab, nil
+	res, in, err := st.Run(jobs)
+	return res, in.Topo, err
 }

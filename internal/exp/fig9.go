@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/graph"
 	"repro/internal/npu"
 	"repro/internal/togsim"
@@ -119,28 +118,25 @@ func Fig9(cfg npu.Config, quick bool) (*Fig9Result, error) {
 	// Monolithic baseline: standard 2-core engine, full-bandwidth memory.
 	monoCfg := cfg
 	monoCfg.Cores = 2
-	mono := togsim.NewStandard(monoCfg, togsim.SimpleNet, dram.FRFCFS)
+	mono := core.NewStack(monoCfg, togsim.SimpleNet, topo.Config{})
 	monoJobs := []*togsim.Job{
 		{Name: "q00", TOGs: comp.TOGs, Bases: fillBases(len(comp.TOGs), map[string]uint64{"x": 0, "w": iBytes, outName: iBytes + wBytes}), Core: 0, Src: 0},
 		{Name: "q01", TOGs: comp.TOGs, Bases: fillBases(len(comp.TOGs), map[string]uint64{"x": 0, "w": iBytes, outName: iBytes + wBytes + 1<<24}), Core: 0, Src: 0},
 		{Name: "q10", TOGs: comp.TOGs, Bases: fillBases(len(comp.TOGs), map[string]uint64{"x": 1 << 26, "w": iBytes, outName: iBytes + wBytes + 2<<24}), Core: 1, Src: 1},
 		{Name: "q11", TOGs: comp.TOGs, Bases: fillBases(len(comp.TOGs), map[string]uint64{"x": 1 << 26, "w": iBytes, outName: iBytes + wBytes + 3<<24}), Core: 1, Src: 1},
 	}
-	monoRes, err := mono.Engine.Run(monoJobs)
+	monoRes, _, err := mono.Run(monoJobs)
 	if err != nil {
 		return nil, err
 	}
 	res.Monolithic = monoRes.Cycles
 
-	baseCfg := cfg
-	baseCfg.Cores = 2
 	for _, m := range mappings {
-		fab := topo.NewFabric(topoCfg)
-		eng := togsim.NewEngine(baseCfg, fab)
-		r, err := eng.Run(m.jobs())
+		r, in, err := core.NewStack(cfg, togsim.SimpleNet, topoCfg).Run(m.jobs())
 		if err != nil {
 			return nil, fmt.Errorf("fig9: mapping %s: %w", m.name, err)
 		}
+		fab := in.Topo
 		localFrac := float64(fab.LocalBytes) / float64(fab.LocalBytes+fab.RemoteBytes)
 		switch m.name {
 		case "best":

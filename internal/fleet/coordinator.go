@@ -598,10 +598,10 @@ func (c *Coordinator) collect(e *metrics.Emitter) {
 	e.CounterVec("ptsimfleet_member_dispatched_total", "Jobs dispatched per member.", "member", disp)
 
 	if len(st.TenantQueued) > 0 {
-		e.GaugeVec("ptsimfleet_tenant_queued", "Queued jobs per tenant.", "tenant", tenantSamples(st.TenantQueued))
+		e.GaugeVec("ptsimfleet_tenant_queued", "Queued jobs per tenant.", "tenant", metrics.TenantSamples(st.TenantQueued))
 	}
 	if len(st.TenantDone) > 0 {
-		e.CounterVec("ptsimfleet_tenant_jobs_done_total", "Finished jobs per tenant.", "tenant", tenantSamples(st.TenantDone))
+		e.CounterVec("ptsimfleet_tenant_jobs_done_total", "Finished jobs per tenant.", "tenant", metrics.TenantSamples(st.TenantDone))
 	}
 
 	e.Counter("ptsimfleet_fleet_cache_hits_total", "Compile-cache hits summed across members.", float64(st.Fleet.CacheHits))
@@ -610,23 +610,4 @@ func (c *Coordinator) collect(e *metrics.Emitter) {
 	e.Counter("ptsimfleet_fleet_peer_puts_total", "Peer-cache pushes summed across members.", float64(st.Fleet.PeerPuts))
 	e.Counter("ptsimfleet_fleet_kernels_measured_total", "Kernel measurements summed across members.", float64(st.Fleet.KernelsMeasured))
 	e.Counter("ptsimfleet_fleet_cycles_total", "Simulated cycles summed across members.", float64(st.Fleet.TotalCycles))
-}
-
-// tenantSamples renders a per-tenant map as sorted labeled samples (the
-// anonymous tenant renders as "default"), matching the service's encoding.
-func tenantSamples(m map[string]int64) []metrics.LabeledSample {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]metrics.LabeledSample, 0, len(keys))
-	for _, k := range keys {
-		label := k
-		if label == "" {
-			label = "default"
-		}
-		out = append(out, metrics.LabeledSample{Label: label, Value: float64(m[k])})
-	}
-	return out
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -216,6 +217,26 @@ func (e *Emitter) Gauge(name, help string, v float64) {
 type LabeledSample struct {
 	Label string
 	Value float64
+}
+
+// TenantSamples renders a per-tenant map as labeled samples in sorted
+// tenant order (byte-stable scrapes); the unnamed tenant renders as
+// "default".
+func TenantSamples(m map[string]int64) []LabeledSample {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	samples := make([]LabeledSample, 0, len(keys))
+	for _, k := range keys {
+		label := k
+		if label == "" {
+			label = "default"
+		}
+		samples = append(samples, LabeledSample{Label: label, Value: float64(m[k])})
+	}
+	return samples
 }
 
 // CounterVec emits one counter family with one sample per label value

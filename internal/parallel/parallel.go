@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/graph"
-	"repro/internal/npu"
 	"repro/internal/tog"
 	"repro/internal/togsim"
 	"repro/internal/topo"
@@ -126,19 +125,4 @@ func PlaceJobs(name string, comp *compiler.Compiled, tc topo.Config) ([]*togsim.
 		}
 	}
 	return jobs, nil
-}
-
-// Simulate runs placed jobs on a fresh fabric for the topology. The NPU
-// config's core count is overridden to the topology's total; workers > 1
-// selects the parallel engine (bit-identical by construction).
-func Simulate(cfg npu.Config, tc topo.Config, jobs []*togsim.Job, workers int) (togsim.Result, *topo.Fabric, error) {
-	cfg.Cores = tc.TotalCores()
-	fab := topo.NewFabric(tc)
-	eng := togsim.NewEngine(cfg, fab)
-	eng.Workers = workers
-	res, err := eng.Run(jobs)
-	if err != nil {
-		return togsim.Result{}, nil, err
-	}
-	return res, fab, nil
 }

@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/npu"
 	"repro/internal/parallel"
+	"repro/internal/togsim"
 	"repro/internal/topo"
 )
 
@@ -61,6 +63,14 @@ func compileTP(t *testing.T, cfg npu.Config, parts int) *compiler.Compiled {
 	return comp
 }
 
+// simulate runs placed jobs on a fresh stack for the topology.
+func simulate(cfg npu.Config, tc topo.Config, jobs []*togsim.Job, workers int) (togsim.Result, *topo.Fabric, error) {
+	st := core.NewStack(cfg, togsim.SimpleNet, tc)
+	st.Engine.Workers = workers
+	res, in, err := st.Run(jobs)
+	return res, in.Topo, err
+}
+
 // TestPlaceAndSimulateTP: a tensor-parallel decoder on 2 packages must run
 // to completion, move bytes over the link, attribute collective cycles,
 // and stay bit-identical between the serial and parallel engines.
@@ -79,7 +89,7 @@ func TestPlaceAndSimulateTP(t *testing.T) {
 	if len(jobs) != 2 || jobs[0].Core == jobs[1].Core {
 		t.Fatalf("want one job per package, got %+v", jobs)
 	}
-	res, fab, err := parallel.Simulate(cfg, tc, jobs, 0)
+	res, fab, err := simulate(cfg, tc, jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +108,7 @@ func TestPlaceAndSimulateTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, fab2, err := parallel.Simulate(cfg, tc, jobs2, 2)
+	res2, fab2, err := simulate(cfg, tc, jobs2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +157,7 @@ func TestMeshDataParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, fab, err := parallel.Simulate(cfg, tc, jobs, 0)
+	res, fab, err := simulate(cfg, tc, jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

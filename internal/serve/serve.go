@@ -28,11 +28,10 @@ import (
 	"sort"
 
 	"repro/internal/compiler"
-	"repro/internal/dram"
+	"repro/internal/core"
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/obs/report"
-	"repro/internal/parallel"
 	"repro/internal/service/modelzoo"
 	"repro/internal/togsim"
 	"repro/internal/topo"
@@ -306,9 +305,10 @@ func (s *runState) decode(batch, kvLen int, at int64) (int64, error) {
 }
 
 // iterate compiles (or fetches) one iteration's graph and runs it on a
-// fresh TLS engine — the same compile-then-simulate pipeline as a
-// standalone run, so iteration cycles are bit-identical to ptsim's. It
-// returns the iteration's activity totals for phase energy accounting.
+// fresh core.Stack — the same compile-then-simulate funnel as a standalone
+// run, so iteration cycles are bit-identical to ptsim's, on one package or
+// one rank per package of the serving topology. It returns the iteration's
+// activity totals for phase energy accounting.
 func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.ActivityTotals, bool, error) {
 	if s.cfg.Topo.Packages() > 1 {
 		spec.Topology, spec.Parallel = s.cfg.Topo.Name, s.cfg.Parallel
@@ -317,53 +317,25 @@ func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.Activity
 	if err != nil {
 		return 0, report.ActivityTotals{}, false, err
 	}
-	if s.cfg.Topo.Packages() > 1 {
-		return s.iterateTopo(comp, at, hit)
-	}
-	setup := togsim.NewStandard(s.cfg.NPU, s.cfg.Net, dram.FRFCFS)
+	st := core.NewStack(s.cfg.NPU, s.cfg.Net, s.cfg.Topo)
 	if s.cfg.MaxCycles > 0 {
-		setup.Engine.MaxCycles = s.cfg.MaxCycles
+		st.Engine.MaxCycles = s.cfg.MaxCycles
 	}
-	setup.Engine.Workers = s.cfg.EngineWorkers
+	st.Engine.Workers = s.cfg.EngineWorkers
 	if s.cfg.Probe != nil {
 		// Stitch this iteration's spans onto the serve timeline: the
 		// engine's cycle 0 is serve cycle `at`.
-		setup.AttachProbe(obs.OffsetProbe{Base: s.cfg.Probe, Delta: at})
+		st.AttachProbe(obs.OffsetProbe{Base: s.cfg.Probe, Delta: at})
 	}
-	res, err := setup.Engine.Run([]*togsim.Job{comp.Job(comp.Name, 0, 0)})
+	jobs, err := st.Place(comp.Name, comp)
 	if err != nil {
 		return 0, report.ActivityTotals{}, hit, err
 	}
-	return res.Cycles, report.Totals(res, setup.MemStats(), setup.NetFlits(), 0), hit, nil
-}
-
-// iterateTopo runs one iteration's rank graph across the packages of the
-// serving topology: one rank per package around the collective ring, on a
-// fresh topology fabric — the multi-package twin of the single-engine path
-// (also deterministic, so the serve-determinism oracle covers it).
-func (s *runState) iterateTopo(comp *compiler.Compiled, at int64, hit bool) (int64, report.ActivityTotals, bool, error) {
-	jobs, err := parallel.PlaceJobs(comp.Name, comp, s.cfg.Topo)
+	res, in, err := st.Run(jobs)
 	if err != nil {
 		return 0, report.ActivityTotals{}, hit, err
 	}
-	cfg := s.cfg.NPU
-	cfg.Cores = s.cfg.Topo.TotalCores()
-	fab := topo.NewFabric(s.cfg.Topo)
-	eng := togsim.NewEngine(cfg, fab)
-	if s.cfg.MaxCycles > 0 {
-		eng.MaxCycles = s.cfg.MaxCycles
-	}
-	eng.Workers = s.cfg.EngineWorkers
-	if s.cfg.Probe != nil {
-		p := obs.OffsetProbe{Base: s.cfg.Probe, Delta: at}
-		eng.Probe = p
-		fab.Probe = p
-	}
-	res, err := eng.Run(jobs)
-	if err != nil {
-		return 0, report.ActivityTotals{}, hit, err
-	}
-	return res.Cycles, report.Totals(res, fab.MemTotals(), 0, fab.LinkFlits), hit, nil
+	return res.Cycles, report.Totals(res, in.Mem, in.NoCFlits, in.LinkFlits), hit, nil
 }
 
 // report assembles the final ServeReport (no host time: deterministic).

@@ -207,6 +207,17 @@ func (c *Cache) Compile(key string, cfg npu.Config, opts compiler.Options,
 	return e.comp, false, nil
 }
 
+// CompileSpec is Compile for a model-zoo spec: it derives the spec's
+// CompileKey, builds the graph through modelzoo.BuildFor on a miss, and
+// returns the key alongside the compilation.
+func (c *Cache) CompileSpec(spec modelzoo.Spec, cfg npu.Config, opts compiler.Options) (*compiler.Compiled, string, bool, error) {
+	key := CompileKey(spec, cfg, opts)
+	comp, hit, err := c.Compile(key, cfg, opts, func() (*graph.Graph, error) {
+		return modelzoo.BuildFor(spec, cfg.Mem)
+	})
+	return comp, key, hit, err
+}
+
 func (c *Cache) build(comp *compiler.Compiler, build func() (*graph.Graph, error)) (*compiler.Compiled, error) {
 	g, err := build()
 	if err != nil {

@@ -23,8 +23,7 @@ import (
 	"time"
 
 	"repro/internal/compiler"
-	"repro/internal/dram"
-	"repro/internal/graph"
+	"repro/internal/core"
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
@@ -586,11 +585,11 @@ func (s *Service) collect(e *metrics.Emitter) {
 	}
 	if len(st.TenantQueued) > 0 {
 		e.GaugeVec("ptsimd_tenant_queued", "Per-tenant queue depth in the weighted-fair queue.",
-			"tenant", tenantSamples(st.TenantQueued))
+			"tenant", metrics.TenantSamples(st.TenantQueued))
 	}
 	if len(st.TenantDone) > 0 {
 		e.CounterVec("ptsimd_tenant_jobs_done_total", "Finished jobs per tenant.",
-			"tenant", tenantSamples(st.TenantDone))
+			"tenant", metrics.TenantSamples(st.TenantDone))
 	}
 	e.Counter("ptsimd_simulated_cycles_total", "Simulated cycles summed over finished jobs.", float64(st.TotalCycles))
 	e.Counter("ptsimd_serve_requests_total", "Requests completed by serving jobs.", float64(st.ServeRequests))
@@ -646,25 +645,6 @@ func (s *Service) peerAttached() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.peer != nil
-}
-
-// tenantSamples renders a per-tenant map as labeled samples in sorted
-// tenant order, with "" shown as "default", so scrapes are byte-stable.
-func tenantSamples(m map[string]int64) []metrics.LabeledSample {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	samples := make([]metrics.LabeledSample, 0, len(keys))
-	for _, k := range keys {
-		label := k
-		if label == "" {
-			label = "default"
-		}
-		samples = append(samples, metrics.LabeledSample{Label: label, Value: float64(m[k])})
-	}
-	return samples
 }
 
 // Start launches the worker pool. It is idempotent per service lifetime:
@@ -902,12 +882,12 @@ func (s *Service) run(j *Job) {
 	close(j.done)
 }
 
-// simulate is one job's whole pipeline: resolve, compile-or-fetch, run.
-// Everything here is also what a standalone ptsim run does, so service
-// cycles are bit-identical to the CLI's for the same spec. probe, when
-// non-nil, streams coarse progress to event subscribers on the
-// single-package path; attached probes are proven invisible in Results by
-// the crosscheck probe oracle, so subscribing to a job's events can never
+// simulate is one job's whole pipeline: resolve, compile-or-fetch, run on
+// a core.Stack — the same funnel a standalone ptsim run goes through, so
+// service cycles are bit-identical to the CLI's for the same spec, on one
+// package or many. probe, when non-nil, streams coarse progress to event
+// subscribers; attached probes are proven invisible in Results by the
+// crosscheck probe oracle, so subscribing to a job's events can never
 // change its outcome.
 func (s *Service) simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 	r, err := spec.resolve()
@@ -917,63 +897,47 @@ func (s *Service) simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 	if r.Serve != nil {
 		return s.runServe(r)
 	}
-	key := CompileKey(r.Spec, r.Cfg, r.Opts)
 	compileStart := time.Now()
-	comp, hit, err := s.cache.Compile(key, r.Cfg, r.Opts, func() (*graph.Graph, error) {
-		return modelzoo.BuildFor(r.Spec, r.Cfg.Mem)
-	})
+	comp, key, hit, err := s.compile(r.Spec, r.Cfg, r.Opts)
 	if err != nil {
 		return JobResult{}, err
 	}
-	s.mu.Lock()
-	if hit {
-		s.cacheHits++
-	} else {
-		s.cacheMisses++
-	}
-	s.mu.Unlock()
 	compileMs := float64(time.Since(compileStart)) / 1e6
 	if hit {
 		compileMs = 0
 	}
-	if r.Topo.Packages() > 1 {
-		return s.simulateTopo(r, comp, key, hit, compileMs)
-	}
 
-	setup := togsim.NewStandard(r.Cfg, r.Net, dram.FRFCFS)
+	st := core.NewStack(r.Cfg, r.Net, r.Topo)
 	if probe != nil {
-		setup.AttachProbe(probe)
+		st.AttachProbe(probe)
 	}
-	setup.Engine.MaxCycles = r.MaxCycles
-	if setup.Engine.MaxCycles == 0 {
-		setup.Engine.MaxCycles = s.cfg.MaxCycles
+	st.Engine.MaxCycles = r.MaxCycles
+	if st.Engine.MaxCycles == 0 {
+		st.Engine.MaxCycles = s.cfg.MaxCycles
 	}
 	if r.NodesPerCycle > 0 {
-		setup.Engine.NodesPerCycle = r.NodesPerCycle
+		st.Engine.NodesPerCycle = r.NodesPerCycle
 	}
-	setup.Engine.Workers = r.EngineWorkers
-	if setup.Engine.Workers == 0 {
-		setup.Engine.Workers = s.cfg.EngineWorkers
+	st.Engine.Workers = r.EngineWorkers
+	if st.Engine.Workers == 0 {
+		st.Engine.Workers = s.cfg.EngineWorkers
 	}
-	start := time.Now()
-	res, err := setup.Engine.Run([]*togsim.Job{comp.Job(comp.Name, 0, 0)})
+	jobs, err := st.Place(comp.Name, comp)
 	if err != nil {
 		return JobResult{}, err
 	}
-	wall := time.Since(start)
-	rep := report.Build(r.Cfg, report.Inputs{
-		Res:      res,
-		Mem:      setup.MemStats(),
-		NoCFlits: setup.NetFlits(),
-		Rounds:   setup.Engine.Rounds,
-		Wall:     wall,
-	})
-	s.accountRun(rep.Energy, setup.Engine.Rounds)
+	res, in, err := st.Run(jobs)
+	if err != nil {
+		return JobResult{}, err
+	}
+	rep := report.Build(st.Cfg, in)
+	s.accountRun(rep.Energy, in.Rounds)
+	s.accountPackages(rep.Topology)
 	return JobResult{
 		Cycles:      res.Cycles,
 		FreqMHz:     r.Cfg.FreqMHz,
 		SimulatedMs: float64(res.Cycles) / float64(r.Cfg.FreqMHz) / 1e3,
-		WallMs:      float64(wall) / 1e6,
+		WallMs:      float64(in.Wall) / 1e6,
 		CompileMs:   compileMs,
 		CacheHit:    hit,
 		CompileKey:  key,
@@ -981,77 +945,28 @@ func (s *Service) simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 	}, nil
 }
 
-// simulateTopo is the multi-package tail of simulate: place one rank of
-// the compiled artifact per package, run them on a topology fabric (same
-// engine-worker and deadlock-guard knobs as a single-package job), and
-// report with the per-package breakdown attached.
-func (s *Service) simulateTopo(r resolved, comp *compiler.Compiled, key string, hit bool, compileMs float64) (JobResult, error) {
-	jobs, err := parallel.PlaceJobs(comp.Name, comp, r.Topo)
-	if err != nil {
-		return JobResult{}, err
+// compile resolves one spec through the content-addressed compile cache,
+// accounting the hit or miss in the service stats. Plain jobs and every
+// prefill pass and decode step of a serving job come through here.
+func (s *Service) compile(spec modelzoo.Spec, cfg npu.Config, opts compiler.Options) (*compiler.Compiled, string, bool, error) {
+	comp, key, hit, err := s.cache.CompileSpec(spec, cfg, opts)
+	if err == nil {
+		s.mu.Lock()
+		if hit {
+			s.cacheHits++
+		} else {
+			s.cacheMisses++
+		}
+		s.mu.Unlock()
 	}
-	cfg := r.Cfg
-	cfg.Cores = r.Topo.TotalCores()
-	fab := topo.NewFabric(r.Topo)
-	eng := togsim.NewEngine(cfg, fab)
-	eng.MaxCycles = r.MaxCycles
-	if eng.MaxCycles == 0 {
-		eng.MaxCycles = s.cfg.MaxCycles
-	}
-	if r.NodesPerCycle > 0 {
-		eng.NodesPerCycle = r.NodesPerCycle
-	}
-	eng.Workers = r.EngineWorkers
-	if eng.Workers == 0 {
-		eng.Workers = s.cfg.EngineWorkers
-	}
-	start := time.Now()
-	res, err := eng.Run(jobs)
-	if err != nil {
-		return JobResult{}, err
-	}
-	wall := time.Since(start)
-	rep := report.Build(cfg, report.Inputs{
-		Res:       res,
-		Mem:       fab.MemTotals(),
-		LinkFlits: fab.LinkFlits,
-		Rounds:    eng.Rounds,
-		Wall:      wall,
-		Topo:      fab,
-	})
-	s.accountRun(rep.Energy, eng.Rounds)
-	s.accountPackages(rep.Topology)
-	return JobResult{
-		Cycles:      res.Cycles,
-		FreqMHz:     cfg.FreqMHz,
-		SimulatedMs: float64(res.Cycles) / float64(cfg.FreqMHz) / 1e3,
-		WallMs:      float64(wall) / 1e6,
-		CompileMs:   compileMs,
-		CacheHit:    hit,
-		CompileKey:  key,
-		Report:      &rep,
-	}, nil
+	return comp, key, hit, err
 }
 
-// ServeCompileFn adapts the service's content-addressed compile cache to
-// the serving loop's compile interface: every prefill pass and decode step
-// resolves through the same CompileKey path as a plain job, with hits and
-// misses accounted in the service stats.
+// ServeCompileFn adapts the service's compile cache to the serving loop's
+// compile interface.
 func (s *Service) ServeCompileFn(cfg npu.Config, opts compiler.Options) serve.CompileFn {
 	return func(spec modelzoo.Spec) (*compiler.Compiled, bool, error) {
-		key := CompileKey(spec, cfg, opts)
-		comp, hit, err := s.cache.Compile(key, cfg, opts, func() (*graph.Graph, error) {
-			return modelzoo.BuildFor(spec, cfg.Mem)
-		})
-		if err == nil {
-			s.mu.Lock()
-			if hit {
-				s.cacheHits++
-			} else {
-				s.cacheMisses++
-			}
-			s.mu.Unlock()
-		}
+		comp, _, hit, err := s.compile(spec, cfg, opts)
 		return comp, hit, err
 	}
 }

@@ -229,61 +229,68 @@ func TestHTTPJobEventsSSE(t *testing.T) {
 }
 
 // A long-enough run with a subscriber attached must surface "progress"
-// events fed from the engine's obs probe — and attaching the probe must
-// not change the result (the crosscheck probe oracle's claim, re-checked
-// here end to end over HTTP).
+// events fed from the engine's obs probe — on one package or across the
+// packages of a topology, which run through the same funnel — and
+// attaching the probe must not change the result (the crosscheck probe
+// oracle's claim, re-checked here end to end over HTTP).
 func TestHTTPJobProgressEvents(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	srv := httptest.NewServer(NewHandler(s))
-	defer srv.Close()
+	for name, spec := range map[string]JobSpec{
+		"single":      {Model: "mlp", Batch: 4, NPU: "small"},
+		"pkg2-tensor": {Model: "decoder-small", Ctx: 8, NPU: "small", Topology: "pkg2", Parallel: "tensor"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New(Config{Workers: 1})
+			defer s.Close()
+			srv := httptest.NewServer(NewHandler(s))
+			defer srv.Close()
 
-	// Submit while stopped, subscribe, then start: the subscriber is
-	// guaranteed to be attached when the run begins, so the progress
-	// probe is installed.
-	spec := JobSpec{Model: "mlp", Batch: 4, NPU: "small"}
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := http.Get(srv.URL + "/jobs/" + j.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	s.Start()
-	events := readSSE(t, bufio.NewReader(stream.Body))
-	progress := 0
-	for _, ev := range events {
-		if ev.Kind == "progress" {
-			progress++
-			if ev.Spans <= 0 || ev.Cycle <= 0 {
-				t.Fatalf("empty progress event: %+v", ev)
+			// Submit while stopped, subscribe, then start: the subscriber is
+			// guaranteed to be attached when the run begins, so the progress
+			// probe is installed.
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if progress == 0 {
-		t.Fatalf("no progress events among %d events", len(events))
-	}
-	fin, err := s.Wait(j.ID)
-	if err != nil || fin.State != StateDone {
-		t.Fatalf("wait: %v %+v", err, fin)
-	}
+			stream, err := http.Get(srv.URL + "/jobs/" + j.ID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stream.Body.Close()
+			s.Start()
+			events := readSSE(t, bufio.NewReader(stream.Body))
+			progress := 0
+			for _, ev := range events {
+				if ev.Kind == "progress" {
+					progress++
+					if ev.Spans <= 0 || ev.Cycle <= 0 {
+						t.Fatalf("empty progress event: %+v", ev)
+					}
+				}
+			}
+			if progress == 0 {
+				t.Fatalf("no progress events among %d events", len(events))
+			}
+			fin, err := s.Wait(j.ID)
+			if err != nil || fin.State != StateDone {
+				t.Fatalf("wait: %v %+v", err, fin)
+			}
 
-	// Same spec on a probe-free service: bit-identical cycles.
-	plain := New(Config{Workers: 1})
-	plain.Start()
-	defer plain.Close()
-	pj, err := plain.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfin, err := plain.Wait(pj.ID)
-	if err != nil || pfin.State != StateDone {
-		t.Fatalf("plain wait: %v %+v", err, pfin)
-	}
-	if fin.Result.Cycles != pfin.Result.Cycles {
-		t.Fatalf("probe changed the result: %d vs %d cycles", fin.Result.Cycles, pfin.Result.Cycles)
+			// Same spec on a probe-free service: bit-identical cycles.
+			plain := New(Config{Workers: 1})
+			plain.Start()
+			defer plain.Close()
+			pj, err := plain.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pfin, err := plain.Wait(pj.ID)
+			if err != nil || pfin.State != StateDone {
+				t.Fatalf("plain wait: %v %+v", err, pfin)
+			}
+			if fin.Result.Cycles != pfin.Result.Cycles {
+				t.Fatalf("probe changed the result: %d vs %d cycles", fin.Result.Cycles, pfin.Result.Cycles)
+			}
+		})
 	}
 }
 

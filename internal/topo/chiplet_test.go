@@ -1,4 +1,8 @@
-package chiplet
+package topo_test
+
+// The §5.4 chiplet scenario on the topology fabric: a multi-chiplet NPU
+// is a chain of single-core packages, each with its own HBM stack, joined
+// by a narrow off-chip link.
 
 import (
 	"testing"
@@ -6,14 +10,29 @@ import (
 	"repro/internal/npu"
 	"repro/internal/tog"
 	"repro/internal/togsim"
+	"repro/internal/topo"
 )
 
-func chipCfg() (npu.Config, Config) {
+// chipletTopo mirrors the paper's setup at 940 MHz: two chiplets, 20 ns
+// (~19 cycles) link latency, 32 GB/s (~34 B/cycle) per direction, and no
+// extra on-package NoC latency.
+func chipletTopo(mem npu.MemConfig) topo.Config {
+	return topo.Config{
+		Name:              "chiplet",
+		MeshX:             2,
+		MeshY:             1,
+		CoresPerPackage:   1,
+		MemPerPackage:     mem,
+		PkgAddrBits:       24, // 16 MiB per chiplet keeps test addresses small
+		LinkLatency:       19,
+		LinkBytesPerCycle: 34,
+	}
+}
+
+func chipCfg() (npu.Config, topo.Config) {
 	base := npu.SmallConfig()
 	base.Cores = 2
-	cc := DefaultConfig(base.Mem)
-	cc.ChipletAddrBits = 24 // 16 MiB per chiplet keeps test addresses small
-	return base, cc
+	return base, chipletTopo(base.Mem)
 }
 
 // dmaJob builds a load-heavy job on the given core reading `tiles` tiles
@@ -43,9 +62,9 @@ func dmaJob(name string, core int, tiles int64, inBase, outBase uint64, withStor
 	}
 }
 
-func runJobs(t *testing.T, base npu.Config, cc Config, jobs []*togsim.Job) (int64, *Fabric) {
+func runJobs(t *testing.T, base npu.Config, cc topo.Config, jobs []*togsim.Job) (int64, *topo.Fabric) {
 	t.Helper()
-	f := NewFabric(cc)
+	f := topo.NewFabric(cc)
 	eng := togsim.NewEngine(base, f)
 	res, err := eng.Run(jobs)
 	if err != nil {
@@ -57,10 +76,10 @@ func runJobs(t *testing.T, base npu.Config, cc Config, jobs []*togsim.Job) (int6
 func TestLocalFasterThanRemote(t *testing.T) {
 	base, cc := chipCfg()
 	local, fl := runJobs(t, base, cc, []*togsim.Job{
-		dmaJob("local", 0, 64, cc.ChipletBase(0), cc.ChipletBase(0)+(1<<20), false),
+		dmaJob("local", 0, 64, cc.PackageBase(0), cc.PackageBase(0)+(1<<20), false),
 	})
 	remote, fr := runJobs(t, base, cc, []*togsim.Job{
-		dmaJob("remote", 0, 64, cc.ChipletBase(1), cc.ChipletBase(1)+(1<<20), false),
+		dmaJob("remote", 0, 64, cc.PackageBase(1), cc.PackageBase(1)+(1<<20), false),
 	})
 	if remote <= local {
 		t.Fatalf("remote traffic (%d) must be slower than local (%d)", remote, local)
@@ -84,10 +103,10 @@ func TestMixedTrafficSplitsBytes(t *testing.T) {
 	// slower than a pure-local load-only stream (the remote stores ride the
 	// narrow link).
 	mixed, fm := runJobs(t, base, cc, []*togsim.Job{
-		dmaJob("mixed", 0, 64, cc.ChipletBase(0), cc.ChipletBase(1)+(1<<20), true),
+		dmaJob("mixed", 0, 64, cc.PackageBase(0), cc.PackageBase(1)+(1<<20), true),
 	})
 	localLoads, _ := runJobs(t, base, cc, []*togsim.Job{
-		dmaJob("local", 0, 64, cc.ChipletBase(0), cc.ChipletBase(0)+(1<<20), false),
+		dmaJob("local", 0, 64, cc.PackageBase(0), cc.PackageBase(0)+(1<<20), false),
 	})
 	if mixed <= localLoads {
 		t.Fatalf("mixed load+remote-store (%d) must exceed local load-only (%d)", mixed, localLoads)
@@ -100,11 +119,11 @@ func TestMixedTrafficSplitsBytes(t *testing.T) {
 func TestTwoChipletCoresRunConcurrently(t *testing.T) {
 	base, cc := chipCfg()
 	solo, _ := runJobs(t, base, cc, []*togsim.Job{
-		dmaJob("a", 0, 64, cc.ChipletBase(0), cc.ChipletBase(0)+(1<<20), false),
+		dmaJob("a", 0, 64, cc.PackageBase(0), cc.PackageBase(0)+(1<<20), false),
 	})
 	both, _ := runJobs(t, base, cc, []*togsim.Job{
-		dmaJob("a", 0, 64, cc.ChipletBase(0), cc.ChipletBase(0)+(1<<20), false),
-		dmaJob("b", 1, 64, cc.ChipletBase(1), cc.ChipletBase(1)+(1<<20), false),
+		dmaJob("a", 0, 64, cc.PackageBase(0), cc.PackageBase(0)+(1<<20), false),
+		dmaJob("b", 1, 64, cc.PackageBase(1), cc.PackageBase(1)+(1<<20), false),
 	})
 	// All-local jobs on separate chiplets should barely interfere.
 	if float64(both) > float64(solo)*1.3 {
@@ -117,11 +136,11 @@ func TestLinkContentionBetweenCores(t *testing.T) {
 	// Both cores read remotely in the same direction pattern; the shared
 	// link directions serialize.
 	soloRemote, _ := runJobs(t, base, cc, []*togsim.Job{
-		dmaJob("r0", 0, 64, cc.ChipletBase(1), cc.ChipletBase(0)+(1<<20), false),
+		dmaJob("r0", 0, 64, cc.PackageBase(1), cc.PackageBase(0)+(1<<20), false),
 	})
 	bothRemote, _ := runJobs(t, base, cc, []*togsim.Job{
-		dmaJob("r0", 0, 64, cc.ChipletBase(1), cc.ChipletBase(0)+(1<<20), false),
-		dmaJob("r1", 1, 64, cc.ChipletBase(0), cc.ChipletBase(1)+(1<<20), false),
+		dmaJob("r0", 0, 64, cc.PackageBase(1), cc.PackageBase(0)+(1<<20), false),
+		dmaJob("r1", 1, 64, cc.PackageBase(0), cc.PackageBase(1)+(1<<20), false),
 	})
 	// Opposite directions: the data paths are independent per direction, so
 	// the two jobs largely overlap (each direction still carries the other

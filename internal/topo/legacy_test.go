@@ -1,8 +1,8 @@
-package chiplet
+package topo_test
 
 // This file pins the refactor invariant of the topology layer: the old
 // chiplet-specific fabric implementation (pre-internal/topo, reproduced
-// below verbatim as legacyFabric) and topo.Fabric configured as an N×1
+// below as legacyFabric, reading its parameters from a topo.Config) and topo.Fabric configured as an N×1
 // single-core-package chain must be bit-identical — same cycle counts,
 // same per-job results, same traffic stats — on arbitrary workloads. The
 // §5.4 experiment additionally pins absolute cycle numbers in
@@ -16,12 +16,13 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/togsim"
+	"repro/internal/topo"
 )
 
 // legacyFabric is the pre-topology chiplet fabric, kept only as a test
 // oracle.
 type legacyFabric struct {
-	cfg   Config
+	cfg   topo.Config
 	mems  []*dram.Memory
 	cycle int64
 
@@ -43,26 +44,26 @@ type legacyStaged struct {
 	mr  *togsim.MemReq
 }
 
-func newLegacyFabric(cfg Config) *legacyFabric {
+func newLegacyFabric(cfg topo.Config) *legacyFabric {
 	f := &legacyFabric{
 		cfg:    cfg,
 		byDram: map[*dram.Request]*togsim.MemReq{},
-		toMem:  make([][]legacyStaged, cfg.Chiplets),
+		toMem:  make([][]legacyStaged, cfg.Packages()),
 	}
-	for i := 0; i < cfg.Chiplets; i++ {
-		f.mems = append(f.mems, dram.New(cfg.MemPerChiplet, dram.FRFCFS))
+	for i := 0; i < cfg.Packages(); i++ {
+		f.mems = append(f.mems, dram.New(cfg.MemPerPackage, dram.FRFCFS))
 	}
-	f.linkFree = make([][]int64, cfg.Chiplets)
+	f.linkFree = make([][]int64, cfg.Packages())
 	for i := range f.linkFree {
-		f.linkFree[i] = make([]int64, cfg.Chiplets)
+		f.linkFree[i] = make([]int64, cfg.Packages())
 	}
 	return f
 }
 
 func (f *legacyFabric) chipletOf(addr uint64) int {
-	ch := int(addr >> f.cfg.ChipletAddrBits)
-	if ch >= f.cfg.Chiplets {
-		ch = f.cfg.Chiplets - 1
+	ch := int(addr >> f.cfg.PkgAddrBits)
+	if ch >= f.cfg.Packages() {
+		ch = f.cfg.Packages() - 1
 	}
 	return ch
 }
@@ -82,7 +83,7 @@ func (f *legacyFabric) linkDelay(a, b int, bytes int, now int64) int64 {
 }
 
 func (f *legacyFabric) Submit(r *togsim.MemReq) bool {
-	src := r.Core % f.cfg.Chiplets
+	src := r.Core % f.cfg.Packages()
 	dst := f.chipletOf(r.Addr)
 	local := src == dst
 
@@ -93,7 +94,7 @@ func (f *legacyFabric) Submit(r *togsim.MemReq) bool {
 	}
 
 	dr := &dram.Request{
-		Addr:    r.Addr & (1<<f.cfg.ChipletAddrBits - 1),
+		Addr:    r.Addr & (1<<f.cfg.PkgAddrBits - 1),
 		IsWrite: r.IsWrite,
 		Src:     r.Src,
 	}
@@ -137,7 +138,7 @@ func (f *legacyFabric) Tick() {
 			if r == nil {
 				continue
 			}
-			src := r.Core % f.cfg.Chiplets
+			src := r.Core % f.cfg.Packages()
 			if src == ch || r.IsWrite {
 				f.done = append(f.done, r)
 				f.pending--
@@ -201,17 +202,17 @@ var _ togsim.Fabric = (*legacyFabric)(nil)
 
 // randChipletJobs builds a seeded random multi-core job mix with local and
 // remote loads/stores in both directions.
-func randChipletJobs(r *tensor.RNG, cc Config, cores int) []*togsim.Job {
+func randChipletJobs(r *tensor.RNG, cc topo.Config, cores int) []*togsim.Job {
 	var jobs []*togsim.Job
 	n := 1 + r.Intn(3)
 	for j := 0; j < n; j++ {
 		core := r.Intn(cores)
-		inCh := r.Intn(cc.Chiplets)
-		outCh := r.Intn(cc.Chiplets)
+		inCh := r.Intn(cc.Packages())
+		outCh := r.Intn(cc.Packages())
 		tiles := 4 + int64(r.Intn(24))
 		job := dmaJob("j", core, tiles,
-			cc.ChipletBase(inCh)+uint64(j)<<18,
-			cc.ChipletBase(outCh)+(1<<20)+uint64(j)<<18,
+			cc.PackageBase(inCh)+uint64(j)<<18,
+			cc.PackageBase(outCh)+(1<<20)+uint64(j)<<18,
 			r.Intn(2) == 0)
 		job.Name = job.Name + string(rune('0'+j))
 		job.Arrival = int64(r.Intn(3000))
@@ -232,8 +233,7 @@ func TestTopoFabricMatchesLegacyChiplet(t *testing.T) {
 	base, _ := chipCfg()
 	for seed := uint64(1); seed <= 12; seed++ {
 		r := tensor.NewRNG(seed * 0x9e3779b97f4a7c15)
-		cc := DefaultConfig(base.Mem)
-		cc.ChipletAddrBits = 24
+		cc := chipletTopo(base.Mem)
 		cfg := base
 		jobs := randChipletJobs(r, cc, cfg.Cores)
 		strict := seed%2 == 0
@@ -257,7 +257,7 @@ func TestTopoFabricMatchesLegacyChiplet(t *testing.T) {
 
 		leg := newLegacyFabric(cc)
 		legRes := run(leg)
-		neu := NewFabric(cc)
+		neu := topo.NewFabric(cc)
 		neuRes := run(neu)
 
 		if !reflect.DeepEqual(legRes, neuRes) {
@@ -275,11 +275,11 @@ func TestTopoFabricMatchesLegacyChiplet(t *testing.T) {
 // fabric-wide totals exactly.
 func TestTopoPerPackageStatsSum(t *testing.T) {
 	base, cc := chipCfg()
-	f := NewFabric(cc)
+	f := topo.NewFabric(cc)
 	eng := togsim.NewEngine(base, f)
 	jobs := []*togsim.Job{
-		dmaJob("a", 0, 32, cc.ChipletBase(1), cc.ChipletBase(0)+(1<<20), true),
-		dmaJob("b", 1, 32, cc.ChipletBase(1), cc.ChipletBase(0)+(1<<20), true),
+		dmaJob("a", 0, 32, cc.PackageBase(1), cc.PackageBase(0)+(1<<20), true),
+		dmaJob("b", 1, 32, cc.PackageBase(1), cc.PackageBase(0)+(1<<20), true),
 	}
 	if _, err := eng.Run(jobs); err != nil {
 		t.Fatal(err)

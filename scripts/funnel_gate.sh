@@ -1,0 +1,22 @@
+#!/usr/bin/env bash
+# funnel-gate: one place builds a TLS stack. Fails if non-test Go outside
+# the engine and fabric packages themselves, the funnel file
+# (internal/core/stack.go) and the bench/ module assembles an engine by
+# hand with togsim.NewEngine( or topo.NewFabric( — every run goes through
+# core.NewStack instead. Also prints the non-test Go line count outside
+# bench/, so "the code got smaller" is a number. Wired into `make check`.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+files=$(git ls-files '*.go' | grep -v '_test\.go$' | grep -v '^bench/')
+
+hits=$(echo "$files" |
+  grep -v -e '^internal/togsim/' -e '^internal/topo/' -e '^internal/core/stack\.go$' |
+  xargs grep -n -e 'togsim\.NewEngine(' -e 'topo\.NewFabric(' || true)
+if [ -n "$hits" ]; then
+  echo "funnel-gate: FAIL — hand-assembled engine stacks (use core.NewStack):"
+  echo "$hits"
+  exit 1
+fi
+
+echo "funnel-gate: OK — $(echo "$files" | xargs cat | wc -l) non-test Go lines outside bench/"

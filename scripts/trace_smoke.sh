@@ -3,7 +3,8 @@
 # GEMM through ptsim twice — once plain, once with -trace — requires the
 # two cycle counts to be bit-identical (probes must never perturb the
 # simulation), and validates the emitted Perfetto JSON with tracecheck,
-# including the power-over-time track (core.energy_pj). Then runs ptserve
+# including the power-over-time track (core.energy_pj); a two-package
+# tensor-parallel run must trace and validate as well. Then runs ptserve
 # -trace and validates the stitched serving timeline: per-iteration spans
 # shifted onto one clock, with span timestamps covering the reported
 # makespan. Wired into `make check` via the trace-smoke target.
@@ -30,6 +31,13 @@ fi
 echo "trace-smoke: cycle counts match ($plain)"
 
 "$tmp/tracecheck" -energy "$tmp/gemm.trace.json"
+
+# Multi-package runs go through the same funnel, so -trace works there too
+# (link counters ride along with the engine spans).
+echo "trace-smoke: tensor-parallel decoder-tiny on pkg2 with -trace"
+"$tmp/ptsim" -model decoder-tiny -ctx 8 -small -topology pkg2 -parallel tensor \
+  -trace "$tmp/pkg2.trace.json" >/dev/null
+"$tmp/tracecheck" -energy "$tmp/pkg2.trace.json"
 
 echo "trace-smoke: serving 3 requests on decoder-tiny with -trace"
 "$tmp/ptserve" -model decoder-tiny -small -requests 3 -prompt 8 -gen 4 \
