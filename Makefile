@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt funnel-gate vet test race check bench bench-compile bench-engine bench-serve bench-energy bench-topo service-smoke trace-smoke cache-smoke fuzz-smoke serve-smoke energy-smoke topo-smoke fleet-smoke crosscheck cover clean
+.PHONY: all build fmt funnel-gate vet test race check bench bench-compile bench-engine bench-serve bench-energy bench-topo profile service-smoke trace-smoke cache-smoke fuzz-smoke serve-smoke energy-smoke topo-smoke fleet-smoke crosscheck cover clean
 
 all: check
 
@@ -155,6 +155,14 @@ bench-energy:
 # -> BENCH_topo.json.
 bench-topo:
 	bash scripts/bench_topo.sh
+
+# CPU profile of the untraced serial engine on one model: runs the matching
+# BenchmarkEngine<Model>C<n>Serial with -cpuprofile into profile/ and prints
+# `go tool pprof -top` with the host stamp (scripts/profile.sh).
+MODEL ?= resnet18
+CORES ?= 1
+profile:
+	bash scripts/profile.sh $(MODEL) $(CORES)
 
 clean:
 	$(GO) clean ./...

@@ -23,10 +23,52 @@ type Request struct {
 	Finish  int64 // cycle data transfer completes (set by the model)
 
 	issued bool
-	// Decomposed address, cached at Submit so the FR-FCFS scan does not
-	// re-derive it every cycle.
-	ch, bk int
-	row    int64
+	// Decomposed address, cached by AddrMap.Locate so that neither the
+	// FR-FCFS scan nor the retry of a refused Submit re-derives it.
+	located bool
+	ch, bk  int
+	row     int64
+}
+
+// Channel returns the channel a located request maps to.
+func (r *Request) Channel() int { return r.ch }
+
+// AddrMap is a memory configuration's address interleave:
+// row:bank:channel:offset, so sequential streams hit open rows within
+// each channel. It is the one place the interleave is written down; the
+// controller and the fabric in front of it (which queues and routes per
+// channel) both decompose addresses through it.
+type AddrMap struct {
+	burstBytes, channels, burstsPerRow, banks uint64
+}
+
+// NewAddrMap returns cfg's interleave.
+func NewAddrMap(cfg npu.MemConfig) AddrMap {
+	return AddrMap{
+		burstBytes:   uint64(cfg.BurstBytes),
+		channels:     uint64(cfg.Channels),
+		burstsPerRow: uint64(cfg.RowBytes / cfg.BurstBytes),
+		banks:        uint64(cfg.BanksPerChan),
+	}
+}
+
+// Locate decomposes r.Addr into channel, bank, and row, caches the result
+// on the request, and returns the channel. A Memory trusts a located
+// request, so only a map of the Memory's own configuration may locate the
+// requests submitted to it.
+func (a AddrMap) Locate(r *Request) int {
+	r.ch, r.bk, r.row = a.decompose(r.Addr)
+	r.located = true
+	return r.ch
+}
+
+func (a AddrMap) decompose(addr uint64) (ch, bk int, row int64) {
+	burst := addr / a.burstBytes
+	rest := burst / a.channels
+	ch = int(burst - rest*a.channels)
+	rest /= a.burstsPerRow
+	r := rest / a.banks
+	return ch, int(rest - r*a.banks), int64(r)
 }
 
 // SchedulerKind selects the memory scheduling policy.
@@ -42,10 +84,14 @@ const (
 
 // Stats aggregates controller activity.
 type Stats struct {
-	Reads, Writes   int64
-	RowHits         int64
-	RowMisses       int64
-	RowConflicts    int64 // miss that required closing another row
+	Reads, Writes int64
+	RowHits       int64
+	RowMisses     int64
+	RowConflicts  int64 // miss that required closing another row
+	// BytesBySrc is kept off the per-burst path: Memory accumulates it in
+	// a dense per-source slice and folds that in whenever it runs out of
+	// queued and in-flight requests, so the map is exact after Drain or a
+	// finished engine run and lags only while requests are outstanding.
 	BytesBySrc      map[int]int64
 	TotalBytes      int64
 	BusyCycles      int64
@@ -60,7 +106,7 @@ type bank struct {
 }
 
 type channel struct {
-	queue       []*Request
+	queue       []*Request // accepted, not yet issued; Memory.queued sums these
 	banks       []bank
 	busFree     int64
 	nextRefresh int64
@@ -68,21 +114,26 @@ type channel struct {
 
 // Memory is the multi-channel DRAM controller model.
 type Memory struct {
-	cfg   npu.MemConfig
-	sched SchedulerKind
-	chans []channel
-	cycle int64
+	cfg    npu.MemConfig
+	amap   AddrMap
+	sched  SchedulerKind
+	chans  []channel
+	queued int // requests in channel queues, so NextEvent/Pending need no scan
+	cycle  int64
 	// Issued requests keyed by Finish. Each channel's data bus serializes
 	// transfers, so Finish is strictly monotone per channel — one
 	// MonotonicQueue lane per channel.
-	inFlight     *sim.MonotonicQueue[*Request]
-	done         []*Request
-	spare        []*Request // double buffer swapped with done at Completed
-	queueCap     int
-	burstsPerRow int64
-	refreshes    int64
+	inFlight  *sim.MonotonicQueue[*Request]
+	done      []*Request
+	spare     []*Request // double buffer swapped with done at Completed
+	queueCap  int
+	refreshes int64
 
 	Stats Stats
+	// srcBytes[src] is the part of Stats.BytesBySrc[src] not yet folded
+	// into the map (see Stats.BytesBySrc).
+	srcBytes []int64
+	srcDirty bool
 
 	// Probe receives occupancy and bandwidth counters on obs.DRAMTrack when
 	// non-nil. Counters are emitted only when the value changes, and never
@@ -101,12 +152,12 @@ func New(cfg npu.MemConfig, sched SchedulerKind) *Memory {
 		panic(fmt.Sprintf("dram: invalid config %+v", cfg))
 	}
 	m := &Memory{
-		cfg:          cfg,
-		sched:        sched,
-		chans:        make([]channel, cfg.Channels),
-		inFlight:     sim.NewMonotonicQueue[*Request](cfg.Channels),
-		queueCap:     64,
-		burstsPerRow: int64(cfg.RowBytes / cfg.BurstBytes),
+		cfg:      cfg,
+		amap:     NewAddrMap(cfg),
+		sched:    sched,
+		chans:    make([]channel, cfg.Channels),
+		inFlight: sim.NewMonotonicQueue[*Request](cfg.Channels),
+		queueCap: 64,
 	}
 	for i := range m.chans {
 		m.chans[i].banks = make([]bank, cfg.BanksPerChan)
@@ -127,29 +178,18 @@ func (m *Memory) Cycle() int64 { return m.cycle }
 // BurstBytes returns the request granularity.
 func (m *Memory) BurstBytes() int { return m.cfg.BurstBytes }
 
-// mapAddr decomposes a byte address into channel, bank, and row, using a
-// row:bank:channel:offset interleave so sequential streams hit open rows
-// within each channel.
-func (m *Memory) mapAddr(addr uint64) (ch, bk int, row int64) {
-	burst := addr / uint64(m.cfg.BurstBytes)
-	ch = int(burst % uint64(m.cfg.Channels))
-	rest := burst / uint64(m.cfg.Channels)
-	rest2 := rest / uint64(m.burstsPerRow)
-	bk = int(rest2 % uint64(m.cfg.BanksPerChan))
-	row = int64(rest2 / uint64(m.cfg.BanksPerChan))
-	return
-}
-
 // CanAccept reports whether the target channel queue has room for addr.
 func (m *Memory) CanAccept(addr uint64) bool {
-	ch, _, _ := m.mapAddr(addr)
+	ch, _, _ := m.amap.decompose(addr)
 	return len(m.chans[ch].queue) < m.queueCap
 }
 
 // Submit enqueues a burst request. It returns false (and drops the request)
 // when the channel queue is full; callers must retry.
 func (m *Memory) Submit(r *Request) bool {
-	r.ch, r.bk, r.row = m.mapAddr(r.Addr)
+	if !r.located {
+		m.amap.Locate(r)
+	}
 	c := &m.chans[r.ch]
 	if len(c.queue) >= m.queueCap {
 		m.Stats.QueueFullStalls++
@@ -157,6 +197,7 @@ func (m *Memory) Submit(r *Request) bool {
 	}
 	r.Arrive = m.cycle
 	c.queue = append(c.queue, r)
+	m.queued++
 	return true
 }
 
@@ -170,6 +211,9 @@ func (m *Memory) Tick() {
 	}
 	// Deliver completions.
 	m.done = m.inFlight.PopDue(m.cycle, m.done)
+	if m.srcDirty && m.queued == 0 && m.inFlight.Len() == 0 {
+		m.foldSrcBytes()
+	}
 	if m.Probe != nil {
 		if p := m.Pending(); p != m.lastPending {
 			m.Probe.Counter(obs.DRAMTrack, "dram.inflight", m.cycle, float64(p))
@@ -191,10 +235,8 @@ func (m *Memory) NextEvent() int64 {
 	if len(m.done) > 0 {
 		return m.cycle + 1
 	}
-	for i := range m.chans {
-		if len(m.chans[i].queue) > 0 {
-			return m.cycle + 1
-		}
+	if m.queued > 0 {
+		return m.cycle + 1
 	}
 	next := m.inFlight.NextCycle()
 	if next <= m.cycle {
@@ -281,6 +323,7 @@ func (m *Memory) issueOne(ci int) {
 	}
 	r := c.queue[pick]
 	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
+	m.queued--
 	m.serve(ci, r)
 }
 
@@ -342,19 +385,40 @@ func (m *Memory) serve(ci int, r *Request) {
 	} else {
 		m.Stats.Reads++
 	}
-	m.Stats.BytesBySrc[r.Src] += int64(cfg.BurstBytes)
+	m.addSrcBytes(r.Src, int64(cfg.BurstBytes))
 	m.Stats.TotalBytes += int64(cfg.BurstBytes)
 	m.Stats.BusyCycles++
 }
 
-// Pending returns the number of requests queued or in flight.
-func (m *Memory) Pending() int {
-	n := m.inFlight.Len() + len(m.done)
-	for i := range m.chans {
-		n += len(m.chans[i].queue)
+// maxDenseSrc bounds the dense per-source slice; requestor ids are small
+// (core or tenant indices), and anything else goes straight to the map.
+const maxDenseSrc = 1 << 16
+
+func (m *Memory) addSrcBytes(src int, n int64) {
+	if uint(src) >= maxDenseSrc {
+		m.Stats.BytesBySrc[src] += n
+		return
 	}
-	return n
+	for src >= len(m.srcBytes) {
+		m.srcBytes = append(m.srcBytes, 0)
+	}
+	m.srcBytes[src] += n
+	m.srcDirty = true
 }
+
+// foldSrcBytes moves the dense per-source counts into Stats.BytesBySrc.
+func (m *Memory) foldSrcBytes() {
+	for src, n := range m.srcBytes {
+		if n != 0 {
+			m.Stats.BytesBySrc[src] += n
+			m.srcBytes[src] = 0
+		}
+	}
+	m.srcDirty = false
+}
+
+// Pending returns the number of requests queued or in flight.
+func (m *Memory) Pending() int { return m.queued + m.inFlight.Len() + len(m.done) }
 
 // Drain advances the clock until all submitted requests have completed,
 // returning the completions. It panics after a very large number of cycles

@@ -217,6 +217,33 @@ func TestPerSourceAccounting(t *testing.T) {
 	}
 }
 
+// Per-source bytes are accumulated densely and folded into the map when the
+// controller goes idle; ids outside the dense range go to the map directly.
+// Either way the map ends up exact, with no entry for a silent source.
+func TestPerSourceAccountingAnySourceID(t *testing.T) {
+	cfg := testCfg()
+	m := New(cfg, FRFCFS)
+	srcs := []int{-1, 3, 1 << 20}
+	for i := 0; i < 9; i++ {
+		m.Submit(&Request{Addr: uint64(i * cfg.BurstBytes), Src: srcs[i%3]})
+	}
+	m.Drain()
+	if len(m.Stats.BytesBySrc) != len(srcs) {
+		t.Fatalf("per-source map has stray entries: %v", m.Stats.BytesBySrc)
+	}
+	for _, src := range srcs {
+		if got := m.Stats.BytesBySrc[src]; got != int64(3*cfg.BurstBytes) {
+			t.Fatalf("source %d: %d bytes, want %d (%v)", src, got, 3*cfg.BurstBytes, m.Stats.BytesBySrc)
+		}
+	}
+	// A second busy period adds to the folded totals.
+	m.Submit(&Request{Addr: 0, Src: 3})
+	m.Drain()
+	if got := m.Stats.BytesBySrc[3]; got != int64(4*cfg.BurstBytes) {
+		t.Fatalf("source 3 after a second burst: %d bytes, want %d", got, 4*cfg.BurstBytes)
+	}
+}
+
 func TestAllRequestsComplete(t *testing.T) {
 	f := func(seed uint64) bool {
 		cfg := testCfg()

@@ -1,42 +1,58 @@
 package sim
 
+import "slices"
+
 // MonotonicQueue is an event queue for producers whose due cycles are
 // monotone nondecreasing within each lane — the common shape of pipelined
 // hardware models, where each channel's data bus or each port's
-// serialization clock only moves forward. Each lane is a head-indexed
-// FIFO, so Push and Pop are O(1) plus a merge across the (few) lane
-// heads; under saturation this replaces O(log n) heap sifts over
-// thousands of in-flight events with a scan of per-lane heads.
+// serialization clock only moves forward. Such producers schedule into a
+// narrow, advancing band of cycles, so the queue keeps one bucket per
+// distinct due cycle, sorted by cycle, and appends each event to its
+// cycle's bucket. A bucket is then already in insertion order: delivering
+// an event is a copy out of the front bucket — no comparison, whatever the
+// lane count — and NextCycle is a read of the front bucket. Push finds its
+// bucket by binary search over the distinct cycles in flight (the back
+// bucket, the common case, is checked first); a cycle not seen yet opens a
+// bucket, at the back unless a slower lane is catching up.
 //
 // Pops come out ordered by (due cycle, global insertion sequence) — the
 // exact order EventQueue produces — so swapping one for the other never
 // changes simulation results, only the cost of reaching them.
 type MonotonicQueue[T any] struct {
-	lanes []laneFIFO[T]
-	n     int
-	seq   uint64
-	next  int64 // exact earliest queued cycle; Never when empty
+	// buckets[head:] are the live buckets in ascending cycle order;
+	// entries before head are spent (see CompactFIFO).
+	buckets []cycleBucket[T]
+	head    int
+	free    [][]laneEv[T] // spent buckets' storage, reused by new ones
+	lanes   []laneState
+	n       int
+}
+
+type cycleBucket[T any] struct {
+	cycle int64
+	evs   []laneEv[T]
 }
 
 type laneEv[T any] struct {
-	cycle int64
-	seq   uint64
-	v     T
+	lane int32
+	v    T
 }
 
-type laneFIFO[T any] struct {
-	q    []laneEv[T]
-	head int
+// laneState is what the monotonicity check needs: how many of the lane's
+// events are still queued, and the due cycle of its latest one.
+type laneState struct {
+	queued int
+	last   int64
 }
 
 // NewMonotonicQueue returns a queue with the given number of lanes.
 func NewMonotonicQueue[T any](lanes int) *MonotonicQueue[T] {
-	return &MonotonicQueue[T]{lanes: make([]laneFIFO[T], lanes), next: Never}
+	return &MonotonicQueue[T]{lanes: make([]laneState, lanes)}
 }
 
 // AddLane grows the queue by one lane and returns its index.
 func (q *MonotonicQueue[T]) AddLane() int {
-	q.lanes = append(q.lanes, laneFIFO[T]{})
+	q.lanes = append(q.lanes, laneState{})
 	return len(q.lanes) - 1
 }
 
@@ -45,90 +61,91 @@ func (q *MonotonicQueue[T]) Len() int { return q.n }
 
 // NextCycle returns the due cycle of the earliest event, or Never when
 // empty.
-func (q *MonotonicQueue[T]) NextCycle() int64 { return q.next }
+func (q *MonotonicQueue[T]) NextCycle() int64 {
+	if q.head == len(q.buckets) {
+		return Never
+	}
+	return q.buckets[q.head].cycle
+}
 
 // Push schedules v at the given cycle on a lane. Cycles must be monotone
 // nondecreasing per lane; a violation panics rather than silently
 // reordering deliveries.
 func (q *MonotonicQueue[T]) Push(lane int, cycle int64, v T) {
 	l := &q.lanes[lane]
-	if k := len(l.q); k > l.head && cycle < l.q[k-1].cycle {
+	if l.queued > 0 && cycle < l.last {
 		panic("sim: MonotonicQueue lane cycle decreased")
 	}
-	l.q = append(l.q, laneEv[T]{cycle: cycle, seq: q.seq, v: v})
-	q.seq++
+	l.queued++
+	l.last = cycle
+	b := q.bucket(cycle)
+	b.evs = append(b.evs, laneEv[T]{lane: int32(lane), v: v})
 	q.n++
-	if cycle < q.next {
-		q.next = cycle
+}
+
+// bucket returns the live bucket for cycle, opening it if need be.
+func (q *MonotonicQueue[T]) bucket(cycle int64) *cycleBucket[T] {
+	// lo becomes the index of the first live bucket with cycle >= the
+	// wanted one: the back bucket or one past it, else by binary search.
+	lo, hi := q.head, len(q.buckets)
+	if hi > lo && q.buckets[hi-1].cycle <= cycle {
+		lo = hi - 1
+		if q.buckets[lo].cycle < cycle {
+			lo = hi
+		}
+	} else {
+		for lo < hi {
+			if mid := int(uint(lo+hi) / 2); q.buckets[mid].cycle < cycle {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
 	}
+	if lo < len(q.buckets) && q.buckets[lo].cycle == cycle {
+		return &q.buckets[lo]
+	}
+	b := cycleBucket[T]{cycle: cycle}
+	if k := len(q.free); k > 0 {
+		b.evs, q.free = q.free[k-1], q.free[:k-1]
+	}
+	if lo == len(q.buckets) {
+		q.buckets = append(q.buckets, b)
+	} else {
+		q.buckets = slices.Insert(q.buckets, lo, b)
+	}
+	return &q.buckets[lo]
 }
 
 // PopDue appends to out every event due at or before cycle, in due-cycle
 // then insertion order, and returns the extended slice.
 func (q *MonotonicQueue[T]) PopDue(cycle int64, out []T) []T {
-	if q.next > cycle {
-		return out
+	for q.head < len(q.buckets) && q.buckets[q.head].cycle <= cycle {
+		b := &q.buckets[q.head]
+		for i := range b.evs {
+			out = append(out, b.evs[i].v)
+			q.lanes[b.evs[i].lane].queued--
+		}
+		q.n -= len(b.evs)
+		clear(b.evs) // release the payloads for GC
+		q.free = append(q.free, b.evs[:0])
+		q.head++
 	}
-	for q.n > 0 {
-		// One scan finds the winning lane and the runner-up bound; the
-		// winner then drains its whole run (consecutive events that stay
-		// globally minimal) without rescanning — bursty hardware delivers
-		// runs from one lane, so most pops cost O(1), not O(lanes).
-		best := -1
-		var bCycle, sCycle int64
-		var bSeq, sSeq uint64
-		sCycle = Never
-		for i := range q.lanes {
-			l := &q.lanes[i]
-			if l.head < len(l.q) {
-				e := &l.q[l.head]
-				switch {
-				case best < 0 || e.cycle < bCycle || (e.cycle == bCycle && e.seq < bSeq):
-					if best >= 0 {
-						sCycle, sSeq = bCycle, bSeq
-					}
-					best, bCycle, bSeq = i, e.cycle, e.seq
-				case e.cycle < sCycle || (e.cycle == sCycle && e.seq < sSeq):
-					sCycle, sSeq = e.cycle, e.seq
-				}
-			}
-		}
-		if best < 0 || bCycle > cycle {
-			break
-		}
-		l := &q.lanes[best]
-		for l.head < len(l.q) {
-			e := &l.q[l.head]
-			if e.cycle > cycle || e.cycle > sCycle || (e.cycle == sCycle && e.seq > sSeq) {
-				break
-			}
-			out = append(out, e.v)
-			l.q[l.head] = laneEv[T]{} // release the payload for GC
-			l.head++
-			q.n--
-		}
-		switch {
-		case l.head == len(l.q):
-			l.q, l.head = l.q[:0], 0
-		case l.head >= 1024 && 2*l.head >= len(l.q):
-			// Amortized compaction: shift the (smaller) tail once per
-			// >=1024 pops so saturated lanes do not grow without bound.
-			l.q, l.head = l.q[:copy(l.q, l.q[l.head:])], 0
-		}
-	}
-	q.recompute()
+	q.buckets, q.head = CompactFIFO(q.buckets, q.head)
 	return out
 }
 
-func (q *MonotonicQueue[T]) recompute() {
-	q.next = Never
-	if q.n == 0 {
-		return
+// CompactFIFO tidies a head-indexed FIFO — a slice q whose live entries are
+// q[head:], consumed by advancing head instead of shifting — after head
+// moved: an empty FIFO is reset, and the (smaller) live tail is shifted
+// down once per >=1024 consumed entries, so a FIFO that never runs empty
+// does not grow without bound yet draining costs O(consumed), not O(len).
+func CompactFIFO[T any](q []T, head int) ([]T, int) {
+	switch {
+	case head == len(q):
+		return q[:0], 0
+	case head >= 1024 && 2*head >= len(q):
+		return q[:copy(q, q[head:])], 0
 	}
-	for i := range q.lanes {
-		l := &q.lanes[i]
-		if l.head < len(l.q) && l.q[l.head].cycle < q.next {
-			q.next = l.q[l.head].cycle
-		}
-	}
+	return q, head
 }

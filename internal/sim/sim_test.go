@@ -158,58 +158,3 @@ func TestMeter(t *testing.T) {
 		t.Fatal("NextEvent must delegate to the wrapped component")
 	}
 }
-
-// TestMonotonicQueueMatchesEventQueue: on any stream of pushes that is
-// monotone per lane, MonotonicQueue must pop in exactly the (cycle,
-// insertion) order the stable heap produces.
-func TestMonotonicQueueMatchesEventQueue(t *testing.T) {
-	const lanes = 5
-	mq := NewMonotonicQueue[int](lanes)
-	var eq EventQueue[int]
-	clocks := make([]int64, lanes)
-	rnd := uint64(12345)
-	next := func(n uint64) uint64 {
-		rnd = rnd*6364136223846793005 + 1442695040888963407
-		return (rnd >> 33) % n
-	}
-	for i := 0; i < 10_000; i++ {
-		lane := int(next(lanes))
-		clocks[lane] += int64(next(7)) // nondecreasing, with repeats
-		mq.Push(lane, clocks[lane], i)
-		eq.Push(clocks[lane], i)
-	}
-	if mq.Len() != eq.Len() {
-		t.Fatalf("Len: %d vs %d", mq.Len(), eq.Len())
-	}
-	for step := int64(0); eq.Len() > 0; step += 3 {
-		if mq.NextCycle() != eq.NextCycle() {
-			t.Fatalf("NextCycle at %d: %d vs %d", step, mq.NextCycle(), eq.NextCycle())
-		}
-		got := mq.PopDue(step, nil)
-		want := eq.PopDue(step, nil)
-		if len(got) != len(want) {
-			t.Fatalf("PopDue(%d): %d events vs %d", step, len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("PopDue(%d)[%d]: %d vs %d", step, k, got[k], want[k])
-			}
-		}
-	}
-	if mq.Len() != 0 {
-		t.Fatalf("%d events left", mq.Len())
-	}
-}
-
-// TestMonotonicQueueRejectsRegression: a lane pushing backwards in time is
-// a modeling bug and must panic.
-func TestMonotonicQueueRejectsRegression(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on regressing lane cycle")
-		}
-	}()
-	q := NewMonotonicQueue[int](1)
-	q.Push(0, 10, 1)
-	q.Push(0, 9, 2)
-}

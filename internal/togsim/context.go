@@ -22,14 +22,20 @@ type context struct {
 	loops   []loopFrame
 	readyAt int64 // context blocked until this cycle
 
-	// DMA bookkeeping.
-	pendingTag map[int]int
+	// DMA bookkeeping. Bursts in flight are counted per DMA tag in a dense
+	// slice: tagSlot assigns each tag the job uses an index on first sight
+	// (one map read per DMA or wait node), so the per-burst updates in
+	// issueDMA and dmaDone are slice increments.
+	tagSlot    map[int]int
+	pendingTag []int     // bursts in flight, by tagSlot index
 	issueQueue []*MemReq // bursts of the current DMA not yet accepted
 	waitTag    int       // -1 when not waiting
+	waitSlot   int       // tagSlot index of waitTag
 	waitAll    bool      // final drain before a TOG completes
 
-	// Deadlock diagnostics: bursts outstanding and the issue cycle of the
-	// oldest window of in-flight DMAs (-1 when none).
+	// Bursts outstanding over all tags (what the end-of-TOG drain waits
+	// on), and for deadlock diagnostics the issue cycle of the oldest
+	// window of in-flight DMAs (-1 when none).
 	pendingTotal int
 	oldestIssue  int64
 
@@ -53,7 +59,7 @@ type context struct {
 
 	// Tracing (nil/empty unless a probe is attached).
 	probe   obs.Probe
-	dmaOpen map[int]*dmaSpan // open DMA window per tag
+	dmaOpen map[int]*dmaSpan // open DMA window per tagSlot index
 }
 
 // dmaSpan tracks one open DMA window (first burst issued → last burst
@@ -80,7 +86,7 @@ func newContext(j *Job, coreID, budget, burst int, probe obs.Probe) *context {
 		budget:       budget,
 		burst:        burst,
 		vars:         map[string]int64{},
-		pendingTag:   map[int]int{},
+		tagSlot:      map[int]int{},
 		waitTag:      -1,
 		oldestIssue:  -1,
 		blockedSince: -1,
@@ -118,10 +124,21 @@ func (c *context) unblock(cycle int64) {
 
 func (c *context) finished() bool { return c.togIdx >= len(c.job.TOGs) }
 
+// slotOf returns tag's index into pendingTag, assigning one on first use.
+func (c *context) slotOf(tag int) int {
+	s, ok := c.tagSlot[tag]
+	if !ok {
+		s = len(c.pendingTag)
+		c.tagSlot[tag] = s
+		c.pendingTag = append(c.pendingTag, 0)
+	}
+	return s
+}
+
 // dmaDone is called by the engine when one of this context's bursts
 // completes.
 func (c *context) dmaDone(r *MemReq, cycle int64) {
-	c.pendingTag[r.tag]--
+	c.pendingTag[r.slot]--
 	c.pendingTotal--
 	if c.pendingTotal == 0 {
 		c.oldestIssue = -1
@@ -134,11 +151,11 @@ func (c *context) dmaDone(r *MemReq, cycle int64) {
 	} else {
 		c.act.SpadWriteBytes += int64(r.Bytes)
 	}
-	if c.probe != nil && c.pendingTag[r.tag] == 0 {
-		if ds, ok := c.dmaOpen[r.tag]; ok {
+	if c.probe != nil && c.pendingTag[r.slot] == 0 {
+		if ds, ok := c.dmaOpen[r.slot]; ok {
 			c.probe.Span(obs.CoreTrack(c.coreID, obs.LaneDMA), ds.name,
 				ds.start, cycle, obs.SpanInfo{Bytes: ds.bytes})
-			delete(c.dmaOpen, r.tag)
+			delete(c.dmaOpen, r.slot)
 		}
 	}
 }
@@ -160,15 +177,13 @@ func (c *context) nextWake(cycle int64) int64 {
 		// fabric's current occupancy clocks, so no cycle may be skipped.
 		return cycle + 1
 	case c.waitTag >= 0:
-		if c.pendingTag[c.waitTag] > 0 {
+		if c.pendingTag[c.waitSlot] > 0 {
 			return sim.Never
 		}
 		return cycle + 1
 	case c.waitAll:
-		for _, n := range c.pendingTag {
-			if n > 0 {
-				return sim.Never
-			}
+		if c.pendingTotal > 0 {
+			return sim.Never
 		}
 		return cycle + 1
 	default:
@@ -188,7 +203,7 @@ func (c *context) stall(cycle int64) string {
 	case len(c.issueQueue) > 0:
 		return fmt.Sprintf("backpressured (%d bursts refused by fabric, %d in flight%s)",
 			len(c.issueQueue), c.pendingTotal, oldest)
-	case c.waitTag >= 0 && c.pendingTag[c.waitTag] > 0:
+	case c.waitTag >= 0 && c.pendingTag[c.waitSlot] > 0:
 		return fmt.Sprintf("waiting on DMA tag %d (%d bursts in flight%s)",
 			c.waitTag, c.pendingTotal, oldest)
 	case c.waitAll && c.pendingTotal > 0:
@@ -215,18 +230,16 @@ func (c *context) step(cycle int64, cs *coreState, fabric Fabric) error {
 	}
 	// Blocked on a waitDMA?
 	if c.waitTag >= 0 {
-		if c.pendingTag[c.waitTag] > 0 {
+		if c.pendingTag[c.waitSlot] > 0 {
 			c.block(cycle)
 			return nil
 		}
 		c.waitTag = -1
 	}
 	if c.waitAll {
-		for _, n := range c.pendingTag {
-			if n > 0 {
-				c.block(cycle)
-				return nil
-			}
+		if c.pendingTotal > 0 {
+			c.block(cycle)
+			return nil
 		}
 		c.unblock(cycle)
 		c.waitAll = false
@@ -363,8 +376,8 @@ func (c *context) step(cycle int64, cs *coreState, fabric Fabric) error {
 			}
 		case tog.WaitDMA:
 			c.pc++
-			if c.pendingTag[n.Tag] > 0 {
-				c.waitTag = n.Tag
+			if slot := c.slotOf(n.Tag); c.pendingTag[slot] > 0 {
+				c.waitTag, c.waitSlot = n.Tag, slot
 				c.block(cycle)
 				return nil
 			}
@@ -418,6 +431,7 @@ func (c *context) issueDMA(g *tog.TOG, n *tog.Node, cs *coreState, fabric Fabric
 	}
 	addr := base + uint64(off)
 	burst := c.burst
+	slot := c.slotOf(n.Tag)
 	var issued int64
 	for _, rg := range n.Desc.DRAMRanges(addr) {
 		for b := 0; b < rg.Bytes; b += burst {
@@ -440,9 +454,9 @@ func (c *context) issueDMA(g *tog.TOG, n *tog.Node, cs *coreState, fabric Fabric
 				Src:     c.job.Src,
 				Core:    c.coreID,
 				owner:   c,
-				tag:     n.Tag,
+				slot:    slot,
 			}
-			c.pendingTag[n.Tag]++
+			c.pendingTag[slot]++
 			c.pendingTotal++
 			if c.oldestIssue < 0 {
 				c.oldestIssue = cycle
@@ -453,14 +467,14 @@ func (c *context) issueDMA(g *tog.TOG, n *tog.Node, cs *coreState, fabric Fabric
 		}
 	}
 	if c.probe != nil && issued > 0 {
-		if ds, ok := c.dmaOpen[n.Tag]; ok {
+		if ds, ok := c.dmaOpen[slot]; ok {
 			ds.bytes += issued
 		} else {
 			name := "load " + n.Tensor
 			if n.Kind == tog.StoreDMA {
 				name = "store " + n.Tensor
 			}
-			c.dmaOpen[n.Tag] = &dmaSpan{start: cycle, bytes: issued, name: name}
+			c.dmaOpen[slot] = &dmaSpan{start: cycle, bytes: issued, name: name}
 		}
 	}
 	return nil

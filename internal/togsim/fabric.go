@@ -23,7 +23,7 @@ type MemReq struct {
 	Core    int // issuing core (NoC endpoint)
 
 	owner *context
-	tag   int
+	slot  int // owner's pendingTag index for the DMA tag this burst belongs to
 }
 
 // Fabric is the memory subsystem seen by the TOG engine: it accepts burst
@@ -83,8 +83,7 @@ type StdFabric struct {
 	lastPending int
 
 	cores    int
-	channels int
-	burst    int
+	amap     dram.AddrMap // every burst is decomposed once, at Submit
 	reqDelay int64
 
 	cycle int64
@@ -99,15 +98,18 @@ type StdFabric struct {
 	toMemHead []int
 	toMemCnt  int
 
-	// Per-port NoC responses refused by a full queue, plus the total count
-	// so the hot NextEvent/NextDelivery checks are O(1).
+	// Per-port NoC responses refused by a full queue (head-indexed like
+	// toMem), plus the total count so the hot NextEvent/NextDelivery checks
+	// are O(1).
 	stagedResp [][]*noc.Message
+	stagedHead []int
 	stagedCnt  int
 
 	// In-flight request registry. The fabric owns the Tag field of every
-	// dram.Request / noc.Message it creates: Tag-1 indexes the MemReq slot,
-	// replacing per-burst map traffic on the tick path.
-	slots     []*MemReq
+	// dram.Request / noc.Message it creates: Tag-1 indexes the slot,
+	// replacing per-burst map traffic on the tick path. A store's slot also
+	// holds its located dram.Request while the data crosses the NoC.
+	slots     []slot
 	freeSlots []int32
 
 	delayedDue []*dram.Request // scratch for draining delayed each tick
@@ -124,16 +126,25 @@ type StdFabric struct {
 	msgPool []*noc.Message
 }
 
-// newDram takes a request record from the pool (or allocates one) and
-// fully reinitializes it, including the controller's private fields.
-func (f *StdFabric) newDram(addr uint64, isWrite bool, src int) *dram.Request {
+type slot struct {
+	r  *MemReq
+	dr *dram.Request
+}
+
+// newDram takes a request record from the pool (or allocates one), fully
+// reinitializes it, including the controller's private fields, and
+// locates it — the burst's one address decomposition.
+func (f *StdFabric) newDram(r *MemReq) *dram.Request {
+	var dr *dram.Request
 	if n := len(f.drPool); n > 0 {
-		dr := f.drPool[n-1]
+		dr = f.drPool[n-1]
 		f.drPool = f.drPool[:n-1]
-		*dr = dram.Request{Addr: addr, IsWrite: isWrite, Src: src}
-		return dr
+	} else {
+		dr = new(dram.Request)
 	}
-	return &dram.Request{Addr: addr, IsWrite: isWrite, Src: src}
+	*dr = dram.Request{Addr: r.Addr, IsWrite: r.IsWrite, Src: r.Src}
+	f.amap.Locate(dr)
+	return dr
 }
 
 func (f *StdFabric) newMsg(src, dst, bytes int) *noc.Message {
@@ -154,70 +165,66 @@ func NewStdFabric(cfg npu.Config, mem dram.Controller, net noc.Network) *StdFabr
 		Net:        net,
 		delayed:    sim.NewMonotonicQueue[*dram.Request](1),
 		cores:      cfg.Cores,
-		channels:   cfg.Mem.Channels,
-		burst:      cfg.Mem.BurstBytes,
+		amap:       dram.NewAddrMap(cfg.Mem),
 		reqDelay:   int64(cfg.NoC.LatencyCycle),
 		toMem:      make([][]*dram.Request, cfg.Mem.Channels),
 		toMemHead:  make([]int, cfg.Mem.Channels),
 		stagedResp: make([][]*noc.Message, cfg.Cores+cfg.Mem.Channels),
+		stagedHead: make([]int, cfg.Cores+cfg.Mem.Channels),
 	}
 }
 
-// memPort returns the NoC endpoint of the channel serving addr.
-func (f *StdFabric) memPort(addr uint64) int {
-	return f.cores + f.chanOf(addr)
-}
-
-// chanOf mirrors the DRAM controller's channel interleave.
-func (f *StdFabric) chanOf(addr uint64) int {
-	return int(addr/uint64(f.burst)) % f.channels
-}
+// memPort returns the NoC endpoint of the channel serving dr.
+func (f *StdFabric) memPort(dr *dram.Request) int { return f.cores + dr.Channel() }
 
 // stage queues a dram request on its channel's submission FIFO.
 func (f *StdFabric) stage(dr *dram.Request) {
-	ch := f.chanOf(dr.Addr)
+	ch := dr.Channel()
 	f.toMem[ch] = append(f.toMem[ch], dr)
 	f.toMemCnt++
 }
 
-// newSlot registers the in-flight MemReq and returns the tag carried by
+// newSlot registers the in-flight MemReq (and, for a store, the dram
+// request that follows its NoC transfer) and returns the tag carried by
 // its dram.Request / noc.Message through the fabric stages.
-func (f *StdFabric) newSlot(r *MemReq) int64 {
+func (f *StdFabric) newSlot(r *MemReq, dr *dram.Request) int64 {
 	if n := len(f.freeSlots); n > 0 {
 		i := f.freeSlots[n-1]
 		f.freeSlots = f.freeSlots[:n-1]
-		f.slots[i] = r
+		f.slots[i] = slot{r, dr}
 		return int64(i) + 1
 	}
-	f.slots = append(f.slots, r)
+	f.slots = append(f.slots, slot{r, dr})
 	return int64(len(f.slots))
 }
 
 // takeSlot resolves a tag back to its MemReq and frees the slot.
 func (f *StdFabric) takeSlot(tag int64) *MemReq {
 	i := int32(tag - 1)
-	r := f.slots[i]
-	f.slots[i] = nil
+	r := f.slots[i].r
+	f.slots[i] = slot{}
 	f.freeSlots = append(f.freeSlots, i)
 	return r
 }
 
 // Submit implements Fabric.
 func (f *StdFabric) Submit(r *MemReq) bool {
+	dr := f.newDram(r)
 	if r.IsWrite {
 		// Data flows core -> memory through the NoC first.
-		msg := f.newMsg(r.Core, f.memPort(r.Addr), r.Bytes)
+		msg := f.newMsg(r.Core, f.memPort(dr), r.Bytes)
 		if !f.Net.Submit(msg) {
 			f.msgPool = append(f.msgPool, msg)
+			f.drPool = append(f.drPool, dr)
 			return false
 		}
-		msg.Tag = f.newSlot(r)
+		dr.Tag = f.newSlot(r, dr)
+		msg.Tag = dr.Tag
 		f.pending++
 		return true
 	}
 	// Loads: header-only request path is a fixed delay before the DRAM.
-	dr := f.newDram(r.Addr, false, r.Src)
-	dr.Tag = f.newSlot(r)
+	dr.Tag = f.newSlot(r, nil)
 	f.delayed.Push(0, f.cycle+f.reqDelay, dr)
 	f.pending++
 	return true
@@ -239,11 +246,9 @@ func (f *StdFabric) Tick() {
 	for _, msg := range f.Net.Completed() {
 		tag := msg.Tag
 		f.msgPool = append(f.msgPool, msg)
-		r := f.slots[tag-1]
-		if r.IsWrite {
-			dr := f.newDram(r.Addr, true, r.Src)
-			dr.Tag = tag
-			f.stage(dr)
+		if sl := &f.slots[tag-1]; sl.r.IsWrite {
+			f.stage(sl.dr)
+			sl.dr = nil
 		} else {
 			f.done = append(f.done, f.takeSlot(tag))
 			f.pending--
@@ -260,15 +265,7 @@ func (f *StdFabric) Tick() {
 				h++
 				f.toMemCnt--
 			}
-			switch {
-			case h == len(q):
-				f.toMem[ch], h = q[:0], 0
-			case h >= 1024 && 2*h >= len(q):
-				// Amortized compaction: shift the (smaller) tail once per
-				// >=1024 consumed entries instead of every cycle.
-				f.toMem[ch], h = q[:copy(q, q[h:])], 0
-			}
-			f.toMemHead[ch] = h
+			f.toMem[ch], f.toMemHead[ch] = sim.CompactFIFO(q, h)
 		}
 	}
 
@@ -276,19 +273,19 @@ func (f *StdFabric) Tick() {
 	// complete once the column write finishes.
 	f.Mem.Tick()
 	for _, dr := range f.Mem.Completed() {
-		tag := dr.Tag
+		tag, port := dr.Tag, f.memPort(dr)
 		f.drPool = append(f.drPool, dr)
-		r := f.slots[tag-1]
+		r := f.slots[tag-1].r
 		if r.IsWrite {
 			f.done = append(f.done, f.takeSlot(tag))
 			f.pending--
 			continue
 		}
-		msg := f.newMsg(f.memPort(r.Addr), r.Core, r.Bytes)
+		msg := f.newMsg(port, r.Core, r.Bytes)
 		msg.Tag = tag
 		// The NoC response port may be busy; stage in the port's FIFO (it
 		// must drain in order behind earlier responses).
-		if len(f.stagedResp[msg.Src]) > 0 || !f.Net.Submit(msg) {
+		if len(f.stagedResp[port]) > 0 || !f.Net.Submit(msg) {
 			f.stagedResp[msg.Src] = append(f.stagedResp[msg.Src], msg)
 			f.stagedCnt++
 		}
@@ -332,16 +329,12 @@ func (f *StdFabric) retryResponses() {
 		return
 	}
 	for src, q := range f.stagedResp {
-		i := 0
-		for ; i < len(q); i++ {
-			if !f.Net.Submit(q[i]) {
-				break
-			}
+		h := f.stagedHead[src]
+		for h < len(q) && f.Net.Submit(q[h]) {
+			h++
+			f.stagedCnt--
 		}
-		if i > 0 {
-			f.stagedResp[src] = append(q[:0], q[i:]...)
-			f.stagedCnt -= i
-		}
+		f.stagedResp[src], f.stagedHead[src] = sim.CompactFIFO(q, h)
 	}
 }
 

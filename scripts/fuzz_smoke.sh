@@ -17,6 +17,7 @@ TARGETS="
 ./internal/graph FuzzSoftmaxGraph
 ./internal/sparse FuzzDenseRoundTrip
 ./internal/sparse FuzzSpMM
+./internal/sim FuzzMonotonicQueue
 "
 
 echo "$TARGETS" | while read -r pkg target; do

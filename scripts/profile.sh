@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# profile: CPU-profile the untraced serial engine on one model and print
+# where the host time goes. Runs the matching BenchmarkEngine<Model>C<n>Serial
+# (bench_test.go) with -cpuprofile and prints `go tool pprof -top` under a
+# host stamp, so a claim about a hot spot is one command away from a table:
+#
+#   make profile MODEL=resnet18 CORES=1        # or scripts/profile.sh resnet18 1
+#
+# MODEL is resnet18 or bert-base, CORES is 1, 4 or 8; RUNS (default 3) is
+# the -benchtime iteration count and ROWS (default 15) the table length.
+# The profile, the test binary pprof needs to symbolize it, and the table
+# stay in profile/ (git-ignored) for `go tool pprof -list` afterwards.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+model=${1:-${MODEL:-resnet18}}
+cores=${2:-${CORES:-1}}
+runs=${RUNS:-3}
+rows=${ROWS:-15}
+
+case "$model" in
+    resnet18) name=Resnet18 ;;
+    bert-base) name=BertBase ;;
+    *) echo "profile: unknown MODEL '$model' (resnet18, bert-base)" >&2; exit 2 ;;
+esac
+case "$cores" in
+    1|4|8) ;;
+    *) echo "profile: unknown CORES '$cores' (1, 4, 8)" >&2; exit 2 ;;
+esac
+bench="BenchmarkEngine${name}C${cores}Serial"
+
+dir=profile
+mkdir -p "$dir"
+base="$dir/$model-c$cores"
+
+commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [ "$commit" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
+    commit="$commit+uncommitted"
+fi
+stamp="host: $(getconf _NPROCESSORS_ONLN) CPUs, GOMAXPROCS=${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN)}, $(go env GOVERSION) $(go env GOOS)/$(go env GOARCH), commit $commit"
+
+go test -c -o "$base.test" .
+echo "profile: $bench x$runs"
+"./$base.test" -test.run '^$' -test.bench "^${bench}\$" -test.benchtime "${runs}x" \
+    -test.timeout 3600s -test.cpuprofile "$base.prof" | grep '^Benchmark'
+
+{
+    echo "$stamp"
+    go tool pprof -top -nodecount="$rows" "$base.test" "$base.prof" 2>/dev/null | sed -n '/^Duration:/p;/flat%/,$p'
+} | tee "$base.top.txt"
+echo "profile: wrote $base.prof (binary $base.test, table $base.top.txt)"
