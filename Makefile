@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt funnel-gate vet test race check bench bench-compile bench-engine bench-serve bench-energy bench-topo profile service-smoke trace-smoke cache-smoke fuzz-smoke serve-smoke energy-smoke topo-smoke fleet-smoke crosscheck cover clean
+.PHONY: all build fmt funnel-gate vet test race check bench bench-compile bench-serve bench-energy bench-topo profile service-smoke trace-smoke cache-smoke fuzz-smoke serve-smoke energy-smoke topo-smoke fleet-smoke crosscheck cover clean
 
 all: check
 
@@ -30,15 +30,11 @@ race:
 	$(GO) test -race -timeout 3600s ./...
 
 # The full gate: everything CI (and the acceptance criteria) require.
-# The targeted -race run of the parallel-engine equivalence tests comes
-# first as a fast fail: a data race in the windowed engine surfaces in
-# seconds instead of after the full suite.
 check:
 	$(GO) build ./...
 	$(MAKE) fmt
 	$(MAKE) funnel-gate
 	$(GO) vet ./...
-	$(GO) test -race -short -run 'TestEquivalence|TestParallel' ./internal/togsim/
 	$(GO) test -race -timeout 3600s ./...
 	$(MAKE) service-smoke
 	$(MAKE) trace-smoke
@@ -81,17 +77,16 @@ fuzz-smoke:
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
-# End-to-end energy-accounting check: the activity counters and derived
-# energy breakdowns must be bit-identical across serial/parallel engines,
-# per-unit energies must sum exactly to the total, and ptserve must report
-# per-phase energy and mJ/token (scripts/energy_smoke.sh).
+# End-to-end energy-accounting check: per-unit energies must sum exactly
+# to the total, and ptserve must report per-phase energy and mJ/token
+# (scripts/energy_smoke.sh).
 energy-smoke:
 	bash scripts/energy_smoke.sh
 
 # End-to-end topology check: a tensor-parallel decoder over two packages
 # must move nonzero link flits, report a collective-time breakdown whose
-# per-package counters sum exactly to the fabric totals, and reproduce
-# bit-identically across engine modes (scripts/topo_smoke.sh).
+# per-package counters sum exactly to the fabric totals
+# (scripts/topo_smoke.sh).
 topo-smoke:
 	bash scripts/topo_smoke.sh
 
@@ -107,8 +102,7 @@ fleet-smoke:
 # every oracle (zero divergences required), the fleet-determinism oracle
 # (1-node vs 3-node sharded fleet, bit-identical), then the fault-injection
 # self-tests, which pass only if a deliberate fault — a +1-cycle latency
-# perturbation, a corrupted parallel-engine barrier ordering, or a
-# corrupted fleet-member response — is detected.
+# perturbation or a corrupted fleet-member response — is detected.
 crosscheck:
 	$(GO) run ./cmd/ptsimcheck -seed 1 -n 200
 	$(GO) run ./cmd/ptsimcheck -serve -seed 1
@@ -116,8 +110,6 @@ crosscheck:
 	$(GO) run ./cmd/ptsimcheck -fleet -seed 1
 	@tmp=$$(mktemp -d); \
 		$(GO) run ./cmd/ptsimcheck -seed 1 -n 20 -fault -out $$tmp && rm -rf $$tmp
-	@tmp=$$(mktemp -d); \
-		$(GO) run ./cmd/ptsimcheck -seed 1 -n 20 -fault-engine -out $$tmp && rm -rf $$tmp
 	$(GO) run ./cmd/ptsimcheck -fault-fleet -seed 1
 
 # Coverage summary per package, with hard floors on internal/crosscheck
@@ -132,11 +124,6 @@ bench:
 # Compiler pipeline benchmarks (cold/parallel/warm-disk) -> BENCH_compile.json.
 bench-compile:
 	bash scripts/bench_compile.sh
-
-# Parallel-engine benchmarks (serial vs windowed, 1/4/8 simulated cores,
-# plus the compute-resident multi-tenant shape) -> BENCH_engine.json.
-bench-engine:
-	bash scripts/bench_engine.sh
 
 # LLM inference benchmarks: per-iteration prefill/decode cycles swept over
 # batch and context, plus a continuous-batching serving run with latency

@@ -6,7 +6,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/baseline"
@@ -98,28 +97,6 @@ func benchTLSEngine(b *testing.B, strict bool, mkJobs func(npu.Config) []*togsim
 	benchTLSEngineProbe(b, strict, mkJobs, nil)
 }
 
-// benchTLSEngineParallel is the windowed-engine variant of the same
-// workloads; allocs/op here is the pooled event-path number the freelist
-// tests pin down.
-func benchTLSEngineParallel(b *testing.B, mkJobs func(npu.Config) []*togsim.Job) {
-	b.Helper()
-	cfg := benchCfg()
-	cfg.Cores = 2
-	var cycles int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := togsim.NewStandard(cfg, togsim.SimpleNet, dram.FRFCFS)
-		s.Engine.Workers = engineWorkers()
-		res, err := s.Engine.Run(mkJobs(cfg))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = res.Cycles
-	}
-	b.ReportMetric(float64(cycles), "sim-cycles")
-}
-
 func benchTLSEngineProbe(b *testing.B, strict bool, mkJobs func(npu.Config) []*togsim.Job, mkProbe func() obs.Probe) {
 	b.Helper()
 	cfg := benchCfg()
@@ -146,10 +123,6 @@ func BenchmarkTLSEngineIdleHeavyEvent(b *testing.B)  { benchTLSEngine(b, false, 
 func BenchmarkTLSEngineIdleHeavyStrict(b *testing.B) { benchTLSEngine(b, true, tlsIdleHeavyJobs) }
 func BenchmarkTLSEngineBusyEvent(b *testing.B)       { benchTLSEngine(b, false, tlsBusyJobs) }
 func BenchmarkTLSEngineBusyStrict(b *testing.B)      { benchTLSEngine(b, true, tlsBusyJobs) }
-func BenchmarkTLSEngineIdleHeavyParallel(b *testing.B) {
-	benchTLSEngineParallel(b, tlsIdleHeavyJobs)
-}
-func BenchmarkTLSEngineBusyParallel(b *testing.B) { benchTLSEngineParallel(b, tlsBusyJobs) }
 
 // The nil-probe benchmark is byte-for-byte the engine configuration the
 // plain benchmarks above run (probes default to nil) — compare allocs/op
@@ -550,14 +523,10 @@ func BenchmarkCompileWarmDisk(b *testing.B) {
 	}
 }
 
-// --- Engine scaling benchmarks (serial vs parallel windows) ---------------
+// --- Engine scaling benchmarks --------------------------------------------
 //
 // One multi-core workload per model: the compiled model replicated on every
-// simulated core, all sharing one fabric — the shape the parallel engine
-// exists for. Serial and parallel variants report identical sim-cycles
-// (bit-identity is asserted by the equivalence tests and the crosscheck
-// oracle; here it is only visible). scripts/bench_engine.sh turns these
-// into BENCH_engine.json.
+// simulated core, all sharing one fabric. `make profile` CPU-profiles these.
 
 var engineBenchCompiled = map[string]*compiler.Compiled{}
 
@@ -578,13 +547,12 @@ func engineBenchComp(b *testing.B, model string) *compiler.Compiled {
 	return comp
 }
 
-func benchEngineScale(b *testing.B, model string, cores, workers int) {
+func benchEngineScale(b *testing.B, model string, cores int) {
 	b.Helper()
 	comp := engineBenchComp(b, model)
 	cfg := benchCfg()
 	cfg.Cores = cores
 	var cycles int64
-	var rounds togsim.RoundStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -593,66 +561,26 @@ func benchEngineScale(b *testing.B, model string, cores, workers int) {
 			jobs[ci] = comp.Job(fmt.Sprintf("%s-c%d", model, ci), ci, ci)
 		}
 		s := togsim.NewStandard(cfg, togsim.SimpleNet, dram.FRFCFS)
-		s.Engine.Workers = workers
 		res, err := s.Engine.Run(jobs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cycles = res.Cycles
-		rounds = s.Engine.Rounds
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")
-	reportRounds(b, rounds)
 }
 
-// reportRounds exports the parallel engine's round split so the bench
-// trajectory records *why* a workload speeds up (window rounds dominate)
-// or cannot (delivery-dense: serial rounds dominate). Zero for serial runs.
-func reportRounds(b *testing.B, r togsim.RoundStats) {
-	b.ReportMetric(float64(r.Window), "window-rounds")
-	b.ReportMetric(float64(r.Serial), "serial-rounds")
-}
-
-// engineWorkers picks the worker count for the parallel benchmarks: the
-// host's CPUs, but at least two so the windowed path (not the Workers<=1
-// serial fallback) is what gets measured even on a one-CPU host.
-func engineWorkers() int {
-	if w := runtime.GOMAXPROCS(0); w > 2 {
-		return w
-	}
-	return 2
-}
-
-func BenchmarkEngineResnet18C1Serial(b *testing.B) { benchEngineScale(b, "resnet18", 1, 1) }
-func BenchmarkEngineResnet18C1Parallel(b *testing.B) {
-	benchEngineScale(b, "resnet18", 1, engineWorkers())
-}
-func BenchmarkEngineResnet18C4Serial(b *testing.B) { benchEngineScale(b, "resnet18", 4, 1) }
-func BenchmarkEngineResnet18C4Parallel(b *testing.B) {
-	benchEngineScale(b, "resnet18", 4, engineWorkers())
-}
-func BenchmarkEngineResnet18C8Serial(b *testing.B) { benchEngineScale(b, "resnet18", 8, 1) }
-func BenchmarkEngineResnet18C8Parallel(b *testing.B) {
-	benchEngineScale(b, "resnet18", 8, engineWorkers())
-}
-func BenchmarkEngineBertBaseC1Serial(b *testing.B) { benchEngineScale(b, "bert-base", 1, 1) }
-func BenchmarkEngineBertBaseC1Parallel(b *testing.B) {
-	benchEngineScale(b, "bert-base", 1, engineWorkers())
-}
-func BenchmarkEngineBertBaseC4Serial(b *testing.B) { benchEngineScale(b, "bert-base", 4, 1) }
-func BenchmarkEngineBertBaseC4Parallel(b *testing.B) {
-	benchEngineScale(b, "bert-base", 4, engineWorkers())
-}
-func BenchmarkEngineBertBaseC8Serial(b *testing.B) { benchEngineScale(b, "bert-base", 8, 1) }
-func BenchmarkEngineBertBaseC8Parallel(b *testing.B) {
-	benchEngineScale(b, "bert-base", 8, engineWorkers())
-}
+func BenchmarkEngineResnet18C1Serial(b *testing.B) { benchEngineScale(b, "resnet18", 1) }
+func BenchmarkEngineResnet18C4Serial(b *testing.B) { benchEngineScale(b, "resnet18", 4) }
+func BenchmarkEngineResnet18C8Serial(b *testing.B) { benchEngineScale(b, "resnet18", 8) }
+func BenchmarkEngineBertBaseC1Serial(b *testing.B) { benchEngineScale(b, "bert-base", 1) }
+func BenchmarkEngineBertBaseC4Serial(b *testing.B) { benchEngineScale(b, "bert-base", 4) }
+func BenchmarkEngineBertBaseC8Serial(b *testing.B) { benchEngineScale(b, "bert-base", 8) }
 
 // tlsResidentJobs is the scratchpad-resident multi-tenant shape: each core
 // runs a long compute-dense kernel sequence touching DRAM only at tile
-// boundaries, so cores couple through the fabric rarely. This is where
-// conservative time windows pay: between DMAs every core's events are
-// provably local, and the engine steps all cores concurrently.
+// boundaries, so cores couple through the fabric rarely and most engine
+// rounds have one core due and an idle fabric.
 func tlsResidentJobs(cfg npu.Config) []*togsim.Job {
 	mk := func(name string, iters int64) *tog.TOG {
 		b := tog.NewBuilder(name, "in", "out")
@@ -685,27 +613,19 @@ func tlsResidentJobs(cfg npu.Config) []*togsim.Job {
 	return jobs
 }
 
-func benchEngineResident(b *testing.B, workers int) {
-	b.Helper()
+func BenchmarkEngineResident8CSerial(b *testing.B) {
 	cfg := benchCfg()
 	cfg.Cores = 8
 	var cycles int64
-	var rounds togsim.RoundStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := togsim.NewStandard(cfg, togsim.SimpleNet, dram.FRFCFS)
-		s.Engine.Workers = workers
 		res, err := s.Engine.Run(tlsResidentJobs(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
 		cycles = res.Cycles
-		rounds = s.Engine.Rounds
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")
-	reportRounds(b, rounds)
 }
-
-func BenchmarkEngineResident8CSerial(b *testing.B)   { benchEngineResident(b, 1) }
-func BenchmarkEngineResident8CParallel(b *testing.B) { benchEngineResident(b, engineWorkers()) }

@@ -51,7 +51,6 @@ func run() error {
 	kvBlock := flag.Int("kv-block", 64, "KV-cache page size in tokens (decode shapes pad up to this)")
 	netKind := flag.String("net", "sn", "interconnect: sn or cn")
 	small := flag.Bool("small", false, "use the small NPU config")
-	engineWorkers := flag.Int("engine-workers", 0, "host goroutines stepping simulated cores per iteration (0 or 1 = serial; results are bit-identical)")
 	maxCycles := flag.Int64("max-cycles", 0, "per-iteration deadlock guard (0 = engine default)")
 	cacheDir := flag.String("cache-dir", "", "persist compile artifacts and kernel latencies under this directory")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of the whole serving run to this JSON file (per-iteration spans stitched onto one timeline)")
@@ -97,14 +96,13 @@ func run() error {
 	}
 
 	cfg := serve.Config{
-		Model:         *model,
-		NPU:           npuCfg,
-		Net:           net,
-		MaxBatch:      *maxBatch,
-		KVBlock:       *kvBlock,
-		EngineWorkers: *engineWorkers,
-		MaxCycles:     *maxCycles,
-		Compile:       compile,
+		Model:     *model,
+		NPU:       npuCfg,
+		Net:       net,
+		MaxBatch:  *maxBatch,
+		KVBlock:   *kvBlock,
+		MaxCycles: *maxCycles,
+		Compile:   compile,
 	}
 	tc, err := modelzoo.Topology(modelzoo.Spec{Model: *model, Topology: *topology, Parallel: *parStrat}, npuCfg.Mem)
 	if err != nil {

@@ -58,7 +58,6 @@ func run() error {
 	convOpt := flag.Bool("convopt", true, "enable conv layout optimization")
 	dmaMode := flag.String("dma", "selective", "DMA mode: coarse, fine, selective")
 	maxCycles := flag.Int64("max-cycles", 0, "deadlock guard: abort past this many simulated cycles (0 = default)")
-	engineWorkers := flag.Int("engine-workers", 0, "host goroutines stepping simulated cores in parallel (0 or 1 = serial; results are bit-identical)")
 	dumpTOG := flag.String("dump-tog", "", "write the first TOG to this JSON file")
 	dumpKernels := flag.String("dump-kernels", "", "write each compiled kernel's assembly into this directory")
 	autotune := flag.Bool("autotune", false, "sweep tile-size candidates through TLS and report the best (tls mode)")
@@ -121,7 +120,6 @@ func run() error {
 
 	sim := core.NewSimulator(cfg, opts)
 	sim.MaxCycles = *maxCycles
-	sim.EngineWorkers = *engineWorkers
 	sim.Topo = tc
 	switch *tuneObjective {
 	case "cycles":

@@ -41,7 +41,7 @@ func ptsimTopo(extra ...string) (string, string, error) {
 
 // A multi-package run takes the same funnel as a single-package one, so
 // the run knobs apply to it: -max-cycles bounds it, -trace records it, and
-// -engine-workers >= 2 reports its round split.
+// -json renders its topology section.
 func TestTopologyRunHonoursRunFlags(t *testing.T) {
 	if _, stderr, err := ptsimTopo("-max-cycles", "100"); err == nil {
 		t.Fatal("-max-cycles 100 must abort a ~10k-cycle run with a non-zero exit")
@@ -64,19 +64,18 @@ func TestTopologyRunHonoursRunFlags(t *testing.T) {
 		t.Fatalf("trace is not a non-empty Perfetto document: %v", err)
 	}
 
-	stdout, stderr, err := ptsimTopo("-engine-workers", "4", "-json")
+	stdout, stderr, err := ptsimTopo("-json")
 	if err != nil {
-		t.Fatalf("-engine-workers 4 -json: %v\n%s", err, stderr)
+		t.Fatalf("-json: %v\n%s", err, stderr)
 	}
 	var rep struct {
-		Rounds   *json.RawMessage `json:"parallel_rounds"`
 		Topology *json.RawMessage `json:"topology"`
 	}
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("stdout is not one JSON document: %v", err)
 	}
-	if rep.Rounds == nil || rep.Topology == nil {
-		t.Fatalf("want parallel_rounds and topology sections, got rounds=%v topology=%v", rep.Rounds != nil, rep.Topology != nil)
+	if rep.Topology == nil {
+		t.Fatal("want a topology section in the -json report")
 	}
 
 	if _, _, err := ptsimTopo("-autotune"); err == nil {

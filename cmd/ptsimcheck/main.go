@@ -15,8 +15,6 @@
 //	ptsimcheck -replay repro.json        # re-run a recorded divergence
 //	ptsimcheck -seed 1 -n 20 -fault      # self-test: inject a ±1-cycle
 //	                                     # latency fault; MUST be detected
-//	ptsimcheck -seed 1 -n 20 -fault-engine  # self-test: corrupt the parallel
-//	                                        # engine barrier; MUST be detected
 //	ptsimcheck -fleet -seed 1            # 1-node vs 3-node fleet bit-identity
 //	ptsimcheck -fault-fleet              # self-test: corrupt one member's
 //	                                     # response; MUST be detected
@@ -45,12 +43,11 @@ func run() error {
 	seed := flag.Uint64("seed", 1, "generation stream seed")
 	n := flag.Int("n", 200, "number of cases to generate and check")
 	replay := flag.String("replay", "", "replay a recorded repro JSON file instead of generating")
-	serveCheck := flag.Bool("serve", false, "run the serve-determinism oracle (same seed twice, serial vs parallel engine) instead of the case generator")
+	serveCheck := flag.Bool("serve", false, "run the serve-determinism oracle (same seed twice) instead of the case generator")
 	topoCheck := flag.Bool("topo", false, "run the topology-parallel oracle (data/tensor-parallel numerics vs single-core funcsim + engine bit-identity on multi-package fabrics) instead of the case generator")
 	fleetCheck := flag.Bool("fleet", false, "run the fleet-determinism oracle (seeded mixed batch through a 1-node service vs a 3-node sharded fleet, bit-identical JobResults) instead of the case generator")
 	faultFleet := flag.Bool("fault-fleet", false, "self-test: corrupt one fleet member's response; the run SUCCEEDS only if the fleet oracle detects it (implies -fleet)")
 	fault := flag.Bool("fault", false, "self-test: perturb one tile latency by +1 cycle after every compile; the run SUCCEEDS only if an oracle detects it")
-	faultEngine := flag.Bool("fault-engine", false, "self-test: corrupt the parallel engine's barrier ordering; the run SUCCEEDS only if the serial-vs-parallel oracle detects it")
 	out := flag.String("out", ".", "directory for divergence repro files")
 	verbose := flag.Bool("v", false, "log every generated case")
 	flag.Parse()
@@ -62,8 +59,6 @@ func run() error {
 	if *fault {
 		ck.Fault = crosscheck.PerturbTileLatency(1)
 	}
-	ck.EngineFault = *faultEngine
-	faulted := *fault || *faultEngine
 
 	if *replay != "" {
 		return runReplay(ck, *replay)
@@ -73,7 +68,7 @@ func run() error {
 		if err := crosscheck.CheckServe(int64(*seed)); err != nil {
 			return err
 		}
-		fmt.Printf("ok: serve-determinism (seed %d, replay + serial-vs-parallel) in %v\n",
+		fmt.Printf("ok: serve-determinism (seed %d, replay) in %v\n",
 			*seed, time.Since(start).Round(time.Millisecond))
 		return nil
 	}
@@ -104,7 +99,7 @@ func run() error {
 	start := time.Now()
 	fail, stats := ck.Run(*seed, *n)
 	if fail == nil {
-		if faulted {
+		if *fault {
 			return fmt.Errorf("fault injection escaped: %d faulted cases passed every oracle — the oracles have no teeth", stats.Cases)
 		}
 		fmt.Printf("ok: %d cases, 0 divergences across oracles [%s] in %v (%s)\n",
@@ -118,12 +113,12 @@ func run() error {
 	fmt.Printf("shrunk: %s\n  %s\n", shrunk.Case.String(), shrunk.Detail)
 
 	path := filepath.Join(*out, fmt.Sprintf("ptsimcheck-repro-%s-seed%d.json", shrunk.Oracle, *seed))
-	if err := crosscheck.NewRepro(shrunk, *fault, *faultEngine).Write(path); err != nil {
+	if err := crosscheck.NewRepro(shrunk, *fault).Write(path); err != nil {
 		return fmt.Errorf("writing repro: %w", err)
 	}
 	fmt.Printf("repro written to %s (replay: ptsimcheck -replay %s)\n", path, path)
 
-	if faulted {
+	if *fault {
 		// Self-test succeeded: the deliberate fault was detected and shrunk.
 		fmt.Printf("fault-injection self-test passed: oracle %q caught the injected fault\n", shrunk.Oracle)
 		return nil

@@ -80,7 +80,6 @@ func run() error {
 	tenantQueue := flag.Int("tenant-queue", 0, "per-tenant queue capacity (0 = no per-tenant bound beyond -queue)")
 	tenantWeights := flag.String("tenant-weights", "", `weighted-fair tenant shares, e.g. "team-a=3,team-b=1" (absent tenants weigh 1)`)
 	maxCycles := flag.Int64("max-cycles", 0, "default per-job deadlock guard in simulated cycles (0 = package default)")
-	engineWorkers := flag.Int("engine-workers", 0, "default TLS engine goroutine count per job (0 or 1 = serial; jobs may override via engine_workers)")
 	cacheDir := flag.String("cache-dir", "", "persist kernel-latency tables under this directory (reused across restarts)")
 	self := flag.String("self", "", "this node's base URL on the fleet ring (required with -peers)")
 	peers := flag.String("peers", "", "comma-separated base URLs of fleet peers; enables the remote peer-cache tier")
@@ -91,7 +90,7 @@ func run() error {
 		return err
 	}
 	svc := service.New(service.Config{
-		Workers: *workers, QueueDepth: *queue, MaxCycles: *maxCycles, EngineWorkers: *engineWorkers,
+		Workers: *workers, QueueDepth: *queue, MaxCycles: *maxCycles,
 		TenantQueueDepth: *tenantQueue, TenantWeights: weights,
 	})
 	if *cacheDir != "" {

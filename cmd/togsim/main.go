@@ -32,7 +32,6 @@ func main() {
 	netKind := flag.String("net", "sn", "interconnect model: sn (simple) or cn (cycle-accurate crossbar)")
 	sched := flag.String("sched", "frfcfs", "memory scheduler: frfcfs or fcfs")
 	small := flag.Bool("small", false, "use the small NPU config instead of TPUv3")
-	engineWorkers := flag.Int("engine-workers", 0, "host goroutines stepping simulated cores in parallel (0 or 1 = serial; results are bit-identical, so the report cache key is unchanged)")
 	dump := flag.Bool("stats", false, "print TOG static statistics only (no simulation)")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this JSON file")
 	jsonOut := flag.Bool("json", false, "print the run report as JSON on stdout")
@@ -109,7 +108,6 @@ func main() {
 	}
 
 	s := togsim.NewStandard(cfg, kind, policy)
-	s.Engine.Workers = *engineWorkers
 	var tw *obs.TraceWriter
 	if *traceOut != "" {
 		tw = obs.NewTraceWriter()
@@ -132,17 +130,12 @@ func main() {
 		Res:      res,
 		Mem:      s.MemStats(),
 		NoCFlits: s.NetFlits(),
-		Rounds:   s.Engine.Rounds,
 		Wall:     time.Since(start),
 	})
 	if store != nil {
-		// Strip host wall time and parallel-engine round counts so the cached
-		// artifact is fully deterministic: the cache key deliberately excludes
-		// -engine-workers (results are bit-identical), but round counts differ
-		// between serial and parallel runs.
+		// Strip host wall time so the cached artifact is fully deterministic.
 		canonical := rep
 		canonical.WallMs = 0
-		canonical.Rounds = nil
 		if blob, err := json.Marshal(canonical); err == nil {
 			_ = store.Put(reportKey, blob)
 		}

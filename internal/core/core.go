@@ -54,11 +54,6 @@ type Simulator struct {
 	// constant (0 = togsim.DefaultMaxCycles).
 	MaxCycles int64
 
-	// EngineWorkers sets the TLS engine's host goroutine count for every
-	// timing simulation (0 or 1 = serial). Results are bit-identical at
-	// any worker count; see togsim.Engine.Workers.
-	EngineWorkers int
-
 	// Probe, when non-nil, is attached to every TLS stack this simulator
 	// builds (engine spans plus fabric/NoC/DRAM counters) and to the
 	// compiler (compile-phase spans). It never changes simulation results.
@@ -141,7 +136,6 @@ type Report struct {
 	MemStats  *dram.Stats
 	NoCFlits  int64
 	LinkFlits int64
-	Rounds    togsim.RoundStats
 	WallClock time.Duration
 
 	// Machine is the NPU the engine simulated (the simulator's config with
@@ -158,7 +152,6 @@ func (r Report) Inputs() report.Inputs {
 		Mem:       r.MemStats,
 		NoCFlits:  r.NoCFlits,
 		LinkFlits: r.LinkFlits,
-		Rounds:    r.Rounds,
 		Wall:      r.WallClock,
 		Topo:      r.Topo,
 	}
@@ -200,7 +193,6 @@ func (s *Simulator) SimulateJobs(jobs []*togsim.Job, kind NetKind) (Report, erro
 func (s *Simulator) stack(kind NetKind, probe obs.Probe) *Stack {
 	st := NewStack(s.Cfg, kind, s.Topo)
 	st.Engine.MaxCycles = s.MaxCycles
-	st.Engine.Workers = s.EngineWorkers
 	if probe != nil {
 		st.AttachProbe(probe)
 	}
@@ -222,7 +214,6 @@ func run(st *Stack, jobs []*togsim.Job) (Report, error) {
 		MemStats:  in.Mem,
 		NoCFlits:  in.NoCFlits,
 		LinkFlits: in.LinkFlits,
-		Rounds:    in.Rounds,
 		WallClock: in.Wall,
 		Machine:   st.Cfg,
 		Topo:      in.Topo,

@@ -19,7 +19,7 @@ import (
 // experiments and the oracles all build their engine here, so a hook that
 // must see every run (recover, cancellation, request IDs, host-time
 // phases) belongs in NewStack and Run. Run knobs stay on Engine
-// (MaxCycles, Workers, NodesPerCycle, StrictTick).
+// (MaxCycles, NodesPerCycle, StrictTick).
 type Stack struct {
 	Engine *togsim.Engine
 	// Cfg is the machine the engine simulates: the caller's config, with
@@ -76,7 +76,7 @@ func (s *Stack) Run(jobs []*togsim.Job) (togsim.Result, report.Inputs, error) {
 	if err != nil {
 		return togsim.Result{}, report.Inputs{}, err
 	}
-	in := report.Inputs{Res: res, Rounds: s.Engine.Rounds, Wall: time.Since(start)}
+	in := report.Inputs{Res: res, Wall: time.Since(start)}
 	if s.std != nil {
 		in.Mem, in.NoCFlits = s.std.MemStats(), s.std.NetFlits()
 	} else {

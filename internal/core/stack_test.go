@@ -17,7 +17,7 @@ import (
 )
 
 // TestStackFunnel drives the one run funnel over both fabrics: for each
-// machine the Result must be identical at every engine worker count and
+// machine the Result must be identical event-driven and under StrictTick,
 // with or without a recording probe, and the report inputs must carry
 // everything report.Build reads for that fabric kind.
 func TestStackFunnel(t *testing.T) {
@@ -34,14 +34,11 @@ func TestStackFunnel(t *testing.T) {
 		kind  togsim.NetKind
 		tc    topo.Config
 		graph *graph.Graph
-		// windowed: the fabric supports the windowed parallel engine, so
-		// workers >= 2 must report a round split.
-		windowed bool
 	}{
-		{"single/sn", togsim.SimpleNet, topo.Config{}, gemmGraph(32), true},
-		{"single/cn", togsim.CycleNet, preset("single"), gemmGraph(32), false},
-		{"pkg2/tensor", togsim.SimpleNet, preset("pkg2"), nn.DecoderTP(nn.DecoderTinyConfig(1, 8, false), 2).Graph, true},
-		{"mesh2x2/data", togsim.SimpleNet, preset("mesh2x2"), parallel.DataParallel(gemmGraph(32), 4), true},
+		{"single/sn", togsim.SimpleNet, topo.Config{}, gemmGraph(32)},
+		{"single/cn", togsim.CycleNet, preset("single"), gemmGraph(32)},
+		{"pkg2/tensor", togsim.SimpleNet, preset("pkg2"), nn.DecoderTP(nn.DecoderTinyConfig(1, 8, false), 2).Graph},
+		{"mesh2x2/data", togsim.SimpleNet, preset("mesh2x2"), parallel.DataParallel(gemmGraph(32), 4)},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			comp, err := compiler.New(cfg, compiler.DefaultOptions()).Compile(m.graph)
@@ -50,15 +47,15 @@ func TestStackFunnel(t *testing.T) {
 			}
 			multi := m.tc.Packages() > 1
 			var want togsim.Result
-			for i, workers := range []int{0, 4, 0, 4} {
+			for i, strict := range []bool{false, true, false, true} {
 				var tw *obs.TraceWriter
 				st := NewStack(cfg, m.kind, m.tc)
-				st.Engine.Workers = workers
+				st.Engine.StrictTick = strict
 				if i >= 2 {
 					tw = obs.NewTraceWriter()
 					st.AttachProbe(tw)
 				}
-				what := fmt.Sprintf("workers=%d probe=%v", workers, tw != nil)
+				what := fmt.Sprintf("strict=%v probe=%v", strict, tw != nil)
 				jobs, err := st.Place("job", comp)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
@@ -94,9 +91,6 @@ func TestStackFunnel(t *testing.T) {
 					}
 				} else if in.Topo != nil || in.LinkFlits != 0 || in.NoCFlits == 0 {
 					t.Fatalf("%s: single-package inputs wrong: topo=%v link=%d noc=%d", what, in.Topo != nil, in.LinkFlits, in.NoCFlits)
-				}
-				if rounds := in.Rounds.Window + in.Rounds.Serial; (rounds > 0) != (workers > 1 && m.windowed) {
-					t.Fatalf("%s: %d parallel rounds reported (windowed fabric: %v)", what, rounds, m.windowed)
 				}
 			}
 		})

@@ -173,7 +173,7 @@ func TestReproRoundTrip(t *testing.T) {
 	ck, fail := faultFailure(t)
 	shrunk := ck.Shrink(fail)
 	path := filepath.Join(t.TempDir(), "repro.json")
-	rep := NewRepro(shrunk, true, false)
+	rep := NewRepro(shrunk, true)
 	if err := rep.Write(path); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestLoadReproRejects(t *testing.T) {
 // TestOracleNames: the oracle set is stable and leads with the §3.8 claim.
 func TestOracleNames(t *testing.T) {
 	names := OracleNames()
-	if len(names) != 8 || names[0] != "ils-tls" {
+	if len(names) != 7 || names[0] != "ils-tls" {
 		t.Fatalf("unexpected oracle set %v", names)
 	}
 }

@@ -16,10 +16,9 @@ import (
 // runWithTotals executes the case's jobs on a fresh standard stack in the
 // requested engine mode and rolls the run up into activity totals (the
 // int64 counters energy derivation is allowed to use).
-func (cs Case) runWithTotals(comp *compiler.Compiled, strict bool, workers int) (togsim.Result, report.ActivityTotals, error) {
+func (cs Case) runWithTotals(comp *compiler.Compiled, strict bool) (togsim.Result, report.ActivityTotals, error) {
 	s := togsim.NewStandard(cs.NPU, cs.netKind(), dram.FRFCFS)
 	s.Engine.StrictTick = strict
-	s.Engine.Workers = workers
 	res, err := s.Engine.Run(cs.buildJobs(comp))
 	if err != nil {
 		return res, report.ActivityTotals{}, err
@@ -28,8 +27,8 @@ func (cs Case) runWithTotals(comp *compiler.Compiled, strict bool, workers int) 
 }
 
 // checkEnergy enforces the energy-accounting contract end to end: the
-// activity counters are bit-identical across the event-driven, strict-tick,
-// and parallel engines (so the floats derived from them are too); the
+// activity counters are bit-identical across the event-driven and
+// strict-tick engines (so the floats derived from them are too); the
 // per-unit energy breakdown sums exactly — bitwise, not within a tolerance
 // — to the reported total; and deriving the energy report reads the Result
 // without mutating it.
@@ -41,27 +40,16 @@ func (ck *Checker) checkEnergy(cs Case, art *artifacts) error {
 		cfg.Energy = npu.DefaultEnergyTable()
 	}
 
-	_, event, err := cs.runWithTotals(art.comp, false, 0)
+	_, event, err := cs.runWithTotals(art.comp, false)
 	if err != nil {
 		return fmt.Errorf("event run: %v", err)
 	}
-	_, strict, err := cs.runWithTotals(art.comp, true, 0)
+	_, strict, err := cs.runWithTotals(art.comp, true)
 	if err != nil {
 		return fmt.Errorf("strict run: %v", err)
 	}
-	workers := cs.Workers
-	if workers < 2 {
-		workers = 2
-	}
-	_, par, err := cs.runWithTotals(art.comp, false, workers)
-	if err != nil {
-		return fmt.Errorf("parallel run (workers=%d): %v", workers, err)
-	}
 	if event != strict {
 		return fmt.Errorf("activity counters diverge: event %+v != strict %+v", event, strict)
-	}
-	if event != par {
-		return fmt.Errorf("activity counters diverge: event %+v != parallel (workers=%d) %+v", par, workers, event)
 	}
 	if event.SAMacCycles+event.VectorCycles+event.SparseCycles == 0 {
 		return fmt.Errorf("no compute activity counted: %+v", event)
@@ -83,10 +71,8 @@ func (ck *Checker) checkEnergy(cs Case, art *artifacts) error {
 	if e.TotalMilliJ <= 0 {
 		return fmt.Errorf("non-positive total energy %v mJ for active run %+v", e.TotalMilliJ, event)
 	}
-	for _, totals := range []report.ActivityTotals{strict, par} {
-		if other := report.BuildEnergy(cfg, totals); !reflect.DeepEqual(e, other) {
-			return fmt.Errorf("derived energy diverges across engines: %+v != %+v", e, other)
-		}
+	if other := report.BuildEnergy(cfg, strict); !reflect.DeepEqual(e, other) {
+		return fmt.Errorf("derived energy diverges across engines: %+v != %+v", e, other)
 	}
 
 	// Building the full report (the surface every CLI renders) must leave

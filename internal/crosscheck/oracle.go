@@ -42,12 +42,6 @@ type Checker struct {
 	// oracles detect (and the shrinker minimizes) a ±1-cycle latency drift.
 	// Production checking leaves it nil.
 	Fault func(*compiler.Compiled)
-	// EngineFault corrupts the parallel engine's barrier ordering (staged
-	// fabric submissions replay one cycle late, in reversed core order) —
-	// the deliberate-defect hook the self-test uses to prove the
-	// serial-vs-parallel oracle detects divergence. Production checking
-	// leaves it false.
-	EngineFault bool
 	// MaxShrinkSteps bounds the shrinker's accepted reductions
 	// (0 = DefaultMaxShrinkSteps).
 	MaxShrinkSteps int
@@ -159,7 +153,6 @@ var oracleList = []oracle{
 	{"ils-tls", (*Checker).checkILSTLS},
 	{"funcsim", (*Checker).checkFuncsim},
 	{"engine-strict", (*Checker).checkStrictTick},
-	{"engine-parallel", (*Checker).checkParallel},
 	{"energy-determinism", (*Checker).checkEnergy},
 	{"probe", (*Checker).checkProbe},
 	{"compile-workers", (*Checker).checkWorkers},
@@ -268,29 +261,6 @@ func (ck *Checker) checkStrictTick(cs Case, art *artifacts) error {
 	}
 	if !reflect.DeepEqual(art.tls, strict) {
 		return fmt.Errorf("event %+v != strict %+v", art.tls, strict)
-	}
-	return nil
-}
-
-// checkParallel requires the windowed parallel engine (the case's Workers
-// count) to reproduce the event-driven serial result bit for bit. Cases on
-// the cycle-accurate crossbar fall back to the serial path inside Run (the
-// crossbar is not window-safe), which this oracle still verifies end to
-// end. With the checker's EngineFault set, the barrier replay is
-// deliberately corrupted and this oracle must fire on coupled cases.
-func (ck *Checker) checkParallel(cs Case, art *artifacts) error {
-	s := togsim.NewStandard(cs.NPU, cs.netKind(), dram.FRFCFS)
-	s.Engine.Workers = cs.Workers
-	if s.Engine.Workers < 2 {
-		s.Engine.Workers = 2
-	}
-	s.Engine.PerturbBarrier = ck.EngineFault
-	par, err := s.Engine.Run(cs.buildJobs(art.comp))
-	if err != nil {
-		return fmt.Errorf("parallel run (workers=%d): %v", s.Engine.Workers, err)
-	}
-	if !reflect.DeepEqual(art.tls, par) {
-		return fmt.Errorf("serial %+v != parallel (workers=%d) %+v", art.tls, s.Engine.Workers, par)
 	}
 	return nil
 }

@@ -21,17 +21,14 @@ type Repro struct {
 	// Fault records that the divergence was produced by the deliberate
 	// fault-injection self-test, so a replay re-arms the same fault.
 	Fault bool `json:"fault,omitempty"`
-	// EngineFault records the parallel-barrier fault hook, re-armed the
-	// same way on replay.
-	EngineFault bool `json:"engine_fault,omitempty"`
-	Case        Case `json:"case"`
+	Case  Case `json:"case"`
 }
 
-// NewRepro packages a failure for serialization, recording which
-// deliberate-defect hooks the checker had armed so a replay re-arms them.
-func NewRepro(f Failure, faulted, engineFaulted bool) Repro {
+// NewRepro packages a failure for serialization, recording whether the
+// checker had the deliberate fault armed so a replay re-arms it.
+func NewRepro(f Failure, faulted bool) Repro {
 	return Repro{FormatVersion: ReproVersion, Oracle: f.Oracle, Detail: f.Detail,
-		Fault: faulted, EngineFault: engineFaulted, Case: f.Case}
+		Fault: faulted, Case: f.Case}
 }
 
 // Write serializes the repro to path as indented JSON.
@@ -67,9 +64,6 @@ func LoadRepro(path string) (Repro, error) {
 func (ck *Checker) Replay(r Repro) *Failure {
 	if r.Fault && ck.Fault == nil {
 		ck.Fault = PerturbTileLatency(1)
-	}
-	if r.EngineFault {
-		ck.EngineFault = true
 	}
 	return ck.RunCase(r.Case)
 }

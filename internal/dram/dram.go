@@ -128,6 +128,9 @@ type Memory struct {
 	spare     []*Request // double buffer swapped with done at Completed
 	queueCap  int
 	refreshes int64
+	// minRefresh is a lower bound on every channel's nextRefresh, so SkipTo
+	// returns at once over stretches that contain no refresh.
+	minRefresh int64
 
 	Stats Stats
 	// srcBytes[src] is the part of Stats.BytesBySrc[src] not yet folded
@@ -168,6 +171,7 @@ func New(cfg npu.MemConfig, sched SchedulerKind) *Memory {
 			m.chans[i].nextRefresh = int64(cfg.TREFI)
 		}
 	}
+	m.minRefresh = int64(cfg.TREFI)
 	m.Stats.BytesBySrc = map[int]int64{}
 	return m
 }
@@ -250,9 +254,12 @@ func (m *Memory) NextEvent() int64 {
 // request finishes at or before cycle (guaranteed by NextEvent). The
 // tREFI-periodic all-bank refreshes that per-cycle ticking would have
 // performed in the skipped range are replayed exactly: same refresh
-// cycles, same bank-state updates, same counters.
+// cycles, same bank-state updates, same counters. Refreshes only move a
+// channel's nextRefresh forward, so minRefresh stays a lower bound between
+// replays and a jump that ends before it has nothing to replay.
 func (m *Memory) SkipTo(cycle int64) {
-	if m.cfg.TREFI > 0 {
+	if m.cfg.TREFI > 0 && cycle >= m.minRefresh {
+		m.minRefresh = sim.Never
 		for ci := range m.chans {
 			c := &m.chans[ci]
 			for c.nextRefresh <= cycle {
@@ -266,6 +273,7 @@ func (m *Memory) SkipTo(cycle int64) {
 				}
 				c.nextRefresh += int64(m.cfg.TREFI)
 			}
+			m.minRefresh = min(m.minRefresh, c.nextRefresh)
 		}
 	}
 	m.cycle = cycle

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -323,5 +324,94 @@ func TestRefreshStallsAndCounts(t *testing.T) {
 	overhead := float64(tRef-tNo) / float64(tNo)
 	if overhead > 0.6 {
 		t.Fatalf("refresh overhead implausibly high: %.2f", overhead)
+	}
+}
+
+// TestSkipToHopsMatchTicking drives three controllers through the same
+// traffic and idle stretches spanning several tREFI boundaries: one ticks
+// every cycle, one crosses each idle stretch in a single SkipTo, one in
+// many short hops (most of which contain no refresh, including after
+// ticked refreshes have moved past SkipTo's lower bound). Refresh count,
+// bank state, Stats and the timing of the traffic that follows must match
+// exactly.
+func TestSkipToHopsMatchTicking(t *testing.T) {
+	cfg := testCfg()
+	cfg.TREFI, cfg.TRFC = 200, 50
+	ticked, jumped, hopped := New(cfg, FRFCFS), New(cfg, FRFCFS), New(cfg, FRFCFS)
+	mems := []*Memory{ticked, jumped, hopped}
+	hops := []int64{1, 3, 17, 64, 199, 1, 1, 250, 2}
+
+	traffic := func(base uint64) [3][]int64 {
+		var finish [3][]int64
+		for i, m := range mems {
+			var reqs []*Request
+			for k := uint64(0); k < 12; k++ {
+				r := &Request{Addr: base + k*uint64(cfg.RowBytes)*3, IsWrite: k%3 == 0, Src: int(k % 2)}
+				reqs = append(reqs, r)
+				for !m.Submit(r) {
+					m.Tick()
+					m.Completed()
+				}
+			}
+			m.Drain()
+			for _, r := range reqs {
+				finish[i] = append(finish[i], r.Finish)
+			}
+		}
+		return finish
+	}
+	idleTo := func(target int64) {
+		for ticked.Cycle() < target {
+			ticked.Tick()
+		}
+		jumped.SkipTo(target)
+		for k := 0; hopped.Cycle() < target; k++ {
+			hopped.SkipTo(min(hopped.Cycle()+hops[k%len(hops)], target))
+		}
+	}
+	check := func(phase string) {
+		t.Helper()
+		for _, m := range mems[1:] {
+			if m.Cycle() != ticked.Cycle() || m.Refreshes() != ticked.Refreshes() {
+				t.Fatalf("%s: cycle %d, %d refreshes; ticking reached cycle %d with %d",
+					phase, m.Cycle(), m.Refreshes(), ticked.Cycle(), ticked.Refreshes())
+			}
+			for ci := range m.chans {
+				a, b := &m.chans[ci], &ticked.chans[ci]
+				if a.nextRefresh != b.nextRefresh || !reflect.DeepEqual(a.banks, b.banks) {
+					t.Fatalf("%s: channel %d diverges from ticking:\n%+v next refresh %d\n%+v next refresh %d",
+						phase, ci, a.banks, a.nextRefresh, b.banks, b.nextRefresh)
+				}
+			}
+			if !reflect.DeepEqual(m.Stats, ticked.Stats) {
+				t.Fatalf("%s: stats diverge:\n%+v\n%+v", phase, m.Stats, ticked.Stats)
+			}
+		}
+	}
+
+	traffic(0)
+	check("warm-up traffic")
+	idleTo(ticked.Cycle() + 5*int64(cfg.TREFI) + 37)
+	check("first idle stretch")
+	// A jump that ends on a refresh cycle must perform that refresh.
+	idleTo(ticked.chans[0].nextRefresh)
+	check("idle stretch ending on a refresh")
+	// Ticking through two refreshes moves every nextRefresh past the
+	// bound SkipTo kept, which must not make later hops skip a refresh.
+	for i := 0; i < 2*cfg.TREFI; i++ {
+		for _, m := range mems {
+			m.Tick()
+		}
+	}
+	check("ticked refreshes")
+	idleTo(ticked.Cycle() + 3*int64(cfg.TREFI) + 11)
+	check("second idle stretch")
+	f := traffic(1 << 12)
+	check("traffic after idle")
+	if !reflect.DeepEqual(f[1], f[0]) || !reflect.DeepEqual(f[2], f[0]) {
+		t.Fatalf("request timing after idle stretches diverges: ticked %v, jumped %v, hopped %v", f[0], f[1], f[2])
+	}
+	if ticked.Refreshes() < 10 {
+		t.Fatalf("only %d refreshes: the stretches do not span enough tREFI periods", ticked.Refreshes())
 	}
 }

@@ -57,16 +57,6 @@ type JobReport struct {
 	SpadWriteBytes int64 `json:"spad_write_bytes,omitempty"`
 }
 
-// RoundsReport surfaces the parallel engine's scheduling split: how much
-// of the run executed in concurrent safe windows versus globally ordered
-// serial rounds (the ROADMAP item-3 degradation mode). Present only after
-// a parallel run.
-type RoundsReport struct {
-	WindowRounds   int64 `json:"window_rounds"`
-	SerialRounds   int64 `json:"serial_rounds"`
-	WindowedCycles int64 `json:"windowed_cycles"`
-}
-
 // MemReport summarizes DRAM activity and achieved bandwidth.
 type MemReport struct {
 	Reads         int64   `json:"reads"`
@@ -92,19 +82,17 @@ type Report struct {
 	Activity    *ActivityTotals `json:"activity,omitempty"`
 	Energy      *EnergyReport   `json:"energy,omitempty"`
 	Topology    *TopologyReport `json:"topology,omitempty"`
-	Rounds      *RoundsReport   `json:"parallel_rounds,omitempty"`
 }
 
 // Inputs bundles everything Build derives a Report from. Res is required;
 // the rest default sensibly: Mem may be nil (flat-latency fabric),
-// NoCFlits/LinkFlits zero when the fabric has no such model, Rounds zero
-// after a serial run, Wall zero when host time was not measured.
+// NoCFlits/LinkFlits zero when the fabric has no such model, Wall zero
+// when host time was not measured.
 type Inputs struct {
 	Res       togsim.Result
 	Mem       *dram.Stats
 	NoCFlits  int64
 	LinkFlits int64
-	Rounds    togsim.RoundStats
 	Wall      time.Duration
 
 	// Topo, when the run used a multi-package topology fabric, yields the
@@ -185,13 +173,6 @@ func Build(cfg npu.Config, in Inputs) Report {
 	if in.Topo != nil {
 		r.Topology = buildTopology(cfg, res, in.Topo)
 	}
-	if in.Rounds.Window > 0 || in.Rounds.Serial > 0 {
-		r.Rounds = &RoundsReport{
-			WindowRounds:   in.Rounds.Window,
-			SerialRounds:   in.Rounds.Serial,
-			WindowedCycles: in.Rounds.WindowedCycles,
-		}
-	}
 	return r
 }
 
@@ -246,10 +227,6 @@ func (r Report) Text() string {
 	}
 	if t := r.Topology; t != nil {
 		b.WriteString(t.Text())
-	}
-	if rd := r.Rounds; rd != nil {
-		fmt.Fprintf(&b, "parallel engine: %d window rounds covering %d cycles, %d serial rounds\n",
-			rd.WindowRounds, rd.WindowedCycles, rd.SerialRounds)
 	}
 	return b.String()
 }

@@ -64,16 +64,16 @@ func compileTP(t *testing.T, cfg npu.Config, parts int) *compiler.Compiled {
 }
 
 // simulate runs placed jobs on a fresh stack for the topology.
-func simulate(cfg npu.Config, tc topo.Config, jobs []*togsim.Job, workers int) (togsim.Result, *topo.Fabric, error) {
+func simulate(cfg npu.Config, tc topo.Config, jobs []*togsim.Job, strict bool) (togsim.Result, *topo.Fabric, error) {
 	st := core.NewStack(cfg, togsim.SimpleNet, tc)
-	st.Engine.Workers = workers
+	st.Engine.StrictTick = strict
 	res, in, err := st.Run(jobs)
 	return res, in.Topo, err
 }
 
 // TestPlaceAndSimulateTP: a tensor-parallel decoder on 2 packages must run
 // to completion, move bytes over the link, attribute collective cycles,
-// and stay bit-identical between the serial and parallel engines.
+// and stay bit-identical between event-driven and strict ticking.
 func TestPlaceAndSimulateTP(t *testing.T) {
 	cfg := npu.SmallConfig()
 	tc, err := topo.Preset("pkg2", cfg.Mem)
@@ -89,7 +89,7 @@ func TestPlaceAndSimulateTP(t *testing.T) {
 	if len(jobs) != 2 || jobs[0].Core == jobs[1].Core {
 		t.Fatalf("want one job per package, got %+v", jobs)
 	}
-	res, fab, err := simulate(cfg, tc, jobs, 0)
+	res, fab, err := simulate(cfg, tc, jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +108,12 @@ func TestPlaceAndSimulateTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, fab2, err := simulate(cfg, tc, jobs2, 2)
+	res2, fab2, err := simulate(cfg, tc, jobs2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, res2) {
-		t.Fatalf("serial vs workers=2 diverge:\n%+v\n%+v", res, res2)
+		t.Fatalf("event-driven vs strict diverge:\n%+v\n%+v", res, res2)
 	}
 	if !reflect.DeepEqual(fab.Pkg, fab2.Pkg) {
 		t.Fatal("per-package stats diverge across engine modes")
@@ -157,7 +157,7 @@ func TestMeshDataParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, fab, err := simulate(cfg, tc, jobs, 0)
+	res, fab, err := simulate(cfg, tc, jobs, false)
 	if err != nil {
 		t.Fatal(err)
 	}

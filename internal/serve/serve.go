@@ -69,8 +69,7 @@ type Config struct {
 	Topo     topo.Config
 	Parallel string
 
-	EngineWorkers int   // TLS engine host goroutines per iteration (0/1 = serial)
-	MaxCycles     int64 // per-iteration deadlock guard (0 = engine default)
+	MaxCycles int64 // per-iteration deadlock guard (0 = engine default)
 
 	Compile CompileFn // required
 
@@ -160,7 +159,7 @@ type reqState struct {
 
 // Run replays reqs through the continuous-batching scheduler and returns
 // the serving report. It is deterministic: same config and trace, same
-// report, at any EngineWorkers setting.
+// report.
 func Run(cfg Config, reqs []Request) (report.ServeReport, error) {
 	cfg.defaults()
 	if cfg.Compile == nil {
@@ -321,7 +320,6 @@ func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.Activity
 	if s.cfg.MaxCycles > 0 {
 		st.Engine.MaxCycles = s.cfg.MaxCycles
 	}
-	st.Engine.Workers = s.cfg.EngineWorkers
 	if s.cfg.Probe != nil {
 		// Stitch this iteration's spans onto the serve timeline: the
 		// engine's cycle 0 is serve cycle `at`.

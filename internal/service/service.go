@@ -99,10 +99,6 @@ type JobSpec struct {
 	// NodesPerCycle overrides the engine's zero-cost node budget per
 	// context per cycle (0 = the engine default).
 	NodesPerCycle int `json:"nodes_per_cycle,omitempty"`
-	// EngineWorkers sets the TLS engine's host goroutine count for this
-	// job (0 = the service default; 1 = serial). Results are bit-identical
-	// at any worker count.
-	EngineWorkers int `json:"engine_workers,omitempty"`
 	// Serve turns the job into an LLM serving run: instead of simulating
 	// the model once, the worker replays a seeded arrival trace through the
 	// continuous-batching scheduler (decoder models only).
@@ -197,10 +193,6 @@ func (s JobSpec) resolve() (resolved, error) {
 		return r, fmt.Errorf("service: negative nodes_per_cycle %d", s.NodesPerCycle)
 	}
 	r.NodesPerCycle = s.NodesPerCycle
-	if s.EngineWorkers < 0 {
-		return r, fmt.Errorf("service: negative engine_workers %d", s.EngineWorkers)
-	}
-	r.EngineWorkers = s.EngineWorkers
 	if s.Serve != nil {
 		if !strings.HasPrefix(s.Model, "decoder-") {
 			return r, fmt.Errorf("service: serve jobs need a decoder model, got %q", s.Model)
@@ -229,7 +221,6 @@ type resolved struct {
 	Net           togsim.NetKind
 	MaxCycles     int64
 	NodesPerCycle int
-	EngineWorkers int
 	Serve         *ServeSpec
 }
 
@@ -310,9 +301,6 @@ type Config struct {
 	Workers    int   // concurrent simulations (default: GOMAXPROCS)
 	QueueDepth int   // bounded queue capacity across all tenants (default 64)
 	MaxCycles  int64 // default per-job deadlock guard (0 = togsim.DefaultMaxCycles)
-	// EngineWorkers is the default per-job TLS engine goroutine count when
-	// the spec leaves engine_workers unset (0 or 1 = serial).
-	EngineWorkers int
 	// TenantQueueDepth bounds one tenant's share of the queue
 	// (0 = QueueDepth, i.e. no per-tenant throttling beyond the total).
 	TenantQueueDepth int
@@ -390,13 +378,6 @@ type Stats struct {
 	// multi-package job finishes.
 	PackageEnergyJoules map[string]float64 `json:"package_energy_joules,omitempty"`
 
-	// WindowRounds/SerialRounds/WindowedCycles accumulate the parallel
-	// engine's scheduling split over finished jobs (all zero for serial
-	// runs; see togsim.RoundStats).
-	WindowRounds   int64 `json:"window_rounds"`
-	SerialRounds   int64 `json:"serial_rounds"`
-	WindowedCycles int64 `json:"windowed_cycles"`
-
 	Workers    int `json:"workers"`
 	QueueDepth int `json:"queue_depth"`
 }
@@ -434,11 +415,8 @@ type Service struct {
 	serveTokens int64
 	tenantDone  map[string]int64
 
-	energyJ        map[string]float64 // cumulative joules by unit class
-	pkgEnergyJ     map[string]float64 // cumulative joules by package index
-	windowRounds   int64              // parallel-engine scheduling split,
-	serialRounds   int64              // summed over finished jobs
-	windowedCycles int64
+	energyJ    map[string]float64 // cumulative joules by unit class
+	pkgEnergyJ map[string]float64 // cumulative joules by package index
 
 	reg          *metrics.Registry
 	queueWait    *metrics.Histogram
@@ -624,9 +602,6 @@ func (s *Service) collect(e *metrics.Emitter) {
 			"Post-hoc simulated energy of finished multi-package jobs by package.",
 			"package", samples)
 	}
-	e.Gauge("ptsimd_engine_window_rounds", "Parallel-engine window rounds summed over finished jobs.", float64(st.WindowRounds))
-	e.Gauge("ptsimd_engine_serial_rounds", "Parallel-engine serial fallback rounds summed over finished jobs.", float64(st.SerialRounds))
-	e.Gauge("ptsimd_engine_windowed_cycles", "Simulated cycles covered by parallel windows, summed over finished jobs.", float64(st.WindowedCycles))
 	e.Gauge("ptsimd_workers", "Size of the worker pool.", float64(st.Workers))
 	e.Gauge("ptsimd_queue_capacity", "Bounded job queue capacity.", float64(st.QueueDepth))
 	busy := 0.0
@@ -755,7 +730,6 @@ func (s *Service) Stats() Stats {
 	if st.WallSeconds > 0 {
 		st.CyclesPerSecond = float64(st.TotalCycles) / st.WallSeconds
 	}
-	st.WindowRounds, st.SerialRounds, st.WindowedCycles = s.windowRounds, s.serialRounds, s.windowedCycles
 	if len(s.energyJ) > 0 {
 		st.EnergyJoules = make(map[string]float64, len(s.energyJ))
 		for k, v := range s.energyJ {
@@ -792,18 +766,15 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// accountRun folds one finished run's derived energy breakdown (nil when
-// the config has no energy table) and parallel-engine round counts into
-// the cumulative service counters.
-func (s *Service) accountRun(e *report.EnergyReport, rounds togsim.RoundStats) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.windowRounds += rounds.Window
-	s.serialRounds += rounds.Serial
-	s.windowedCycles += rounds.WindowedCycles
+// accountEnergy folds one finished run's derived energy breakdown into the
+// cumulative service counters. No-op for a nil breakdown (the config has
+// no energy table).
+func (s *Service) accountEnergy(e *report.EnergyReport) {
 	if e == nil {
 		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.energyJ == nil {
 		s.energyJ = map[string]float64{}
 	}
@@ -918,10 +889,6 @@ func (s *Service) simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 	if r.NodesPerCycle > 0 {
 		st.Engine.NodesPerCycle = r.NodesPerCycle
 	}
-	st.Engine.Workers = r.EngineWorkers
-	if st.Engine.Workers == 0 {
-		st.Engine.Workers = s.cfg.EngineWorkers
-	}
 	jobs, err := st.Place(comp.Name, comp)
 	if err != nil {
 		return JobResult{}, err
@@ -931,7 +898,7 @@ func (s *Service) simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 		return JobResult{}, err
 	}
 	rep := report.Build(st.Cfg, in)
-	s.accountRun(rep.Energy, in.Rounds)
+	s.accountEnergy(rep.Energy)
 	s.accountPackages(rep.Topology)
 	return JobResult{
 		Cycles:      res.Cycles,
@@ -976,23 +943,18 @@ func (s *Service) ServeCompileFn(cfg npu.Config, opts compiler.Options) serve.Co
 // with every iteration compiled through the shared cache.
 func (s *Service) runServe(r resolved) (JobResult, error) {
 	sv := *r.Serve
-	workers := r.EngineWorkers
-	if workers == 0 {
-		workers = s.cfg.EngineWorkers
-	}
 	maxCycles := r.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = s.cfg.MaxCycles
 	}
 	cfg := serve.Config{
-		Model:         r.Spec.Model,
-		NPU:           r.Cfg,
-		Net:           r.Net,
-		MaxBatch:      sv.MaxBatch,
-		KVBlock:       sv.KVBlock,
-		EngineWorkers: workers,
-		MaxCycles:     maxCycles,
-		Compile:       s.ServeCompileFn(r.Cfg, r.Opts),
+		Model:     r.Spec.Model,
+		NPU:       r.Cfg,
+		Net:       r.Net,
+		MaxBatch:  sv.MaxBatch,
+		KVBlock:   sv.KVBlock,
+		MaxCycles: maxCycles,
+		Compile:   s.ServeCompileFn(r.Cfg, r.Opts),
 	}
 	if r.Topo.Packages() > 1 {
 		cfg.Topo, cfg.Parallel = r.Topo, r.Spec.Parallel
@@ -1017,10 +979,9 @@ func (s *Service) runServe(r resolved) (JobResult, error) {
 	s.serveReqs += int64(rep.Requests)
 	s.serveTokens += rep.TokensOut
 	s.mu.Unlock()
-	// Serving jobs account each phase's energy; the per-iteration engines
-	// are internal to serve.Run, so round counts are not surfaced here.
-	s.accountRun(rep.PrefillEnergy, togsim.RoundStats{})
-	s.accountRun(rep.DecodeEnergy, togsim.RoundStats{})
+	// Serving jobs account each phase's energy.
+	s.accountEnergy(rep.PrefillEnergy)
+	s.accountEnergy(rep.DecodeEnergy)
 	return JobResult{
 		Cycles:      rep.Cycles,
 		FreqMHz:     r.Cfg.FreqMHz,

@@ -12,15 +12,12 @@ import (
 )
 
 // runMallocs executes one fresh run and returns the heap allocation count
-// it performed (single-goroutine measurement; the serial engine allocates
-// on one thread and the parallel engine's counts are summed by the
-// runtime either way).
-func runMallocs(t *testing.T, workers int, tiles int64) (uint64, Result) {
+// it performed (single-goroutine measurement).
+func runMallocs(t *testing.T, tiles int64) (uint64, Result) {
 	t.Helper()
 	cfg := npu.SmallConfig()
 	cfg.Cores = 2
 	s := NewStandard(cfg, SimpleNet, dram.FRFCFS)
-	s.Engine.Workers = workers
 	jobs := []*Job{
 		{Name: "a", TOGs: []*tog.TOG{tiledTOG("a", tiles, 8, 128, 30, true)},
 			Bases: []map[string]uint64{{"in": 0, "out": 1 << 22}}, Core: 0},
@@ -44,20 +41,18 @@ func runMallocs(t *testing.T, workers int, tiles int64) (uint64, Result) {
 // objects, so this assertion catches any regression that reintroduces
 // per-burst allocation on the event path.
 func TestRunAllocsAmortized(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		small, resA := runMallocs(t, workers, 20)
-		big, resB := runMallocs(t, workers, 220)
+	small, resA := runMallocs(t, 20)
+	big, resB := runMallocs(t, 220)
 
-		burstBytes := int64(npu.SmallConfig().Mem.BurstBytes)
-		extraBursts := (resB.Jobs[0].DMABytes + resB.Jobs[1].DMABytes -
-			resA.Jobs[0].DMABytes - resA.Jobs[1].DMABytes) / burstBytes
-		if extraBursts < 1000 {
-			t.Fatalf("workload too small to measure: %d extra bursts", extraBursts)
-		}
-		delta := int64(big) - int64(small)
-		if delta > extraBursts/2 {
-			t.Fatalf("workers=%d: %d extra allocations for %d extra bursts (%.2f/burst); event structures are no longer pooled",
-				workers, delta, extraBursts, float64(delta)/float64(extraBursts))
-		}
+	burstBytes := int64(npu.SmallConfig().Mem.BurstBytes)
+	extraBursts := (resB.Jobs[0].DMABytes + resB.Jobs[1].DMABytes -
+		resA.Jobs[0].DMABytes - resA.Jobs[1].DMABytes) / burstBytes
+	if extraBursts < 1000 {
+		t.Fatalf("workload too small to measure: %d extra bursts", extraBursts)
+	}
+	delta := int64(big) - int64(small)
+	if delta > extraBursts/2 {
+		t.Fatalf("%d extra allocations for %d extra bursts (%.2f/burst); event structures are no longer pooled",
+			delta, extraBursts, float64(delta)/float64(extraBursts))
 	}
 }

@@ -418,8 +418,7 @@ func laneOfUnit(u tog.Unit) int32 {
 
 // issueDMA expands a DMA node into burst requests and submits them. Burst
 // records come from the core's freelist: the engine returns them to the
-// pool at delivery time, which always happens on the engine's own
-// goroutine (serial loop or parallel barrier), so the pool is unshared.
+// pool at delivery time.
 func (c *context) issueDMA(g *tog.TOG, n *tog.Node, cs *coreState, fabric Fabric, cycle int64) error {
 	base, ok := c.baseOf(n.Tensor)
 	if !ok {

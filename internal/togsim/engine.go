@@ -10,16 +10,6 @@ import (
 	"repro/internal/tog"
 )
 
-// RoundStats counts the scheduling rounds of a parallel run: Window
-// rounds step every core concurrently across WindowedCycles total safe
-// cycles; Serial rounds execute one globally ordered cycle (a delivery or
-// tightly coupled submission) on the coordinating goroutine.
-type RoundStats struct {
-	Window         int64
-	Serial         int64
-	WindowedCycles int64
-}
-
 // DefaultMaxCycles is the deadlock guard: a run exceeding this many
 // simulated cycles aborts with a diagnostic error listing the stuck jobs.
 // Override per engine via Engine.MaxCycles.
@@ -42,8 +32,8 @@ type Job struct {
 
 // Activity counts the physical work one job performed, in plain int64
 // event counts (the dram.Stats pattern): always on, no floats, no probe
-// dependency, so the values are bit-identical across event-driven, strict,
-// and parallel execution. Energy is derived from these counters post-hoc
+// dependency, so the values are bit-identical across event-driven and
+// strict execution. Energy is derived from these counters post-hoc
 // by the report layer (activity x npu.EnergyTable) — never here.
 type Activity struct {
 	SAMacCycles    int64 // cycles a systolic array streamed this job's tiles (MACs = cycles x rows x cols)
@@ -111,15 +101,11 @@ type Result struct {
 // By default it runs event-driven: each iteration it computes the earliest
 // cycle at which anything can happen — a context wake-up, a job arrival,
 // or a fabric event — and jumps the clock straight there, skipping the
-// idle cycles a polling loop would burn. The skip logic is conservative
-// by construction (components report cycle+1 whenever they cannot bound
-// their next event), so results are bit-identical to per-cycle polling.
-//
-// With Workers > 1 and a fabric that supports conservative windows
-// (WindowFabric), one simulation is executed across host goroutines: each
-// simulated core owns a domain stepped independently inside safe time
-// windows, with core↔fabric traffic replayed at a deterministic barrier.
-// Results remain bit-identical to serial execution (see parallel.go).
+// idle cycles a polling loop would burn. At that cycle it steps only the
+// cores that are due and ticks the fabric only if it has work then. The
+// skip logic is conservative by construction (components report cycle+1
+// whenever they cannot bound their next event), so results are
+// bit-identical to per-cycle polling.
 type Engine struct {
 	Cfg    npu.Config
 	Fabric Fabric
@@ -128,11 +114,6 @@ type Engine struct {
 	// at a time (the original polling loop). Results are identical either
 	// way; the flag exists for equivalence testing and debugging.
 	StrictTick bool
-
-	// Workers is the number of host goroutines a single run may use.
-	// 0 or 1 = serial. Values > 1 enable the windowed parallel engine
-	// when the fabric supports it; results are bit-identical regardless.
-	Workers int
 
 	// MaxCycles guards against deadlock (0 = DefaultMaxCycles).
 	MaxCycles int64
@@ -144,17 +125,6 @@ type Engine struct {
 	// path, and an attached probe never changes the Result — both enforced
 	// by the equivalence tests and the TLS engine benchmarks.
 	Probe obs.Probe
-
-	// Rounds reports how the last parallel Run split its work between
-	// parallel window rounds and serialized single-cycle rounds (always
-	// zero after a serial run). Purely diagnostic.
-	Rounds RoundStats
-
-	// PerturbBarrier is a fault-injection hook for the crosscheck
-	// self-test: it deliberately corrupts the parallel barrier (staged
-	// requests replay one cycle late, in reversed core order), which MUST
-	// make the serial-vs-parallel oracle fire. Never set in production.
-	PerturbBarrier bool
 }
 
 // NewEngine returns an engine over the given fabric.
@@ -185,10 +155,16 @@ type coreState struct {
 	maxCtx     int
 	stats      CoreStats
 
-	// reqPool recycles this core's completed burst requests. Contexts
-	// allocate from it while stepping (possibly inside the core's own
-	// domain goroutine) and the engine returns requests to it at delivery
-	// time (always serial), so the pool needs no lock.
+	// due caches coreNextEvent for the event-driven loop. A core's state
+	// changes only when it steps or receives a delivery, and both set
+	// stale, so a cached value stays exact until then. StrictTick leaves
+	// due at 0: every core steps every cycle.
+	due   int64
+	stale bool
+
+	// reqPool recycles this core's completed burst requests: contexts
+	// allocate from it while stepping and the engine returns requests to
+	// it at delivery time.
 	reqPool []*MemReq
 
 	// Probe-side power track: cumulative dynamic compute energy (pJ) of
@@ -235,6 +211,7 @@ func (e *Engine) prepare(jobs []*Job) ([]*coreState, map[*Job]*JobResult, error)
 			saFree: make([]int64, e.Cfg.Core.NumSAs),
 			maxCtx: 2, // double-buffered contexts (§3.3.1)
 			rates:  rates,
+			stale:  true,
 		}
 	}
 	results := map[*Job]*JobResult{}
@@ -258,22 +235,23 @@ func (e *Engine) prepare(jobs []*Job) ([]*coreState, map[*Job]*JobResult, error)
 
 // stepCore executes one core's slice of one simulated cycle: admit queued
 // jobs into free context slots (FCFS, respecting arrival times), then step
-// every active context against the given fabric, retiring finished jobs.
-// It is the single per-cycle body shared by the serial loop, the strict
-// loop, and the per-domain stepping of the parallel engine — equivalence
-// across modes holds by construction because they all run this code.
-func (e *Engine) stepCore(ci int, cs *coreState, cycle int64, fabric Fabric,
-	results map[*Job]*JobResult, remaining *int, probe obs.Probe) error {
+// every active context against the fabric, retiring finished jobs. It is
+// the single per-cycle body of the event-driven and the strict loop —
+// equivalence across modes holds by construction because both run this
+// code.
+func (e *Engine) stepCore(ci int, cs *coreState, cycle int64,
+	results map[*Job]*JobResult, remaining *int) error {
 	for len(cs.contexts) < cs.maxCtx && len(cs.queue) > 0 && cs.queue[0].Arrival <= cycle {
 		j := cs.queue[0]
 		cs.queue = cs.queue[1:]
-		ctx := newContext(j, ci, e.NodesPerCycle, e.Cfg.Mem.BurstBytes, probe)
+		ctx := newContext(j, ci, e.NodesPerCycle, e.Cfg.Mem.BurstBytes, e.Probe)
 		cs.contexts = append(cs.contexts, ctx)
 		results[j].Start = cycle
 	}
+	cs.stale = true
 	live := cs.contexts[:0]
 	for _, ctx := range cs.contexts {
-		if err := ctx.step(cycle, cs, fabric); err != nil {
+		if err := ctx.step(cycle, cs, e.Fabric); err != nil {
 			return fmt.Errorf("job %q: %w", ctx.job.Name, err)
 		}
 		if ctx.finished() {
@@ -287,8 +265,8 @@ func (e *Engine) stepCore(ci int, cs *coreState, cycle int64, fabric Fabric,
 			r.CollectiveCycles = ctx.collCycles
 			r.Collectives = ctx.collCount
 			*remaining--
-			if probe != nil {
-				probe.Span(obs.CoreTrack(ci, obs.LaneJobs), ctx.job.Name,
+			if e.Probe != nil {
+				e.Probe.Span(obs.CoreTrack(ci, obs.LaneJobs), ctx.job.Name,
 					r.Start, cycle, obs.SpanInfo{Bytes: r.DMABytes})
 			}
 		} else {
@@ -306,11 +284,14 @@ func (e *Engine) deliver(cores []*coreState, cycle int64) {
 		owner := req.owner
 		owner.dmaDone(req, cycle)
 		req.owner = nil
-		cores[req.Core].reqPool = append(cores[req.Core].reqPool, req)
+		cs := cores[req.Core]
+		cs.reqPool = append(cs.reqPool, req)
+		cs.stale = true
 	}
 }
 
-// Run executes all jobs to completion and returns timing results.
+// Run executes all jobs to completion and returns timing results: the
+// event-driven loop, or with StrictTick the per-cycle polling loop.
 func (e *Engine) Run(jobs []*Job) (Result, error) {
 	cores, results, err := e.prepare(jobs)
 	if err != nil {
@@ -319,18 +300,6 @@ func (e *Engine) Run(jobs []*Job) (Result, error) {
 	if e.Probe != nil {
 		e.registerTracks(len(cores))
 	}
-	if e.Workers > 1 && !e.StrictTick {
-		if wf, ok := e.Fabric.(WindowFabric); ok && wf.WindowSafe() {
-			return e.runParallel(jobs, cores, results, wf)
-		}
-	}
-	return e.runSerial(jobs, cores, results)
-}
-
-// runSerial is the single-threaded engine: the event-driven loop (or, with
-// StrictTick, the per-cycle polling loop). It is kept verbatim as the
-// oracle the parallel engine is checked against.
-func (e *Engine) runSerial(jobs []*Job, cores []*coreState, results map[*Job]*JobResult) (Result, error) {
 	maxCycles := e.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = DefaultMaxCycles
@@ -339,14 +308,18 @@ func (e *Engine) runSerial(jobs []*Job, cores []*coreState, results map[*Job]*Jo
 	// The fabric is driven through a kernel meter so every run knows how
 	// many cycles the memory system was actually ticked versus skipped.
 	meter := sim.Meter{C: e.Fabric}
+	// fabricDue is the next cycle the fabric has work (each core's is
+	// coreState.due). StrictTick leaves it 0: the fabric ticks on every
+	// cycle.
+	var fabricDue int64
 	remaining := len(jobs)
 	for remaining > 0 {
 		if !e.StrictTick {
-			// Event-driven advance: find the earliest cycle at which any
-			// context wakes, any job becomes admissible, or the fabric has
-			// work, and jump the clock to just before it so the normal
-			// per-cycle body below executes exactly the cycles that matter.
-			next := e.nextEventCycle(clk.Now(), cores)
+			// Event-driven advance: jump the clock to just before the
+			// earliest cycle at which any context wakes, any job becomes
+			// admissible, or the fabric has work.
+			var next int64
+			fabricDue, next = e.nextEvents(clk.Now(), cores)
 			if next == sim.Never {
 				return Result{}, e.deadlockError(clk.Now(), remaining, cores, "no future event")
 			}
@@ -361,12 +334,21 @@ func (e *Engine) runSerial(jobs []*Job, cores []*coreState, results map[*Job]*Jo
 				fmt.Sprintf("exceeded max cycles (%d)", maxCycles))
 		}
 		for ci, cs := range cores {
-			if err := e.stepCore(ci, cs, cycle, e.Fabric, results, &remaining, e.Probe); err != nil {
+			if cs.due > cycle {
+				continue // stepping a core before its next event is a no-op
+			}
+			if err := e.stepCore(ci, cs, cycle, results, &remaining); err != nil {
 				return Result{}, err
 			}
 		}
-		meter.Tick()
-		e.deliver(cores, cycle)
+		// A fabric that was not due may have been given work this cycle by
+		// the cores' submissions; if not, ticking it would be a no-op.
+		if fabricDue <= cycle || e.Fabric.NextEvent() <= cycle {
+			meter.Tick()
+			e.deliver(cores, cycle)
+		} else {
+			meter.SkipTo(cycle)
+		}
 	}
 	if e.Probe != nil {
 		e.Probe.Counter(obs.FabricTrack, "fabric.busy_cycles", clk.Now(), float64(meter.Ticked))
@@ -402,35 +384,27 @@ func (e *Engine) registerTracks(cores int) {
 	e.Probe.TrackName(obs.LinkTrack, "memory", "link")
 }
 
-// nextEventCycle folds the next-event estimates of every model: blocked
-// contexts report their wake-up cycle, cores with free slots report the
-// head queued job's arrival, and the fabric reports its own earliest
-// activity (which also covers contexts blocked on DMA completions). The
-// returned cycle is > cycle; sim.Never means nothing can ever happen.
-func (e *Engine) nextEventCycle(cycle int64, cores []*coreState) int64 {
-	next := e.Fabric.NextEvent()
-	if next <= cycle+1 {
-		return cycle + 1
-	}
+// nextEvents folds the next-event estimates of every model: it refreshes
+// each stale core's due (coreNextEvent) and returns the fabric's own
+// earliest activity (which also covers contexts blocked on DMA
+// completions) and the earliest of them all, which is > now; sim.Never
+// means nothing can ever happen.
+func (e *Engine) nextEvents(now int64, cores []*coreState) (fabric, next int64) {
+	fabric = e.Fabric.NextEvent()
+	next = fabric
 	for _, cs := range cores {
-		if n := coreNextEvent(cs, cycle); n < next {
-			if n <= cycle+1 {
-				return cycle + 1
-			}
-			next = n
+		if cs.stale {
+			cs.due, cs.stale = coreNextEvent(cs, now), false
 		}
+		next = min(next, cs.due)
 	}
-	if next < cycle+1 {
-		next = cycle + 1
-	}
-	return next
+	return fabric, max(next, now+1)
 }
 
-// coreNextEvent is one core's slice of nextEventCycle: the earliest cycle
-// > cycle at which stepCore for this core would not be a no-op — a queued
-// job becoming admissible into a free slot, or a context wake-up. The
-// parallel engine uses it per domain; the serial engine folds it across
-// cores.
+// coreNextEvent is one core's next event: the earliest cycle > cycle at
+// which stepCore for this core would not be a no-op — a queued job
+// becoming admissible into a free slot, or a context wake-up. Run steps a
+// core only at this cycle and caches it in coreState.due.
 func coreNextEvent(cs *coreState, cycle int64) int64 {
 	next := sim.Never
 	if len(cs.queue) > 0 && len(cs.contexts) < cs.maxCtx {

@@ -11,10 +11,12 @@ import (
 )
 
 // runBothModes executes the same job set under the event-driven engine,
-// the strict per-cycle polling loop, and the windowed parallel engine
-// (fresh setup each time — engines and fabrics are stateful) and asserts
-// all Results are bit-identical: total cycles, per-job Start/End/busy/
-// bytes, and per-core unit stats.
+// which steps only the cores that are due and skips the fabric over cycles
+// it has no work in, and under the strict per-cycle polling loop, which
+// steps every core and ticks the fabric on every cycle (fresh setup each
+// time — engines and fabrics are stateful). It asserts the Results are
+// bit-identical: total cycles, per-job Start/End/busy/bytes, and per-core
+// unit stats.
 func runBothModes(t *testing.T, mkSetup func() *Setup, mkJobs func() []*Job) Result {
 	t.Helper()
 	event := mkSetup()
@@ -30,17 +32,6 @@ func runBothModes(t *testing.T, mkSetup func() *Setup, mkJobs func() []*Job) Res
 	}
 	if !reflect.DeepEqual(evRes, stRes) {
 		t.Fatalf("event-driven result diverges from strict ticking:\nevent:  %+v\nstrict: %+v", evRes, stRes)
-	}
-	for _, workers := range []int{2, 4} {
-		par := mkSetup()
-		par.Engine.Workers = workers
-		pRes, err := par.Engine.Run(mkJobs())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(evRes, pRes) {
-			t.Fatalf("parallel (workers=%d) result diverges from serial:\nserial:   %+v\nparallel: %+v", workers, evRes, pRes)
-		}
 	}
 	return evRes
 }
@@ -111,6 +102,84 @@ func TestEquivalenceMultiTenant(t *testing.T) {
 	res := runBothModes(t, mk, mkJobs)
 	if res.Cycles < 3_000_000 {
 		t.Fatalf("workload too short to exercise skipping: %d cycles", res.Cycles)
+	}
+}
+
+// contentionJobs builds one DMA-heavy job per core, all hammering nearby
+// DRAM regions with staggered arrivals, so the cores couple tightly
+// through fabric contention and are due on different cycles.
+func contentionJobs(cores int) []*Job {
+	jobs := make([]*Job, 0, cores)
+	for ci := 0; ci < cores; ci++ {
+		jobs = append(jobs, &Job{
+			Name:    "j" + string(rune('a'+ci)),
+			TOGs:    []*tog.TOG{tiledTOG("j", 12, 8, 128, 30, ci%2 == 0)},
+			Bases:   []map[string]uint64{{"in": uint64(ci) << 14, "out": 1<<22 + uint64(ci)<<14}},
+			Core:    ci,
+			Src:     ci,
+			Arrival: int64(ci * 97),
+		})
+	}
+	return jobs
+}
+
+// TestEquivalenceContention: tightly coupled multi-core workloads, on both
+// interconnect models (the crossbar refuses submissions under pressure).
+// A zero-latency NoC makes a submission due in the fabric on the cycle it
+// is made, which the event-driven loop must notice before skipping the
+// fabric over that cycle.
+func TestEquivalenceContention(t *testing.T) {
+	for _, net := range []NetKind{SimpleNet, CycleNet} {
+		for _, latency := range []int{2, 0} {
+			for _, cores := range []int{1, 2, 4, 8} {
+				cfg := npu.SmallConfig()
+				cfg.Cores = cores
+				cfg.NoC.LatencyCycle = latency
+				runBothModes(t, func() *Setup { return NewStandard(cfg, net, dram.FRFCFS) },
+					func() []*Job { return contentionJobs(cores) })
+			}
+		}
+	}
+}
+
+// TestEquivalenceResident is the scratchpad-resident shape: eight cores
+// run long chains of short compute nodes and touch DRAM only at tile
+// boundaries, so most cycles have one core due and an idle fabric, and
+// the run spans many tREFI periods the skipped fabric must replay.
+func TestEquivalenceResident(t *testing.T) {
+	cfg := npu.SmallConfig()
+	cfg.Cores = 8
+	cfg.Mem.TREFI, cfg.Mem.TRFC = 3000, 120
+	mk := func() *Setup { return NewStandard(cfg, SimpleNet, dram.FRFCFS) }
+	mkJobs := func() []*Job {
+		var jobs []*Job
+		for c := 0; c < cfg.Cores; c++ {
+			b := tog.NewBuilder("resident", "in", "out")
+			desc := npu.DMADesc{Rows: 4, Cols: 128}
+			b.Loop("i", 0, 4, 1)
+			b.Load("in", desc, tog.AddrExpr{Terms: []tog.AddrTerm{{Var: "i", Coeff: 4096}}}, 0, 0)
+			b.Wait(0)
+			for k := 0; k < 32; k++ {
+				b.Compute(tog.UnitSA, int64(120+c))
+				b.Compute(tog.UnitVector, 40)
+			}
+			b.Store("out", desc, tog.AddrExpr{Terms: []tog.AddrTerm{{Var: "i", Coeff: 4096}}}, 1, 0)
+			b.EndLoop()
+			g, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, &Job{
+				Name: "resident", TOGs: []*tog.TOG{g},
+				Bases: []map[string]uint64{{"in": uint64(c) << 20, "out": uint64(c)<<20 + (1 << 16)}},
+				Core:  c, Src: c,
+			})
+		}
+		return jobs
+	}
+	res := runBothModes(t, mk, mkJobs)
+	if res.Cycles < 2*int64(cfg.Mem.TREFI) {
+		t.Fatalf("workload shorter than two refresh periods: %d cycles", res.Cycles)
 	}
 }
 

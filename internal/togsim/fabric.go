@@ -44,30 +44,6 @@ type Fabric interface {
 	Pending() int
 }
 
-// WindowFabric is the optional capability that lets the engine run one
-// simulation across goroutines with conservative time windows (see
-// parallel.go). A fabric that implements it promises two timing bounds —
-// Lookahead and NextDelivery — that the engine uses to compute horizons
-// inside which core domains provably cannot observe each other. Fabrics
-// that do not implement it (or report WindowSafe false) simply run on the
-// serial path; correctness never depends on this interface, only speed.
-type WindowFabric interface {
-	Fabric
-	// Lookahead returns L >= 1 such that a request submitted at engine
-	// cycle c can never appear in Completed before cycle c+L.
-	Lookahead() int64
-	// NextDelivery returns a conservative lower bound on the earliest
-	// engine cycle at which any in-flight request can appear in Completed,
-	// or sim.Never when nothing is in flight. Undershooting only shrinks
-	// windows; overshooting would break serial equivalence.
-	NextDelivery() int64
-	// WindowSafe reports whether Submit is refusal-free in the fabric's
-	// current configuration. Windows execute cores optimistically against
-	// a staging proxy, so a Submit that the real fabric would have refused
-	// cannot be replayed faithfully; such configurations run serially.
-	WindowSafe() bool
-}
-
 // StdFabric is the standard single-package fabric: a NoC (SN or CN) in
 // front of a multi-channel DRAM. Loads traverse: request delay -> DRAM ->
 // NoC (data back to the core). Stores traverse: NoC (data to memory) ->
@@ -99,8 +75,7 @@ type StdFabric struct {
 	toMemCnt  int
 
 	// Per-port NoC responses refused by a full queue (head-indexed like
-	// toMem), plus the total count so the hot NextEvent/NextDelivery checks
-	// are O(1).
+	// toMem), plus the total count so the hot NextEvent check is O(1).
 	stagedResp [][]*noc.Message
 	stagedHead []int
 	stagedCnt  int
@@ -350,60 +325,3 @@ func (f *StdFabric) Completed() []*MemReq {
 
 // Pending implements Fabric.
 func (f *StdFabric) Pending() int { return f.pending }
-
-// WindowSafe implements WindowFabric: the simple network never refuses a
-// submission, so optimistic window execution can always be replayed
-// faithfully. The crossbar can refuse under extreme queue pressure, which
-// a staging proxy cannot predict, so CN configurations run serially.
-func (f *StdFabric) WindowSafe() bool {
-	_, ok := f.Net.(*noc.Simple)
-	return ok
-}
-
-// Lookahead implements WindowFabric. Loads spend the header request-path
-// delay before reaching DRAM and at least one DRAM cycle; stores spend at
-// least one serialization cycle plus the NoC latency before DRAM. The
-// lookahead is the smaller of the two paths.
-func (f *StdFabric) Lookahead() int64 {
-	loadL := f.reqDelay
-	if loadL < 1 {
-		loadL = 1
-	}
-	var netLat int64
-	if s, ok := f.Net.(*noc.Simple); ok {
-		netLat = s.Latency
-	}
-	if writeL := netLat + 1; writeL < loadL {
-		return writeL
-	}
-	return loadL
-}
-
-// NextDelivery implements WindowFabric. Same-tick retried work (undrained
-// completions, staged responses, channel FIFOs) pins it to the next cycle;
-// otherwise the earliest of the composed models' next events bounds the
-// earliest completion, because both NoC models and both DRAM controllers
-// report NextEvent at or before their next delivery.
-func (f *StdFabric) NextDelivery() int64 {
-	if len(f.done) > 0 || f.stagedCnt > 0 || f.toMemCnt > 0 {
-		return f.cycle + 1
-	}
-	if f.pending == 0 {
-		return sim.Never
-	}
-	next := sim.Earliest(f.Mem.NextEvent(), f.Net.NextEvent())
-	if d := f.delayed.NextCycle(); d != sim.Never && d+1 < next {
-		// A delayed load released at d completes no earlier than d+1.
-		next = d + 1
-	}
-	if next <= f.cycle {
-		next = f.cycle + 1
-	}
-	if next == sim.Never {
-		// pending > 0 guarantees some model holds work; never unbounded.
-		return f.cycle + 1
-	}
-	return next
-}
-
-var _ WindowFabric = (*StdFabric)(nil)

@@ -41,12 +41,15 @@ type Fabric struct {
 	routes [][][]int
 
 	// Per-package FIFOs of requests staged for DRAM submission after link
-	// traversal, and the queue of load data returning over the links.
-	toMem   [][]stagedReq
-	returns sim.EventQueue[*togsim.MemReq]
-	byDram  map[*dram.Request]*togsim.MemReq
-	done    []*togsim.MemReq
-	pending int
+	// traversal, head-indexed so each tick pops O(released) instead of
+	// shifting the whole queue, and the queue of load data returning over
+	// the links.
+	toMem     [][]stagedReq
+	toMemHead []int
+	returns   sim.EventQueue[*togsim.MemReq]
+	byDram    map[*dram.Request]*togsim.MemReq
+	done      []*togsim.MemReq
+	pending   int
 
 	// Stats (fabric-wide; Pkg holds the per-package split).
 	LocalBytes, RemoteBytes int64
@@ -66,7 +69,6 @@ type Fabric struct {
 type stagedReq struct {
 	at  int64
 	req *dram.Request
-	mr  *togsim.MemReq
 }
 
 // NewFabric builds the topology fabric with FR-FCFS controllers. The
@@ -77,10 +79,11 @@ func NewFabric(cfg Config) *Fabric {
 	}
 	p := cfg.Packages()
 	f := &Fabric{
-		cfg:    cfg,
-		byDram: map[*dram.Request]*togsim.MemReq{},
-		toMem:  make([][]stagedReq, p),
-		Pkg:    make([]PackageStats, p),
+		cfg:       cfg,
+		byDram:    map[*dram.Request]*togsim.MemReq{},
+		toMem:     make([][]stagedReq, p),
+		toMemHead: make([]int, p),
+		Pkg:       make([]PackageStats, p),
 	}
 	for i := 0; i < p; i++ {
 		f.mems = append(f.mems, dram.New(cfg.MemPerPackage, dram.FRFCFS))
@@ -173,7 +176,7 @@ func (f *Fabric) Submit(r *togsim.MemReq) bool {
 		}
 		at = f.linkDelay(src, dst, bytes, f.cycle)
 	}
-	f.toMem[dst] = append(f.toMem[dst], stagedReq{at: at, req: dr, mr: r})
+	f.toMem[dst] = append(f.toMem[dst], stagedReq{at: at, req: dr})
 	f.pending++
 	return true
 }
@@ -184,19 +187,11 @@ func (f *Fabric) Tick() {
 	// Release staged requests whose link traversal finished, per package,
 	// in FIFO order; stop at a not-yet-due entry or a full controller.
 	for p := range f.toMem {
-		q := f.toMem[p]
-		i := 0
-		for ; i < len(q); i++ {
-			if q[i].at > f.cycle {
-				break
-			}
-			if !f.mems[p].Submit(q[i].req) {
-				break
-			}
+		q, h := f.toMem[p], f.toMemHead[p]
+		for h < len(q) && q[h].at <= f.cycle && f.mems[p].Submit(q[h].req) {
+			h++
 		}
-		if i > 0 {
-			f.toMem[p] = append(q[:0], q[i:]...)
-		}
+		f.toMem[p], f.toMemHead[p] = sim.CompactFIFO(q, h)
 	}
 
 	for p, m := range f.mems {
@@ -251,9 +246,9 @@ func (f *Fabric) NextEvent() int64 {
 		return f.cycle + 1
 	}
 	next := f.returns.NextCycle()
-	for p := range f.toMem {
-		if q := f.toMem[p]; len(q) > 0 {
-			at := q[0].at
+	for p, q := range f.toMem {
+		if h := f.toMemHead[p]; h < len(q) {
+			at := q[h].at
 			if at <= f.cycle {
 				return f.cycle + 1
 			}
@@ -292,52 +287,4 @@ func (f *Fabric) Completed() []*togsim.MemReq {
 // Pending implements togsim.Fabric.
 func (f *Fabric) Pending() int { return f.pending }
 
-// Lookahead implements togsim.WindowFabric. A submission at cycle c is
-// staged with arrival at earliest c+1 (local, before any NoC latency) or
-// after at least one link serialization slot plus LinkLatency (remote),
-// and a staged request reaches DRAM no earlier than its arrival cycle, so
-// nothing submitted at c can complete before c+1.
-func (f *Fabric) Lookahead() int64 {
-	l := int64(1)
-	if f.cfg.NoCLatency > 0 && f.cfg.Packages() == 1 {
-		// Single package: every request pays the NoC latency.
-		l += f.cfg.NoCLatency
-	}
-	return l
-}
-
-// NextDelivery implements togsim.WindowFabric: the earliest cycle any
-// in-flight request could appear in Completed is bounded below by the
-// already-delivered queue, the link-return queue, the staging FIFO heads,
-// and the DRAM controllers' next events.
-func (f *Fabric) NextDelivery() int64 {
-	if len(f.done) > 0 {
-		return f.cycle + 1
-	}
-	if f.pending == 0 {
-		return sim.Never
-	}
-	next := f.returns.NextCycle()
-	for p := range f.toMem {
-		if q := f.toMem[p]; len(q) > 0 && q[0].at < next {
-			next = q[0].at
-		}
-	}
-	for _, m := range f.mems {
-		if e := m.NextEvent(); e < next {
-			next = e
-		}
-	}
-	if next <= f.cycle {
-		return f.cycle + 1
-	}
-	return next
-}
-
-// WindowSafe implements togsim.WindowFabric: Submit never refuses.
-func (f *Fabric) WindowSafe() bool { return true }
-
-var (
-	_ togsim.Fabric       = (*Fabric)(nil)
-	_ togsim.WindowFabric = (*Fabric)(nil)
-)
+var _ togsim.Fabric = (*Fabric)(nil)

@@ -116,13 +116,12 @@ func loadJob(name string, core int, tiles int64, base uint64) *togsim.Job {
 	}
 }
 
-func runOn(t *testing.T, tc topo.Config, workers int, strict bool, jobs func() []*togsim.Job) (togsim.Result, *topo.Fabric) {
+func runOn(t *testing.T, tc topo.Config, strict bool, jobs func() []*togsim.Job) (togsim.Result, *topo.Fabric) {
 	t.Helper()
 	cfg := npu.SmallConfig()
 	cfg.Cores = tc.TotalCores()
 	f := topo.NewFabric(tc)
 	eng := togsim.NewEngine(cfg, f)
-	eng.Workers = workers
 	eng.StrictTick = strict
 	res, err := eng.Run(jobs())
 	if err != nil {
@@ -135,10 +134,10 @@ func runOn(t *testing.T, tc topo.Config, workers int, strict bool, jobs func() [
 // must cost more cycles and more link flits than from the adjacent one.
 func TestChainHopsCostMore(t *testing.T) {
 	tc := testTopo("mesh1x4", t)
-	near, fn := runOn(t, tc, 0, false, func() []*togsim.Job {
+	near, fn := runOn(t, tc, false, func() []*togsim.Job {
 		return []*togsim.Job{loadJob("near", 0, 32, tc.PackageBase(1))}
 	})
-	far, ff := runOn(t, tc, 0, false, func() []*togsim.Job {
+	far, ff := runOn(t, tc, false, func() []*togsim.Job {
 		return []*togsim.Job{loadJob("far", 0, 32, tc.PackageBase(3))}
 	})
 	if far.Cycles <= near.Cycles {
@@ -153,8 +152,8 @@ func TestChainHopsCostMore(t *testing.T) {
 }
 
 // TestEngineModesBitIdentical: one mesh2x2 workload through the
-// event-driven, strict-tick, and parallel (workers=4) engines must produce
-// identical results and identical fabric stats.
+// event-driven and the strict-tick engine must produce identical results
+// and identical fabric stats.
 func TestEngineModesBitIdentical(t *testing.T) {
 	tc := testTopo("mesh2x2", t)
 	jobs := func() []*togsim.Job {
@@ -165,22 +164,16 @@ func TestEngineModesBitIdentical(t *testing.T) {
 			loadJob("d", 3, 24, tc.PackageBase(0)),
 		}
 	}
-	ev, fe := runOn(t, tc, 0, false, jobs)
-	st, fs := runOn(t, tc, 0, true, jobs)
-	pw, fp := runOn(t, tc, 4, false, jobs)
+	ev, fe := runOn(t, tc, false, jobs)
+	st, fs := runOn(t, tc, true, jobs)
 	if !reflect.DeepEqual(ev, st) {
 		t.Fatalf("event vs strict diverge:\n%+v\n%+v", ev, st)
 	}
-	if !reflect.DeepEqual(ev, pw) {
-		t.Fatalf("event vs workers=4 diverge:\n%+v\n%+v", ev, pw)
+	if fs.LocalBytes != fe.LocalBytes || fs.RemoteBytes != fe.RemoteBytes || fs.LinkFlits != fe.LinkFlits {
+		t.Fatalf("fabric stats diverge across engine modes")
 	}
-	for _, f := range []*topo.Fabric{fs, fp} {
-		if f.LocalBytes != fe.LocalBytes || f.RemoteBytes != fe.RemoteBytes || f.LinkFlits != fe.LinkFlits {
-			t.Fatalf("fabric stats diverge across engine modes")
-		}
-		if !reflect.DeepEqual(f.Pkg, fe.Pkg) {
-			t.Fatalf("per-package stats diverge across engine modes")
-		}
+	if !reflect.DeepEqual(fs.Pkg, fe.Pkg) {
+		t.Fatalf("per-package stats diverge across engine modes")
 	}
 	if fe.RemoteBytes == 0 || fe.LinkFlits == 0 {
 		t.Fatal("workload should exercise the links")
@@ -213,7 +206,7 @@ func collJob(name string, core int, local, peer uint64, payload int64) *togsim.J
 }
 
 // TestCollectiveRegionAccounting: an expanded all-reduce region runs
-// bit-identically across all three engine modes, attributes its cycles to
+// bit-identically event-driven and under StrictTick, attributes its cycles to
 // JobResult.CollectiveCycles, and moves bytes over the package link.
 func TestCollectiveRegionAccounting(t *testing.T) {
 	tc := testTopo("pkg2", t)
@@ -224,11 +217,10 @@ func TestCollectiveRegionAccounting(t *testing.T) {
 			collJob("rank1", 1, tc.PackageBase(1)+1<<16, tc.PackageBase(0), payload),
 		}
 	}
-	ev, fe := runOn(t, tc, 0, false, jobs)
-	st, _ := runOn(t, tc, 0, true, jobs)
-	pw, _ := runOn(t, tc, 2, false, jobs)
-	if !reflect.DeepEqual(ev, st) || !reflect.DeepEqual(ev, pw) {
-		t.Fatalf("collective diverges across engine modes:\n%+v\n%+v\n%+v", ev, st, pw)
+	ev, fe := runOn(t, tc, false, jobs)
+	st, _ := runOn(t, tc, true, jobs)
+	if !reflect.DeepEqual(ev, st) {
+		t.Fatalf("collective diverges across engine modes:\n%+v\n%+v", ev, st)
 	}
 	for _, jr := range ev.Jobs {
 		if jr.Collectives != 1 {
