@@ -1,10 +1,11 @@
 // Command ptserve is the LLM serving simulator: it synthesizes a seeded
 // Poisson trace of generation requests and replays it through the
-// continuous-batching scheduler, simulating every prefill pass and decode
-// step on the NPU timing model. The report is serving-shaped — TTFT and
-// per-token latency percentiles, tokens/sec, batch occupancy — plus the
-// compile-cache behaviour of the autoregressive loop (decode steps after
-// the first at a given shape are 100% cache hits).
+// continuous-batching scheduler, timing every prefill pass and decode step
+// on the NPU timing model (each distinct iteration shape is simulated once
+// and replayed; -trace simulates every iteration). The report is
+// serving-shaped — TTFT and per-token latency percentiles, tokens/sec,
+// batch occupancy — plus the compile-cache behaviour of the autoregressive
+// loop (decode steps after the first at a given shape are 100% cache hits).
 //
 // Usage:
 //

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/npu"
+	"repro/internal/obs"
 	"repro/internal/obs/report"
 	"repro/internal/serve"
 	"repro/internal/service/modelzoo"
@@ -15,13 +16,16 @@ import (
 
 // CheckServe is the serve-determinism oracle: each seeded serving scenario
 // (Poisson arrivals, continuous batching, prefill + decode iterations)
-// must produce a bit-identical report when replayed with the same seed.
-// Each run gets a fresh compile cache, so cache-hit accounting
-// is part of the comparison: the prefill-per-shape / decode-replay
-// behaviour must reproduce too. Two scenarios run: the single-package
-// baseline with fixed prompts, and a pkg2 tensor-parallel scenario with
-// per-request context lengths drawn from a seeded uniform distribution
-// (collective timing and ctx-dist draws join the determinism contract).
+// must produce a bit-identical report when replayed with the same seed,
+// and again when replayed with a recording probe attached. A probed run
+// simulates every iteration while an unprobed one replays repeated
+// shapes, so the third leg is the memo-off ≡ memo-on check. Each run gets
+// a fresh compile cache, so cache-hit accounting is part of the
+// comparison: the prefill-per-shape / decode-replay behaviour must
+// reproduce too. Two scenarios run: the single-package baseline with fixed
+// prompts, and a pkg2 tensor-parallel scenario with per-request context
+// lengths drawn from a seeded uniform distribution (collective timing and
+// ctx-dist draws join the determinism contract).
 func CheckServe(seed int64) error {
 	for _, sc := range []struct {
 		name string
@@ -30,17 +34,19 @@ func CheckServe(seed int64) error {
 		{"baseline", false},
 		{"pkg2-tensor+ctx-dist", true},
 	} {
-		base, err := runServeScenario(seed, sc.topo)
+		base, err := runServeScenario(seed, sc.topo, nil)
 		if err != nil {
 			return fmt.Errorf("serve scenario %s failed: %w", sc.name, err)
 		}
-		again, err := runServeScenario(seed, sc.topo)
-		if err != nil {
-			return fmt.Errorf("serve replay %s failed: %w", sc.name, err)
-		}
-		if !reflect.DeepEqual(base, again) {
-			return fmt.Errorf("serve-determinism (%s): same seed %d, different reports:\nfirst:  %+v\nsecond: %+v",
-				sc.name, seed, base, again)
+		for _, probe := range []obs.Probe{nil, obs.NewTraceWriter()} {
+			again, err := runServeScenario(seed, sc.topo, probe)
+			if err != nil {
+				return fmt.Errorf("serve replay %s (probed %v) failed: %w", sc.name, probe != nil, err)
+			}
+			if !reflect.DeepEqual(base, again) {
+				return fmt.Errorf("serve-determinism (%s, probed %v): same seed %d, different reports:\nfirst:  %+v\nsecond: %+v",
+					sc.name, probe != nil, seed, base, again)
+			}
 		}
 	}
 	return nil
@@ -50,8 +56,9 @@ func CheckServe(seed int64) error {
 // compiler and memoized compile results (the cache-hit semantics of the
 // service's content-addressed cache, minus persistence). With topoVariant
 // the decoder serves tensor-parallel over two packages and prompt lengths
-// come from a seeded uniform distribution.
-func runServeScenario(seed int64, topoVariant bool) (report.ServeReport, error) {
+// come from a seeded uniform distribution. A non-nil probe records the
+// run's trace.
+func runServeScenario(seed int64, topoVariant bool, probe obs.Probe) (report.ServeReport, error) {
 	cfg := npu.SmallConfig()
 	comp := compiler.New(cfg, compiler.DefaultOptions())
 	memo := map[string]*compiler.Compiled{}
@@ -78,6 +85,7 @@ func runServeScenario(seed int64, topoVariant bool) (report.ServeReport, error) 
 		MaxBatch: 2,
 		KVBlock:  16,
 		Compile:  compile,
+		Probe:    probe,
 	}
 	reqs := serve.PoissonTrace(seed, 3, 2e5, cfg.FreqMHz, 4, 4)
 	if topoVariant {

@@ -1,17 +1,19 @@
 // Package serve is the LLM inference serving subsystem: it replays a trace
 // of generation requests through an iteration-level continuous-batching
-// scheduler, simulating every prefill pass and decode step on the NPU
-// timing model and accounting tokens, latencies, and compile-cache
-// behaviour per request.
+// scheduler, timing every prefill pass and decode step on the NPU timing
+// model and accounting tokens, latencies, and compile-cache behaviour per
+// request.
 //
 // The scheduler is the vLLM/Orca-style loop at iteration granularity:
 // between any two NPU iterations, newly arrived requests are admitted (up
 // to MaxBatch) and finished requests leave, so the decode batch grows and
 // shrinks continuously instead of waiting for a full batch to drain.
 //
-// Every NPU iteration is one compiled graph simulated by a fresh TLS
-// engine, so serving cycles are bit-identical to a standalone ptsim run of
-// the same shape. Decode graphs are shaped by the KV length padded up to
+// Every NPU iteration is one compiled graph timed on a fresh TLS engine, so
+// serving cycles are bit-identical to a standalone ptsim run of the same
+// shape; each distinct shape is simulated once per run and then replayed
+// (engine runs = PrefillShapes + DecodeShapes). Decode graphs are shaped
+// by the KV length padded up to
 // Config.KVBlock — the paged-KV trick that makes decode steps at nearby
 // context lengths share one compiled artifact: the first step at a given
 // (batch, padded-KV) shape compiles, every later step at that shape is a
@@ -76,7 +78,8 @@ type Config struct {
 	// Probe, when non-nil, receives every iteration's engine trace events
 	// shifted onto the continuous serve timeline (each iteration's engine
 	// starts at cycle 0; an obs.OffsetProbe adds the iteration's start
-	// cycle). Attaching it never changes the report — the serve-determinism
+	// cycle). A probed run simulates every iteration instead of replaying
+	// repeated shapes, yet its report is the same — the serve-determinism
 	// oracle compares probed and unprobed runs.
 	Probe obs.Probe
 }
@@ -173,7 +176,12 @@ func Run(cfg Config, reqs []Request) (report.ServeReport, error) {
 			return report.ServeReport{}, fmt.Errorf("serve: request %d (%q) needs positive prompt and output", i, r.ID)
 		}
 	}
+	return (&runState{cfg: cfg, sims: map[modelzoo.Spec]report.ActivityTotals{}}).run(reqs)
+}
 
+// run is Run's scheduler loop over a validated, defaulted config.
+func (s *runState) run(reqs []Request) (report.ServeReport, error) {
+	cfg := s.cfg
 	waiting := append([]Request(nil), reqs...)
 	sort.SliceStable(waiting, func(i, j int) bool {
 		if waiting[i].Arrival != waiting[j].Arrival {
@@ -182,7 +190,6 @@ func Run(cfg Config, reqs []Request) (report.ServeReport, error) {
 		return waiting[i].ID < waiting[j].ID
 	})
 
-	s := &runState{cfg: cfg}
 	var (
 		running []*reqState
 		done    []*reqState
@@ -269,6 +276,11 @@ type runState struct {
 	// the post-hoc energy derivation (plain int64s: deterministic).
 	prefillAct report.ActivityTotals
 	decodeAct  report.ActivityTotals
+
+	// sims holds each shape's engine outcome (Cycles included): a fresh
+	// stack under the run's fixed NPU, net, topology and MaxCycles always
+	// simulates a spec to the same result.
+	sims map[modelzoo.Spec]report.ActivityTotals
 }
 
 // prefill simulates one request's prompt pass (starting at serve cycle
@@ -306,8 +318,9 @@ func (s *runState) decode(batch, kvLen int, at int64) (int64, error) {
 // iterate compiles (or fetches) one iteration's graph and runs it on a
 // fresh core.Stack — the same compile-then-simulate funnel as a standalone
 // run, so iteration cycles are bit-identical to ptsim's, on one package or
-// one rank per package of the serving topology. It returns the iteration's
-// activity totals for phase energy accounting.
+// one rank per package of the serving topology — or, for a shape already
+// run, replays the stored outcome (compile-hit accounting is unchanged). It
+// returns the iteration's activity totals for phase energy accounting.
 func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.ActivityTotals, bool, error) {
 	if s.cfg.Topo.Packages() > 1 {
 		spec.Topology, spec.Parallel = s.cfg.Topo.Name, s.cfg.Parallel
@@ -315,6 +328,11 @@ func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.Activity
 	comp, hit, err := s.cfg.Compile(spec)
 	if err != nil {
 		return 0, report.ActivityTotals{}, false, err
+	}
+	// A probe needs every iteration's spans at its own serve offset, so
+	// probed runs neither replay nor store.
+	if act, ok := s.sims[spec]; ok && s.cfg.Probe == nil {
+		return act.Cycles, act, hit, nil
 	}
 	st := core.NewStack(s.cfg.NPU, s.cfg.Net, s.cfg.Topo)
 	if s.cfg.MaxCycles > 0 {
@@ -333,7 +351,11 @@ func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.Activity
 	if err != nil {
 		return 0, report.ActivityTotals{}, hit, err
 	}
-	return res.Cycles, report.Totals(res, in.Mem, in.NoCFlits, in.LinkFlits), hit, nil
+	act := report.Totals(res, in.Mem, in.NoCFlits, in.LinkFlits)
+	if s.cfg.Probe == nil {
+		s.sims[spec] = act
+	}
+	return res.Cycles, act, hit, nil
 }
 
 // report assembles the final ServeReport (no host time: deterministic).
