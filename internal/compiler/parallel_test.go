@@ -15,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/isa"
 	"repro/internal/npu"
+	"repro/internal/tensor"
 )
 
 // countingMeasurer wraps the real measurer and counts invocations, so
@@ -89,6 +90,54 @@ func TestWorkerCountIsInvisible(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base, comp) {
 			t.Fatalf("workers=%d produced a different compilation than workers=1", workers)
+		}
+	}
+}
+
+// TestRecycledMeasurePassMatchesFreshCores compiles with the default
+// measurer, which recycles its measuring cores within the measure pass, and
+// with the zero TimingMeasurer, which measures every kernel on a fresh
+// core: the latencies and the compilations must be identical.
+func TestRecycledMeasurePassMatchesFreshCores(t *testing.T) {
+	conv := func() *graph.Graph {
+		cs := tensor.ConvShape{N: 1, C: 4, H: 8, W: 8, K: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		g := graph.New("conv")
+		x := g.Input("x", 1, 4, 8, 8)
+		w := g.Param("w", 8, 4, 3, 3)
+		cv := g.Add(&graph.Node{Op: graph.OpConv2D, Inputs: []int{x.ID, w.ID}, Conv: cs, Shape: []int{1, 8, 8, 8}})
+		g.Outputs = []int{cv.ID}
+		return g
+	}
+	cases := []struct {
+		name  string
+		cfg   npu.Config
+		graph func() *graph.Graph
+	}{
+		{"linear-small", small(), testGraph},
+		{"conv-small", small(), conv},
+		{"linear-tpuv3", npu.TPUv3Config(), func() *graph.Graph { return linearGraph(96, 256, 192, true) }},
+	}
+	for _, tc := range cases {
+		recycled := New(tc.cfg, DefaultOptions())
+		recycled.Workers = 2
+		fresh := New(tc.cfg, DefaultOptions())
+		fresh.Measurer = TimingMeasurer{}
+		a, err := recycled.Compile(tc.graph())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		b, err := fresh.Compile(tc.graph())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if recycled.MeasureCount() < 3 {
+			t.Fatalf("%s: measured %d kernels; too few for a core to be recycled", tc.name, recycled.MeasureCount())
+		}
+		if !reflect.DeepEqual(recycled.Latencies(), fresh.Latencies()) {
+			t.Fatalf("%s: recycled cores measured %v, fresh cores %v", tc.name, recycled.Latencies(), fresh.Latencies())
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: recycled and fresh measure passes compiled differently", tc.name)
 		}
 	}
 }

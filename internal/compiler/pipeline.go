@@ -46,11 +46,22 @@ type Measurer interface {
 
 // TimingMeasurer is the production Measurer: the deterministic core timing
 // pipeline over the functional simulator.
-type TimingMeasurer struct{}
+type TimingMeasurer struct {
+	// Meter, when non-nil, recycles the measuring cores across calls; the
+	// zero value measures every kernel on a fresh core. Either way the
+	// cycle counts are the same.
+	Meter *timingsim.Meter
+}
 
 // Measure implements Measurer.
-func (TimingMeasurer) Measure(cfg npu.CoreConfig, p *isa.Program) (int64, error) {
-	res, err := timingsim.MeasureKernel(cfg, p, nil)
+func (t TimingMeasurer) Measure(cfg npu.CoreConfig, p *isa.Program) (int64, error) {
+	var res timingsim.Result
+	var err error
+	if t.Meter != nil {
+		res, err = t.Meter.Measure(cfg, p, nil)
+	} else {
+		res, err = timingsim.MeasureKernel(cfg, p, nil)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -173,10 +184,12 @@ func (c *Compiler) codegenPass(st *state) error {
 // seeded from disk) cost a map lookup; the rest fan out across the worker
 // pool, singleflighted per signature so concurrent Compile calls — even on
 // different Compilers sharing the cache — never duplicate a measurement.
+// The default measurer recycles its measuring cores within this one pass
+// (one per worker), and lets them go with the pass.
 func (c *Compiler) measurePass(st *state) error {
 	m := c.Measurer
 	if m == nil {
-		m = TimingMeasurer{}
+		m = TimingMeasurer{Meter: &timingsim.Meter{}}
 	}
 	return runParallel(len(st.measureReqs), c.workers(), func(i int) error {
 		req := st.measureReqs[i]

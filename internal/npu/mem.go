@@ -80,6 +80,7 @@ func (m *PagedMem) FootprintBytes() int64 { return int64(len(m.pages)) * pageByt
 // Scratchpad is the per-core software-managed SRAM, mapped at isa.SpadBase.
 type Scratchpad struct {
 	words []uint32
+	dirty int // words[dirty:] have never been stored to since the last Reset
 }
 
 // NewScratchpad returns a scratchpad of the given byte capacity.
@@ -106,7 +107,22 @@ func (s *Scratchpad) index(addr uint64) int {
 func (s *Scratchpad) LoadW(addr uint64) uint32 { return s.words[s.index(addr)] }
 
 // StoreW implements Mem.
-func (s *Scratchpad) StoreW(addr uint64, v uint32) { s.words[s.index(addr)] = v }
+func (s *Scratchpad) StoreW(addr uint64, v uint32) {
+	i := s.index(addr)
+	s.words[i] = v
+	if i >= s.dirty {
+		s.dirty = i + 1
+	}
+}
+
+// Reset zeroes the scratchpad, leaving it equal to a new one of the same
+// capacity. Only the words up to the highest one ever stored are cleared,
+// so resetting after a kernel that used a few tiles of a 16 MiB scratchpad
+// costs those tiles, not 16 MiB.
+func (s *Scratchpad) Reset() {
+	clear(s.words[:s.dirty])
+	s.dirty = 0
+}
 
 // LoadF loads a float32.
 func (s *Scratchpad) LoadF(addr uint64) float32 { return math.Float32frombits(s.LoadW(addr)) }

@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
-# profile: CPU-profile the untraced serial engine on one model and print
-# where the host time goes. Runs the matching BenchmarkEngine<Model>C<n>Serial
-# (bench_test.go) with -cpuprofile and prints `go tool pprof -top` under a
-# host stamp, so a claim about a hot spot is one command away from a table:
+# profile: CPU-profile the untraced serial engine on one model, or the cold
+# compiler, and print where the host time goes. Runs the matching root
+# benchmark (bench_test.go) with -cpuprofile and prints `go tool pprof -top`
+# under a host stamp, so a claim about a hot spot is one command away from
+# a table:
 #
 #   make profile MODEL=resnet18 CORES=1        # or scripts/profile.sh resnet18 1
+#   make profile MODEL=compile                 # or scripts/profile.sh compile
 #
-# MODEL is resnet18 or bert-base, CORES is 1, 4 or 8; RUNS (default 3) is
-# the -benchtime iteration count and ROWS (default 15) the table length.
-# The profile, the test binary pprof needs to symbolize it, and the table
-# stay in profile/ (git-ignored) for `go tool pprof -list` afterwards.
+# MODEL is resnet18 or bert-base (BenchmarkEngine<Model>C<n>Serial, CORES
+# 1, 4 or 8), or compile (BenchmarkCompileParallel: a cold resnet18 compile
+# on TPUv3, CORES ignored), which also writes an allocation profile and
+# prints its alloc_space table. RUNS (default 3) is the -benchtime
+# iteration count and ROWS (default 15) the table length. The profiles, the
+# test binary pprof needs to symbolize them, and the tables stay in
+# profile/ (git-ignored) for `go tool pprof -list` afterwards.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,17 +26,24 @@ rows=${ROWS:-15}
 case "$model" in
     resnet18) name=Resnet18 ;;
     bert-base) name=BertBase ;;
-    *) echo "profile: unknown MODEL '$model' (resnet18, bert-base)" >&2; exit 2 ;;
+    compile) ;;
+    *) echo "profile: unknown MODEL '$model' (resnet18, bert-base, compile)" >&2; exit 2 ;;
 esac
-case "$cores" in
-    1|4|8) ;;
-    *) echo "profile: unknown CORES '$cores' (1, 4, 8)" >&2; exit 2 ;;
-esac
-bench="BenchmarkEngine${name}C${cores}Serial"
-
 dir=profile
 mkdir -p "$dir"
-base="$dir/$model-c$cores"
+memflags=()
+if [ "$model" = compile ]; then
+    bench=BenchmarkCompileParallel
+    base="$dir/compile"
+    memflags=(-test.memprofile "$base.mem.prof")
+else
+    case "$cores" in
+        1|4|8) ;;
+        *) echo "profile: unknown CORES '$cores' (1, 4, 8)" >&2; exit 2 ;;
+    esac
+    bench="BenchmarkEngine${name}C${cores}Serial"
+    base="$dir/$model-c$cores"
+fi
 
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 if [ "$commit" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
@@ -42,10 +54,14 @@ stamp="host: $(getconf _NPROCESSORS_ONLN) CPUs, GOMAXPROCS=${GOMAXPROCS:-$(getco
 go test -c -o "$base.test" .
 echo "profile: $bench x$runs"
 "./$base.test" -test.run '^$' -test.bench "^${bench}\$" -test.benchtime "${runs}x" \
-    -test.timeout 3600s -test.cpuprofile "$base.prof" | grep '^Benchmark'
+    -test.timeout 3600s -test.cpuprofile "$base.prof" "${memflags[@]}" | grep '^Benchmark'
 
 {
     echo "$stamp"
     go tool pprof -top -nodecount="$rows" "$base.test" "$base.prof" 2>/dev/null | sed -n '/^Duration:/p;/flat%/,$p'
+    if [ "$model" = compile ]; then
+        echo "allocated bytes (alloc_space):"
+        go tool pprof -top -sample_index=alloc_space -nodecount="$rows" "$base.test" "$base.mem.prof" 2>/dev/null | sed -n '/flat%/,$p'
+    fi
 } | tee "$base.top.txt"
 echo "profile: wrote $base.prof (binary $base.test, table $base.top.txt)"
