@@ -7,6 +7,11 @@
 // batch occupancy — plus the compile-cache behaviour of the autoregressive
 // loop (decode steps after the first at a given shape are 100% cache hits).
 //
+// A ptserve run is a ptsimd serving job run in-process: the flags fill a
+// service.JobSpec, so a zero-valued serving flag means the job API's
+// default (e.g. -requests 0 serves 4 requests) and a negative one is
+// rejected.
+//
 // Usage:
 //
 //	ptserve -model decoder-small -requests 8 -rate 2000 -gen 16
@@ -19,16 +24,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
-	"repro/internal/compiler"
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/service"
-	"repro/internal/service/cache"
-	"repro/internal/service/modelzoo"
-	"repro/internal/togsim"
 )
 
 func main() {
@@ -59,80 +57,43 @@ func run() error {
 	jsonOut := flag.Bool("json", false, "print the serving report as JSON on stdout")
 	flag.Parse()
 
-	if !strings.HasPrefix(*model, "decoder-") || !modelzoo.Known(*model) {
-		return fmt.Errorf("serving needs a decoder model, got %q", *model)
-	}
 	npuName := "tpuv3"
 	if *small {
 		npuName = "small"
 	}
-	npuCfg, err := modelzoo.NPUConfig(npuName)
-	if err != nil {
-		return err
+	// The daemon's own serving job: the same resolver validates the flags
+	// (a zero flag means the wire default) and the same body runs it, so a
+	// ptserve run and a ptsimd serve job of one spec report the same thing.
+	spec := service.JobSpec{
+		Model: *model, Topology: *topology, Parallel: *parStrat,
+		NPU: npuName, Net: *netKind, MaxCycles: *maxCycles,
+		Serve: &service.ServeSpec{
+			Requests: *requests, RatePerSec: *rate, Seed: *seed, CtxDist: *ctxDist,
+			Prompt: *prompt, Output: *gen, MaxBatch: *maxBatch, KVBlock: *kvBlock,
+		},
 	}
-	net := togsim.SimpleNet
-	switch *netKind {
-	case "sn":
-	case "cn":
-		net = togsim.CycleNet
-	default:
-		return fmt.Errorf("unknown net %q (sn, cn)", *netKind)
-	}
-
 	// The same content-addressed compile cache the daemon uses: prefill
 	// compiles once per prompt shape, decode once per (batch, padded-KV)
 	// shape, and with -cache-dir the artifacts outlive this process.
-	cc := service.NewCache()
+	svc := service.New(service.Config{})
 	if *cacheDir != "" {
-		disk, err := cache.NewDisk(*cacheDir)
-		if err != nil {
+		if err := svc.EnableDiskCache(*cacheDir); err != nil {
 			return fmt.Errorf("opening cache dir: %w", err)
 		}
-		cc.SetStore(cache.NewLayered(cache.NewMemory(), disk))
 	}
-	opts := compiler.DefaultOptions()
-	compile := func(spec modelzoo.Spec) (*compiler.Compiled, bool, error) {
-		comp, _, hit, err := cc.CompileSpec(spec, npuCfg, opts)
-		return comp, hit, err
-	}
-
-	cfg := serve.Config{
-		Model:     *model,
-		NPU:       npuCfg,
-		Net:       net,
-		MaxBatch:  *maxBatch,
-		KVBlock:   *kvBlock,
-		MaxCycles: *maxCycles,
-		Compile:   compile,
-	}
-	tc, err := modelzoo.Topology(modelzoo.Spec{Model: *model, Topology: *topology, Parallel: *parStrat}, npuCfg.Mem)
-	if err != nil {
-		return err
-	}
-	if tc.Packages() > 1 {
-		if *parStrat != "tensor" {
-			return fmt.Errorf("multi-package serving requires -parallel tensor, got %q", *parStrat)
-		}
-		cfg.Topo, cfg.Parallel = tc, *parStrat
-	}
+	// probe stays a nil interface without -trace: a nil *TraceWriter in it
+	// would be a non-nil probe and turn off the per-shape replay.
+	var probe obs.Probe
 	var tw *obs.TraceWriter
 	if *traceOut != "" {
 		tw = obs.NewTraceWriter()
-		cfg.Probe = tw
+		probe = tw
 	}
-	reqs := serve.PoissonTrace(*seed, *requests, *rate, npuCfg.FreqMHz, *prompt, *gen)
-	dist, err := serve.ParseCtxDist(*ctxDist)
+	res, err := svc.Simulate(spec, probe)
 	if err != nil {
 		return err
 	}
-	serve.ApplyCtxDist(reqs, dist, *seed)
-	start := time.Now()
-	rep, err := serve.Run(cfg, reqs)
-	if err != nil {
-		return err
-	}
-	rep.NPU = npuName
-	rep.WallMs = float64(time.Since(start)) / 1e6
+	rep := *res.ServeReport
 	if tw != nil {
 		if err := tw.WriteFile(*traceOut); err != nil {
 			return err

@@ -24,10 +24,10 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/report"
+	"repro/internal/service"
 	"repro/internal/service/cache"
 	"repro/internal/service/modelzoo"
 	"repro/internal/tog"
@@ -78,21 +78,19 @@ func run() error {
 		logw = os.Stderr
 	}
 
-	spec := modelzoo.Spec{Model: *model, Batch: *batch, N: *n, Seq: *seq, Ctx: *ctx, Prefill: *prefill,
-		Topology: *topology, Parallel: *parStrat}
 	npuName := "tpuv3"
 	if *small {
 		npuName = "small"
 	}
-	cfg, err := modelzoo.NPUConfig(npuName)
+	// The daemon's resolver validates the flags, so ptsim accepts exactly
+	// the specs a ptsimd job would.
+	r, err := service.JobSpec{Model: *model, Batch: *batch, N: *n, Seq: *seq, Ctx: *ctx, Prefill: *prefill,
+		Topology: *topology, Parallel: *parStrat, NPU: npuName, Net: *netKind, DMA: *dmaMode,
+		Fusion: fusion, ConvOpt: convOpt, MaxCycles: *maxCycles}.Resolve()
 	if err != nil {
 		return err
 	}
-	tc, err := modelzoo.Topology(spec, cfg.Mem)
-	if err != nil {
-		return err
-	}
-	multi := tc.Packages() > 1
+	multi := r.Topo.Packages() > 1
 	if multi {
 		if *mode != "tls" {
 			return fmt.Errorf("-topology %s requires -mode tls", *topology)
@@ -101,26 +99,14 @@ func run() error {
 			return fmt.Errorf("-autotune is not supported with multi-package topologies")
 		}
 	}
-	g, err := modelzoo.BuildRankGraph(spec, tc.Packages())
+	g, err := modelzoo.BuildRankGraph(r.Spec, r.Topo.Packages())
 	if err != nil {
 		return err
 	}
-	opts := compiler.DefaultOptions()
-	opts.Fusion = *fusion
-	opts.ConvLayoutOpt = *convOpt
-	switch *dmaMode {
-	case "coarse":
-		opts.DMA = compiler.DMACoarse
-	case "fine":
-		opts.DMA = compiler.DMAFine
-	case "selective":
-	default:
-		return fmt.Errorf("unknown dma mode %q (coarse, fine, selective)", *dmaMode)
-	}
 
-	sim := core.NewSimulator(cfg, opts)
-	sim.MaxCycles = *maxCycles
-	sim.Topo = tc
+	sim := core.NewSimulator(r.Cfg, r.Opts)
+	sim.MaxCycles = r.MaxCycles
+	sim.Topo = r.Topo
 	switch *tuneObjective {
 	case "cycles":
 	case "energy-delay":
@@ -174,17 +160,9 @@ func run() error {
 		fmt.Fprintf(logw, "wrote %d kernels to %s (reassemble with cmd/asm)\n", len(comp.Kernels), *dumpKernels)
 	}
 
-	kind := core.SimpleNet
-	switch *netKind {
-	case "cn":
-		kind = core.CycleNet
-	case "sn":
-	default:
-		return fmt.Errorf("unknown net %q (sn, cn)", *netKind)
-	}
 	switch *mode {
 	case "ils":
-		rep, ils, err := sim.SimulateILS(comp, kind)
+		rep, ils, err := sim.SimulateILS(comp, r.Net)
 		if err != nil {
 			return err
 		}
@@ -193,14 +171,14 @@ func run() error {
 	case "tls":
 		if multi {
 			fmt.Fprintf(logw, "topology %s: %d packages x %d cores, %s parallelism, one rank per package\n",
-				tc.Name, tc.Packages(), tc.CoresPerPackage, spec.Normalize().Parallel)
+				r.Topo.Name, r.Topo.Packages(), r.Topo.CoresPerPackage, r.Spec.Parallel)
 		}
-		rep, err := sim.SimulateTLS(comp, kind)
+		rep, err := sim.SimulateTLS(comp, r.Net)
 		if err != nil {
 			return err
 		}
 		if *autotune {
-			opts, _, tuned, err := sim.AutoTune(g, nil, kind)
+			opts, _, tuned, err := sim.AutoTune(g, nil, r.Net)
 			if err != nil {
 				return err
 			}

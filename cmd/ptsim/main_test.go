@@ -82,3 +82,31 @@ func TestTopologyRunHonoursRunFlags(t *testing.T) {
 		t.Fatal("-autotune stays unsupported on multi-package topologies")
 	}
 }
+
+// ptsim validates its flags with the daemon's resolver before it compiles
+// anything: a spec ptsimd would reject at admission never starts a run.
+func TestRejectsBeforeCompiling(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-max-cycles", "-1"}, "negative max_cycles"},
+		{[]string{"-net", "xyz"}, `unknown net "xyz"`},
+		{[]string{"-dma", "xyz"}, `unknown dma mode "xyz"`},
+		{[]string{"-model", "nope"}, `unknown model "nope"`},
+	} {
+		cmd := exec.Command(ptsimBin, append([]string{"-model", "gemm", "-n", "64", "-small"}, tc.flags...)...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("%v: want a non-zero exit", tc.flags)
+			continue
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: want %q on stderr, got %q", tc.flags, tc.want, stderr.String())
+		}
+		if strings.Contains(stdout.String(), "compiled") {
+			t.Errorf("%v: rejected only after compiling:\n%s", tc.flags, stdout.String())
+		}
+	}
+}

@@ -36,7 +36,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -53,26 +52,6 @@ func main() {
 	}
 }
 
-// parseTenantWeights parses "a=3,b=1" into a weight map.
-func parseTenantWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := map[string]int{}
-	for _, pair := range strings.Split(s, ",") {
-		name, w, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("malformed tenant weight %q (want name=weight)", pair)
-		}
-		n, err := strconv.Atoi(w)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("tenant %q: weight %q must be a positive integer", name, w)
-		}
-		out[name] = n
-	}
-	return out, nil
-}
-
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:8726", "listen address (port 0 = ephemeral)")
 	workers := flag.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
@@ -85,7 +64,7 @@ func run() error {
 	peers := flag.String("peers", "", "comma-separated base URLs of fleet peers; enables the remote peer-cache tier")
 	flag.Parse()
 
-	weights, err := parseTenantWeights(*tenantWeights)
+	weights, err := service.ParseTenantWeights(*tenantWeights)
 	if err != nil {
 		return err
 	}
@@ -111,20 +90,7 @@ func run() error {
 		}
 		ring := fleet.NewRing(ids)
 		selfURL := strings.TrimRight(*self, "/")
-		resolve := func(key string) []string {
-			seq := ring.Sequence(key)
-			out := make([]string, 0, 2)
-			for _, id := range seq {
-				if id == selfURL {
-					continue
-				}
-				out = append(out, id)
-				if len(out) == 2 {
-					break
-				}
-			}
-			return out
-		}
+		resolve := func(key string) []string { return ring.Peers(key, selfURL, 2) }
 		svc.EnablePeerCache(cache.NewPeer(resolve, 0))
 		fmt.Printf("ptsimd: fleet member %s on a ring of %d nodes\n", selfURL, len(ring.Members()))
 	}

@@ -24,11 +24,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"repro/internal/fleet"
+	"repro/internal/service"
 )
 
 func main() {
@@ -36,26 +35,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ptsimfleet:", err)
 		os.Exit(1)
 	}
-}
-
-// parseTenantWeights parses "a=3,b=1" into a weight map.
-func parseTenantWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := map[string]int{}
-	for _, pair := range strings.Split(s, ",") {
-		name, w, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("malformed tenant weight %q (want name=weight)", pair)
-		}
-		n, err := strconv.Atoi(w)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("tenant %q: weight %q must be a positive integer", name, w)
-		}
-		out[name] = n
-	}
-	return out, nil
 }
 
 func run() error {
@@ -69,7 +48,7 @@ func run() error {
 	cacheDir := flag.String("cache-dir", "", "persist each member's compile cache under <dir>/m<i>")
 	flag.Parse()
 
-	weights, err := parseTenantWeights(*tenantWeights)
+	weights, err := service.ParseTenantWeights(*tenantWeights)
 	if err != nil {
 		return err
 	}

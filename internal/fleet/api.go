@@ -1,10 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/service"
@@ -23,122 +19,25 @@ import (
 //	GET  /members          fleet membership and health
 func NewHandler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec service.JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			fleetErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-			return
+	mux.HandleFunc("POST /jobs", service.SubmitHandler(c.Submit))
+	mux.HandleFunc("GET /jobs/{id}", service.GetHandler(c.Get))
+	mux.HandleFunc("GET /jobs/{id}/events", service.EventsHandler(c.events, func(id string) (Event, bool) {
+		job, ok := c.Get(id)
+		ev := Event{Kind: "state", State: job.State, Member: job.Member, Attempt: job.Attempts, Error: job.Error}
+		if job.Result != nil {
+			ev.Cycles = job.Result.Cycles
 		}
-		job, err := c.Submit(spec)
-		if err != nil {
-			var over *service.OverloadError
-			var tover *service.TenantOverloadError
-			switch {
-			case errors.As(err, &tover):
-				w.Header().Set("X-Overloaded-Tenant", tover.Tenant)
-				fleetJSON(w, http.StatusTooManyRequests,
-					map[string]string{"error": err.Error(), "tenant": tover.Tenant})
-			case errors.As(err, &over):
-				fleetErr(w, http.StatusTooManyRequests, err.Error())
-			default:
-				fleetErr(w, http.StatusBadRequest, err.Error())
-			}
-			return
-		}
-		fleetJSON(w, http.StatusAccepted, job)
-	})
-	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := c.Get(r.PathValue("id"))
-		if !ok {
-			fleetErr(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
-			return
-		}
-		fleetJSON(w, http.StatusOK, job)
-	})
-	mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		serveFleetEvents(c, w, r)
-	})
+		return ev, ok
+	}))
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		fleetJSON(w, http.StatusOK, c.Stats())
+		service.WriteJSON(w, http.StatusOK, c.Stats())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_, _ = c.Metrics().WriteTo(w)
 	})
 	mux.HandleFunc("GET /members", func(w http.ResponseWriter, r *http.Request) {
-		fleetJSON(w, http.StatusOK, c.MemberList())
+		service.WriteJSON(w, http.StatusOK, c.MemberList())
 	})
 	return mux
-}
-
-func serveFleetEvents(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := c.Get(id); !ok {
-		fleetErr(w, http.StatusNotFound, "unknown job "+id)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		fleetErr(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	ch, cancel := c.events.subscribe(id)
-	defer cancel()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	job, _ := c.Get(id)
-	snap := Event{Kind: "state", State: job.State, Member: job.Member, Attempt: job.Attempts, Error: job.Error}
-	if job.Result != nil {
-		snap.Cycles = job.Result.Cycles
-	}
-	writeFleetSSE(w, snap)
-	fl.Flush()
-	if job.State == service.StateDone || job.State == service.StateFailed {
-		return
-	}
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				if job, ok := c.Get(id); ok && (job.State == service.StateDone || job.State == service.StateFailed) {
-					fin := Event{Kind: "state", State: job.State, Member: job.Member, Attempt: job.Attempts, Error: job.Error}
-					if job.Result != nil {
-						fin.Cycles = job.Result.Cycles
-					}
-					writeFleetSSE(w, fin)
-					fl.Flush()
-				}
-				return
-			}
-			writeFleetSSE(w, ev)
-			fl.Flush()
-			if ev.Kind == "state" && (ev.State == service.StateDone || ev.State == service.StateFailed) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func writeFleetSSE(w io.Writer, ev Event) {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data)
-}
-
-func fleetJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func fleetErr(w http.ResponseWriter, code int, msg string) {
-	fleetJSON(w, code, map[string]string{"error": msg})
 }

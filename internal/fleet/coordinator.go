@@ -129,7 +129,7 @@ type Coordinator struct {
 	order   []string // member names, sorted, for stable iteration
 
 	queue  *sched.FairQueue[*Job]
-	events *hub
+	events *service.Hub[Event]
 	reg    *metrics.Registry
 
 	mu         sync.Mutex
@@ -193,7 +193,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		members:    members,
 		order:      names,
 		queue:      sched.NewFairQueue[*Job](cfg.QueueDepth, cfg.TenantQueueDepth, weight),
-		events:     newHub(),
+		events:     service.NewHub[Event](),
 		reg:        metrics.NewRegistry(),
 		byID:       map[string]*Job{},
 		tenantDone: map[string]int64{},
@@ -230,7 +230,7 @@ func (c *Coordinator) Close() {
 	c.queue.Close()
 	c.stopOnce.Do(func() { close(c.stopped) })
 	c.wg.Wait()
-	c.events.closeAll()
+	c.events.CloseAll()
 }
 
 func (c *Coordinator) healthLoop() {
@@ -290,7 +290,7 @@ func (c *Coordinator) Submit(spec service.JobSpec) (Job, error) {
 		}
 		return Job{}, err
 	}
-	c.events.publish(j.ID, Event{Kind: "state", State: service.StateQueued})
+	c.events.Publish(j.ID, Event{Kind: "state", State: service.StateQueued})
 	return c.snapshot(j), nil
 }
 
@@ -363,7 +363,7 @@ func (c *Coordinator) runJob(j *Job) {
 		attempt := j.Attempts
 		c.mu.Unlock()
 		m.noteDispatch()
-		c.events.publish(j.ID, Event{Kind: "route", State: service.StateRunning, Member: m.Name, Attempt: attempt})
+		c.events.Publish(j.ID, Event{Kind: "route", State: service.StateRunning, Member: m.Name, Attempt: attempt})
 
 		remote, err := m.submit(j.Spec)
 		if err != nil {
@@ -428,7 +428,7 @@ func (c *Coordinator) requeue(j *Job, failed *memberState) bool {
 	if j.Attempts >= c.cfg.MaxAttempts {
 		return false
 	}
-	c.events.publish(j.ID, Event{Kind: "route", State: service.StateQueued, Member: failed.Name, Attempt: j.Attempts})
+	c.events.Publish(j.ID, Event{Kind: "route", State: service.StateQueued, Member: failed.Name, Attempt: j.Attempts})
 	return true
 }
 
@@ -446,7 +446,7 @@ func (c *Coordinator) pollResult(m *memberState, remoteID string) (*service.Job,
 			if errs >= healthFailures {
 				return nil, err
 			}
-		case job.State == service.StateDone || job.State == service.StateFailed:
+		case job.State.Terminal():
 			return &job, nil
 		default:
 			errs = 0
@@ -501,8 +501,8 @@ func (c *Coordinator) finish(j *Job, final *service.Job, err error) {
 	ev.State = j.State
 	ev.Error = j.Error
 	c.mu.Unlock()
-	c.events.publish(j.ID, ev)
-	c.events.finish(j.ID)
+	c.events.Publish(j.ID, ev)
+	c.events.Finish(j.ID)
 	close(j.done)
 }
 

@@ -1,15 +1,13 @@
 package fleet
 
-import (
-	"sync"
-
-	"repro/internal/service"
-)
+import "repro/internal/service"
 
 // Event is one entry of a fleet job's routing/lifecycle stream: which
 // member the job was dispatched to, re-dispatches after a member death, and
 // the terminal state. Progress samples stay on the member's own
-// /jobs/{id}/events stream; the coordinator's stream is about routing.
+// /jobs/{id}/events stream; the coordinator's stream is about routing. It
+// travels through the same service.Hub and SSE handler as a member's
+// service.JobEvent.
 type Event struct {
 	Seq     int64         `json:"seq"`
 	Kind    string        `json:"kind"` // "state" or "route"
@@ -20,74 +18,7 @@ type Event struct {
 	Error   string        `json:"error,omitempty"`
 }
 
-// hub fans fleet job events out to SSE subscribers; publishing never
-// blocks (slow consumers drop events, the job record stays authoritative).
-type hub struct {
-	mu   sync.Mutex
-	subs map[string][]chan Event
-	done map[string]bool
-	seq  int64
-}
-
-func newHub() *hub {
-	return &hub{subs: map[string][]chan Event{}, done: map[string]bool{}}
-}
-
-func (h *hub) subscribe(jobID string) (<-chan Event, func()) {
-	ch := make(chan Event, 64)
-	h.mu.Lock()
-	if h.done[jobID] {
-		h.mu.Unlock()
-		close(ch)
-		return ch, func() {}
-	}
-	h.subs[jobID] = append(h.subs[jobID], ch)
-	h.mu.Unlock()
-	return ch, func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		subs := h.subs[jobID]
-		for i, c := range subs {
-			if c == ch {
-				h.subs[jobID] = append(subs[:i], subs[i+1:]...)
-				return
-			}
-		}
-	}
-}
-
-func (h *hub) publish(jobID string, ev Event) {
-	h.mu.Lock()
-	h.seq++
-	ev.Seq = h.seq
-	for _, ch := range h.subs[jobID] {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-	h.mu.Unlock()
-}
-
-func (h *hub) finish(jobID string) {
-	h.mu.Lock()
-	subs := h.subs[jobID]
-	delete(h.subs, jobID)
-	h.done[jobID] = true
-	h.mu.Unlock()
-	for _, ch := range subs {
-		close(ch)
-	}
-}
-
-func (h *hub) closeAll() {
-	h.mu.Lock()
-	subs := h.subs
-	h.subs = map[string][]chan Event{}
-	h.mu.Unlock()
-	for _, chans := range subs {
-		for _, ch := range chans {
-			close(ch)
-		}
-	}
-}
+// WithSeq, SSEKind and Terminal make Event a service.StreamEvent.
+func (e Event) WithSeq(seq int64) Event { e.Seq = seq; return e }
+func (e Event) SSEKind() string         { return e.Kind }
+func (e Event) Terminal() bool          { return e.Kind == "state" && e.State.Terminal() }

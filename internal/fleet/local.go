@@ -96,22 +96,14 @@ func StartLocal(opt LocalOptions) (*Local, error) {
 	l := &Local{}
 	for i := 0; i < n; i++ {
 		self := names[i]
-		// A member's peer tier asks the key's ring owners, skipping itself:
-		// when this node owns the key, resolve returns nil and the lookup
-		// stays local.
+		// A member's peer tier asks the key's two nearest ring owners other
+		// than itself.
 		resolve := func(key string) []string {
-			seq := ring.Sequence(key)
-			out := make([]string, 0, 2)
-			for _, name := range seq {
-				if name == self {
-					continue
-				}
-				out = append(out, urls[name])
-				if len(out) == 2 {
-					break
-				}
+			peers := ring.Peers(key, self, 2)
+			for j, name := range peers {
+				peers[j] = urls[name]
 			}
-			return out
+			return peers
 		}
 		svc := service.New(service.Config{
 			Workers:          opt.Workers,

@@ -106,3 +106,19 @@ func (r *Ring) Sequence(key string) []string {
 	}
 	return out
 }
+
+// Peers returns up to n members in key's preference order, skipping self:
+// the nodes a member's peer cache tier asks for key. When self owns key
+// the list starts with the next member in ring order.
+func (r *Ring) Peers(key, self string, n int) []string {
+	out := make([]string, 0, n)
+	for _, id := range r.Sequence(key) {
+		if len(out) == n {
+			break
+		}
+		if id != self {
+			out = append(out, id)
+		}
+	}
+	return out
+}

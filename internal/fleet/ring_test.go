@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -86,5 +87,36 @@ func TestRingEmpty(t *testing.T) {
 	}
 	if got := r.Sequence("k"); got != nil {
 		t.Fatalf("empty ring sequence = %v, want nil", got)
+	}
+}
+
+// Peers is a member's peer-cache resolver: the key's preference order
+// with self skipped, cut to at most n entries.
+func TestRingPeers(t *testing.T) {
+	r := NewRing([]string{"m0", "m1", "m2", "m3"})
+	for i := 0; i < 100; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		seq := r.Sequence(key)
+		for _, self := range append(seq, "stranger") {
+			var want []string
+			for _, id := range seq {
+				if id != self {
+					want = append(want, id)
+				}
+			}
+			for n := 0; n <= 5; n++ {
+				got := r.Peers(key, self, n)
+				w := want[:min(n, len(want))]
+				if !slices.Equal(got, w) {
+					t.Fatalf("Peers(%q, %s, %d) = %v, want %v (sequence %v)", key, self, n, got, w, seq)
+				}
+			}
+		}
+	}
+	if got := r.Peers("k", r.Owner("k"), 2); len(got) != 2 || got[0] == r.Owner("k") {
+		t.Fatalf("owner's peers %v must skip the owner", got)
+	}
+	if got := NewRing(nil).Peers("k", "m0", 2); len(got) != 0 {
+		t.Fatalf("empty ring peers = %v, want none", got)
 	}
 }

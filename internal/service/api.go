@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -36,43 +35,18 @@ import (
 // the daemon binary stays a thin main.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-			return
+	mux.HandleFunc("POST /jobs", SubmitHandler(s.Submit))
+	mux.HandleFunc("GET /jobs/{id}", GetHandler(s.Get))
+	mux.HandleFunc("GET /jobs/{id}/events", EventsHandler(s.events, func(id string) (JobEvent, bool) {
+		job, ok := s.Get(id)
+		ev := JobEvent{Kind: "state", State: job.State, Tenant: job.Spec.Tenant, Error: job.Error}
+		if job.Result != nil {
+			ev.Cycles = job.Result.Cycles
 		}
-		job, err := s.Submit(spec)
-		if err != nil {
-			var over *OverloadError
-			var tover *TenantOverloadError
-			switch {
-			case errors.As(err, &tover):
-				w.Header().Set("X-Overloaded-Tenant", tover.Tenant)
-				writeJSON(w, http.StatusTooManyRequests,
-					map[string]string{"error": err.Error(), "tenant": tover.Tenant})
-			case errors.As(err, &over):
-				writeErr(w, http.StatusTooManyRequests, err.Error())
-			default:
-				writeErr(w, http.StatusBadRequest, err.Error())
-			}
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job)
-	})
-	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := s.Get(r.PathValue("id"))
-		if !ok {
-			writeErr(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
-			return
-		}
-		writeJSON(w, http.StatusOK, job)
-	})
-	mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		serveJobEvents(s, w, r)
-	})
+		return ev, ok
+	}))
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+		WriteJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -81,7 +55,7 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("GET /cache/{key}", func(w http.ResponseWriter, r *http.Request) {
 		data, ok := s.CacheGet(r.PathValue("key"))
 		if !ok {
-			writeErr(w, http.StatusNotFound, "no artifact for key")
+			WriteError(w, http.StatusNotFound, "no artifact for key")
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -90,18 +64,18 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("PUT /cache/{key}", func(w http.ResponseWriter, r *http.Request) {
 		raw, err := io.ReadAll(io.LimitReader(r.Body, cache.PeerMaxEntryBytes+1))
 		if err != nil || len(raw) > cache.PeerMaxEntryBytes {
-			writeErr(w, http.StatusBadRequest, "artifact too large or unreadable")
+			WriteError(w, http.StatusBadRequest, "artifact too large or unreadable")
 			return
 		}
 		payload, ok := cache.OpenEnvelope(raw)
 		if !ok {
 			// A corrupt push is rejected, never stored: the envelope is the
 			// fleet's end-to-end integrity check.
-			writeErr(w, http.StatusBadRequest, "corrupt artifact envelope")
+			WriteError(w, http.StatusBadRequest, "corrupt artifact envelope")
 			return
 		}
 		if err := s.CachePut(r.PathValue("key"), payload); err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -109,75 +83,51 @@ func NewHandler(s *Service) http.Handler {
 	return mux
 }
 
-// serveJobEvents streams a job's events as SSE: one `event:`/`data:` pair
-// per JobEvent, ending after the terminal state. A subscriber arriving
-// after the job finished gets a single synthetic state event.
-func serveJobEvents(s *Service, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := s.Get(id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown job "+id)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	// Subscribe before snapshotting so no terminal transition can fall
-	// between the snapshot and the stream.
-	ch, cancel := s.events.subscribe(id)
-	defer cancel()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	job, _ = s.Get(id)
-	snap := JobEvent{Kind: "state", State: job.State, Tenant: job.Spec.Tenant, Error: job.Error}
-	if job.Result != nil {
-		snap.Cycles = job.Result.Cycles
-	}
-	writeSSE(w, snap)
-	fl.Flush()
-	if job.State == StateDone || job.State == StateFailed {
-		return
-	}
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				// Stream closed: emit the final snapshot in case the
-				// terminal event was dropped by a full buffer.
-				if job, ok := s.Get(id); ok && (job.State == StateDone || job.State == StateFailed) {
-					fin := JobEvent{Kind: "state", State: job.State, Tenant: job.Spec.Tenant, Error: job.Error}
-					if job.Result != nil {
-						fin.Cycles = job.Result.Cycles
-					}
-					writeSSE(w, fin)
-					fl.Flush()
-				}
-				return
-			}
-			writeSSE(w, ev)
-			fl.Flush()
-			if ev.Kind == "state" && (ev.State == StateDone || ev.State == StateFailed) {
-				return
-			}
-		case <-r.Context().Done():
+// SubmitHandler is POST /jobs for any front end that admits a JobSpec (a
+// ptsimd member or the fleet coordinator): 202 with the job snapshot, 429
+// when the queue or the tenant's share of it is full — the body and the
+// X-Overloaded-Tenant header name the tenant — and 400 on an invalid spec.
+func SubmitHandler[J any](submit func(JobSpec) (J, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var spec JobSpec
+		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			WriteError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 			return
 		}
+		job, err := submit(spec)
+		if err != nil {
+			var over *OverloadError
+			var tover *TenantOverloadError
+			switch {
+			case errors.As(err, &tover):
+				w.Header().Set("X-Overloaded-Tenant", tover.Tenant)
+				WriteJSON(w, http.StatusTooManyRequests,
+					map[string]string{"error": err.Error(), "tenant": tover.Tenant})
+			case errors.As(err, &over):
+				WriteError(w, http.StatusTooManyRequests, err.Error())
+			default:
+				WriteError(w, http.StatusBadRequest, err.Error())
+			}
+			return
+		}
+		WriteJSON(w, http.StatusAccepted, job)
 	}
 }
 
-func writeSSE(w io.Writer, ev JobEvent) {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return
+// GetHandler is GET /jobs/{id}: the job snapshot, or 404 if unknown.
+func GetHandler[J any](get func(id string) (J, bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job, ok := get(r.PathValue("id"))
+		if !ok {
+			WriteError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
+			return
+		}
+		WriteJSON(w, http.StatusOK, job)
 	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON body of a code response.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -185,6 +135,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// WriteError writes the API's error body, {"error": msg}.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
 }

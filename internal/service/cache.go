@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/compiler"
@@ -26,14 +25,11 @@ func CompileKey(spec modelzoo.Spec, cfg npu.Config, opts compiler.Options) strin
 // already warm for them. Tenant, priority, and simulation-only knobs are
 // deliberately absent: they never change what gets compiled.
 func ContentKey(spec JobSpec) (string, error) {
-	r, err := spec.resolve()
+	// The same Resolve that Submit admits with, so the coordinator rejects
+	// exactly what a member would.
+	r, err := spec.Resolve()
 	if err != nil {
 		return "", err
-	}
-	if !modelzoo.Known(spec.Model) {
-		// Mirror Submit's admission check so the coordinator rejects
-		// exactly what a member would.
-		return "", fmt.Errorf("service: unknown model %q (have %v)", spec.Model, modelzoo.Models())
 	}
 	return CompileKey(r.Spec, r.Cfg, r.Opts), nil
 }

@@ -146,16 +146,22 @@ func (sv ServeSpec) withDefaults() ServeSpec {
 	return sv
 }
 
-// resolve maps the wire spec onto the internal compile/simulate inputs.
-func (s JobSpec) resolve() (resolved, error) {
-	var r resolved
+// Resolve maps the wire spec onto the compile/simulate inputs. It is the
+// one place a spec is validated: admission (Submit), fleet routing
+// (ContentKey), the serving CLI and ptsim all resolve through it, so they
+// accept and reject exactly the same specs.
+func (s JobSpec) Resolve() (Resolved, error) {
+	var r Resolved
 	r.Spec = modelzoo.Spec{Model: s.Model, Batch: s.Batch, N: s.N, Seq: s.Seq, Ctx: s.Ctx, Prefill: s.Prefill,
 		Topology: s.Topology, Parallel: s.Parallel}.Normalize()
 	cfg, err := modelzoo.NPUConfig(s.NPU)
 	if err != nil {
 		return r, err
 	}
-	r.Cfg = cfg
+	r.Cfg, r.NPU = cfg, s.NPU
+	if r.NPU == "" {
+		r.NPU = "tpuv3"
+	}
 	r.Topo, err = modelzoo.Topology(r.Spec, cfg.Mem)
 	if err != nil {
 		return r, err
@@ -210,13 +216,19 @@ func (s JobSpec) resolve() (resolved, error) {
 		sv := s.Serve.withDefaults()
 		r.Serve = &sv
 	}
+	if !modelzoo.Known(s.Model) {
+		return r, fmt.Errorf("service: unknown model %q (have %v)", s.Model, modelzoo.Models())
+	}
 	return r, nil
 }
 
-type resolved struct {
+// Resolved is a validated JobSpec: the normalized model spec, the machine
+// it runs on and how it is compiled and simulated.
+type Resolved struct {
 	Spec          modelzoo.Spec
 	Topo          topo.Config
 	Cfg           npu.Config
+	NPU           string // preset name of Cfg ("tpuv3" or "small")
 	Opts          compiler.Options
 	Net           togsim.NetKind
 	MaxCycles     int64
@@ -233,6 +245,9 @@ const (
 	StateDone    State = "done"
 	StateFailed  State = "failed"
 )
+
+// Terminal reports whether a job in this state has finished (done or failed).
+func (st State) Terminal() bool { return st == StateDone || st == StateFailed }
 
 // JobResult is the outcome of a finished simulation.
 type JobResult struct {
@@ -308,6 +323,27 @@ type Config struct {
 	// tenants weigh 1. A weight-3 tenant gets three dequeues for every one
 	// of a weight-1 tenant under contention.
 	TenantWeights map[string]int
+}
+
+// ParseTenantWeights parses the -tenant-weights flag, "a=3,b=1", into
+// Config.TenantWeights ("" is nil: every tenant weighs 1).
+func ParseTenantWeights(s string) (map[string]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	out := map[string]int{}
+	for _, pair := range strings.Split(s, ",") {
+		name, w, ok := strings.Cut(strings.TrimSpace(pair), "=")
+		if !ok || name == "" {
+			return nil, fmt.Errorf("malformed tenant weight %q (want name=weight)", pair)
+		}
+		n, err := strconv.Atoi(w)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("tenant %q: weight %q must be a positive integer", name, w)
+		}
+		out[name] = n
+	}
+	return out, nil
 }
 
 // Stats is the service's observability surface. Every field is captured
@@ -396,7 +432,7 @@ type Service struct {
 	localStore cache.Store
 	peer       *cache.Peer
 
-	events *eventHub
+	events *Hub[JobEvent]
 
 	mu          sync.Mutex
 	byID        map[string]*Job
@@ -444,7 +480,7 @@ func New(cfg Config) *Service {
 		byID:       map[string]*Job{},
 		queue:      sched.NewFairQueue[*Job](cfg.QueueDepth, cfg.TenantQueueDepth, weight),
 		reg:        metrics.NewRegistry(),
-		events:     newEventHub(),
+		events:     NewHub[JobEvent](),
 		tenantDone: map[string]int64{},
 	}
 	s.queueWait = s.reg.NewHistogram("ptsimd_queue_wait_seconds",
@@ -642,7 +678,7 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	s.queue.Close()
 	s.wg.Wait()
-	s.events.closeAll()
+	s.events.CloseAll()
 }
 
 // Submit validates and enqueues a job. It never blocks: a full queue
@@ -650,12 +686,8 @@ func (s *Service) Close() {
 // returns the validation error, and otherwise the queued job's snapshot is
 // returned.
 func (s *Service) Submit(spec JobSpec) (Job, error) {
-	if _, err := spec.resolve(); err != nil {
+	if _, err := spec.Resolve(); err != nil {
 		return Job{}, err
-	}
-	if !modelzoo.Known(spec.Model) {
-		// Reject unknown models at admission rather than at run time.
-		return Job{}, fmt.Errorf("service: unknown model %q (have %v)", spec.Model, modelzoo.Models())
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -684,7 +716,7 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 	s.queued++
 	snap := *j
 	s.mu.Unlock()
-	s.events.publish(j.ID, JobEvent{Kind: "state", State: StateQueued, Tenant: spec.Tenant})
+	s.events.Publish(j.ID, JobEvent{Kind: "state", State: StateQueued, Tenant: spec.Tenant})
 	return snap, nil
 }
 
@@ -819,9 +851,15 @@ func (s *Service) run(j *Job) {
 	j.Started = time.Now()
 	s.mu.Unlock()
 	s.queueWait.Observe(j.Started.Sub(j.Submitted).Seconds())
-	s.events.publish(j.ID, JobEvent{Kind: "state", State: StateRunning, Tenant: j.Spec.Tenant})
+	s.events.Publish(j.ID, JobEvent{Kind: "state", State: StateRunning, Tenant: j.Spec.Tenant})
 
-	res, err := s.simulate(j.Spec, s.events.progressProbe(j.ID))
+	// Serving jobs run unprobed: a probe makes serve.Run simulate every
+	// iteration instead of replaying repeated shapes.
+	var probe obs.Probe
+	if j.Spec.Serve == nil {
+		probe = progressProbe(s.events, j.ID)
+	}
+	res, err := s.Simulate(j.Spec, probe)
 
 	s.mu.Lock()
 	s.running--
@@ -848,25 +886,27 @@ func (s *Service) run(j *Job) {
 	}
 	s.mu.Unlock()
 	s.jobLat.Observe(j.Finished.Sub(j.Submitted).Seconds())
-	s.events.publish(j.ID, final)
-	s.events.finish(j.ID)
+	s.events.Publish(j.ID, final)
+	s.events.Finish(j.ID)
 	close(j.done)
 }
 
-// simulate is one job's whole pipeline: resolve, compile-or-fetch, run on
-// a core.Stack — the same funnel a standalone ptsim run goes through, so
-// service cycles are bit-identical to the CLI's for the same spec, on one
-// package or many. probe, when non-nil, streams coarse progress to event
-// subscribers; attached probes are proven invisible in Results by the
-// crosscheck probe oracle, so subscribing to a job's events can never
-// change its outcome.
-func (s *Service) simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
-	r, err := spec.resolve()
+// Simulate is one job's whole pipeline, run synchronously on the caller's
+// goroutine: resolve, compile-or-fetch, run on a core.Stack — the same
+// funnel a standalone ptsim run goes through, so service cycles are
+// bit-identical to the CLI's for the same spec, on one package or many. A
+// serving job replays its arrival trace through serve.Run instead; this is
+// the whole of ptserve. probe, when non-nil, receives the engine's trace
+// events (for serving jobs, stitched onto one timeline); attached probes
+// are proven invisible in Results by the crosscheck probe oracle, so
+// observing a job can never change its outcome.
+func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
+	r, err := spec.Resolve()
 	if err != nil {
 		return JobResult{}, err
 	}
 	if r.Serve != nil {
-		return s.runServe(r)
+		return s.runServe(r, probe)
 	}
 	compileStart := time.Now()
 	comp, key, hit, err := s.compile(r.Spec, r.Cfg, r.Opts)
@@ -941,7 +981,7 @@ func (s *Service) ServeCompileFn(cfg npu.Config, opts compiler.Options) serve.Co
 // runServe is a serving job's whole pipeline: synthesize the seeded
 // arrival trace and replay it through the continuous-batching scheduler,
 // with every iteration compiled through the shared cache.
-func (s *Service) runServe(r resolved) (JobResult, error) {
+func (s *Service) runServe(r Resolved, probe obs.Probe) (JobResult, error) {
 	sv := *r.Serve
 	maxCycles := r.MaxCycles
 	if maxCycles == 0 {
@@ -955,6 +995,7 @@ func (s *Service) runServe(r resolved) (JobResult, error) {
 		KVBlock:   sv.KVBlock,
 		MaxCycles: maxCycles,
 		Compile:   s.ServeCompileFn(r.Cfg, r.Opts),
+		Probe:     probe,
 	}
 	if r.Topo.Packages() > 1 {
 		cfg.Topo, cfg.Parallel = r.Topo, r.Spec.Parallel
@@ -971,6 +1012,7 @@ func (s *Service) runServe(r resolved) (JobResult, error) {
 		return JobResult{}, err
 	}
 	wall := time.Since(start)
+	rep.NPU = r.NPU
 	rep.WallMs = float64(wall) / 1e6
 	for _, rr := range rep.PerRequest {
 		s.serveTTFT.Observe(rr.TTFTMs / 1e3)

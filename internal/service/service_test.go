@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -384,5 +385,34 @@ func TestServiceServeJob(t *testing.T) {
 	// Serve jobs are decoder-only; anything else is rejected at admission.
 	if _, err := svc.Submit(JobSpec{Model: "gemm", Serve: &ServeSpec{}}); err == nil {
 		t.Fatal("serve job on a non-decoder model must be rejected")
+	}
+}
+
+// ptserve is Simulate on a serve spec; the daemon is Submit + Wait on the
+// same spec. Both must compute the same report, machine name included.
+func TestServeSimulateMatchesQueuedJob(t *testing.T) {
+	spec := JobSpec{Model: "decoder-tiny", NPU: "small",
+		Serve: &ServeSpec{Requests: 3, Prompt: 8, Output: 4, MaxBatch: 2, KVBlock: 16, RatePerSec: 200000}}
+
+	direct, err := New(Config{}).Simulate(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Workers: 1})
+	svc.Start()
+	defer svc.Close()
+	j, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := svc.Wait(j.ID)
+	if err != nil || fin.State != StateDone {
+		t.Fatalf("queued serve job: %v %s %q", err, fin.State, fin.Error)
+	}
+	if direct.ServeReport.NPU != "small" {
+		t.Fatalf("ServeReport.NPU = %q, want small", direct.ServeReport.NPU)
+	}
+	if a, b := direct.Canonical(), fin.Result.Canonical(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("Simulate and Submit+Wait disagree:\n%+v\n%+v", *a.ServeReport, *b.ServeReport)
 	}
 }

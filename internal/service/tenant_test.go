@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -349,5 +350,37 @@ func TestHTTPCacheEndpoints(t *testing.T) {
 	}
 	if _, ok := s.CacheGet("poisoned"); ok {
 		t.Fatal("corrupt artifact was stored")
+	}
+}
+
+// ParseTenantWeights is the -tenant-weights flag of ptsimd and ptsimfleet:
+// "" means no weights, and anything that is not name=positive-int fails.
+func TestParseTenantWeights(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want map[string]int
+		err  bool
+	}{
+		{in: "", want: nil},
+		{in: "a=3,b=1", want: map[string]int{"a": 3, "b": 1}},
+		{in: " a=3 , b=1 ", want: map[string]int{"a": 3, "b": 1}},
+		{in: " ", err: true},
+		{in: "a=3,", err: true},
+		{in: "a=0", err: true},
+		{in: "a=-2", err: true},
+		{in: "=3", err: true},
+		{in: "a=x", err: true},
+		{in: "a", err: true},
+	} {
+		got, err := ParseTenantWeights(tc.in)
+		if tc.err {
+			if err == nil {
+				t.Errorf("ParseTenantWeights(%q) = %v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseTenantWeights(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
 	}
 }

@@ -3,8 +3,12 @@
 # the engine and fabric packages themselves, the funnel file
 # (internal/core/stack.go) and the bench/ module assembles an engine by
 # hand with togsim.NewEngine( or topo.NewFabric( — every run goes through
-# core.NewStack instead. Also prints the non-test Go line count outside
-# bench/, so "the code got smaller" is a number. Wired into `make check`.
+# core.NewStack instead. It also fails if non-test Go outside
+# internal/service/ and bench/ resolves an NPU preset or a topology itself
+# with modelzoo.NPUConfig( or modelzoo.Topology( — every command resolves
+# its flags through service.JobSpec.Resolve, the one resolver. Also prints
+# the non-test Go line count outside bench/, so "the code got smaller" is a
+# number. Wired into `make check`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +19,15 @@ hits=$(echo "$files" |
   xargs grep -n -e 'togsim\.NewEngine(' -e 'topo\.NewFabric(' || true)
 if [ -n "$hits" ]; then
   echo "funnel-gate: FAIL — hand-assembled engine stacks (use core.NewStack):"
+  echo "$hits"
+  exit 1
+fi
+
+hits=$(echo "$files" |
+  grep -v -e '^internal/service/' |
+  xargs grep -n -e 'modelzoo\.NPUConfig(' -e 'modelzoo\.Topology(' || true)
+if [ -n "$hits" ]; then
+  echo "funnel-gate: FAIL — spec resolution outside the service (use service.JobSpec.Resolve):"
   echo "$hits"
   exit 1
 fi
