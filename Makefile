@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt funnel-gate vet test race check bench bench-compile bench-serve bench-energy bench-topo profile service-smoke trace-smoke cache-smoke fuzz-smoke serve-smoke energy-smoke topo-smoke fleet-smoke crosscheck cover clean
+.PHONY: all build fmt funnel-gate vet test race check bench bench-serve bench-energy bench-topo profile service-smoke trace-smoke cache-smoke fuzz-smoke serve-smoke energy-smoke topo-smoke fleet-smoke crosscheck cover clean
 
 all: check
 
@@ -120,10 +120,6 @@ cover:
 # Engine micro-benchmarks, including the event-vs-strict TLS comparison.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkTLSEngine' -benchtime 1x .
-
-# Compiler pipeline benchmarks (cold/parallel/warm-disk) -> BENCH_compile.json.
-bench-compile:
-	bash scripts/bench_compile.sh
 
 # LLM inference benchmarks: per-iteration prefill/decode cycles swept over
 # batch and context, plus a continuous-batching serving run with latency

@@ -10,7 +10,8 @@ import (
 // one ptsimd, plus fleet membership:
 //
 //	POST /jobs             submit; 202 with the fleet job snapshot, 429 on
-//	                       coordinator overload (global or per-tenant)
+//	                       coordinator overload (global or per-tenant),
+//	                       503 once the coordinator is draining
 //	GET  /jobs/{id}        fleet job snapshot (routing member, attempts,
 //	                       result once done)
 //	GET  /jobs/{id}/events SSE stream of routing and lifecycle events

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/service"
 )
@@ -162,5 +163,42 @@ func TestFleetAPIErrors(t *testing.T) {
 	}
 	if body.Tenant != "bulk" {
 		t.Fatalf("429 body tenant = %q", body.Tenant)
+	}
+}
+
+// A closed coordinator refuses new jobs with 503, like a closed member.
+func TestClosedCoordinatorAnswers503(t *testing.T) {
+	coord, err := NewCoordinator(Config{Members: []Member{{Name: "m0", URL: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	srv := httptest.NewServer(NewHandler(coord))
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/jobs", "application/json",
+		strings.NewReader(`{"model":"gemm","n":32,"npu":"small"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST /jobs on a closed coordinator: %d, want 503", resp.StatusCode)
+	}
+}
+
+// A member that is draining turns a dispatch away with an error the
+// coordinator re-dispatches, not a permanent rejection that fails the job.
+func TestDrainingMemberRejectionIsRetryable(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	svc.Start()
+	svc.Close()
+	srv := httptest.NewServer(service.NewHandler(svc))
+	defer srv.Close()
+
+	m := newMemberState(Member{Name: "m0", URL: srv.URL}, time.Second)
+	_, err := m.submit(service.JobSpec{Model: "gemm", N: 32, NPU: "small"})
+	if err == nil || isPermanent(err) {
+		t.Fatalf("submit to a draining member: %v, want a retryable error", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs/metrics"
-	"repro/internal/sched"
 	"repro/internal/service"
 )
 
@@ -45,7 +44,8 @@ type Config struct {
 }
 
 // Job is the coordinator's record of one fleet submission. Snapshots are
-// returned to callers; the live record is mutated only by the coordinator.
+// returned to callers; the live record is mutated only by the coordinator,
+// under its board's lock.
 type Job struct {
 	ID   string          `json:"id"`
 	Spec service.JobSpec `json:"spec"`
@@ -61,10 +61,7 @@ type Job struct {
 	Error    string             `json:"error,omitempty"`
 	Result   *service.JobResult `json:"result,omitempty"`
 
-	tenant   string
-	tried    map[string]bool // members that failed this job already
-	finished bool
-	done     chan struct{}
+	tried map[string]bool // members that failed this job already
 }
 
 // Stats is the coordinator's observability surface: its own routing
@@ -118,33 +115,23 @@ type FleetTotals struct {
 }
 
 // Coordinator shards jobs across a fleet of ptsimd members by the
-// consistent hash of each job's compile content address. It owns admission
-// (weighted-fair, per-tenant bounds), dispatch with bounded retry, health
-// checking, re-dispatch of jobs stranded on dead members, and the
-// fleet-merged stats/metrics surface.
+// consistent hash of each job's compile content address. Admission
+// (weighted-fair, per-tenant bounds), lookup and the dispatcher pool are
+// its service.Board, the same lifecycle a single ptsimd runs; on top it
+// owns dispatch with bounded retry, health checking, re-dispatch of jobs
+// stranded on dead members, and the fleet-merged stats/metrics surface.
 type Coordinator struct {
 	cfg     Config
 	ring    *Ring
 	members map[string]*memberState
 	order   []string // member names, sorted, for stable iteration
 
-	queue  *sched.FairQueue[*Job]
-	events *service.Hub[Event]
-	reg    *metrics.Registry
+	jobs     *service.Board[Job]
+	events   *service.Hub[Event]
+	reg      *metrics.Registry
+	requeued int64 // under the board's lock
 
-	mu         sync.Mutex
-	byID       map[string]*Job
-	nextID     int64
-	closed     bool
-	submitted  int64
-	running    int64
-	done       int64
-	failed     int64
-	requeued   int64
-	dup        int64
-	tenantDone map[string]int64
-
-	wg       sync.WaitGroup
+	health   sync.WaitGroup
 	stopped  chan struct{}
 	stopOnce sync.Once
 }
@@ -186,18 +173,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		names = append(names, m.Name)
 	}
 	sort.Strings(names)
-	weight := func(tenant string) int { return cfg.TenantWeights[tenant] }
 	c := &Coordinator{
-		cfg:        cfg,
-		ring:       NewRing(names),
-		members:    members,
-		order:      names,
-		queue:      sched.NewFairQueue[*Job](cfg.QueueDepth, cfg.TenantQueueDepth, weight),
-		events:     service.NewHub[Event](),
-		reg:        metrics.NewRegistry(),
-		byID:       map[string]*Job{},
-		tenantDone: map[string]int64{},
-		stopped:    make(chan struct{}),
+		cfg:     cfg,
+		ring:    NewRing(names),
+		members: members,
+		order:   names,
+		jobs:    service.NewBoard("f", cfg.QueueDepth, cfg.TenantQueueDepth, cfg.TenantWeights, snapshot),
+		events:  service.NewHub[Event](),
+		reg:     metrics.NewRegistry(),
+		stopped: make(chan struct{}),
 	}
 	c.reg.Register(metrics.CollectorFunc(c.collect))
 	return c, nil
@@ -205,36 +189,23 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 
 // Start launches the dispatch loops and the health prober.
 func (c *Coordinator) Start() {
-	for i := 0; i < c.cfg.Dispatchers; i++ {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			for {
-				j, ok := c.queue.Pop()
-				if !ok {
-					return
-				}
-				c.runJob(j)
-			}
-		}()
-	}
-	c.wg.Add(1)
+	c.jobs.Start(c.cfg.Dispatchers, c.runJob)
+	c.health.Add(1)
 	go c.healthLoop()
 }
 
-// Close drains the queue, waits for in-flight jobs, and stops the prober.
+// Close stops admission, drains the queue and in-flight jobs (the prober
+// keeps marking dead members meanwhile, so a drain cannot hang on one),
+// then stops the prober.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	c.queue.Close()
+	c.jobs.Close()
 	c.stopOnce.Do(func() { close(c.stopped) })
-	c.wg.Wait()
+	c.health.Wait()
 	c.events.CloseAll()
 }
 
 func (c *Coordinator) healthLoop() {
-	defer c.wg.Done()
+	defer c.health.Done()
 	t := time.NewTicker(c.cfg.HealthInterval)
 	defer t.Stop()
 	for {
@@ -250,83 +221,30 @@ func (c *Coordinator) healthLoop() {
 }
 
 // Submit admits one job. The spec is resolved immediately — both to reject
-// invalid jobs at the door and to compute the routing key. Queue-full maps
-// to the same typed overload errors the single-node service returns.
+// invalid jobs at the door and to compute the routing key. Admission is the
+// single-node service's: the same board, the same typed errors.
 func (c *Coordinator) Submit(spec service.JobSpec) (Job, error) {
 	key, err := service.ContentKey(spec)
 	if err != nil {
 		return Job{}, err
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return Job{}, errors.New("fleet: coordinator is shut down")
+	j, err := c.jobs.Submit(spec.Tenant, spec.Priority, func(id string) *Job {
+		return &Job{ID: id, Spec: spec, Key: key, State: service.StateQueued, tried: map[string]bool{}}
+	})
+	if err == nil {
+		c.events.Publish(j.ID, Event{Kind: "state", State: service.StateQueued})
 	}
-	c.nextID++
-	j := &Job{
-		ID:     fmt.Sprintf("f%d", c.nextID),
-		Spec:   spec,
-		Key:    key,
-		State:  service.StateQueued,
-		tenant: spec.Tenant,
-		tried:  map[string]bool{},
-		done:   make(chan struct{}),
-	}
-	c.byID[j.ID] = j
-	c.submitted++
-	c.mu.Unlock()
-
-	if err := c.queue.Push(spec.Tenant, spec.Priority, j); err != nil {
-		c.mu.Lock()
-		delete(c.byID, j.ID)
-		c.submitted--
-		c.mu.Unlock()
-		var qerr *sched.QueueOverloadError
-		if errors.As(err, &qerr) && qerr.Tenant != "" {
-			return Job{}, &service.TenantOverloadError{Tenant: qerr.Tenant, Capacity: qerr.Capacity}
-		}
-		if errors.As(err, &qerr) {
-			return Job{}, &service.OverloadError{Capacity: qerr.Capacity}
-		}
-		return Job{}, err
-	}
-	c.events.Publish(j.ID, Event{Kind: "state", State: service.StateQueued})
-	return c.snapshot(j), nil
+	return j, err
 }
 
 // Get returns a snapshot of one job.
-func (c *Coordinator) Get(id string) (Job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.byID[id]
-	if !ok {
-		return Job{}, false
-	}
-	return c.snapshotLocked(j), true
-}
+func (c *Coordinator) Get(id string) (Job, bool) { return c.jobs.Get(id) }
 
 // Wait blocks until the job finishes and returns its final snapshot.
-func (c *Coordinator) Wait(id string) (Job, error) {
-	c.mu.Lock()
-	j, ok := c.byID[id]
-	c.mu.Unlock()
-	if !ok {
-		return Job{}, fmt.Errorf("fleet: unknown job %s", id)
-	}
-	<-j.done
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.snapshotLocked(j), nil
-}
+func (c *Coordinator) Wait(id string) (Job, error) { return c.jobs.Wait(id) }
 
-func (c *Coordinator) snapshot(j *Job) Job {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.snapshotLocked(j)
-}
-
-// snapshotLocked copies the caller-visible fields under c.mu.
-func (c *Coordinator) snapshotLocked(j *Job) Job {
+// snapshot copies the caller-visible fields of a live record.
+func snapshot(j *Job) Job {
 	cp := Job{
 		ID: j.ID, Spec: j.Spec, Key: j.Key, State: j.State,
 		Member: j.Member, Attempts: j.Attempts, Error: j.Error,
@@ -342,26 +260,19 @@ func (c *Coordinator) snapshotLocked(j *Job) Job {
 // submit to the first live member not already tried, poll for the result,
 // and on member death re-dispatch until MaxAttempts is exhausted.
 func (c *Coordinator) runJob(j *Job) {
-	c.mu.Lock()
-	c.running++
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.running--
-		c.mu.Unlock()
-	}()
 	for {
 		m := c.pickMember(j)
 		if m == nil {
 			c.finish(j, nil, errors.New("fleet: no live member to run job"))
 			return
 		}
-		c.mu.Lock()
-		j.Attempts++
-		j.Member = m.Name
-		j.State = service.StateRunning
-		attempt := j.Attempts
-		c.mu.Unlock()
+		var attempt int
+		c.jobs.Locked(func() {
+			j.Attempts++
+			j.Member = m.Name
+			j.State = service.StateRunning
+			attempt = j.Attempts
+		})
 		m.noteDispatch()
 		c.events.Publish(j.ID, Event{Kind: "route", State: service.StateRunning, Member: m.Name, Attempt: attempt})
 
@@ -398,12 +309,12 @@ func (c *Coordinator) runJob(j *Job) {
 // but settles for liveness).
 func (c *Coordinator) pickMember(j *Job) *memberState {
 	seq := c.ring.Sequence(j.Key)
-	c.mu.Lock()
-	tried := make(map[string]bool, len(j.tried))
-	for k, v := range j.tried {
-		tried[k] = v
-	}
-	c.mu.Unlock()
+	tried := map[string]bool{}
+	c.jobs.Locked(func() {
+		for k, v := range j.tried {
+			tried[k] = v
+		}
+	})
 	for _, name := range seq {
 		if m := c.members[name]; !tried[name] && m.isUp() {
 			return m
@@ -421,21 +332,24 @@ func (c *Coordinator) pickMember(j *Job) *memberState {
 // attempts left; the caller loops to re-dispatch (no queue round trip — the
 // dispatcher already owns the job).
 func (c *Coordinator) requeue(j *Job, failed *memberState) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j.tried[failed.Name] = true
-	c.requeued++
-	if j.Attempts >= c.cfg.MaxAttempts {
+	var attempt int
+	c.jobs.Locked(func() {
+		j.tried[failed.Name] = true
+		c.requeued++
+		attempt = j.Attempts
+	})
+	if attempt >= c.cfg.MaxAttempts {
 		return false
 	}
-	c.events.Publish(j.ID, Event{Kind: "route", State: service.StateQueued, Member: failed.Name, Attempt: j.Attempts})
+	c.events.Publish(j.ID, Event{Kind: "route", State: service.StateQueued, Member: failed.Name, Attempt: attempt})
 	return true
 }
 
 // pollResult polls the member for the remote job until it reaches a
 // terminal state. Transport errors are tolerated up to healthFailures in a
 // row (a blip), then reported; a member marked down by the health loop
-// aborts the poll immediately so stranded jobs re-dispatch fast.
+// aborts the poll immediately so stranded jobs re-dispatch fast. The
+// prober runs until the board has drained, so Close waits out a poll.
 func (c *Coordinator) pollResult(m *memberState, remoteID string) (*service.Job, error) {
 	errs := 0
 	for {
@@ -454,91 +368,61 @@ func (c *Coordinator) pollResult(m *memberState, remoteID string) (*service.Job,
 		if !m.isUp() {
 			return nil, fmt.Errorf("fleet: member %s went down mid-job", m.Name)
 		}
-		select {
-		case <-c.stopped:
-			return nil, errors.New("fleet: coordinator shutting down")
-		case <-time.After(c.cfg.PollInterval):
-		}
+		time.Sleep(c.cfg.PollInterval)
 	}
 }
 
-// finish records the job's terminal state exactly once. A second finish
-// attempt (impossible by construction — one dispatcher owns a job — but
-// pinned by the chaos test) only increments DuplicateCompletions.
+// finish records the job's terminal state exactly once (the board's
+// finish-once guard: a second attempt — impossible by construction, one
+// dispatcher owns a job, but pinned by the chaos test — only increments
+// DuplicateCompletions).
 func (c *Coordinator) finish(j *Job, final *service.Job, err error) {
-	c.mu.Lock()
-	if j.finished {
-		c.dup++
-		c.mu.Unlock()
-		return
-	}
-	j.finished = true
-	ev := Event{Kind: "state", Member: j.Member, Attempt: j.Attempts}
-	switch {
-	case err != nil:
-		j.State = service.StateFailed
-		j.Error = err.Error()
-	case final.State == service.StateFailed:
-		j.State = service.StateFailed
-		j.Error = final.Error
-	default:
-		j.State = service.StateDone
-		if final.Result != nil {
-			r := *final.Result
-			if c.cfg.ResultFault != nil {
-				c.cfg.ResultFault(j.Member, &r)
+	var ev Event
+	c.jobs.Finish(j.ID, func() bool {
+		ev = Event{Kind: "state", Member: j.Member, Attempt: j.Attempts}
+		switch {
+		case err != nil:
+			j.State = service.StateFailed
+			j.Error = err.Error()
+		case final.State == service.StateFailed:
+			j.State = service.StateFailed
+			j.Error = final.Error
+		default:
+			j.State = service.StateDone
+			if final.Result != nil {
+				r := *final.Result
+				if c.cfg.ResultFault != nil {
+					c.cfg.ResultFault(j.Member, &r)
+				}
+				j.Result = &r
+				ev.Cycles = r.Cycles
 			}
-			j.Result = &r
-			ev.Cycles = r.Cycles
 		}
-	}
-	if j.State == service.StateFailed {
-		c.failed++
-	} else {
-		c.done++
-	}
-	c.tenantDone[j.tenant]++
-	ev.State = j.State
-	ev.Error = j.Error
-	c.mu.Unlock()
-	c.events.Publish(j.ID, ev)
-	c.events.Finish(j.ID)
-	close(j.done)
+		ev.State, ev.Error = j.State, j.Error
+		return j.State == service.StateFailed
+	}, func() {
+		c.events.Publish(j.ID, ev)
+		c.events.Finish(j.ID)
+	})
 }
 
 // Stats returns one consistent snapshot of the coordinator plus the merged
 // member view.
 func (c *Coordinator) Stats() Stats {
-	c.mu.Lock()
+	var requeued int64
+	n := c.jobs.Counts(func() { requeued = c.requeued })
 	st := Stats{
-		Submitted:            c.submitted,
-		Running:              c.running,
-		Done:                 c.done,
-		Failed:               c.failed,
-		Requeued:             c.requeued,
-		DuplicateCompletions: c.dup,
-		Members:              map[string]MemberStats{},
-		TenantDone:           map[string]int64{},
+		Submitted: n.Submitted, Queued: n.Queued, Running: n.Running, Done: n.Done, Failed: n.Failed,
+		Requeued: requeued, DuplicateCompletions: n.Duplicates,
+		Members:      map[string]MemberStats{},
+		TenantQueued: n.TenantQueued, TenantDone: n.TenantDone,
 	}
-	for t, n := range c.tenantDone {
-		st.TenantDone[t] = n
-	}
-	c.mu.Unlock()
-	st.Queued = int64(c.queue.Len())
-	depths := c.queue.Depths()
-	if len(depths) > 0 {
-		st.TenantQueued = map[string]int64{}
-		for t, n := range depths {
-			st.TenantQueued[t] = int64(n)
-		}
-	}
-	for _, name := range c.order {
-		up, svc, dispatched := c.members[name].snapshot()
-		if up {
+	for i, ms := range c.MemberList() {
+		st.Members[c.order[i]] = ms
+		if ms.Up {
 			st.MembersUp++
 		}
-		st.Members[name] = MemberStats{URL: c.members[name].URL, Up: up, Dispatched: dispatched, Service: svc}
-		if svc != nil {
+		if svc := ms.Service; svc != nil {
 			st.Fleet.CacheHits += svc.CacheHits
 			st.Fleet.CacheMisses += svc.CacheMisses
 			st.Fleet.DiskHits += svc.DiskHits
@@ -554,7 +438,7 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// Members lists the configured fleet with current health.
+// MemberList lists the configured fleet, in name order, with current health.
 func (c *Coordinator) MemberList() []MemberStats {
 	out := make([]MemberStats, 0, len(c.order))
 	for _, name := range c.order {

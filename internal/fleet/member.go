@@ -74,7 +74,8 @@ func newMemberState(m Member, timeout time.Duration) *memberState {
 
 // submit posts the spec, retrying briefly on 429 (the member's queue, or
 // the tenant's share of it, is momentarily full). A 4xx other than 429 is
-// permanent; transport errors are retryable by re-dispatch.
+// permanent; transport errors and 5xx (a draining member answers 503) are
+// retryable by re-dispatch.
 func (m *memberState) submit(spec service.JobSpec) (service.Job, error) {
 	var job service.Job
 	body, err := json.Marshal(spec)

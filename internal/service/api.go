@@ -14,7 +14,8 @@ import (
 //	POST /jobs             submit a JobSpec; 202 with the job snapshot,
 //	                       429 when the queue (or the tenant's share of
 //	                       it) is full — the body names the tenant for
-//	                       per-tenant throttling, 400 on an invalid spec
+//	                       per-tenant throttling, 400 on an invalid spec,
+//	                       503 once the daemon is draining
 //	GET  /jobs/{id}        job snapshot (state, result once done); 404 if
 //	                       unknown
 //	GET  /jobs/{id}/events Server-Sent Events stream of the job's
@@ -86,7 +87,9 @@ func NewHandler(s *Service) http.Handler {
 // SubmitHandler is POST /jobs for any front end that admits a JobSpec (a
 // ptsimd member or the fleet coordinator): 202 with the job snapshot, 429
 // when the queue or the tenant's share of it is full — the body and the
-// X-Overloaded-Tenant header name the tenant — and 400 on an invalid spec.
+// X-Overloaded-Tenant header name the tenant — 503 once the front end is
+// closed (a retryable refusal: a coordinator re-dispatches elsewhere), and
+// 400 on an invalid spec.
 func SubmitHandler[J any](submit func(JobSpec) (J, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
@@ -105,6 +108,8 @@ func SubmitHandler[J any](submit func(JobSpec) (J, error)) http.HandlerFunc {
 					map[string]string{"error": err.Error(), "tenant": tover.Tenant})
 			case errors.As(err, &over):
 				WriteError(w, http.StatusTooManyRequests, err.Error())
+			case errors.Is(err, ErrClosed):
+				WriteError(w, http.StatusServiceUnavailable, err.Error())
 			default:
 				WriteError(w, http.StatusBadRequest, err.Error())
 			}

@@ -7,7 +7,7 @@
 // compilation across requests and saturates cores with concurrent runs.
 //
 // Engines share no mutable state: each job gets its own fabric, memory and
-// NoC via togsim.NewStandard, and the cached *compiler.Compiled artifacts
+// NoC via core.NewStack, and the cached *compiler.Compiled artifacts
 // (TOGs, base maps, latency tables) are read-only during simulation, so
 // any number of jobs over the same compilation run race-free in parallel.
 package service
@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/compiler"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/obs/metrics"
 	"repro/internal/obs/report"
 	"repro/internal/parallel"
-	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/service/cache"
 	"repro/internal/service/modelzoo"
@@ -294,7 +292,8 @@ func (r JobResult) Canonical() JobResult {
 }
 
 // Job is the service's record of one submission. Snapshot copies are
-// returned to callers; the live record is only mutated by the service.
+// returned to callers; the live record is only mutated by the service,
+// under its board's lock.
 type Job struct {
 	ID    string  `json:"id"`
 	Spec  JobSpec `json:"spec"`
@@ -307,8 +306,6 @@ type Job struct {
 	Submitted time.Time  `json:"submitted"`
 	Started   time.Time  `json:"started,omitempty"`
 	Finished  time.Time  `json:"finished,omitempty"`
-
-	done chan struct{}
 }
 
 // Config sizes the service.
@@ -433,35 +430,24 @@ type Service struct {
 	peer       *cache.Peer
 
 	events *Hub[JobEvent]
+	jobs   *Board[Job]
 
-	mu          sync.Mutex
-	byID        map[string]*Job
-	nextID      int64
-	closed      bool
-	submitted   int64
-	queued      int64
-	running     int64
-	done        int64
-	failed      int64
+	// Run accounting, guarded by the board's lock so that Stats is one
+	// consistent snapshot (the cache has its own lock).
 	cycles      int64
 	wallNs      int64
-	cacheHits   int64 // compile-cache accounting under s.mu, so Stats()
-	cacheMisses int64 // is one consistent snapshot (the cache has its own lock)
+	cacheHits   int64
+	cacheMisses int64
 	serveReqs   int64
 	serveTokens int64
-	tenantDone  map[string]int64
-
-	energyJ    map[string]float64 // cumulative joules by unit class
-	pkgEnergyJ map[string]float64 // cumulative joules by package index
+	energyJ     map[string]float64 // cumulative joules by unit class
+	pkgEnergyJ  map[string]float64 // cumulative joules by package index
 
 	reg          *metrics.Registry
 	queueWait    *metrics.Histogram
 	jobLat       *metrics.Histogram
 	serveTTFT    *metrics.Histogram
 	compilePhase map[compiler.Phase]*metrics.Histogram
-
-	queue *sched.FairQueue[*Job]
-	wg    sync.WaitGroup
 }
 
 // New returns a stopped service; call Start to launch the worker pool.
@@ -473,15 +459,12 @@ func New(cfg Config) *Service {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	weight := func(tenant string) int { return cfg.TenantWeights[tenant] }
 	s := &Service{
-		cfg:        cfg,
-		cache:      NewCache(),
-		byID:       map[string]*Job{},
-		queue:      sched.NewFairQueue[*Job](cfg.QueueDepth, cfg.TenantQueueDepth, weight),
-		reg:        metrics.NewRegistry(),
-		events:     NewHub[JobEvent](),
-		tenantDone: map[string]int64{},
+		cfg:    cfg,
+		cache:  NewCache(),
+		jobs:   NewBoard("job-", cfg.QueueDepth, cfg.TenantQueueDepth, cfg.TenantWeights, func(j *Job) Job { return *j }),
+		reg:    metrics.NewRegistry(),
+		events: NewHub[JobEvent](),
 	}
 	s.queueWait = s.reg.NewHistogram("ptsimd_queue_wait_seconds",
 		"Time jobs spend queued before a worker picks them up.",
@@ -591,7 +574,7 @@ func (s *Service) collect(e *metrics.Emitter) {
 	e.Counter("ptsimd_compile_disk_hits_total", "Persistent-store lookups that found a valid artifact.", float64(st.DiskHits))
 	e.Counter("ptsimd_compile_disk_misses_total", "Persistent-store lookups that missed (absent, corrupt, or stale).", float64(st.DiskMisses))
 	e.Counter("ptsimd_kernels_measured_total", "Kernel measurements run by compilations (zero on warm-cache compiles).", float64(st.KernelsMeasured))
-	if s.peerAttached() {
+	if s.peer != nil { // peer families render only on fleet members
 		e.Counter("ptsimd_peer_cache_hits_total", "Artifact lookups served by a fleet peer.", float64(st.PeerHits))
 		e.Counter("ptsimd_peer_cache_misses_total", "Artifact lookups no peer could serve.", float64(st.PeerMisses))
 		e.Counter("ptsimd_peer_cache_puts_total", "Artifacts pushed to their consistent-hash owner.", float64(st.PeerPuts))
@@ -650,152 +633,76 @@ func (s *Service) collect(e *metrics.Emitter) {
 // Cache exposes the compile cache (shared with e.g. sched adapters).
 func (s *Service) Cache() *Cache { return s.cache }
 
-// peerAttached reports whether a peer tier is wired (metrics families for
-// the peer cache only render on fleet members).
-func (s *Service) peerAttached() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peer != nil
-}
-
-// Start launches the worker pool. It is idempotent per service lifetime:
-// call once.
-func (s *Service) Start() {
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-}
+// Start launches the worker pool; call once.
+func (s *Service) Start() { s.jobs.Start(s.cfg.Workers, s.run) }
 
 // Close stops admission, drains the queue, and waits for in-flight jobs.
 func (s *Service) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.queue.Close()
-	s.wg.Wait()
+	s.jobs.Close()
 	s.events.CloseAll()
 }
 
 // Submit validates and enqueues a job. It never blocks: a full queue
-// returns *OverloadError immediately (admission control), an invalid spec
-// returns the validation error, and otherwise the queued job's snapshot is
-// returned.
+// returns *OverloadError immediately (admission control), a closed service
+// ErrClosed, an invalid spec the validation error, and otherwise the
+// queued job's snapshot is returned.
 func (s *Service) Submit(spec JobSpec) (Job, error) {
 	if _, err := spec.Resolve(); err != nil {
 		return Job{}, err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return Job{}, fmt.Errorf("service: closed")
+	j, err := s.jobs.Submit(spec.Tenant, spec.Priority, func(id string) *Job {
+		return &Job{ID: id, Spec: spec, State: StateQueued, Submitted: time.Now()}
+	})
+	if err == nil {
+		s.events.Publish(j.ID, JobEvent{Kind: "state", State: StateQueued, Tenant: spec.Tenant})
 	}
-	s.nextID++
-	j := &Job{
-		ID:        fmt.Sprintf("job-%d", s.nextID),
-		Spec:      spec,
-		State:     StateQueued,
-		Submitted: time.Now(),
-		done:      make(chan struct{}),
-	}
-	if err := s.queue.Push(spec.Tenant, spec.Priority, j); err != nil {
-		s.nextID--
-		s.mu.Unlock()
-		var over *sched.QueueOverloadError
-		if errors.As(err, &over) && over.Tenant != "" {
-			return Job{}, &TenantOverloadError{Tenant: over.Tenant, Capacity: over.Capacity}
-		}
-		return Job{}, &OverloadError{Capacity: s.cfg.QueueDepth}
-	}
-	s.byID[j.ID] = j
-	s.submitted++
-	s.queued++
-	snap := *j
-	s.mu.Unlock()
-	s.events.Publish(j.ID, JobEvent{Kind: "state", State: StateQueued, Tenant: spec.Tenant})
-	return snap, nil
+	return j, err
 }
 
 // Get returns a snapshot of the job with the given id.
-func (s *Service) Get(id string) (Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.byID[id]
-	if !ok {
-		return Job{}, false
-	}
-	return *j, true
-}
+func (s *Service) Get(id string) (Job, bool) { return s.jobs.Get(id) }
 
 // Wait blocks until the job finishes (done or failed) and returns its
 // final snapshot.
-func (s *Service) Wait(id string) (Job, error) {
-	s.mu.Lock()
-	j, ok := s.byID[id]
-	s.mu.Unlock()
-	if !ok {
-		return Job{}, fmt.Errorf("service: unknown job %q", id)
-	}
-	<-j.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return *j, nil
-}
+func (s *Service) Wait(id string) (Job, error) { return s.jobs.Wait(id) }
 
 // Stats returns the current counters as one consistent snapshot: every
 // field is read under the same lock acquisition.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := Stats{
-		Submitted: s.submitted,
-		Queued:    s.queued, Running: s.running, Done: s.done, Failed: s.failed,
-		CacheHits: s.cacheHits, CacheMisses: s.cacheMisses,
-		TotalCycles: s.cycles, WallSeconds: float64(s.wallNs) / 1e9,
-		ServeRequests: s.serveReqs, ServeTokens: s.serveTokens,
-		Workers: s.cfg.Workers, QueueDepth: s.cfg.QueueDepth,
-	}
+	var st Stats
+	c := s.jobs.Counts(func() {
+		st = Stats{
+			CacheHits: s.cacheHits, CacheMisses: s.cacheMisses,
+			TotalCycles: s.cycles, WallSeconds: float64(s.wallNs) / 1e9,
+			ServeRequests: s.serveReqs, ServeTokens: s.serveTokens,
+			EnergyJoules: copyMap(s.energyJ), PackageEnergyJoules: copyMap(s.pkgEnergyJ),
+			KernelsMeasured: s.cache.Measured(),
+			Workers:         s.cfg.Workers, QueueDepth: s.cfg.QueueDepth,
+		}
+		st.DiskHits, st.DiskMisses = s.cache.StoreStats()
+		if s.peer != nil {
+			st.PeerHits, st.PeerMisses = s.peer.Stats()
+			st.PeerPuts, st.PeerErrors = s.peer.NetStats()
+		}
+	})
+	st.Submitted, st.Queued, st.Running, st.Done, st.Failed = c.Submitted, c.Queued, c.Running, c.Done, c.Failed
+	st.TenantQueued, st.TenantDone = c.TenantQueued, c.TenantDone
 	if st.WallSeconds > 0 {
 		st.CyclesPerSecond = float64(st.TotalCycles) / st.WallSeconds
 	}
-	if len(s.energyJ) > 0 {
-		st.EnergyJoules = make(map[string]float64, len(s.energyJ))
-		for k, v := range s.energyJ {
-			st.EnergyJoules[k] = v
-		}
-	}
-	if len(s.pkgEnergyJ) > 0 {
-		st.PackageEnergyJoules = make(map[string]float64, len(s.pkgEnergyJ))
-		for k, v := range s.pkgEnergyJ {
-			st.PackageEnergyJoules[k] = v
-		}
-	}
-	st.KernelsMeasured = s.cache.Measured()
-	if len(s.tenantDone) > 0 {
-		st.TenantDone = make(map[string]int64, len(s.tenantDone))
-		for k, v := range s.tenantDone {
-			st.TenantDone[k] = v
-		}
-	}
-	// The queue keeps its own lock; s.mu -> queue.mu is the same order
-	// Submit uses, so this cannot deadlock.
-	depths := s.queue.Depths()
-	if len(depths) > 0 {
-		st.TenantQueued = make(map[string]int64, len(depths))
-		for k, v := range depths {
-			st.TenantQueued[k] = int64(v)
-		}
-	}
-	st.DiskHits, st.DiskMisses = s.cache.StoreStats()
-	if s.peer != nil {
-		st.PeerHits, st.PeerMisses = s.peer.Stats()
-		st.PeerPuts, st.PeerErrors = s.peer.NetStats()
-	}
 	return st
+}
+
+// copyMap returns a copy of m, nil when m is empty.
+func copyMap(m map[string]float64) map[string]float64 {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]float64, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 // accountEnergy folds one finished run's derived energy breakdown into the
@@ -805,14 +712,14 @@ func (s *Service) accountEnergy(e *report.EnergyReport) {
 	if e == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.energyJ == nil {
-		s.energyJ = map[string]float64{}
-	}
-	for _, u := range e.UnitMilliJ() {
-		s.energyJ[u.Unit] += u.MJ / 1e3
-	}
+	s.jobs.Locked(func() {
+		if s.energyJ == nil {
+			s.energyJ = map[string]float64{}
+		}
+		for _, u := range e.UnitMilliJ() {
+			s.energyJ[u.Unit] += u.MJ / 1e3
+		}
+	})
 }
 
 // accountPackages folds a multi-package run's per-package energy into the
@@ -822,34 +729,22 @@ func (s *Service) accountPackages(t *report.TopologyReport) {
 	if t == nil || t.EnergyMilliJ == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pkgEnergyJ == nil {
-		s.pkgEnergyJ = map[string]float64{}
-	}
-	for _, p := range t.PerPackage {
-		s.pkgEnergyJ[fmt.Sprintf("%d", p.Package)] += p.EnergyMilliJ / 1e3
-	}
-}
-
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		j, ok := s.queue.Pop()
-		if !ok {
-			return
+	s.jobs.Locked(func() {
+		if s.pkgEnergyJ == nil {
+			s.pkgEnergyJ = map[string]float64{}
 		}
-		s.run(j)
-	}
+		for _, p := range t.PerPackage {
+			s.pkgEnergyJ[fmt.Sprintf("%d", p.Package)] += p.EnergyMilliJ / 1e3
+		}
+	})
 }
 
+// run is a worker's whole job: Simulate, then finish the job on the board.
 func (s *Service) run(j *Job) {
-	s.mu.Lock()
-	s.queued--
-	s.running++
-	j.State = StateRunning
-	j.Started = time.Now()
-	s.mu.Unlock()
+	s.jobs.Locked(func() {
+		j.State = StateRunning
+		j.Started = time.Now()
+	})
 	s.queueWait.Observe(j.Started.Sub(j.Submitted).Seconds())
 	s.events.Publish(j.ID, JobEvent{Kind: "state", State: StateRunning, Tenant: j.Spec.Tenant})
 
@@ -861,34 +756,30 @@ func (s *Service) run(j *Job) {
 	}
 	res, err := s.Simulate(j.Spec, probe)
 
-	s.mu.Lock()
-	s.running--
-	j.Finished = time.Now()
-	if err != nil {
-		s.failed++
-		j.State = StateFailed
-		j.Error = err.Error()
-		var dl *togsim.DeadlockError
-		if errors.As(err, &dl) {
-			j.ErrorKind = "deadlock"
+	final := JobEvent{Kind: "state", Tenant: j.Spec.Tenant}
+	s.jobs.Finish(j.ID, func() bool {
+		j.Finished = time.Now()
+		if err != nil {
+			j.State = StateFailed
+			j.Error = err.Error()
+			var dl *togsim.DeadlockError
+			if errors.As(err, &dl) {
+				j.ErrorKind = "deadlock"
+			}
+		} else {
+			j.State = StateDone
+			j.Result = &res
+			s.cycles += res.Cycles
+			s.wallNs += int64(res.WallMs * 1e6)
+			final.Cycles = res.Cycles
 		}
-	} else {
-		s.done++
-		j.State = StateDone
-		j.Result = &res
-		s.cycles += res.Cycles
-		s.wallNs += int64(res.WallMs * 1e6)
-	}
-	s.tenantDone[j.Spec.Tenant]++
-	final := JobEvent{Kind: "state", State: j.State, Tenant: j.Spec.Tenant, Error: j.Error}
-	if j.Result != nil {
-		final.Cycles = j.Result.Cycles
-	}
-	s.mu.Unlock()
-	s.jobLat.Observe(j.Finished.Sub(j.Submitted).Seconds())
-	s.events.Publish(j.ID, final)
-	s.events.Finish(j.ID)
-	close(j.done)
+		final.State, final.Error = j.State, j.Error
+		return err != nil
+	}, func() {
+		s.jobLat.Observe(j.Finished.Sub(j.Submitted).Seconds())
+		s.events.Publish(j.ID, final)
+		s.events.Finish(j.ID)
+	})
 }
 
 // Simulate is one job's whole pipeline, run synchronously on the caller's
@@ -958,13 +849,13 @@ func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 func (s *Service) compile(spec modelzoo.Spec, cfg npu.Config, opts compiler.Options) (*compiler.Compiled, string, bool, error) {
 	comp, key, hit, err := s.cache.CompileSpec(spec, cfg, opts)
 	if err == nil {
-		s.mu.Lock()
-		if hit {
-			s.cacheHits++
-		} else {
-			s.cacheMisses++
-		}
-		s.mu.Unlock()
+		s.jobs.Locked(func() {
+			if hit {
+				s.cacheHits++
+			} else {
+				s.cacheMisses++
+			}
+		})
 	}
 	return comp, key, hit, err
 }
@@ -1017,10 +908,10 @@ func (s *Service) runServe(r Resolved, probe obs.Probe) (JobResult, error) {
 	for _, rr := range rep.PerRequest {
 		s.serveTTFT.Observe(rr.TTFTMs / 1e3)
 	}
-	s.mu.Lock()
-	s.serveReqs += int64(rep.Requests)
-	s.serveTokens += rep.TokensOut
-	s.mu.Unlock()
+	s.jobs.Locked(func() {
+		s.serveReqs += int64(rep.Requests)
+		s.serveTokens += rep.TokensOut
+	})
 	// Serving jobs account each phase's energy.
 	s.accountEnergy(rep.PrefillEnergy)
 	s.accountEnergy(rep.DecodeEnergy)

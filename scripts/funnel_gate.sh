@@ -6,9 +6,12 @@
 # core.NewStack instead. It also fails if non-test Go outside
 # internal/service/ and bench/ resolves an NPU preset or a topology itself
 # with modelzoo.NPUConfig( or modelzoo.Topology( — every command resolves
-# its flags through service.JobSpec.Resolve, the one resolver. Also prints
-# the non-test Go line count outside bench/, so "the code got smaller" is a
-# number. Wired into `make check`.
+# its flags through service.JobSpec.Resolve, the one resolver. And it fails
+# if non-test Go other than internal/service/board.go builds a job queue
+# with sched.NewFairQueue — ptsimd and the fleet coordinator share the one
+# job lifecycle, service.Board. Also prints the non-test Go line count
+# outside bench/, so "the code got smaller" is a number. Wired into
+# `make check`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +31,15 @@ hits=$(echo "$files" |
   xargs grep -n -e 'modelzoo\.NPUConfig(' -e 'modelzoo\.Topology(' || true)
 if [ -n "$hits" ]; then
   echo "funnel-gate: FAIL — spec resolution outside the service (use service.JobSpec.Resolve):"
+  echo "$hits"
+  exit 1
+fi
+
+hits=$(echo "$files" |
+  grep -v -e '^internal/service/board\.go$' |
+  xargs grep -n -e 'sched\.NewFairQueue[[(]' || true)
+if [ -n "$hits" ]; then
+  echo "funnel-gate: FAIL — a job queue outside the board (use service.Board):"
   echo "$hits"
   exit 1
 fi
