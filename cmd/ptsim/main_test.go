@@ -110,3 +110,20 @@ func TestRejectsBeforeCompiling(t *testing.T) {
 		}
 	}
 }
+
+// Both simulation modes run on the same stack, so -max-cycles bounds an ILS
+// run exactly as it bounds a TLS run.
+func TestMaxCyclesBoundsEveryMode(t *testing.T) {
+	for _, mode := range []string{"tls", "ils"} {
+		cmd := exec.Command(ptsimBin, "-model", "gemm", "-n", "64", "-small", "-mode", mode, "-max-cycles", "10")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("-mode %s: -max-cycles 10 must abort a ~35k-cycle run with a non-zero exit:\n%s", mode, stdout.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), "exceeded max cycles (10)") {
+			t.Errorf("-mode %s: want the max-cycles diagnostic on stderr, got %q", mode, stderr.String())
+		}
+	}
+}

@@ -16,8 +16,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/npu"
 	"repro/internal/obs"
@@ -25,6 +25,7 @@ import (
 	"repro/internal/service/cache"
 	"repro/internal/tog"
 	"repro/internal/togsim"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -107,11 +108,11 @@ func main() {
 		}
 	}
 
-	s := togsim.NewStandard(cfg, kind, policy)
+	st := core.NewStack(cfg, kind, policy, topo.Config{})
 	var tw *obs.TraceWriter
 	if *traceOut != "" {
 		tw = obs.NewTraceWriter()
-		s.AttachProbe(tw)
+		st.AttachProbe(tw)
 	}
 	// Bind every tensor to a distinct region.
 	bases := map[string]uint64{}
@@ -120,18 +121,12 @@ func main() {
 		bases[t] = next
 		next += 1 << 28
 	}
-	start := time.Now()
-	res, err := s.Engine.RunSingle(g, bases)
+	_, in, err := st.Run([]*togsim.Job{{Name: g.Name, TOGs: []*tog.TOG{g}, Bases: []map[string]uint64{bases}}})
 	if err != nil {
 		fatal(err)
 	}
 	// The same report.Report that ptsim and the ptsimd job response render.
-	rep := report.Build(cfg, report.Inputs{
-		Res:      res,
-		Mem:      s.MemStats(),
-		NoCFlits: s.NetFlits(),
-		Wall:     time.Since(start),
-	})
+	rep := report.Build(cfg, in)
 	if store != nil {
 		// Strip host wall time so the cached artifact is fully deterministic.
 		canonical := rep

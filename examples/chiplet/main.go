@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/graph"
 	"repro/internal/npu"
 	"repro/internal/togsim"
@@ -66,7 +67,7 @@ func main() {
 		{"weights remote", []*togsim.Job{place(0, 0, 1, 0), place(1, 1, 0, 1)}},
 		{"everything remote", []*togsim.Job{place(0, 1, 1, 1), place(1, 0, 0, 0)}},
 	} {
-		res, in, err := core.NewStack(cfg, togsim.SimpleNet, chipCfg).Run(pl.jobs)
+		res, in, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, chipCfg).Run(pl.jobs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/graph"
 	"repro/internal/nn"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/togsim"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -56,8 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		setup := togsim.NewStandard(cfg, togsim.SimpleNet, dram.FRFCFS)
-		res, err := setup.Engine.Run(jobs)
+		res, _, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run(jobs)
 		if err != nil {
 			log.Fatal(err)
 		}

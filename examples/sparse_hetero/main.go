@@ -19,6 +19,7 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/tog"
 	"repro/internal/togsim"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -53,15 +54,14 @@ func main() {
 	}
 
 	// Run co-located on shared DRAM with FR-FCFS.
-	setup := togsim.NewStandard(cfg, togsim.SimpleNet, dram.FRFCFS)
-	res, err := setup.Engine.Run([]*togsim.Job{dense, sparseJob})
+	res, in, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run([]*togsim.Job{dense, sparseJob})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, j := range res.Jobs {
 		fmt.Printf("%-14s %8d cycles (start %d, end %d)\n", j.Name, j.End-j.Start, j.Start, j.End)
 	}
-	st := setup.Mem.Stats
+	st := in.Mem
 	fmt.Printf("DRAM: row hits %d / misses %d; bytes by source: dense %d, sparse %d\n",
 		st.RowHits, st.RowMisses, st.BytesBySrc[0], st.BytesBySrc[1])
 }

@@ -148,7 +148,7 @@ func goldenTopoReport(t *testing.T) report.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := core.NewStack(cfg, togsim.SimpleNet, tc)
+	st := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, tc)
 	jobs, err := st.Place(spec.Model, comp)
 	if err != nil {
 		t.Fatal(err)

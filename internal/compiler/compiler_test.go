@@ -458,3 +458,31 @@ func TestTPUv3CompileGEMM(t *testing.T) {
 	}
 	_ = comp
 }
+
+// TestSquareGEMMFitsSmallScratchpad: square GEMMs whose float-count tile
+// sizing overshoots the 256-byte-aligned scratchpad layout must shrink Mt
+// and compile, and the shrunk plan must still compute the right product.
+func TestSquareGEMMFitsSmallScratchpad(t *testing.T) {
+	for _, n := range []int{96, 100, 128, 200, 256} {
+		g := linearGraph(n, n, n, false)
+		comp, err := New(small(), DefaultOptions()).Compile(g)
+		if err != nil {
+			t.Fatalf("GEMM(%d): %v", n, err)
+		}
+		r := tensor.NewRNG(uint64(n))
+		env := graph.NewEnv().
+			Set("x", tensor.RandNormal(r, 0, 1, n, n)).
+			Set("w", tensor.RandNormal(r, 0, 1, n, n))
+		got, err := RunFunctional(comp, g, env)
+		if err != nil {
+			t.Fatalf("GEMM(%d): %v", n, err)
+		}
+		cpu, err := graph.Execute(g, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.AllClose(got[comp.OutputTensors[g.Outputs[0]]], cpu[g.Outputs[0]], 1e-3, 1e-3) {
+			t.Fatalf("GEMM(%d): NPU result differs from CPU", n)
+		}
+	}
+}

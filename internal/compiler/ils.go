@@ -3,40 +3,35 @@ package compiler
 import (
 	"fmt"
 
-	"repro/internal/dram"
 	"repro/internal/funcsim"
 	"repro/internal/npu"
 	"repro/internal/timingsim"
 	"repro/internal/tog"
-	"repro/internal/togsim"
 )
 
-// ILSResult reports an instruction-level-simulation run.
+// ILSResult reports the per-instruction pass of an ILS run.
 type ILSResult struct {
-	Cycles     int64 // simulated NPU cycles (identical methodology to TLS)
 	Instrs     int64 // dynamic instructions executed one at a time
 	KernelRuns int64 // dynamic kernel instances
 }
 
-// RunILS executes the compiled model in Instruction-Level Simulation mode:
-// every dynamic kernel instance is run through the functional simulator
-// with the core timing pipeline attached — instruction by instruction, no
-// cached tile latencies — while the memory system is simulated by the same
-// cycle-accurate DRAM/NoC stack as TLS. The reported cycle count matches
-// TLS (tile latencies are deterministic, §3.8); the wall-clock cost of the
-// per-instruction work is exactly what Fig. 6's TLS-vs-ILS speedup
-// measures.
-func RunILS(c *Compiled, cfg npu.Config, kind togsim.NetKind) (ILSResult, error) {
+// RunILS is the per-instruction pass of Instruction-Level Simulation: it
+// expands every TOG's loops and runs each dynamic kernel instance through
+// the functional simulator with a fresh core timing pipeline attached,
+// instruction by instruction. It runs no engine and reports no cycle
+// count: core.Simulator.SimulateILS pairs it with the same engine run as
+// TLS, which supplies the cycles. The pipelines' cycles are computed but
+// not yet compared with or fed into that count.
+func RunILS(c *Compiled, cfg npu.CoreConfig) (ILSResult, error) {
 	var res ILSResult
-	// Per-instruction pass: execute each dynamic kernel instance.
-	core := funcsim.NewCore(cfg.Core, npu.NewPagedMem())
+	core := funcsim.NewCore(cfg, npu.NewPagedMem())
 	for _, g := range c.TOGs {
 		if err := walkComputes(g, func(kernelID string) error {
 			prog, ok := c.Kernels[kernelID]
 			if !ok {
 				return fmt.Errorf("compiler: ILS: unknown kernel %q", kernelID)
 			}
-			pipe := timingsim.NewPipeline(cfg.Core)
+			pipe := timingsim.NewPipeline(cfg)
 			core.Trace = pipe.Consume
 			n, err := core.Run(prog)
 			core.Trace = nil
@@ -50,13 +45,6 @@ func RunILS(c *Compiled, cfg npu.Config, kind togsim.NetKind) (ILSResult, error)
 			return res, err
 		}
 	}
-	// System-level pass for the cycle count (shared with TLS).
-	s := togsim.NewStandard(cfg, kind, dram.FRFCFS)
-	r, err := s.Engine.Run([]*togsim.Job{c.Job(c.Name, 0, 0)})
-	if err != nil {
-		return res, err
-	}
-	res.Cycles = r.Cycles
 	return res, nil
 }
 

@@ -37,21 +37,29 @@ func (st *state) planGEMM(M, K, N int, epi codegen.Epilogue) (gemmTiles, error) 
 	}
 	t.Mt = minInt(M, minInt(int(mt), st.c.Opts.maxMt()))
 
-	// Scratchpad layout.
-	cur := int64(0)
-	take := func(bytes int64) int64 {
-		off := cur
-		cur += (bytes + 255) &^ 255
-		return off
-	}
-	t.offA = take(int64(t.Mt) * int64(K) * 4)
-	t.offB = take(int64(K) * int64(t.Nt) * 4)
-	t.offOut = take(int64(t.Mt) * int64(t.Nt) * 4)
-	t.offBias = take(int64(t.Nt) * 4)
-	t.offGamma = take(int64(t.Nt) * 4)
-	t.offBeta = take(int64(t.Nt) * 4)
-	if cur > budget {
-		return t, fmt.Errorf("tile set (%d bytes) exceeds scratchpad budget %d", cur, budget)
+	// Scratchpad layout: six regions, each 256-byte aligned. The float
+	// count above leaves the alignment padding out, so shrink Mt until the
+	// aligned layout fits.
+	for {
+		cur := int64(0)
+		take := func(bytes int64) int64 {
+			off := cur
+			cur += (bytes + 255) &^ 255
+			return off
+		}
+		t.offA = take(int64(t.Mt) * int64(K) * 4)
+		t.offB = take(int64(K) * int64(t.Nt) * 4)
+		t.offOut = take(int64(t.Mt) * int64(t.Nt) * 4)
+		t.offBias = take(int64(t.Nt) * 4)
+		t.offGamma = take(int64(t.Nt) * 4)
+		t.offBeta = take(int64(t.Nt) * 4)
+		if cur <= budget {
+			break
+		}
+		if t.Mt == 1 {
+			return t, fmt.Errorf("tile set (%d bytes) exceeds scratchpad budget %d", cur, budget)
+		}
+		t.Mt--
 	}
 
 	// DMA granularity per operand (§3.6.3; Fig. 8a).

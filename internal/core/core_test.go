@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/npu"
 	"repro/internal/tensor"
+	"repro/internal/togsim"
 )
 
 func gemmGraph(n int) *graph.Graph {
@@ -58,6 +60,25 @@ func TestSimulatorILSMatchesTLSCycles(t *testing.T) {
 	}
 	if ils.Instrs == 0 || ils.KernelRuns == 0 {
 		t.Fatal("ILS must execute instructions")
+	}
+}
+
+// TestSimulateILSHonoursMaxCycles: ILS runs on the simulator's own stack,
+// so the simulator's cycle bound applies to it as it does to TLS.
+func TestSimulateILSHonoursMaxCycles(t *testing.T) {
+	sim := NewSimulator(npu.SmallConfig(), compiler.DefaultOptions())
+	comp, err := sim.Compile(gemmGraph(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := sim.SimulateILS(comp, SimpleNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.MaxCycles = rep.Cycles / 2
+	var dl *togsim.DeadlockError
+	if _, _, err := sim.SimulateILS(comp, SimpleNet); !errors.As(err, &dl) {
+		t.Fatalf("MaxCycles=%d on a %d-cycle ILS run: want a DeadlockError, got %v", sim.MaxCycles, rep.Cycles, err)
 	}
 }
 

@@ -15,11 +15,14 @@ import (
 
 // Stack is one ready-to-run TLS stack — engine over fabric over DRAM and
 // interconnect — for a machine of one package or many. It is the single
-// place a run is assembled: ptsim, ptsimd jobs, serve iterations, the
-// experiments and the oracles all build their engine here, so a hook that
-// must see every run (recover, cancellation, request IDs, host-time
-// phases) belongs in NewStack and Run. Run knobs stay on Engine
-// (MaxCycles, NodesPerCycle, StrictTick).
+// place a run is assembled: ptsim (TLS and ILS), ptsimd jobs, serve
+// iterations, cmd/togsim, the experiments, training, the oracles and the
+// examples all build their engine here, so a hook that must see every run
+// (recover, cancellation, request IDs, host-time phases) belongs in
+// NewStack and Run. Run knobs stay on Engine (MaxCycles, NodesPerCycle,
+// StrictTick). The one deliberate exception is the §5.1 sparse-core
+// validation (exp/sparseval.go), which runs on togsim.NewFlatLatency's
+// flat 100 ns memory instead of the DRAM/NoC stack built here.
 type Stack struct {
 	Engine *togsim.Engine
 	// Cfg is the machine the engine simulates: the caller's config, with
@@ -31,13 +34,15 @@ type Stack struct {
 }
 
 // NewStack builds the stack for cfg on topology tc: the standard fabric
-// with the selected interconnect model for at most one package (the zero
-// topo.Config included), the topology fabric otherwise (kind does not
-// apply there: packages talk over tc's links). A multi-package tc must
-// validate, as topo.Preset results do.
-func NewStack(cfg npu.Config, kind togsim.NetKind, tc topo.Config) *Stack {
+// with the selected interconnect model and DRAM scheduler for at most one
+// package (the zero topo.Config included), the topology fabric otherwise.
+// Neither kind nor sched applies there: packages talk over tc's links and
+// each package's DRAM controller is FR-FCFS (no multi-package caller asks
+// for another policy). A multi-package tc must validate, as topo.Preset
+// results do.
+func NewStack(cfg npu.Config, kind togsim.NetKind, sched dram.SchedulerKind, tc topo.Config) *Stack {
 	if tc.Packages() <= 1 {
-		std := togsim.NewStandard(cfg, kind, dram.FRFCFS)
+		std := togsim.NewStandard(cfg, kind, sched)
 		return &Stack{Engine: std.Engine, Cfg: cfg, std: std}
 	}
 	cfg.Cores = tc.TotalCores()

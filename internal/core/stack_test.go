@@ -7,11 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/dram"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/sparse"
+	"repro/internal/sparsecore"
+	"repro/internal/tensor"
 	"repro/internal/togsim"
 	"repro/internal/topo"
 )
@@ -19,7 +23,8 @@ import (
 // TestStackFunnel drives the one run funnel over both fabrics: for each
 // machine the Result must be identical event-driven and under StrictTick,
 // with or without a recording probe, and the report inputs must carry
-// everything report.Build reads for that fabric kind.
+// everything report.Build reads for that fabric kind. The scheduler axis
+// checks the DRAM policy argument reaches the controller.
 func TestStackFunnel(t *testing.T) {
 	cfg := npu.SmallConfig()
 	preset := func(name string) topo.Config {
@@ -49,7 +54,7 @@ func TestStackFunnel(t *testing.T) {
 			var want togsim.Result
 			for i, strict := range []bool{false, true, false, true} {
 				var tw *obs.TraceWriter
-				st := NewStack(cfg, m.kind, m.tc)
+				st := NewStack(cfg, m.kind, dram.FRFCFS, m.tc)
 				st.Engine.StrictTick = strict
 				if i >= 2 {
 					tw = obs.NewTraceWriter()
@@ -94,6 +99,56 @@ func TestStackFunnel(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("single/sched", schedulerAxis)
+}
+
+// schedulerAxis is TestStackFunnel's DRAM-scheduler axis: on a row-contended pair — a streaming dense GEMM on
+// core 0 beside a sparse core whose scattered fibre fetches have poor
+// row-buffer locality (the dense+sparse pair of the scheduler ablation) —
+// the stack must run the DRAM scheduler it is given: bit-identical to the
+// standard stack built with that scheduler, and visibly different from the
+// other policy, so a dropped argument cannot pass.
+func schedulerAxis(t *testing.T) {
+	cfg := npu.SmallConfig()
+	cfg.Cores = 2
+	comp, err := compiler.New(cfg, compiler.DefaultOptions()).Compile(gemmGraph(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tensor.NewRNG(1)
+	a, b := sparse.Random(r, 128, 128, 0.05), sparse.Random(r, 128, 128, 0.05)
+	spCfg := sparsecore.DefaultConfig()
+	spCfg.ScatterStride = 8224
+	tiled, err := sparsecore.BuildTiledJob("spmspm", a, b, 64, spCfg, 1<<32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := func() []*togsim.Job {
+		sp := &togsim.Job{Name: "sparse", Core: 1, Src: 1}
+		for range 3 {
+			sp.TOGs = append(sp.TOGs, tiled.TOG)
+			sp.Bases = append(sp.Bases, tiled.Bases)
+		}
+		return []*togsim.Job{comp.Job("dense", 0, 0), sp}
+	}
+	got := map[dram.SchedulerKind]togsim.Result{}
+	for _, sched := range []dram.SchedulerKind{dram.FRFCFS, dram.FCFS} {
+		res, _, err := NewStack(cfg, togsim.SimpleNet, sched, topo.Config{}).Run(jobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := togsim.NewStandard(cfg, togsim.SimpleNet, sched).Engine.Run(jobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("scheduler %v: stack result diverges from the standard stack's:\n%+v\nvs\n%+v", sched, res, want)
+		}
+		got[sched] = res
+	}
+	if reflect.DeepEqual(got[dram.FRFCFS], got[dram.FCFS]) {
+		t.Fatalf("FR-FCFS and FCFS give the same result (%d cycles): the set is not row-contended", got[dram.FCFS].Cycles)
 	}
 }
 

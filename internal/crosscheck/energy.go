@@ -6,25 +6,9 @@ import (
 	"fmt"
 	"reflect"
 
-	"repro/internal/compiler"
-	"repro/internal/dram"
 	"repro/internal/npu"
 	"repro/internal/obs/report"
-	"repro/internal/togsim"
 )
-
-// runWithTotals executes the case's jobs on a fresh standard stack in the
-// requested engine mode and rolls the run up into activity totals (the
-// int64 counters energy derivation is allowed to use).
-func (cs Case) runWithTotals(comp *compiler.Compiled, strict bool) (togsim.Result, report.ActivityTotals, error) {
-	s := togsim.NewStandard(cs.NPU, cs.netKind(), dram.FRFCFS)
-	s.Engine.StrictTick = strict
-	res, err := s.Engine.Run(cs.buildJobs(comp))
-	if err != nil {
-		return res, report.ActivityTotals{}, err
-	}
-	return res, report.Totals(res, s.MemStats(), s.NetFlits(), 0), nil
-}
 
 // checkEnergy enforces the energy-accounting contract end to end: the
 // activity counters are bit-identical across the event-driven and
@@ -40,11 +24,15 @@ func (ck *Checker) checkEnergy(cs Case, art *artifacts) error {
 		cfg.Energy = npu.DefaultEnergyTable()
 	}
 
-	_, event, err := cs.runWithTotals(art.comp, false)
+	totals := func(strict bool) (report.ActivityTotals, error) {
+		_, in, err := cs.runEngine(art.comp, strict, nil)
+		return report.Totals(in.Res, in.Mem, in.NoCFlits, in.LinkFlits), err
+	}
+	event, err := totals(false)
 	if err != nil {
 		return fmt.Errorf("event run: %v", err)
 	}
-	_, strict, err := cs.runWithTotals(art.comp, true)
+	strict, err := totals(true)
 	if err != nil {
 		return fmt.Errorf("strict run: %v", err)
 	}

@@ -11,11 +11,13 @@ import (
 	"repro/internal/dram"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/obs/report"
 	"repro/internal/service/cache"
 	"repro/internal/tensor"
 	"repro/internal/timingsim"
 	"repro/internal/tog"
 	"repro/internal/togsim"
+	"repro/internal/topo"
 )
 
 // FuncTolerance is the relative/absolute tolerance of the funcsim-vs-host
@@ -97,14 +99,15 @@ func (cs Case) buildJobs(comp *compiler.Compiled) []*togsim.Job {
 	return jobs
 }
 
-// runEngine executes jobs on a fresh standard TLS stack.
-func (cs Case) runEngine(comp *compiler.Compiled, strict bool, probe obs.Probe) (togsim.Result, error) {
-	s := togsim.NewStandard(cs.NPU, cs.netKind(), dram.FRFCFS)
-	s.Engine.StrictTick = strict
+// runEngine executes the case's jobs on a fresh single-package stack in the
+// requested engine mode, returning the result and the run's report inputs.
+func (cs Case) runEngine(comp *compiler.Compiled, strict bool, probe obs.Probe) (togsim.Result, report.Inputs, error) {
+	st := core.NewStack(cs.NPU, cs.netKind(), dram.FRFCFS, topo.Config{})
+	st.Engine.StrictTick = strict
 	if probe != nil {
-		s.AttachProbe(probe)
+		st.AttachProbe(probe)
 	}
-	return s.Engine.Run(cs.buildJobs(comp))
+	return st.Run(cs.buildJobs(comp))
 }
 
 // prepare compiles the case (serial, private cache — the canonical
@@ -124,14 +127,14 @@ func (ck *Checker) prepare(cs Case) (*artifacts, *Failure) {
 		ck.Fault(comp)
 	}
 	art := &artifacts{g: g, comp: comp}
-	art.tls, err = cs.runEngine(comp, false, nil)
+	art.tls, _, err = cs.runEngine(comp, false, nil)
 	if err != nil {
 		return nil, &Failure{Case: cs, Oracle: "engine", Detail: err.Error()}
 	}
 	if cs.Jobs > 1 {
 		solo := cs
 		solo.Jobs = 1
-		art.solo, err = solo.runEngine(comp, false, nil)
+		art.solo, _, err = solo.runEngine(comp, false, nil)
 		if err != nil {
 			return nil, &Failure{Case: cs, Oracle: "engine", Detail: err.Error()}
 		}
@@ -200,7 +203,7 @@ func (ck *Checker) checkILSTLS(cs Case, art *artifacts) error {
 			}
 		}
 	}
-	ils, err := compiler.RunILS(art.comp, cs.NPU, cs.netKind())
+	ils, _, err := core.NewSimulator(cs.NPU, cs.Opts).SimulateILS(art.comp, cs.netKind())
 	if err != nil {
 		return fmt.Errorf("ILS run: %v", err)
 	}
@@ -255,7 +258,7 @@ func maxAbsDiff(a, b *tensor.Tensor) float64 {
 // checkStrictTick requires the strict per-cycle polling loop to reproduce
 // the event-driven result bit for bit.
 func (ck *Checker) checkStrictTick(cs Case, art *artifacts) error {
-	strict, err := cs.runEngine(art.comp, true, nil)
+	strict, _, err := cs.runEngine(art.comp, true, nil)
 	if err != nil {
 		return fmt.Errorf("strict run: %v", err)
 	}
@@ -269,7 +272,7 @@ func (ck *Checker) checkStrictTick(cs Case, art *artifacts) error {
 // the Result while still producing a non-empty trace.
 func (ck *Checker) checkProbe(cs Case, art *artifacts) error {
 	tw := obs.NewTraceWriter()
-	traced, err := cs.runEngine(art.comp, false, tw)
+	traced, _, err := cs.runEngine(art.comp, false, tw)
 	if err != nil {
 		return fmt.Errorf("traced run: %v", err)
 	}

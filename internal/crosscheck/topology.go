@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/nn"
@@ -273,7 +274,7 @@ func checkTopoDecoderNumerics(cfg nn.DecoderConfig, parts int, seed uint64) (*gr
 // runTopoEngine places the compiled rank graph across the topology and
 // runs it on a fresh stack in the selected engine mode.
 func runTopoEngine(tc topo.Config, name string, art *compiler.Compiled, strict bool) (togsim.Result, *topo.Fabric, error) {
-	st := core.NewStack(npu.SmallConfig(), togsim.SimpleNet, tc)
+	st := core.NewStack(npu.SmallConfig(), togsim.SimpleNet, dram.FRFCFS, tc)
 	st.Engine.StrictTick = strict
 	jobs, err := st.Place(name, art)
 	if err != nil {

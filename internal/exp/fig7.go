@@ -14,6 +14,7 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/tog"
 	"repro/internal/togsim"
+	"repro/internal/topo"
 )
 
 // Fig7aResult reports the heterogeneous dense-sparse NPU study (§5.1):
@@ -100,12 +101,8 @@ func Fig7a(cfg npu.Config, quick bool) (*Fig7aResult, error) {
 	halfCfg.Mem.Channels = cfg.Mem.Channels / 2
 
 	run := func(c npu.Config, jobs []*togsim.Job) ([]togsim.JobResult, error) {
-		s := togsim.NewStandard(c, togsim.SimpleNet, dram.FRFCFS)
-		res, err := s.Engine.Run(jobs)
-		if err != nil {
-			return nil, err
-		}
-		return res.Jobs, nil
+		res, _, err := core.NewStack(c, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run(jobs)
+		return res.Jobs, err
 	}
 
 	soloD, err := run(halfCfg, []*togsim.Job{denseJob(0)})
@@ -191,8 +188,7 @@ func Fig7b(cfg npu.Config, quick bool) (*Fig7bResult, error) {
 		bw  float64
 	}
 	run := func(c npu.Config, jobs []*togsim.Job) ([]runOut, error) {
-		s := togsim.NewStandard(c, togsim.SimpleNet, dram.FRFCFS)
-		res, err := s.Engine.Run(jobs)
+		res, in, err := core.NewStack(c, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run(jobs)
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +197,7 @@ func Fig7b(cfg npu.Config, quick bool) (*Fig7bResult, error) {
 			dur := jr.End - jr.Start
 			out = append(out, runOut{
 				lat: dur,
-				bw:  float64(s.Mem.Stats.BytesBySrc[jobs[i].Src]) / float64(dur),
+				bw:  float64(in.Mem.BytesBySrc[jobs[i].Src]) / float64(dur),
 			})
 		}
 		return out, nil

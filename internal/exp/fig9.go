@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/graph"
 	"repro/internal/npu"
 	"repro/internal/togsim"
@@ -118,7 +119,7 @@ func Fig9(cfg npu.Config, quick bool) (*Fig9Result, error) {
 	// Monolithic baseline: standard 2-core engine, full-bandwidth memory.
 	monoCfg := cfg
 	monoCfg.Cores = 2
-	mono := core.NewStack(monoCfg, togsim.SimpleNet, topo.Config{})
+	mono := core.NewStack(monoCfg, togsim.SimpleNet, dram.FRFCFS, topo.Config{})
 	monoJobs := []*togsim.Job{
 		{Name: "q00", TOGs: comp.TOGs, Bases: fillBases(len(comp.TOGs), map[string]uint64{"x": 0, "w": iBytes, outName: iBytes + wBytes}), Core: 0, Src: 0},
 		{Name: "q01", TOGs: comp.TOGs, Bases: fillBases(len(comp.TOGs), map[string]uint64{"x": 0, "w": iBytes, outName: iBytes + wBytes + 1<<24}), Core: 0, Src: 0},
@@ -132,7 +133,7 @@ func Fig9(cfg npu.Config, quick bool) (*Fig9Result, error) {
 	res.Monolithic = monoRes.Cycles
 
 	for _, m := range mappings {
-		r, in, err := core.NewStack(cfg, togsim.SimpleNet, topoCfg).Run(m.jobs())
+		r, in, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topoCfg).Run(m.jobs())
 		if err != nil {
 			return nil, fmt.Errorf("fig9: mapping %s: %w", m.name, err)
 		}

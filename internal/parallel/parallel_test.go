@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/npu"
@@ -65,7 +66,7 @@ func compileTP(t *testing.T, cfg npu.Config, parts int) *compiler.Compiled {
 
 // simulate runs placed jobs on a fresh stack for the topology.
 func simulate(cfg npu.Config, tc topo.Config, jobs []*togsim.Job, strict bool) (togsim.Result, *topo.Fabric, error) {
-	st := core.NewStack(cfg, togsim.SimpleNet, tc)
+	st := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, tc)
 	st.Engine.StrictTick = strict
 	res, in, err := st.Run(jobs)
 	return res, in.Topo, err

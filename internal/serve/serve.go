@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/obs/report"
@@ -334,7 +335,7 @@ func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.Activity
 	if act, ok := s.sims[spec]; ok && s.cfg.Probe == nil {
 		return act.Cycles, act, hit, nil
 	}
-	st := core.NewStack(s.cfg.NPU, s.cfg.Net, s.cfg.Topo)
+	st := core.NewStack(s.cfg.NPU, s.cfg.Net, dram.FRFCFS, s.cfg.Topo)
 	if s.cfg.MaxCycles > 0 {
 		st.Engine.MaxCycles = s.cfg.MaxCycles
 	}

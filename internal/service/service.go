@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
@@ -809,7 +810,7 @@ func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 		compileMs = 0
 	}
 
-	st := core.NewStack(r.Cfg, r.Net, r.Topo)
+	st := core.NewStack(r.Cfg, r.Net, dram.FRFCFS, r.Topo)
 	if probe != nil {
 		st.AttachProbe(probe)
 	}

@@ -5,12 +5,14 @@ import (
 
 	"repro/internal/autograd"
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/npu"
 	"repro/internal/tensor"
 	"repro/internal/togsim"
+	"repro/internal/topo"
 )
 
 // Backend selects where training steps execute.
@@ -187,12 +189,8 @@ func MeasureIterationCyclesOptim(mlp nn.MLPConfig, opt autograd.Optim, cfg npu.C
 	if err != nil {
 		return 0, err
 	}
-	s := togsim.NewStandard(cfg, togsim.SimpleNet, dram.FRFCFS)
-	r, err := s.Engine.Run([]*togsim.Job{comp.Job("trainstep", 0, 0)})
-	if err != nil {
-		return 0, err
-	}
-	return r.Cycles, nil
+	r, _, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run([]*togsim.Job{comp.Job("trainstep", 0, 0)})
+	return r.Cycles, err
 }
 
 // StepsToLoss returns how many steps a loss curve took to first dip below

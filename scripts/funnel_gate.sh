@@ -2,16 +2,19 @@
 # funnel-gate: one place builds a TLS stack. Fails if non-test Go outside
 # the engine and fabric packages themselves, the funnel file
 # (internal/core/stack.go) and the bench/ module assembles an engine by
-# hand with togsim.NewEngine( or topo.NewFabric( — every run goes through
-# core.NewStack instead. It also fails if non-test Go outside
-# internal/service/ and bench/ resolves an NPU preset or a topology itself
-# with modelzoo.NPUConfig( or modelzoo.Topology( — every command resolves
-# its flags through service.JobSpec.Resolve, the one resolver. And it fails
-# if non-test Go other than internal/service/board.go builds a job queue
-# with sched.NewFairQueue — ptsimd and the fleet coordinator share the one
-# job lifecycle, service.Board. Also prints the non-test Go line count
-# outside bench/, so "the code got smaller" is a number. Wired into
-# `make check`.
+# hand with togsim.NewEngine( or topo.NewFabric(, or if non-test Go
+# outside internal/togsim/, the funnel file and bench/ takes the standard
+# stack with togsim.NewStandard( — every run goes through core.NewStack
+# instead (exp/sparseval.go's togsim.NewFlatLatency is the one deliberate
+# exception: a flat-latency memory the funnel does not build). It also
+# fails if non-test Go outside internal/service/ and bench/ resolves an
+# NPU preset or a topology itself with modelzoo.NPUConfig( or
+# modelzoo.Topology( — every command resolves its flags through
+# service.JobSpec.Resolve, the one resolver. And it fails if non-test Go
+# other than internal/service/board.go builds a job queue with
+# sched.NewFairQueue — ptsimd and the fleet coordinator share the one job
+# lifecycle, service.Board. Also prints the non-test Go line count outside
+# bench/, so "the code got smaller" is a number. Wired into `make check`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +25,15 @@ hits=$(echo "$files" |
   xargs grep -n -e 'togsim\.NewEngine(' -e 'topo\.NewFabric(' || true)
 if [ -n "$hits" ]; then
   echo "funnel-gate: FAIL — hand-assembled engine stacks (use core.NewStack):"
+  echo "$hits"
+  exit 1
+fi
+
+hits=$(echo "$files" |
+  grep -v -e '^internal/togsim/' -e '^internal/core/stack\.go$' |
+  xargs grep -n -e 'togsim\.NewStandard(' || true)
+if [ -n "$hits" ]; then
+  echo "funnel-gate: FAIL — hand-built standard stacks (use core.NewStack):"
   echo "$hits"
   exit 1
 fi
