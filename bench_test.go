@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/codegen"
 	"repro/internal/compiler"
 	"repro/internal/core"
@@ -148,66 +147,9 @@ func BenchmarkFig5Accuracy(b *testing.B) {
 	}
 }
 
-// Fig. 6 measures each simulator's wall-clock on the same workload; each
-// sub-benchmark times one simulator on GEMM(512), so the benchmark output
-// itself is the figure's data.
-func fig6Compiled(b *testing.B) (*core.Simulator, *compiler.Compiled) {
-	b.Helper()
-	sim := core.NewSimulator(benchCfg(), compiler.DefaultOptions())
-	comp, err := sim.Compile(exp.GEMMGraph(512))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sim, comp
-}
-
-func BenchmarkFig6TLSSimpleNet(b *testing.B) {
-	sim, comp := fig6Compiled(b)
-	b.ResetTimer()
+func BenchmarkFig6Speed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.SimulateTLS(comp, core.SimpleNet); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig6TLSCycleNet(b *testing.B) {
-	sim, comp := fig6Compiled(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.SimulateTLS(comp, core.CycleNet); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig6ILS(b *testing.B) {
-	sim, comp := fig6Compiled(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.SimulateILS(comp, core.SimpleNet); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig6MNPUSim(b *testing.B) {
-	layers := baseline.ExtractLayers(exp.GEMMGraph(512))
-	m := baseline.MNPUSim{Cfg: benchCfg()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(layers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig6AccelSim(b *testing.B) {
-	layers := baseline.ExtractLayers(exp.GEMMGraph(512))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := &baseline.AccelSim{Cfg: baseline.NPUEquivalentGPU(benchCfg())}
-		if _, err := a.Run(layers); err != nil {
+		if _, err := exp.Fig6(benchCfg(), true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,10 +18,13 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/isa"
 )
 
-func main() {
+func main() { cli.Main("asm", run) }
+
+func run() error {
 	disasm := flag.Bool("d", false, "disassemble a binary image instead of assembling text")
 	out := flag.String("o", "", "output file (default stdout)")
 	name := flag.String("name", "a.out", "program name recorded in the output")
@@ -31,30 +34,30 @@ func main() {
 	if flag.NArg() > 0 {
 		f, err := os.Open(flag.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		in = f
 	}
 	src, err := io.ReadAll(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var output []byte
 	if *disasm {
 		p, err := isa.DecodeProgram(*name, src)
 		if err != nil {
-			fatal(fmt.Errorf("disassemble: %w", err))
+			return fmt.Errorf("disassemble: %w", err)
 		}
 		output = []byte(p.Dump())
 	} else {
 		p, err := isa.Assemble(*name, string(src))
 		if err != nil {
-			fatal(fmt.Errorf("assemble: %w", err))
+			return fmt.Errorf("assemble: %w", err)
 		}
 		if err := p.Validate(); err != nil {
-			fatal(fmt.Errorf("validate: %w", err))
+			return fmt.Errorf("validate: %w", err)
 		}
 		output = isa.EncodeProgram(p)
 	}
@@ -63,17 +66,11 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		w = f
 	}
-	if _, err := w.Write(output); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "asm:", err)
-	os.Exit(1)
+	_, err = w.Write(output)
+	return err
 }

@@ -12,9 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/exp"
 	"repro/internal/npu"
 )
@@ -40,10 +40,12 @@ func figures() []figure {
 	}
 }
 
-func main() {
+func main() { cli.Main("experiments", run) }
+
+func run() error {
 	fig := flag.String("fig", "all", "figure to regenerate (5, 6, 7a, 7b, 8a, 8b, 8c, 9, 10, sparseval, all)")
 	quick := flag.Bool("quick", false, "scaled-down workloads for fast runs")
-	small := flag.Bool("small", false, "use the small test NPU config instead of TPUv3")
+	machine := cli.BindMachine(flag.CommandLine, false)
 	list := flag.Bool("list", false, "list available figures")
 	flag.Parse()
 
@@ -51,11 +53,11 @@ func main() {
 		for _, f := range figures() {
 			fmt.Printf("%-10s %s\n", f.name, f.desc)
 		}
-		return
+		return nil
 	}
-	cfg := npu.TPUv3Config()
-	if *small {
-		cfg = npu.SmallConfig()
+	cfg, _, err := machine.Resolve()
+	if err != nil {
+		return err
 	}
 	ran := false
 	for _, f := range figures() {
@@ -67,14 +69,13 @@ func main() {
 		start := time.Now()
 		res, err := f.run(cfg, *quick)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s failed: %v\n", f.name, err)
-			os.Exit(1)
+			return fmt.Errorf("figure %s failed: %w", f.name, err)
 		}
 		fmt.Println(res.String())
 		fmt.Printf("(driver wall-clock: %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown figure %q; use -list\n", *fig)
-		os.Exit(1)
+		return fmt.Errorf("unknown figure %q; use -list", *fig)
 	}
+	return nil
 }

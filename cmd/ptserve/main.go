@@ -20,99 +20,64 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
-	"repro/internal/obs"
+	"repro/internal/cli"
 	"repro/internal/service"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ptserve:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("ptserve", run) }
 
 func run() error {
-	model := flag.String("model", "decoder-small", "decoder model to serve (decoder-tiny, decoder-small, decoder-base)")
+	job := cli.BindJob(flag.CommandLine, "decoder-small")
+	out := cli.BindOutput(flag.CommandLine, "serving run")
 	requests := flag.Int("requests", 8, "number of requests in the arrival trace")
 	rate := flag.Float64("rate", 1000, "Poisson arrival rate in requests per simulated second")
 	seed := flag.Int64("seed", 1, "arrival-trace seed (same seed, same trace, same report)")
 	prompt := flag.Int("prompt", 16, "prompt tokens per request")
 	ctxDist := flag.String("ctx-dist", "", "per-request prompt-length distribution: fixed (default) or uniform:lo,hi (seeded)")
 	gen := flag.Int("gen", 8, "tokens to generate per request")
-	topology := flag.String("topology", "single", "topology preset: single, pkg2, or meshXxY")
-	parStrat := flag.String("parallel", "none", "cross-package parallelism for multi-package topologies (tensor)")
 	maxBatch := flag.Int("max-batch", 4, "continuous-batch capacity")
 	kvBlock := flag.Int("kv-block", 64, "KV-cache page size in tokens (decode shapes pad up to this)")
-	netKind := flag.String("net", "sn", "interconnect: sn or cn")
-	small := flag.Bool("small", false, "use the small NPU config")
-	maxCycles := flag.Int64("max-cycles", 0, "per-iteration deadlock guard (0 = engine default)")
-	cacheDir := flag.String("cache-dir", "", "persist compile artifacts and kernel latencies under this directory")
-	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of the whole serving run to this JSON file (per-iteration spans stitched onto one timeline)")
 	showReport := flag.Bool("report", false, "print the per-request breakdown")
-	jsonOut := flag.Bool("json", false, "print the serving report as JSON on stdout")
 	flag.Parse()
 
-	npuName := "tpuv3"
-	if *small {
-		npuName = "small"
-	}
 	// The daemon's own serving job: the same resolver validates the flags
 	// (a zero flag means the wire default) and the same body runs it, so a
 	// ptserve run and a ptsimd serve job of one spec report the same thing.
-	spec := service.JobSpec{
-		Model: *model, Topology: *topology, Parallel: *parStrat,
-		NPU: npuName, Net: *netKind, MaxCycles: *maxCycles,
-		Serve: &service.ServeSpec{
-			Requests: *requests, RatePerSec: *rate, Seed: *seed, CtxDist: *ctxDist,
-			Prompt: *prompt, Output: *gen, MaxBatch: *maxBatch, KVBlock: *kvBlock,
-		},
+	spec := job.Spec()
+	spec.Serve = &service.ServeSpec{
+		Requests: *requests, RatePerSec: *rate, Seed: *seed, CtxDist: *ctxDist,
+		Prompt: *prompt, Output: *gen, MaxBatch: *maxBatch, KVBlock: *kvBlock,
 	}
 	// The same content-addressed compile cache the daemon uses: prefill
 	// compiles once per prompt shape, decode once per (batch, padded-KV)
 	// shape, and with -cache-dir the artifacts outlive this process.
 	svc := service.New(service.Config{})
-	if *cacheDir != "" {
-		if err := svc.EnableDiskCache(*cacheDir); err != nil {
+	if job.CacheDir != "" {
+		if err := svc.EnableDiskCache(job.CacheDir); err != nil {
 			return fmt.Errorf("opening cache dir: %w", err)
 		}
 	}
-	// probe stays a nil interface without -trace: a nil *TraceWriter in it
-	// would be a non-nil probe and turn off the per-shape replay.
-	var probe obs.Probe
-	var tw *obs.TraceWriter
-	if *traceOut != "" {
-		tw = obs.NewTraceWriter()
-		probe = tw
-	}
-	res, err := svc.Simulate(spec, probe)
+	// Without -trace the probe is nil, which keeps the per-shape replay on.
+	res, err := svc.Simulate(spec, out.Probe())
 	if err != nil {
 		return err
 	}
 	rep := *res.ServeReport
-	if tw != nil {
-		if err := tw.WriteFile(*traceOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote trace (%d events) to %s\n", tw.Len(), *traceOut)
+	if err := out.WriteTrace(os.Stderr); err != nil {
+		return err
 	}
 
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
+	if out.JSON {
+		return out.Encode(rep)
 	}
-	if *showReport {
-		fmt.Print(rep.Text())
-	} else {
-		brief := rep
-		brief.PerRequest = nil
-		fmt.Print(brief.Text())
+	if !*showReport {
+		rep.PerRequest = nil
 	}
+	fmt.Print(rep.Text())
 	fmt.Printf("host: %.0f ms wall\n", rep.WallMs)
 	return nil
 }

@@ -16,84 +16,59 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/obs/report"
-	"repro/internal/service"
 	"repro/internal/service/cache"
 	"repro/internal/service/modelzoo"
 	"repro/internal/tog"
 )
 
-func main() {
-	// All failure paths funnel through run's error: print to stderr, exit
-	// non-zero. No fmt.Print-and-fall-through.
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ptsim:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("ptsim", run) }
 
 func run() error {
-	model := flag.String("model", "gemm", "model to simulate")
+	job := cli.BindJob(flag.CommandLine, "gemm")
+	out := cli.BindOutput(flag.CommandLine, "TLS run")
 	batch := flag.Int("batch", 1, "batch size")
 	n := flag.Int("n", 512, "GEMM dimension (model=gemm)")
 	seq := flag.Int("seq", 512, "sequence length (BERT models)")
 	ctx := flag.Int("ctx", 128, "context length (decoder models)")
 	prefill := flag.Bool("prefill", false, "decoder models: simulate the prompt prefill pass instead of a decode step")
-	topology := flag.String("topology", "single", "topology preset: single, pkg2, or meshXxY (e.g. mesh2x2)")
-	parStrat := flag.String("parallel", "none", "cross-package parallelism: none, data, or tensor (multi-package topologies)")
 	mode := flag.String("mode", "tls", "simulation mode: tls or ils")
-	netKind := flag.String("net", "sn", "interconnect: sn or cn")
-	small := flag.Bool("small", false, "use the small NPU config")
 	fusion := flag.Bool("fusion", true, "enable operator fusion")
 	convOpt := flag.Bool("convopt", true, "enable conv layout optimization")
 	dmaMode := flag.String("dma", "selective", "DMA mode: coarse, fine, selective")
-	maxCycles := flag.Int64("max-cycles", 0, "deadlock guard: abort past this many simulated cycles (0 = default)")
 	dumpTOG := flag.String("dump-tog", "", "write the first TOG to this JSON file")
 	dumpKernels := flag.String("dump-kernels", "", "write each compiled kernel's assembly into this directory")
 	autotune := flag.Bool("autotune", false, "sweep tile-size candidates through TLS and report the best (tls mode)")
 	tuneObjective := flag.String("autotune-objective", "cycles", "autotune winner metric: cycles or energy-delay (cycles x total energy)")
-	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of the TLS run to this JSON file")
-	cacheDir := flag.String("cache-dir", "", "persist the kernel-latency cache under this directory (reused across runs)")
 	showReport := flag.Bool("report", false, "print the full utilization and stall breakdown (tls mode)")
-	jsonOut := flag.Bool("json", false, "print the run report as JSON on stdout (tls mode)")
 	flag.Parse()
 
-	if *mode != "tls" && (*traceOut != "" || *showReport || *jsonOut) {
+	if *mode != "tls" && (out.Trace != "" || *showReport || out.JSON) {
 		return fmt.Errorf("-trace, -report, and -json require -mode tls")
 	}
-	// With -json, stdout carries exactly one JSON document; progress and
-	// compiler chatter move to stderr.
-	var logw io.Writer = os.Stdout
-	if *jsonOut {
-		logw = os.Stderr
-	}
+	logw := out.Log()
 
-	npuName := "tpuv3"
-	if *small {
-		npuName = "small"
-	}
 	// The daemon's resolver validates the flags, so ptsim accepts exactly
 	// the specs a ptsimd job would.
-	r, err := service.JobSpec{Model: *model, Batch: *batch, N: *n, Seq: *seq, Ctx: *ctx, Prefill: *prefill,
-		Topology: *topology, Parallel: *parStrat, NPU: npuName, Net: *netKind, DMA: *dmaMode,
-		Fusion: fusion, ConvOpt: convOpt, MaxCycles: *maxCycles}.Resolve()
+	spec := job.Spec()
+	spec.Batch, spec.N, spec.Seq, spec.Ctx, spec.Prefill = *batch, *n, *seq, *ctx, *prefill
+	spec.DMA, spec.Fusion, spec.ConvOpt = *dmaMode, fusion, convOpt
+	r, err := spec.Resolve()
 	if err != nil {
 		return err
 	}
 	multi := r.Topo.Packages() > 1
 	if multi {
 		if *mode != "tls" {
-			return fmt.Errorf("-topology %s requires -mode tls", *topology)
+			return fmt.Errorf("-topology %s requires -mode tls", job.Topology)
 		}
 		if *autotune {
 			return fmt.Errorf("-autotune is not supported with multi-package topologies")
@@ -114,27 +89,23 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown autotune objective %q (cycles, energy-delay)", *tuneObjective)
 	}
-	if *cacheDir != "" {
-		disk, err := cache.NewDisk(*cacheDir)
+	if job.CacheDir != "" {
+		disk, err := cache.NewDisk(job.CacheDir)
 		if err != nil {
 			return fmt.Errorf("opening cache dir: %w", err)
 		}
 		sim.AttachStore(disk)
 	}
-	var tw *obs.TraceWriter
-	if *traceOut != "" {
-		tw = obs.NewTraceWriter()
-		sim.Probe = tw
-	}
+	sim.Probe = out.Probe()
 	comp, err := sim.Compile(g)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(logw, "compiled %q: %d layers, %d unique kernels measured, %.1f MB DRAM footprint\n",
 		g.Name, len(comp.TOGs), sim.Compiler.MeasureCount(), float64(comp.TotalBytes)/1e6)
-	if *cacheDir != "" {
+	if job.CacheDir != "" {
 		hits, misses := sim.DiskStats()
-		fmt.Fprintf(logw, "disk cache: %d hits, %d misses (%s)\n", hits, misses, *cacheDir)
+		fmt.Fprintf(logw, "disk cache: %d hits, %d misses (%s)\n", hits, misses, job.CacheDir)
 	}
 
 	if *dumpTOG != "" && len(comp.TOGs) > 0 {
@@ -188,32 +159,12 @@ func run() error {
 			rep = tuned
 		}
 		// One formatter for every surface: the CLI summary, -report, -json,
-		// and the ptsimd job response all render the same report.Report.
-		full := report.Build(rep.Machine, rep.Inputs())
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(full); err != nil {
-				return err
-			}
-		} else {
-			fmt.Printf("TLS: %s\n", full.Summary())
-			if *showReport {
-				fmt.Print(full.Text())
-			} else {
-				// Compact default: utilization and DRAM lines, no per-job
-				// breakdown (that is what -report adds).
-				brief := full
-				brief.Jobs = nil
-				fmt.Print(brief.Text())
-			}
+		// and the ptsimd job response all render the same report.Report;
+		// the compact default leaves out the per-job breakdown -report adds.
+		if err := out.Render(report.Build(rep.Machine, rep.Inputs()), "TLS", *showReport); err != nil {
+			return err
 		}
-		if tw != nil {
-			if err := tw.WriteFile(*traceOut); err != nil {
-				return err
-			}
-			fmt.Fprintf(logw, "wrote trace (%d events) to %s\n", tw.Len(), *traceOut)
-		}
+		return out.WriteTrace(logw)
 	default:
 		return fmt.Errorf("unknown mode %q (tls, ils)", *mode)
 	}

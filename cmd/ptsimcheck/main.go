@@ -29,15 +29,11 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/crosscheck"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ptsimcheck:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("ptsimcheck", run) }
 
 func run() error {
 	seed := flag.Uint64("seed", 1, "generation stream seed")

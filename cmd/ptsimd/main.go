@@ -29,54 +29,31 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/fleet"
 	"repro/internal/service"
 	"repro/internal/service/cache"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ptsimd:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("ptsimd", run) }
 
 func run() error {
-	addr := flag.String("addr", "127.0.0.1:8726", "listen address (port 0 = ephemeral)")
-	workers := flag.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "job queue capacity (admission control bound)")
-	tenantQueue := flag.Int("tenant-queue", 0, "per-tenant queue capacity (0 = no per-tenant bound beyond -queue)")
-	tenantWeights := flag.String("tenant-weights", "", `weighted-fair tenant shares, e.g. "team-a=3,team-b=1" (absent tenants weigh 1)`)
-	maxCycles := flag.Int64("max-cycles", 0, "default per-job deadlock guard in simulated cycles (0 = package default)")
-	cacheDir := flag.String("cache-dir", "", "persist kernel-latency tables under this directory (reused across restarts)")
+	d := cli.BindDaemon(flag.CommandLine, "127.0.0.1:8726", 0)
 	self := flag.String("self", "", "this node's base URL on the fleet ring (required with -peers)")
 	peers := flag.String("peers", "", "comma-separated base URLs of fleet peers; enables the remote peer-cache tier")
 	flag.Parse()
 
-	weights, err := service.ParseTenantWeights(*tenantWeights)
-	if err != nil {
-		return err
-	}
-	svc := service.New(service.Config{
-		Workers: *workers, QueueDepth: *queue, MaxCycles: *maxCycles,
-		TenantQueueDepth: *tenantQueue, TenantWeights: weights,
-	})
-	if *cacheDir != "" {
-		if err := svc.EnableDiskCache(*cacheDir); err != nil {
+	svc := service.New(d.Config)
+	if d.CacheDir != "" {
+		if err := svc.EnableDiskCache(d.CacheDir); err != nil {
 			return fmt.Errorf("opening cache dir: %w", err)
 		}
-		fmt.Printf("ptsimd: persistent compile cache at %s\n", *cacheDir)
+		fmt.Printf("ptsimd: persistent compile cache at %s\n", d.CacheDir)
 	}
 	if *peers != "" {
 		if *self == "" {
@@ -97,31 +74,13 @@ func run() error {
 	svc.Start()
 	defer svc.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	// The listening line is machine-readable on purpose: the smoke tests
-	// (scripts/service_smoke.sh, scripts/fleet_smoke.sh) start us on an
-	// ephemeral port and scrape the URL from it.
-	fmt.Printf("ptsimd: listening on http://%s\n", ln.Addr())
-	st := svc.Stats()
-	fmt.Printf("ptsimd: %d workers, queue depth %d; endpoints: POST /jobs, GET /jobs/{id}, GET /jobs/{id}/events, GET /stats, GET /metrics, GET|PUT /cache/{key}\n",
-		st.Workers, st.QueueDepth)
-
-	srv := &http.Server{Handler: service.NewHandler(svc)}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case s := <-sig:
-		fmt.Printf("ptsimd: %v, draining\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
+	return d.Serve("ptsimd", service.NewHandler(svc), func(addr net.Addr) {
+		// The listening line is machine-readable on purpose: the smoke
+		// tests (scripts/service_smoke.sh, scripts/fleet_smoke.sh) start us
+		// on an ephemeral port and scrape the URL from it.
+		fmt.Printf("ptsimd: listening on http://%s\n", addr)
+		st := svc.Stats()
+		fmt.Printf("ptsimd: %d workers, queue depth %d; endpoints: POST /jobs, GET /jobs/{id}, GET /jobs/{id}/events, GET /stats, GET /metrics, GET|PUT /cache/{key}\n",
+			st.Workers, st.QueueDepth)
+	})
 }

@@ -11,73 +11,56 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/npu"
-	"repro/internal/obs"
 	"repro/internal/obs/report"
-	"repro/internal/service/cache"
 	"repro/internal/tog"
 	"repro/internal/togsim"
 	"repro/internal/topo"
 )
 
-func main() {
+func main() { cli.Main("togsim", run) }
+
+func run() error {
 	togPath := flag.String("tog", "", "path to a TOG JSON file")
-	netKind := flag.String("net", "sn", "interconnect model: sn (simple) or cn (cycle-accurate crossbar)")
+	machine := cli.BindMachine(flag.CommandLine, true)
+	out := cli.BindOutput(flag.CommandLine, "run")
 	sched := flag.String("sched", "frfcfs", "memory scheduler: frfcfs or fcfs")
-	small := flag.Bool("small", false, "use the small NPU config instead of TPUv3")
 	dump := flag.Bool("stats", false, "print TOG static statistics only (no simulation)")
-	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this JSON file")
-	jsonOut := flag.Bool("json", false, "print the run report as JSON on stdout")
-	cacheDir := flag.String("cache-dir", "", "cache run reports under this directory, keyed by TOG content and configuration (ignored with -trace)")
 	flag.Parse()
 
 	if *togPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: togsim -tog <file> [-net sn|cn] [-sched frfcfs|fcfs] [-trace out.json] [-json] [-stats]")
 		os.Exit(2)
 	}
-	// With -json, stdout carries exactly one JSON document; the static
-	// statistics and trace confirmation move to stderr.
-	var logw io.Writer = os.Stdout
-	if *jsonOut {
-		logw = os.Stderr
-	}
+	logw := out.Log() // stderr under -json
+
 	data, err := os.ReadFile(*togPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	g, err := tog.Decode(data)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	stats, err := g.CollectStats()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(logw, "TOG %q: %d compute nodes (%d cycles), %d loads (%d bytes), %d stores (%d bytes)\n",
 		g.Name, stats.ComputeNodes, stats.ComputeCycles, stats.LoadNodes, stats.LoadBytes, stats.StoreNodes, stats.StoreBytes)
 	if *dump {
-		return
+		return nil
 	}
 
-	cfg := npu.TPUv3Config()
-	if *small {
-		cfg = npu.SmallConfig()
-	}
-	kind := togsim.SimpleNet
-	switch *netKind {
-	case "cn":
-		kind = togsim.CycleNet
-	case "sn":
-	default:
-		fatal(fmt.Errorf("unknown net %q (sn, cn)", *netKind))
+	cfg, kind, err := machine.Resolve()
+	if err != nil {
+		return err
 	}
 	policy := dram.FRFCFS
 	switch *sched {
@@ -85,34 +68,12 @@ func main() {
 		policy = dram.FCFS
 	case "frfcfs":
 	default:
-		fatal(fmt.Errorf("unknown sched %q (frfcfs, fcfs)", *sched))
-	}
-	// The run is deterministic in (TOG, config, net, scheduler), so the
-	// finished report can be served content-addressed from disk. A trace
-	// request always simulates for real: the trace IS the run.
-	var store *cache.Disk
-	var reportKey string
-	if *cacheDir != "" && *traceOut == "" {
-		store, err = cache.NewDisk(*cacheDir)
-		if err != nil {
-			fatal(err)
-		}
-		reportKey = "report-" + cache.CanonicalHash(string(data), cfg, *netKind, *sched)
-		if blob, ok := store.Get(reportKey); ok {
-			var rep report.Report
-			if err := json.Unmarshal(blob, &rep); err == nil {
-				fmt.Fprintf(logw, "run report served from cache (%s)\n", *cacheDir)
-				render(rep, *jsonOut)
-				return
-			}
-		}
+		return fmt.Errorf("unknown sched %q (frfcfs, fcfs)", *sched)
 	}
 
 	st := core.NewStack(cfg, kind, policy, topo.Config{})
-	var tw *obs.TraceWriter
-	if *traceOut != "" {
-		tw = obs.NewTraceWriter()
-		st.AttachProbe(tw)
+	if p := out.Probe(); p != nil {
+		st.AttachProbe(p)
 	}
 	// Bind every tensor to a distinct region.
 	bases := map[string]uint64{}
@@ -123,41 +84,11 @@ func main() {
 	}
 	_, in, err := st.Run([]*togsim.Job{{Name: g.Name, TOGs: []*tog.TOG{g}, Bases: []map[string]uint64{bases}}})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// The same report.Report that ptsim and the ptsimd job response render.
-	rep := report.Build(cfg, in)
-	if store != nil {
-		// Strip host wall time so the cached artifact is fully deterministic.
-		canonical := rep
-		canonical.WallMs = 0
-		if blob, err := json.Marshal(canonical); err == nil {
-			_ = store.Put(reportKey, blob)
-		}
+	if err := out.Render(report.Build(cfg, in), "simulated", true); err != nil {
+		return err
 	}
-	render(rep, *jsonOut)
-	if tw != nil {
-		if err := tw.WriteFile(*traceOut); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(logw, "wrote trace (%d events) to %s\n", tw.Len(), *traceOut)
-	}
-}
-
-func render(rep report.Report, jsonOut bool) {
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Printf("simulated: %s\n", rep.Summary())
-	fmt.Print(rep.Text())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "togsim:", err)
-	os.Exit(1)
+	return out.WriteTrace(logw)
 }

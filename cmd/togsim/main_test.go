@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/npu"
+	"repro/internal/service"
 	"repro/internal/tog"
 )
 
 // A misspelt model selector must fail loudly instead of silently running
-// the default, and the strict-tick reference loop is not a user option.
+// the default, and neither the strict-tick reference loop nor a report
+// cache is a user option.
 func TestRejectsUnknownSelectors(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "togsim")
@@ -43,13 +45,20 @@ func TestRejectsUnknownSelectors(t *testing.T) {
 	if out, err := run("-net", "cn", "-sched", "fcfs"); err != nil {
 		t.Fatalf("valid selectors: %v\n%s", err, out)
 	}
+	// -net resolves through the service, so a bad one fails with the
+	// resolver's own message, as a ptsimd job with that net would.
+	_, _, badNet := service.ResolveMachine("small", "xyz")
+	if badNet == nil {
+		t.Fatal("the resolver accepted -net xyz")
+	}
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-net", "xyz"}, `unknown net "xyz"`},
+		{[]string{"-net", "xyz"}, "togsim: " + badNet.Error()},
 		{[]string{"-sched", "foo"}, `unknown sched "foo"`},
 		{[]string{"-strict"}, "flag provided but not defined"},
+		{[]string{"-cache-dir", dir}, "flag provided but not defined"},
 	} {
 		out, err := run(tc.args...)
 		if err == nil {

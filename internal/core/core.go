@@ -175,33 +175,19 @@ func (s *Simulator) SimulateTLS(comp *compiler.Compiled, kind NetKind) (Report, 
 	return s.simulateTLS(comp, kind, s.Probe)
 }
 
+// simulateTLS is the one run body behind SimulateTLS, SimulateILS and
+// every AutoTune candidate: a fresh stack carrying this simulator's run
+// knobs.
 func (s *Simulator) simulateTLS(comp *compiler.Compiled, kind NetKind, probe obs.Probe) (Report, error) {
-	st := s.stack(kind, probe)
-	jobs, err := st.Place(comp.Name, comp)
-	if err != nil {
-		return Report{}, err
-	}
-	return run(st, jobs)
-}
-
-// SimulateJobs runs an arbitrary multi-core, multi-tenant job set (§5.2).
-func (s *Simulator) SimulateJobs(jobs []*togsim.Job, kind NetKind) (Report, error) {
-	return run(s.stack(kind, s.Probe), jobs)
-}
-
-// stack builds a fresh TLS stack carrying this simulator's run knobs.
-func (s *Simulator) stack(kind NetKind, probe obs.Probe) *Stack {
 	st := NewStack(s.Cfg, kind, dram.FRFCFS, s.Topo)
 	st.Engine.MaxCycles = s.MaxCycles
 	if probe != nil {
 		st.AttachProbe(probe)
 	}
-	return st
-}
-
-// run is the one run body behind SimulateTLS, SimulateJobs and every
-// AutoTune candidate.
-func run(st *Stack, jobs []*togsim.Job) (Report, error) {
+	jobs, err := st.Place(comp.Name, comp)
+	if err != nil {
+		return Report{}, err
+	}
 	res, in, err := st.Run(jobs)
 	if err != nil {
 		return Report{}, err

@@ -19,8 +19,7 @@ import (
 // iterations, cmd/togsim, the experiments, training, the oracles and the
 // examples all build their engine here, so a hook that must see every run
 // (recover, cancellation, request IDs, host-time phases) belongs in
-// NewStack and Run. Run knobs stay on Engine (MaxCycles, NodesPerCycle,
-// StrictTick). The one deliberate exception is the §5.1 sparse-core
+// NewStack and Run. Run knobs stay on Engine (MaxCycles, StrictTick). The one deliberate exception is the §5.1 sparse-core
 // validation (exp/sparseval.go), which runs on togsim.NewFlatLatency's
 // flat 100 ns memory instead of the DRAM/NoC stack built here.
 type Stack struct {

@@ -95,9 +95,6 @@ type JobSpec struct {
 	// (0 = the service default, which itself defaults to
 	// togsim.DefaultMaxCycles).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
-	// NodesPerCycle overrides the engine's zero-cost node budget per
-	// context per cycle (0 = the engine default).
-	NodesPerCycle int `json:"nodes_per_cycle,omitempty"`
 	// Serve turns the job into an LLM serving run: instead of simulating
 	// the model once, the worker replays a seeded arrival trace through the
 	// continuous-batching scheduler (decoder models only).
@@ -153,25 +150,18 @@ func (s JobSpec) Resolve() (Resolved, error) {
 	var r Resolved
 	r.Spec = modelzoo.Spec{Model: s.Model, Batch: s.Batch, N: s.N, Seq: s.Seq, Ctx: s.Ctx, Prefill: s.Prefill,
 		Topology: s.Topology, Parallel: s.Parallel}.Normalize()
-	cfg, err := modelzoo.NPUConfig(s.NPU)
+	var err error
+	r.Cfg, r.Net, err = ResolveMachine(s.NPU, s.Net)
 	if err != nil {
 		return r, err
 	}
-	r.Cfg, r.NPU = cfg, s.NPU
+	r.NPU = s.NPU
 	if r.NPU == "" {
 		r.NPU = "tpuv3"
 	}
-	r.Topo, err = modelzoo.Topology(r.Spec, cfg.Mem)
+	r.Topo, err = modelzoo.Topology(r.Spec, r.Cfg.Mem)
 	if err != nil {
 		return r, err
-	}
-	switch s.Net {
-	case "", "sn":
-		r.Net = togsim.SimpleNet
-	case "cn":
-		r.Net = togsim.CycleNet
-	default:
-		return r, fmt.Errorf("service: unknown net %q (sn, cn)", s.Net)
 	}
 	r.Opts = compiler.DefaultOptions()
 	switch s.DMA {
@@ -194,10 +184,6 @@ func (s JobSpec) Resolve() (Resolved, error) {
 		return r, fmt.Errorf("service: negative max_cycles %d", s.MaxCycles)
 	}
 	r.MaxCycles = s.MaxCycles
-	if s.NodesPerCycle < 0 {
-		return r, fmt.Errorf("service: negative nodes_per_cycle %d", s.NodesPerCycle)
-	}
-	r.NodesPerCycle = s.NodesPerCycle
 	if s.Serve != nil {
 		if !strings.HasPrefix(s.Model, "decoder-") {
 			return r, fmt.Errorf("service: serve jobs need a decoder model, got %q", s.Model)
@@ -221,18 +207,35 @@ func (s JobSpec) Resolve() (Resolved, error) {
 	return r, nil
 }
 
+// ResolveMachine maps an NPU preset name and an interconnect name onto the
+// machine a run simulates ("" means "tpuv3" and "sn"). JobSpec.Resolve
+// resolves through it, and so does every command that names a machine
+// without a whole spec (togsim, experiments).
+func ResolveMachine(npuName, net string) (npu.Config, togsim.NetKind, error) {
+	cfg, err := modelzoo.NPUConfig(npuName)
+	if err != nil {
+		return cfg, togsim.SimpleNet, err
+	}
+	switch net {
+	case "", "sn":
+		return cfg, togsim.SimpleNet, nil
+	case "cn":
+		return cfg, togsim.CycleNet, nil
+	}
+	return cfg, togsim.SimpleNet, fmt.Errorf("service: unknown net %q (sn, cn)", net)
+}
+
 // Resolved is a validated JobSpec: the normalized model spec, the machine
 // it runs on and how it is compiled and simulated.
 type Resolved struct {
-	Spec          modelzoo.Spec
-	Topo          topo.Config
-	Cfg           npu.Config
-	NPU           string // preset name of Cfg ("tpuv3" or "small")
-	Opts          compiler.Options
-	Net           togsim.NetKind
-	MaxCycles     int64
-	NodesPerCycle int
-	Serve         *ServeSpec
+	Spec      modelzoo.Spec
+	Topo      topo.Config
+	Cfg       npu.Config
+	NPU       string // preset name of Cfg ("tpuv3" or "small")
+	Opts      compiler.Options
+	Net       togsim.NetKind
+	MaxCycles int64
+	Serve     *ServeSpec
 }
 
 // State is a job's lifecycle position.
@@ -817,9 +820,6 @@ func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 	st.Engine.MaxCycles = r.MaxCycles
 	if st.Engine.MaxCycles == 0 {
 		st.Engine.MaxCycles = s.cfg.MaxCycles
-	}
-	if r.NodesPerCycle > 0 {
-		st.Engine.NodesPerCycle = r.NodesPerCycle
 	}
 	jobs, err := st.Place(comp.Name, comp)
 	if err != nil {

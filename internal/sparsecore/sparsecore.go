@@ -59,8 +59,9 @@ func (c Config) TileCycles(a, b *sparse.CSR) int64 {
 // CycleSim is the detailed reference simulator standing in for the original
 // SST-STONNE: it walks the outer products k-slice by k-slice, accounting
 // multiplier occupancy and merge throughput per slice (finer rounding than
-// the tile-level formula), plus flat-latency memory fetches per fibre. The
-// TLS validation (§5.1) compares TOGSim+tile-latencies against this model.
+// the tile-level formula), plus flat-latency memory fetches per fibre. It
+// cross-checks the tile formula; the §5.1 TLS validation compares against
+// EventSim instead.
 type CycleSim struct {
 	Cfg        Config
 	MemLatency int64 // flat DRAM latency in cycles (the paper uses 100 ns)

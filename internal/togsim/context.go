@@ -13,7 +13,6 @@ import (
 type context struct {
 	job    *job2
 	coreID int
-	budget int
 	burst  int // memory request granularity (DRAM burst bytes)
 
 	togIdx  int
@@ -79,11 +78,10 @@ type loopFrame struct {
 	v       string
 }
 
-func newContext(j *Job, coreID, budget, burst int, probe obs.Probe) *context {
+func newContext(j *Job, coreID, burst int, probe obs.Probe) *context {
 	c := &context{
 		job:          j,
 		coreID:       coreID,
-		budget:       budget,
 		burst:        burst,
 		vars:         map[string]int64{},
 		tagSlot:      map[int]int{},
@@ -252,7 +250,7 @@ func (c *context) step(cycle int64, cs *coreState, fabric Fabric) error {
 	c.unblock(cycle)
 
 	g := c.job.TOGs[c.togIdx]
-	for steps := 0; steps < c.budget; steps++ {
+	for steps := 0; steps < nodesPerCycle; steps++ {
 		if c.pc >= len(g.Nodes) {
 			// TOG body done; drain outstanding DMAs before moving on. The
 			// stall clock starts here, not at the next step call — strict and

@@ -15,6 +15,10 @@ import (
 // Override per engine via Engine.MaxCycles.
 const DefaultMaxCycles = 20_000_000_000
 
+// nodesPerCycle bounds the zero-cost nodes (loop bounds, waits already
+// satisfied) one context walks in a single cycle.
+const nodesPerCycle = 256
+
 // Job is one unit of scheduled work: a sequence of TOGs (e.g. a model's
 // layers) executed in order on a specific core. Bases gives each TOG its
 // tensor base addresses in DRAM; Src tags the job's memory traffic for
@@ -117,8 +121,6 @@ type Engine struct {
 
 	// MaxCycles guards against deadlock (0 = DefaultMaxCycles).
 	MaxCycles int64
-	// NodesPerCycle bounds zero-cost node processing per context per cycle.
-	NodesPerCycle int
 
 	// Probe receives trace spans (per compute node, per DMA, per job) and
 	// counters when non-nil. A nil probe adds no allocations to the hot
@@ -129,7 +131,7 @@ type Engine struct {
 
 // NewEngine returns an engine over the given fabric.
 func NewEngine(cfg npu.Config, fabric Fabric) *Engine {
-	return &Engine{Cfg: cfg, Fabric: fabric, NodesPerCycle: 256}
+	return &Engine{Cfg: cfg, Fabric: fabric}
 }
 
 // DeadlockError is the typed run-cannot-finish failure: the simulation
@@ -244,7 +246,7 @@ func (e *Engine) stepCore(ci int, cs *coreState, cycle int64,
 	for len(cs.contexts) < cs.maxCtx && len(cs.queue) > 0 && cs.queue[0].Arrival <= cycle {
 		j := cs.queue[0]
 		cs.queue = cs.queue[1:]
-		ctx := newContext(j, ci, e.NodesPerCycle, e.Cfg.Mem.BurstBytes, e.Probe)
+		ctx := newContext(j, ci, e.Cfg.Mem.BurstBytes, e.Probe)
 		cs.contexts = append(cs.contexts, ctx)
 		results[j].Start = cycle
 	}

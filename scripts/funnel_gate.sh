@@ -13,7 +13,13 @@
 # service.JobSpec.Resolve, the one resolver. And it fails if non-test Go
 # other than internal/service/board.go builds a job queue with
 # sched.NewFairQueue — ptsimd and the fleet coordinator share the one job
-# lifecycle, service.Board. Also prints the non-test Go line count outside
+# lifecycle, service.Board. And it fails if non-test Go under cmd/ builds
+# an NPU preset (npu.TPUv3Config(, npu.SmallConfig() or names an
+# interconnect (togsim.SimpleNet, togsim.CycleNet) itself, or declares one
+# of the shared flags (-model, -topology, -parallel, -small, -net,
+# -max-cycles, -cache-dir, -json, -trace and the daemon flags) — commands
+# bind those through internal/cli, which resolves the machine with
+# service.ResolveMachine. Also prints the non-test Go line count outside
 # bench/, so "the code got smaller" is a number. Wired into `make check`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -52,6 +58,16 @@ hits=$(echo "$files" |
   xargs grep -n -e 'sched\.NewFairQueue[[(]' || true)
 if [ -n "$hits" ]; then
   echo "funnel-gate: FAIL — a job queue outside the board (use service.Board):"
+  echo "$hits"
+  exit 1
+fi
+
+shared='model|topology|parallel|small|net|max-cycles|cache-dir|json|trace|addr|workers|queue|tenant-queue|tenant-weights'
+hits=$(echo "$files" | grep '^cmd/' |
+  xargs grep -nE -e 'npu\.(TPUv3Config|SmallConfig)\(' -e 'togsim\.(SimpleNet|CycleNet)\b' \
+    -e "\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text)(Var)?\(([^\"]*, )?\"($shared)\"" || true)
+if [ -n "$hits" ]; then
+  echo "funnel-gate: FAIL — a command binds a shared flag or builds its machine itself (use internal/cli):"
   echo "$hits"
   exit 1
 fi
