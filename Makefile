@@ -29,13 +29,17 @@ test:
 race:
 	$(GO) test -race -timeout 3600s ./...
 
-# The full gate: everything CI (and the acceptance criteria) require.
+# The full gate: everything CI (and the acceptance criteria) require. The
+# bench/ module is its own module, so ./... does not reach it; it is vetted
+# and tested on its own because it builds on togsim's Fabric and MemReq.
 check:
 	$(GO) build ./...
 	$(MAKE) fmt
 	$(MAKE) funnel-gate
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 	$(GO) test -race -timeout 3600s ./...
+	$(GO) -C bench test ./...
 	$(MAKE) service-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) cache-smoke

@@ -62,6 +62,10 @@ func (a AddrMap) Locate(r *Request) int {
 	return r.ch
 }
 
+// Channel returns the channel serving addr: Locate's channel, without
+// the bank and row.
+func (a AddrMap) Channel(addr uint64) int { return int(addr / a.burstBytes % a.channels) }
+
 func (a AddrMap) decompose(addr uint64) (ch, bk int, row int64) {
 	burst := addr / a.burstBytes
 	rest := burst / a.channels

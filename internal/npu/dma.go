@@ -132,41 +132,43 @@ func (d DMADesc) spadOuterBytes() int {
 	return d.Rows * d.SpadStride
 }
 
-// DRAMRanges returns the list of contiguous DRAM byte ranges the descriptor
-// touches starting at dramAddr. TOGSim expands these into memory-system
-// requests at burst granularity.
+// Range is one contiguous DRAM byte range a descriptor touches. TOGSim
+// submits each range to the fabric as one memory request, which splits it
+// into bursts.
 type Range struct {
 	Addr  uint64
 	Bytes int
 }
 
-// DRAMRanges enumerates per-row contiguous ranges (rows with contiguous
-// strides are coalesced into larger ranges).
-func (d DMADesc) DRAMRanges(dramAddr uint64) []Range {
+// DRAMRanges appends to dst the per-row contiguous ranges the descriptor
+// touches starting at dramAddr and returns the extended slice. Adjacent
+// ranges (rows with contiguous strides, abutting outer blocks) are
+// coalesced.
+func (d DMADesc) DRAMRanges(dst []Range, dramAddr uint64) []Range {
 	n := d.Normalize()
 	rowBytes := n.Cols * n.ElemBytes
-	var out []Range
+	start := len(dst)
 	for o := 0; o < n.Outer; o++ {
 		base := dramAddr + uint64(o*n.OuterStride)
 		if n.DRAMStride == rowBytes {
-			out = append(out, Range{Addr: base, Bytes: rowBytes * n.Rows})
+			dst = appendCoalesced(dst, start, Range{Addr: base, Bytes: rowBytes * n.Rows})
 			continue
 		}
 		for r := 0; r < n.Rows; r++ {
-			out = append(out, Range{Addr: base + uint64(r*n.DRAMStride), Bytes: rowBytes})
+			dst = appendCoalesced(dst, start, Range{Addr: base + uint64(r*n.DRAMStride), Bytes: rowBytes})
 		}
 	}
-	// Coalesce adjacent ranges (outer blocks may abut).
-	merged := out[:0]
-	for _, rg := range out {
-		if len(merged) > 0 {
-			last := &merged[len(merged)-1]
-			if last.Addr+uint64(last.Bytes) == rg.Addr {
-				last.Bytes += rg.Bytes
-				continue
-			}
+	return dst
+}
+
+// appendCoalesced appends rg to dst, extending the last range instead when
+// rg continues it and that range lies at or after dst[start].
+func appendCoalesced(dst []Range, start int, rg Range) []Range {
+	if len(dst) > start {
+		if last := &dst[len(dst)-1]; last.Addr+uint64(last.Bytes) == rg.Addr {
+			last.Bytes += rg.Bytes
+			return dst
 		}
-		merged = append(merged, rg)
 	}
-	return merged
+	return append(dst, rg)
 }

@@ -58,7 +58,7 @@ func propDMARangesTotal(seed uint64) bool {
 		d.DRAMStride = d.Cols*4 + 4*(1+r.Intn(3))
 	}
 	total := 0
-	for _, rg := range d.DRAMRanges(0) {
+	for _, rg := range d.DRAMRanges(nil, 0) {
 		total += rg.Bytes
 	}
 	return total == d.TotalBytes()

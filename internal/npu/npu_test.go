@@ -180,13 +180,13 @@ func TestDMAValidate(t *testing.T) {
 func TestDMARangesCoalesced(t *testing.T) {
 	// Contiguous rows collapse into one range.
 	d := DMADesc{Rows: 4, Cols: 8}
-	rs := d.DRAMRanges(0)
+	rs := d.DRAMRanges(nil, 0)
 	if len(rs) != 1 || rs[0].Bytes != 4*8*4 {
 		t.Fatalf("contiguous ranges not coalesced: %+v", rs)
 	}
 	// Strided rows stay separate.
 	d2 := DMADesc{Rows: 3, Cols: 2, DRAMStride: 64}
-	rs2 := d2.DRAMRanges(100 << 10)
+	rs2 := d2.DRAMRanges(nil, 100<<10)
 	if len(rs2) != 3 {
 		t.Fatalf("want 3 strided ranges, got %+v", rs2)
 	}

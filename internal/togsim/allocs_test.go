@@ -56,3 +56,40 @@ func TestRunAllocsAmortized(t *testing.T) {
 			delta, extraBursts, float64(delta)/float64(extraBursts))
 	}
 }
+
+// loadAlloc executes one fresh run whose only work is a single contiguous
+// load of the given size and returns the heap bytes it allocated.
+func loadAlloc(t *testing.T, bytes int) uint64 {
+	t.Helper()
+	cfg := npu.SmallConfig()
+	s := NewStandard(cfg, SimpleNet, dram.FRFCFS)
+	b := tog.NewBuilder("load", "in")
+	b.Load("in", npu.DMADesc{Rows: bytes / 1024, Cols: 256}, tog.AddrExpr{}, 0, 0)
+	b.Wait(0)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m1)
+	if _, err := s.Engine.RunSingle(g, map[string]uint64{"in": 0}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m2)
+	return m2.TotalAlloc - m1.TotalAlloc
+}
+
+// TestFabricMemoryIndependentOfDMASize pins the fabric's late burst split:
+// a DMA range is one request until its bursts reach the DRAM channel
+// queues, so the records alive at once are bounded by the controller's
+// queue capacity, and a 4 MiB load allocates about what a 64 KiB one does.
+// Staging one record per burst up front costs tens of megabytes here.
+func TestFabricMemoryIndependentOfDMASize(t *testing.T) {
+	small := loadAlloc(t, 64<<10)
+	big := loadAlloc(t, 4<<20)
+	t.Logf("64 KiB load: %d B allocated, 4 MiB load: %d B", small, big)
+	if big > small+64<<10 {
+		t.Fatalf("a 4 MiB load allocated %d B, a 64 KiB load %d B: fabric memory grows with DMA size", big, small)
+	}
+}

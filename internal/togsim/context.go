@@ -3,6 +3,7 @@ package togsim
 import (
 	"fmt"
 
+	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tog"
@@ -13,7 +14,6 @@ import (
 type context struct {
 	job    *job2
 	coreID int
-	burst  int // memory request granularity (DRAM burst bytes)
 
 	togIdx  int
 	pc      int
@@ -21,18 +21,20 @@ type context struct {
 	loops   []loopFrame
 	readyAt int64 // context blocked until this cycle
 
-	// DMA bookkeeping. Bursts in flight are counted per DMA tag in a dense
-	// slice: tagSlot assigns each tag the job uses an index on first sight
-	// (one map read per DMA or wait node), so the per-burst updates in
-	// issueDMA and dmaDone are slice increments.
+	// DMA bookkeeping. Memory requests (one per contiguous DRAM range) in
+	// flight are counted per DMA tag in a dense slice: tagSlot assigns each
+	// tag the job uses an index on first sight (one map read per DMA or
+	// wait node), so the per-request updates in issueDMA and dmaDone are
+	// slice increments.
 	tagSlot    map[int]int
-	pendingTag []int     // bursts in flight, by tagSlot index
-	issueQueue []*MemReq // bursts of the current DMA not yet accepted
-	waitTag    int       // -1 when not waiting
-	waitSlot   int       // tagSlot index of waitTag
-	waitAll    bool      // final drain before a TOG completes
+	pendingTag []int       // requests in flight, by tagSlot index
+	issueQueue []*MemReq   // requests of the current DMA not yet accepted
+	ranges     []npu.Range // issueDMA's reused buffer for the DMA's DRAM ranges
+	waitTag    int         // -1 when not waiting
+	waitSlot   int         // tagSlot index of waitTag
+	waitAll    bool        // final drain before a TOG completes
 
-	// Bursts outstanding over all tags (what the end-of-TOG drain waits
+	// Requests outstanding over all tags (what the end-of-TOG drain waits
 	// on), and for deadlock diagnostics the issue cycle of the oldest
 	// window of in-flight DMAs (-1 when none).
 	pendingTotal int
@@ -61,7 +63,7 @@ type context struct {
 	dmaOpen map[int]*dmaSpan // open DMA window per tagSlot index
 }
 
-// dmaSpan tracks one open DMA window (first burst issued → last burst
+// dmaSpan tracks one open DMA window (first request issued → last request
 // completed) for trace emission.
 type dmaSpan struct {
 	start int64
@@ -78,11 +80,10 @@ type loopFrame struct {
 	v       string
 }
 
-func newContext(j *Job, coreID, burst int, probe obs.Probe) *context {
+func newContext(j *Job, coreID int, probe obs.Probe) *context {
 	c := &context{
 		job:          j,
 		coreID:       coreID,
-		burst:        burst,
 		vars:         map[string]int64{},
 		tagSlot:      map[int]int{},
 		waitTag:      -1,
@@ -133,7 +134,7 @@ func (c *context) slotOf(tag int) int {
 	return s
 }
 
-// dmaDone is called by the engine when one of this context's bursts
+// dmaDone is called by the engine when one of this context's requests
 // completes.
 func (c *context) dmaDone(r *MemReq, cycle int64) {
 	c.pendingTag[r.slot]--
@@ -143,7 +144,7 @@ func (c *context) dmaDone(r *MemReq, cycle int64) {
 	}
 	c.dmaBytes += int64(r.Bytes)
 	// A store DMA read the bytes out of the scratchpad; a load DMA wrote
-	// them in. Counted at delivery so backpressured bursts count once.
+	// them in. Counted at delivery so backpressured requests count once.
 	if r.IsWrite {
 		c.act.SpadReadBytes += int64(r.Bytes)
 	} else {
@@ -171,7 +172,7 @@ func (c *context) nextWake(cycle int64) int64 {
 	case cycle < c.readyAt:
 		return c.readyAt
 	case len(c.issueQueue) > 0:
-		// Backpressured bursts retry Submit every cycle; Submit reads the
+		// Backpressured requests retry Submit every cycle; Submit reads the
 		// fabric's current occupancy clocks, so no cycle may be skipped.
 		return cycle + 1
 	case c.waitTag >= 0:
@@ -199,13 +200,13 @@ func (c *context) stall(cycle int64) string {
 	case cycle < c.readyAt:
 		return fmt.Sprintf("computing until cycle %d", c.readyAt)
 	case len(c.issueQueue) > 0:
-		return fmt.Sprintf("backpressured (%d bursts refused by fabric, %d in flight%s)",
+		return fmt.Sprintf("backpressured (%d requests refused by fabric, %d in flight%s)",
 			len(c.issueQueue), c.pendingTotal, oldest)
 	case c.waitTag >= 0 && c.pendingTag[c.waitSlot] > 0:
-		return fmt.Sprintf("waiting on DMA tag %d (%d bursts in flight%s)",
+		return fmt.Sprintf("waiting on DMA tag %d (%d requests in flight%s)",
 			c.waitTag, c.pendingTotal, oldest)
 	case c.waitAll && c.pendingTotal > 0:
-		return fmt.Sprintf("draining TOG %d/%d (%d bursts in flight%s)",
+		return fmt.Sprintf("draining TOG %d/%d (%d requests in flight%s)",
 			c.togIdx+1, len(c.job.TOGs), c.pendingTotal, oldest)
 	default:
 		return fmt.Sprintf("runnable at TOG %d/%d pc %d", c.togIdx+1, len(c.job.TOGs), c.pc)
@@ -218,7 +219,7 @@ func (c *context) step(cycle int64, cs *coreState, fabric Fabric) error {
 	if c.finished() || cycle < c.readyAt {
 		return nil
 	}
-	// Flush bursts the fabric previously refused.
+	// Flush requests the fabric previously refused.
 	for len(c.issueQueue) > 0 {
 		if !fabric.Submit(c.issueQueue[0]) {
 			c.block(cycle)
@@ -414,9 +415,9 @@ func laneOfUnit(u tog.Unit) int32 {
 	}
 }
 
-// issueDMA expands a DMA node into burst requests and submits them. Burst
-// records come from the core's freelist: the engine returns them to the
-// pool at delivery time.
+// issueDMA submits a DMA node as one memory request per contiguous DRAM
+// range; the fabric splits each into bursts. Request records come from the
+// core's freelist: the engine returns them to the pool at delivery time.
 func (c *context) issueDMA(g *tog.TOG, n *tog.Node, cs *coreState, fabric Fabric, cycle int64) error {
 	base, ok := c.baseOf(n.Tensor)
 	if !ok {
@@ -426,41 +427,34 @@ func (c *context) issueDMA(g *tog.TOG, n *tog.Node, cs *coreState, fabric Fabric
 	if err != nil {
 		return err
 	}
-	addr := base + uint64(off)
-	burst := c.burst
 	slot := c.slotOf(n.Tag)
 	var issued int64
-	for _, rg := range n.Desc.DRAMRanges(addr) {
-		for b := 0; b < rg.Bytes; b += burst {
-			sz := burst
-			if rg.Bytes-b < sz {
-				sz = rg.Bytes - b
-			}
-			issued += int64(sz)
-			var req *MemReq
-			if np := len(cs.reqPool); np > 0 {
-				req = cs.reqPool[np-1]
-				cs.reqPool = cs.reqPool[:np-1]
-			} else {
-				req = &MemReq{}
-			}
-			*req = MemReq{
-				Addr:    rg.Addr + uint64(b),
-				Bytes:   sz,
-				IsWrite: n.Kind == tog.StoreDMA,
-				Src:     c.job.Src,
-				Core:    c.coreID,
-				owner:   c,
-				slot:    slot,
-			}
-			c.pendingTag[slot]++
-			c.pendingTotal++
-			if c.oldestIssue < 0 {
-				c.oldestIssue = cycle
-			}
-			if len(c.issueQueue) > 0 || !fabric.Submit(req) {
-				c.issueQueue = append(c.issueQueue, req)
-			}
+	c.ranges = n.Desc.DRAMRanges(c.ranges[:0], base+uint64(off))
+	for _, rg := range c.ranges {
+		issued += int64(rg.Bytes)
+		var req *MemReq
+		if np := len(cs.reqPool); np > 0 {
+			req = cs.reqPool[np-1]
+			cs.reqPool = cs.reqPool[:np-1]
+		} else {
+			req = &MemReq{}
+		}
+		*req = MemReq{
+			Addr:    rg.Addr,
+			Bytes:   rg.Bytes,
+			IsWrite: n.Kind == tog.StoreDMA,
+			Src:     c.job.Src,
+			Core:    c.coreID,
+			owner:   c,
+			slot:    slot,
+		}
+		c.pendingTag[slot]++
+		c.pendingTotal++
+		if c.oldestIssue < 0 {
+			c.oldestIssue = cycle
+		}
+		if len(c.issueQueue) > 0 || !fabric.Submit(req) {
+			c.issueQueue = append(c.issueQueue, req)
 		}
 	}
 	if c.probe != nil && issued > 0 {

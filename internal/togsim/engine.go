@@ -164,7 +164,7 @@ type coreState struct {
 	due   int64
 	stale bool
 
-	// reqPool recycles this core's completed burst requests: contexts
+	// reqPool recycles this core's completed memory requests: contexts
 	// allocate from it while stepping and the engine returns requests to
 	// it at delivery time.
 	reqPool []*MemReq
@@ -246,7 +246,7 @@ func (e *Engine) stepCore(ci int, cs *coreState, cycle int64,
 	for len(cs.contexts) < cs.maxCtx && len(cs.queue) > 0 && cs.queue[0].Arrival <= cycle {
 		j := cs.queue[0]
 		cs.queue = cs.queue[1:]
-		ctx := newContext(j, ci, e.Cfg.Mem.BurstBytes, e.Probe)
+		ctx := newContext(j, ci, e.Probe)
 		cs.contexts = append(cs.contexts, ctx)
 		results[j].Start = cycle
 	}
@@ -279,7 +279,7 @@ func (e *Engine) stepCore(ci int, cs *coreState, cycle int64,
 	return nil
 }
 
-// deliver hands completed bursts back to their owning contexts and
+// deliver hands completed requests back to their owning contexts and
 // recycles the request records into the issuing core's pool.
 func (e *Engine) deliver(cores []*coreState, cycle int64) {
 	for _, req := range e.Fabric.Completed() {
@@ -445,7 +445,7 @@ func (e *Engine) deadlockError(cycle int64, remaining int, cores []*coreState, c
 		}
 	}
 	if p := e.Fabric.Pending(); p > 0 {
-		fmt.Fprintf(&b, "%sfabric has %d requests in flight", sep, p)
+		fmt.Fprintf(&b, "%sfabric has %d bursts in flight", sep, p)
 	}
 	return &DeadlockError{Cycle: cycle, Remaining: remaining, Detail: b.String()}
 }

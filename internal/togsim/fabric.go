@@ -1,9 +1,10 @@
 // Package togsim implements Tile-Level Simulation (TLS, §3.7-3.8): it
 // executes compiler-generated Tile Operation Graphs on a multi-core NPU
 // model at tile granularity. Compute nodes consume offline-measured
-// latencies; DMA nodes are expanded into burst-granularity requests and
-// simulated online against cycle-accurate NoC and DRAM models, capturing
-// the shared-resource contention that analytical models miss.
+// latencies; DMA nodes become one memory request per contiguous DRAM
+// range, simulated online burst by burst against cycle-accurate NoC and
+// DRAM models, capturing the shared-resource contention that analytical
+// models miss.
 package togsim
 
 import (
@@ -14,7 +15,10 @@ import (
 	"repro/internal/sim"
 )
 
-// MemReq is one burst-granularity memory access issued by a context's DMA.
+// MemReq is one contiguous DRAM range of a DMA (one npu.Range), with
+// Bytes > 0. The fabric splits it into bursts of the memory's burst size,
+// burst k starting k·BurstBytes after Addr, and reports the request once,
+// when its last burst completes.
 type MemReq struct {
 	Addr    uint64
 	Bytes   int
@@ -23,10 +27,15 @@ type MemReq struct {
 	Core    int // issuing core (NoC endpoint)
 
 	owner *context
-	slot  int // owner's pendingTag index for the DMA tag this burst belongs to
+	slot  int // owner's pendingTag index for the DMA tag this request belongs to
+
+	// StdFabric's bookkeeping: the request's registry tag (0 until the
+	// fabric holds it) and, for a store, the bursts the NoC has accepted.
+	tag  int64
+	sent int
 }
 
-// Fabric is the memory subsystem seen by the TOG engine: it accepts burst
+// Fabric is the memory subsystem seen by the TOG engine: it accepts memory
 // requests and later reports their completion. Implementations compose NoC
 // and DRAM models; the chiplet package provides a NUMA implementation.
 // The embedded sim.Component contract (Tick/NextEvent/SkipTo) lets the
@@ -34,13 +43,15 @@ type MemReq struct {
 // nothing, instead of ticking it through every idle cycle.
 type Fabric interface {
 	sim.Component
-	// Submit hands over one request; false means "retry later".
+	// Submit hands over one request; false means "retry later". A fabric
+	// may take some of a request's bursts before refusing the rest; the
+	// retry of the same request resumes where it stopped.
 	Submit(r *MemReq) bool
 	// Completed drains finished requests. The returned slice is valid
 	// until the next Completed call (implementations may recycle it), and
 	// after a request is returned the fabric holds no reference to it.
 	Completed() []*MemReq
-	// Pending reports requests in flight.
+	// Pending reports bursts in flight.
 	Pending() int
 }
 
@@ -49,6 +60,15 @@ type Fabric interface {
 // NoC (data back to the core). Stores traverse: NoC (data to memory) ->
 // DRAM. Only the data-carrying direction consumes NoC bandwidth; the
 // header-only direction is a fixed pipeline delay.
+//
+// A request is split into bursts as late as each stage allows: a load
+// crosses the request delay whole, and each burst gets its dram.Request
+// only at the head of its channel's queue; a store sends its bursts into
+// the NoC one by one. Burst k of a request at address A maps to channel
+// (A/BurstBytes + k) mod Channels, so a channel's bursts of one request
+// form a run BurstBytes·Channels bytes apart, and queueing runs in release
+// order keeps every channel's burst order — and with it the timing —
+// exactly that of per-burst submission.
 type StdFabric struct {
 	Mem dram.Controller
 	Net noc.Network
@@ -59,20 +79,25 @@ type StdFabric struct {
 	lastPending int
 
 	cores    int
-	amap     dram.AddrMap // every burst is decomposed once, at Submit
+	channels int
+	burst    int          // bytes per burst
+	stride   uint64       // bytes between a run's consecutive bursts
+	amap     dram.AddrMap // every burst is decomposed once, at its channel head
 	reqDelay int64
 
 	cycle int64
 	// Loads waiting out the request-path delay: due cycles are submit
 	// cycle + constant, hence monotone — a single MonotonicQueue lane.
-	delayed *sim.MonotonicQueue[*dram.Request]
+	delayed *sim.MonotonicQueue[*MemReq]
 
-	// Per-channel staging for DRAM submission: head-indexed FIFOs so the
-	// per-cycle drain pops O(accepted) instead of shifting the whole queue
-	// (under backpressure these queues hold thousands of bursts).
-	toMem     [][]*dram.Request
+	// Per-channel staging for DRAM submission: head-indexed FIFOs of runs,
+	// so the per-cycle drain pops O(accepted) and the queues grow with
+	// requests, not bursts. toMemReq holds a channel's located head burst
+	// across the controller's refusals.
+	toMem     [][]run
 	toMemHead []int
-	toMemCnt  int
+	toMemReq  []*dram.Request
+	toMemCnt  int // runs staged over all channels
 
 	// Per-port NoC responses refused by a full queue (head-indexed like
 	// toMem), plus the total count so the hot NextEvent check is O(1).
@@ -80,17 +105,18 @@ type StdFabric struct {
 	stagedHead []int
 	stagedCnt  int
 
-	// In-flight request registry. The fabric owns the Tag field of every
-	// dram.Request / noc.Message it creates: Tag-1 indexes the slot,
-	// replacing per-burst map traffic on the tick path. A store's slot also
-	// holds its located dram.Request while the data crosses the NoC.
-	slots     []slot
-	freeSlots []int32
+	// In-flight registries. The fabric owns the Tag field of every
+	// dram.Request / noc.Message it creates. A DRAM burst or a load's
+	// response carries its request's slot tag; a store burst crossing the
+	// NoC (a message from a core port) carries a wire tag, naming the
+	// one-burst run it stages on arrival.
+	slots registry[slot]
+	wires registry[run]
 
-	delayedDue []*dram.Request // scratch for draining delayed each tick
+	delayedDue []*MemReq // scratch for draining delayed each tick
 	done       []*MemReq
 	doneSpare  []*MemReq // double buffer swapped with done at Completed
-	pending    int
+	pending    int       // bursts in flight
 
 	// Freelists for the per-burst bookkeeping records. DMA-heavy runs
 	// create one dram.Request and up to one noc.Message per burst; both are
@@ -101,15 +127,52 @@ type StdFabric struct {
 	msgPool []*noc.Message
 }
 
+// slot is one in-flight request and its bursts not yet completed.
 type slot struct {
-	r  *MemReq
-	dr *dram.Request
+	r    *MemReq
+	left int
+}
+
+// run is one channel's share of a request: left bursts, the first at addr
+// and each further one stride bytes on.
+type run struct {
+	tag  int64 // the request's slot tag
+	addr uint64
+	left int
+}
+
+// registry hands out dense tags (index+1) for in-flight records and
+// recycles freed indices, replacing per-burst map traffic on the tick path.
+type registry[T any] struct {
+	items []T
+	free  []int32
+}
+
+func (g *registry[T]) add(v T) int64 {
+	if n := len(g.free); n > 0 {
+		i := g.free[n-1]
+		g.free = g.free[:n-1]
+		g.items[i] = v
+		return int64(i) + 1
+	}
+	g.items = append(g.items, v)
+	return int64(len(g.items))
+}
+
+func (g *registry[T]) at(tag int64) *T { return &g.items[tag-1] }
+
+func (g *registry[T]) take(tag int64) T {
+	var zero T
+	v := g.items[tag-1]
+	g.items[tag-1] = zero
+	g.free = append(g.free, int32(tag-1))
+	return v
 }
 
 // newDram takes a request record from the pool (or allocates one), fully
-// reinitializes it, including the controller's private fields, and
-// locates it — the burst's one address decomposition.
-func (f *StdFabric) newDram(r *MemReq) *dram.Request {
+// reinitializes it, including the controller's private fields, for the
+// head burst of rn, and locates it — the burst's one address decomposition.
+func (f *StdFabric) newDram(rn *run) *dram.Request {
 	var dr *dram.Request
 	if n := len(f.drPool); n > 0 {
 		dr = f.drPool[n-1]
@@ -117,7 +180,8 @@ func (f *StdFabric) newDram(r *MemReq) *dram.Request {
 	} else {
 		dr = new(dram.Request)
 	}
-	*dr = dram.Request{Addr: r.Addr, IsWrite: r.IsWrite, Src: r.Src}
+	r := f.slots.at(rn.tag).r
+	*dr = dram.Request{Addr: rn.addr, IsWrite: r.IsWrite, Src: r.Src, Tag: rn.tag}
 	f.amap.Locate(dr)
 	return dr
 }
@@ -138,70 +202,89 @@ func NewStdFabric(cfg npu.Config, mem dram.Controller, net noc.Network) *StdFabr
 	return &StdFabric{
 		Mem:        mem,
 		Net:        net,
-		delayed:    sim.NewMonotonicQueue[*dram.Request](1),
+		delayed:    sim.NewMonotonicQueue[*MemReq](1),
 		cores:      cfg.Cores,
+		channels:   cfg.Mem.Channels,
+		burst:      cfg.Mem.BurstBytes,
+		stride:     uint64(cfg.Mem.Channels * cfg.Mem.BurstBytes),
 		amap:       dram.NewAddrMap(cfg.Mem),
 		reqDelay:   int64(cfg.NoC.LatencyCycle),
-		toMem:      make([][]*dram.Request, cfg.Mem.Channels),
+		toMem:      make([][]run, cfg.Mem.Channels),
 		toMemHead:  make([]int, cfg.Mem.Channels),
+		toMemReq:   make([]*dram.Request, cfg.Mem.Channels),
 		stagedResp: make([][]*noc.Message, cfg.Cores+cfg.Mem.Channels),
 		stagedHead: make([]int, cfg.Cores+cfg.Mem.Channels),
 	}
 }
 
-// memPort returns the NoC endpoint of the channel serving dr.
-func (f *StdFabric) memPort(dr *dram.Request) int { return f.cores + dr.Channel() }
+// bursts is the number of bursts r splits into.
+func (f *StdFabric) bursts(r *MemReq) int { return (r.Bytes + f.burst - 1) / f.burst }
 
-// stage queues a dram request on its channel's submission FIFO.
-func (f *StdFabric) stage(dr *dram.Request) {
-	ch := dr.Channel()
-	f.toMem[ch] = append(f.toMem[ch], dr)
+// burstBytes is the size of r's burst starting at addr (the last one may
+// be short).
+func (f *StdFabric) burstBytes(r *MemReq, addr uint64) int {
+	return min(f.burst, int(r.Addr+uint64(r.Bytes)-addr))
+}
+
+// stage queues a run on channel ch's submission FIFO.
+func (f *StdFabric) stage(ch int, rn run) {
+	f.toMem[ch] = append(f.toMem[ch], rn)
 	f.toMemCnt++
 }
 
-// newSlot registers the in-flight MemReq (and, for a store, the dram
-// request that follows its NoC transfer) and returns the tag carried by
-// its dram.Request / noc.Message through the fabric stages.
-func (f *StdFabric) newSlot(r *MemReq, dr *dram.Request) int64 {
-	if n := len(f.freeSlots); n > 0 {
-		i := f.freeSlots[n-1]
-		f.freeSlots = f.freeSlots[:n-1]
-		f.slots[i] = slot{r, dr}
-		return int64(i) + 1
+// release stages a load request whose request-path delay has elapsed: one
+// run for each channel its bursts map to.
+func (f *StdFabric) release(r *MemReq) {
+	n := f.bursts(r)
+	first := f.amap.Channel(r.Addr)
+	for k := 0; k < n && k < f.channels; k++ {
+		f.stage((first+k)%f.channels, run{
+			tag:  r.tag,
+			addr: r.Addr + uint64(k*f.burst),
+			left: (n - k + f.channels - 1) / f.channels,
+		})
 	}
-	f.slots = append(f.slots, slot{r, dr})
-	return int64(len(f.slots))
 }
 
-// takeSlot resolves a tag back to its MemReq and frees the slot.
-func (f *StdFabric) takeSlot(tag int64) *MemReq {
-	i := int32(tag - 1)
-	r := f.slots[i].r
-	f.slots[i] = slot{}
-	f.freeSlots = append(f.freeSlots, i)
-	return r
+// burstDone retires one burst of the request tagged tag, completing the
+// request at its last burst.
+func (f *StdFabric) burstDone(tag int64) {
+	f.pending--
+	if sl := f.slots.at(tag); sl.left > 1 {
+		sl.left--
+		return
+	}
+	r := f.slots.take(tag).r
+	r.tag, r.sent = 0, 0 // the record may be submitted again
+	f.done = append(f.done, r)
 }
 
 // Submit implements Fabric.
 func (f *StdFabric) Submit(r *MemReq) bool {
-	dr := f.newDram(r)
-	if r.IsWrite {
-		// Data flows core -> memory through the NoC first.
-		msg := f.newMsg(r.Core, f.memPort(dr), r.Bytes)
-		if !f.Net.Submit(msg) {
-			f.msgPool = append(f.msgPool, msg)
-			f.drPool = append(f.drPool, dr)
-			return false
-		}
-		dr.Tag = f.newSlot(r, dr)
-		msg.Tag = dr.Tag
-		f.pending++
+	n := f.bursts(r)
+	if !r.IsWrite {
+		// Loads: header-only request path is a fixed delay before the DRAM.
+		r.tag = f.slots.add(slot{r, n})
+		f.delayed.Push(0, f.cycle+f.reqDelay, r)
+		f.pending += n
 		return true
 	}
-	// Loads: header-only request path is a fixed delay before the DRAM.
-	dr.Tag = f.newSlot(r, nil)
-	f.delayed.Push(0, f.cycle+f.reqDelay, dr)
-	f.pending++
+	// Stores: each burst's data flows core -> memory through the NoC
+	// first. A refusal leaves r.sent at the refused burst.
+	for ; r.sent < n; r.sent++ {
+		addr := r.Addr + uint64(r.sent*f.burst)
+		ch := f.amap.Channel(addr)
+		msg := f.newMsg(r.Core, f.cores+ch, f.burstBytes(r, addr))
+		if !f.Net.Submit(msg) {
+			f.msgPool = append(f.msgPool, msg)
+			return false
+		}
+		if r.tag == 0 {
+			r.tag = f.slots.add(slot{r, n})
+		}
+		msg.Tag = f.wires.add(run{tag: r.tag, addr: addr, left: 1})
+		f.pending++
+	}
 	return true
 }
 
@@ -211,36 +294,29 @@ func (f *StdFabric) Tick() {
 
 	// Release delayed load requests into the DRAM submission queues.
 	f.delayedDue = f.delayed.PopDue(f.cycle, f.delayedDue[:0])
-	for _, dr := range f.delayedDue {
-		f.stage(dr)
+	for _, r := range f.delayedDue {
+		f.release(r)
 	}
 
 	// NoC deliveries: store data reaching memory, or load data reaching the
-	// core (request complete).
+	// core (burst complete).
 	f.Net.Tick()
 	for _, msg := range f.Net.Completed() {
-		tag := msg.Tag
+		tag, src, dst := msg.Tag, msg.Src, msg.Dst
 		f.msgPool = append(f.msgPool, msg)
-		if sl := &f.slots[tag-1]; sl.r.IsWrite {
-			f.stage(sl.dr)
-			sl.dr = nil
+		if src < f.cores {
+			f.stage(dst-f.cores, f.wires.take(tag))
 		} else {
-			f.done = append(f.done, f.takeSlot(tag))
-			f.pending--
+			f.burstDone(tag)
 		}
 	}
 
-	// Push staged requests into the DRAM controller, per channel, stopping
+	// Push staged bursts into the DRAM controller, per channel, stopping
 	// at the first refusal (the channel queue preserves FIFO order and a
 	// full queue this cycle stays full for the rest of it).
 	if f.toMemCnt > 0 {
 		for ch := range f.toMem {
-			q, h := f.toMem[ch], f.toMemHead[ch]
-			for h < len(q) && f.Mem.Submit(q[h]) {
-				h++
-				f.toMemCnt--
-			}
-			f.toMem[ch], f.toMemHead[ch] = sim.CompactFIFO(q, h)
+			f.submitChannel(ch)
 		}
 	}
 
@@ -248,15 +324,14 @@ func (f *StdFabric) Tick() {
 	// complete once the column write finishes.
 	f.Mem.Tick()
 	for _, dr := range f.Mem.Completed() {
-		tag, port := dr.Tag, f.memPort(dr)
+		tag, port, addr, write := dr.Tag, f.cores+dr.Channel(), dr.Addr, dr.IsWrite
 		f.drPool = append(f.drPool, dr)
-		r := f.slots[tag-1].r
-		if r.IsWrite {
-			f.done = append(f.done, f.takeSlot(tag))
-			f.pending--
+		if write {
+			f.burstDone(tag)
 			continue
 		}
-		msg := f.newMsg(port, r.Core, r.Bytes)
+		r := f.slots.at(tag).r
+		msg := f.newMsg(port, r.Core, f.burstBytes(r, addr))
 		msg.Tag = tag
 		// The NoC response port may be busy; stage in the port's FIFO (it
 		// must drain in order behind earlier responses).
@@ -271,6 +346,31 @@ func (f *StdFabric) Tick() {
 		f.Probe.Counter(obs.FabricTrack, "fabric.inflight", f.cycle, float64(f.pending))
 		f.lastPending = f.pending
 	}
+}
+
+// submitChannel hands channel ch's staged bursts to the controller in
+// order until it refuses one, which stays located at the head.
+func (f *StdFabric) submitChannel(ch int) {
+	q, h := f.toMem[ch], f.toMemHead[ch]
+	for h < len(q) {
+		dr := f.toMemReq[ch]
+		if dr == nil {
+			dr = f.newDram(&q[h])
+		}
+		if !f.Mem.Submit(dr) {
+			f.toMemReq[ch] = dr
+			break
+		}
+		f.toMemReq[ch] = nil
+		if rn := &q[h]; rn.left > 1 {
+			rn.left--
+			rn.addr += f.stride
+		} else {
+			h++
+			f.toMemCnt--
+		}
+	}
+	f.toMem[ch], f.toMemHead[ch] = sim.CompactFIFO(q, h)
 }
 
 // NextEvent implements Fabric. Any staged work that is retried per cycle

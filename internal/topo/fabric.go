@@ -47,9 +47,14 @@ type Fabric struct {
 	toMem     [][]stagedReq
 	toMemHead []int
 	returns   sim.EventQueue[*togsim.MemReq]
-	byDram    map[*dram.Request]*togsim.MemReq
-	done      []*togsim.MemReq
-	pending   int
+	// byDram maps a burst's dram.Request, whose Tag carries the burst's
+	// byte count, to its memory request; left counts each request's bursts
+	// not yet completed.
+	byDram   map[*dram.Request]*togsim.MemReq
+	left     map[*togsim.MemReq]int
+	returned []*togsim.MemReq // reused buffer for draining returns each tick
+	done     []*togsim.MemReq
+	pending  int // bursts in flight
 
 	// Stats (fabric-wide; Pkg holds the per-package split).
 	LocalBytes, RemoteBytes int64
@@ -81,6 +86,7 @@ func NewFabric(cfg Config) *Fabric {
 	f := &Fabric{
 		cfg:       cfg,
 		byDram:    map[*dram.Request]*togsim.MemReq{},
+		left:      map[*togsim.MemReq]int{},
 		toMem:     make([][]stagedReq, p),
 		toMemHead: make([]int, p),
 		Pkg:       make([]PackageStats, p),
@@ -146,39 +152,60 @@ func (f *Fabric) linkDelay(a, b int, bytes int, now int64) int64 {
 	return t
 }
 
-// Submit implements togsim.Fabric.
+// Submit implements togsim.Fabric. It splits the request into bursts of
+// the package memory's burst size and routes each on its own: the burst
+// is the unit of link serialization and of DRAM access.
 func (f *Fabric) Submit(r *togsim.MemReq) bool {
+	burst := f.cfg.MemPerPackage.BurstBytes
+	for off := 0; off < r.Bytes; off += burst {
+		f.submitBurst(r, r.Addr+uint64(off), min(burst, r.Bytes-off))
+	}
+	return true
+}
+
+// submitBurst stages one burst of r for its package's controller.
+func (f *Fabric) submitBurst(r *togsim.MemReq, addr uint64, bytes int) {
 	src := f.cfg.PackageOfCore(r.Core)
-	dst := f.cfg.PackageOf(r.Addr)
+	dst := f.cfg.PackageOf(addr)
 	local := src == dst
 
 	if local {
-		f.LocalBytes += int64(r.Bytes)
-		f.Pkg[src].LocalBytes += int64(r.Bytes)
+		f.LocalBytes += int64(bytes)
+		f.Pkg[src].LocalBytes += int64(bytes)
 	} else {
-		f.RemoteBytes += int64(r.Bytes)
-		f.Pkg[src].RemoteBytes += int64(r.Bytes)
+		f.RemoteBytes += int64(bytes)
+		f.Pkg[src].RemoteBytes += int64(bytes)
 	}
 
 	// The controller sees the local offset within its package's stack.
 	dr := &dram.Request{
-		Addr:    f.cfg.LocalOff(r.Addr),
+		Addr:    f.cfg.LocalOff(addr),
 		IsWrite: r.IsWrite,
 		Src:     r.Src,
+		Tag:     int64(bytes),
 	}
 	f.byDram[dr] = r
+	f.left[r]++
 	at := f.cycle + 1 + f.cfg.NoCLatency
 	if !local {
 		// Request traverses the link path; stores carry data, loads a header.
-		bytes := 8
+		hdr := 8
 		if r.IsWrite {
-			bytes = r.Bytes
+			hdr = bytes
 		}
-		at = f.linkDelay(src, dst, bytes, f.cycle)
+		at = f.linkDelay(src, dst, hdr, f.cycle)
 	}
 	f.toMem[dst] = append(f.toMem[dst], stagedReq{at: at, req: dr})
 	f.pending++
-	return true
+}
+
+// burstDone retires one burst of r, completing r at its last burst.
+func (f *Fabric) burstDone(r *togsim.MemReq) {
+	f.pending--
+	if f.left[r]--; f.left[r] == 0 {
+		delete(f.left, r)
+		f.done = append(f.done, r)
+	}
 }
 
 // Tick implements togsim.Fabric.
@@ -205,12 +232,11 @@ func (f *Fabric) Tick() {
 			src := f.cfg.PackageOfCore(r.Core)
 			if src == p || r.IsWrite {
 				// Local completion, or write acknowledged at the controller.
-				f.done = append(f.done, r)
-				f.pending--
+				f.burstDone(r)
 				continue
 			}
 			// Load data returns over the links; queue by arrival cycle.
-			at := f.linkDelay(p, src, r.Bytes, f.cycle)
+			at := f.linkDelay(p, src, int(dr.Tag), f.cycle)
 			if at <= f.cycle {
 				at = f.cycle + 1
 			}
@@ -218,9 +244,10 @@ func (f *Fabric) Tick() {
 		}
 	}
 	// Deliver link-returned loads due this cycle.
-	n := len(f.done)
-	f.done = f.returns.PopDue(f.cycle, f.done)
-	f.pending -= len(f.done) - n
+	f.returned = f.returns.PopDue(f.cycle, f.returned[:0])
+	for _, r := range f.returned {
+		f.burstDone(r)
+	}
 	if f.Probe != nil {
 		if f.pending != f.lastPending {
 			f.Probe.Counter(obs.LinkTrack, "topo.inflight", f.cycle, float64(f.pending))

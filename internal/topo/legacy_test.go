@@ -16,6 +16,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/togsim"
+	"repro/internal/togsim/togsimtest"
 	"repro/internal/topo"
 )
 
@@ -255,8 +256,10 @@ func TestTopoFabricMatchesLegacyChiplet(t *testing.T) {
 			return res
 		}
 
+		// The legacy fabric takes one burst per request, as the engine
+		// issued them before a request covered a whole DRAM range.
 		leg := newLegacyFabric(cc)
-		legRes := run(leg)
+		legRes := run(togsimtest.NewBurstSplitter(leg, cc.MemPerPackage.BurstBytes))
 		neu := topo.NewFabric(cc)
 		neuRes := run(neu)
 
