@@ -146,8 +146,9 @@ bench-topo:
 # CPU profile of the untraced serial engine on one model: runs the matching
 # BenchmarkEngine<Model>C<n>Serial with -cpuprofile into profile/ and prints
 # `go tool pprof -top` with the host stamp (scripts/profile.sh). MODEL=compile
-# profiles the cold compiler (BenchmarkCompileParallel) instead, CPU and
-# allocated bytes.
+# profiles the cold compiler (BenchmarkCompileParallel) instead, and
+# MODEL=zoo the eight cold compiles of compile.zoo-cold
+# (BenchmarkCompileZoo), each CPU and allocated bytes.
 MODEL ?= resnet18
 CORES ?= 1
 profile:

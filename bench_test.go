@@ -436,6 +436,43 @@ func BenchmarkCompileParallel(b *testing.B) {
 	}
 }
 
+// zooColdSpecs are the eight models the benchmark's compile.zoo-cold
+// workload compiles (bench/workloads.go, full profile), so that workload's
+// compile path can be profiled from the root module (make profile
+// MODEL=zoo).
+var zooColdSpecs = []modelzoo.Spec{
+	{Model: "resnet18", Batch: 1},
+	{Model: "resnet50", Batch: 1},
+	{Model: "bert-base", Batch: 1, Seq: 64},
+	{Model: "bert-base", Batch: 1, Seq: 128},
+	{Model: "bert-large", Batch: 1, Seq: 128},
+	{Model: "decoder-small", Batch: 4, Ctx: 256, Prefill: true},
+	{Model: "decoder-base", Batch: 1, Ctx: 128},
+	{Model: "mlp-train", Batch: 8},
+}
+
+// BenchmarkCompileZoo is one op of compile.zoo-cold without the graph
+// builds: every zoo spec compiled cold on TPUv3, each on a fresh compiler
+// with the default worker count.
+func BenchmarkCompileZoo(b *testing.B) {
+	gs := make([]*graph.Graph, len(zooColdSpecs))
+	for i, spec := range zooColdSpecs {
+		g, err := modelzoo.BuildGraph(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gs[i] = g
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range gs {
+			if _, err := compiler.New(benchCfg(), compiler.DefaultOptions()).Compile(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkCompileWarmDisk(b *testing.B) {
 	g := benchCompileGraph(b)
 	dir := b.TempDir()

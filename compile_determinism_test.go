@@ -7,14 +7,18 @@
 package main
 
 import (
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/isa"
 	"repro/internal/npu"
 	"repro/internal/service"
 	"repro/internal/service/cache"
@@ -67,6 +71,49 @@ func TestCompileDeterminismAcrossWorkers(t *testing.T) {
 			if serial.MeasureCount() != parallel.MeasureCount() {
 				t.Fatalf("measurement counts differ: serial %d, parallel %d",
 					serial.MeasureCount(), parallel.MeasureCount())
+			}
+		})
+	}
+}
+
+// jitterMeasurer is the real timing measurer behind a per-signature delay
+// of 0-2 ms, drawn from a seeded hash of the kernel's name, so that
+// measurements finish out of the order lowering found them in.
+type jitterMeasurer struct{ seed uint64 }
+
+func (m jitterMeasurer) Measure(cfg npu.CoreConfig, p *isa.Program) (int64, error) {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d/%s", m.seed, p.Name)
+	time.Sleep(time.Duration(h.Sum64() % uint64(2*time.Millisecond)))
+	return compiler.TimingMeasurer{}.Measure(cfg, p)
+}
+
+// TestCompileDeterminismStreaming: with measurements finishing in a
+// scrambled order while lowering is still feeding the workers, every
+// worker count must produce the Workers=1 compilation.
+func TestCompileDeterminismStreaming(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tier-2: repeated full compiles with delayed measurements, ~1s (DESIGN.md \"Test tiers\")")
+	}
+	for _, spec := range determinismModels {
+		t.Run(spec.Model, func(t *testing.T) {
+			g := buildModel(t, spec)
+			var want *compiler.Compiled
+			for _, workers := range []int{1, 2, 8} {
+				c := compiler.New(npu.TPUv3Config(), compiler.DefaultOptions())
+				c.Workers = workers
+				c.Measurer = jitterMeasurer{seed: 1}
+				got, err := c.Compile(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("workers=%d: compilation differs from workers=1", workers)
+				}
 			}
 		})
 	}

@@ -123,19 +123,20 @@ func (c *Compiled) Job(name string, core, src int) *togsim.Job {
 	return &togsim.Job{Name: name, TOGs: c.TOGs, Bases: bases, Core: core, Src: src}
 }
 
-// Compiler lowers graphs through the staged pass pipeline (lower → codegen
-// → measure → emit) and caches kernel latencies across compilations (the
-// paper's TOG cache, §3.10: latencies measured offline are reused over
-// simulations). A Compiler is safe for concurrent Compile calls: per-call
-// state lives in the pass pipeline's state value, the latency cache is
-// thread-safe with per-signature singleflight, and the counters are atomic.
+// Compiler lowers graphs through the staged pass pipeline (lower, with
+// codegen and measurement streaming alongside it, then emit) and caches
+// kernel latencies across compilations (the paper's TOG cache, §3.10:
+// latencies measured offline are reused over simulations). A Compiler is
+// safe for concurrent Compile calls: per-call state lives in the pass
+// pipeline's state value, the latency cache is thread-safe with
+// per-signature singleflight, and the counters are atomic.
 type Compiler struct {
 	Cfg  npu.Config
 	Opts Options
 
-	// Workers caps the codegen/measure fan-out (0 = GOMAXPROCS). The
-	// output is bit-identical for every worker count — parallelism only
-	// changes wall-clock time.
+	// Workers is the number of codegen/measure goroutines each Compile
+	// runs beside lowering (0 = GOMAXPROCS). The output is bit-identical
+	// for every worker count — parallelism only changes wall-clock time.
 	Workers int
 	// Measurer times kernels on the core model; nil selects
 	// TimingMeasurer (the real timing simulator). Tests substitute fakes.
@@ -213,9 +214,9 @@ func (c *Compiler) SeedLatencies(lat map[string]int64) {
 }
 
 // state carries per-compilation context. One state lives for one Compile
-// call and is handed from pass to pass: the lower pass fills the pending
-// TOGs and the kernel/measure work lists, codegen and measure consume the
-// lists in parallel, and the emit pass assembles the output — so concurrent
+// call: the lower pass fills the pending TOGs and the kernel/measure work
+// lists and hands each new request to the worker pool, the workers fill in
+// the requests, and the emit pass assembles the output — so concurrent
 // Compile calls on one Compiler never share mutable per-call state.
 type state struct {
 	c    *Compiler
@@ -235,13 +236,19 @@ type state struct {
 	// lowered right now (moved into pending by addTOG).
 	pending    []pendingTOG
 	curPatches []latPatch
-	// kernelReqs / measureReqs are the deduplicated work lists for the
-	// codegen and measure passes, in first-occurrence (lowering) order so
-	// the schedule — and therefore error selection — is deterministic.
-	kernelReqs  []kernelReq
+	// kernelReqs / measureErrs are the deduplicated work lists (one entry
+	// per kernel id / per signature), in first-occurrence (lowering) order
+	// so that the kernel map and error selection are deterministic.
+	// Lowering only appends to them; each entry is filled in by the worker
+	// that runs its job.
+	kernelReqs  []*kernelReq
 	seenKernel  map[string]bool
-	measureReqs []measureReq
+	measureErrs []*error
 	seenMeasure map[string]bool
+	gemmKeys    map[codegen.GEMMSpec]gemmKey
+
+	work *pool
+	m    Measurer
 }
 
 type groupEpi struct {
@@ -280,11 +287,15 @@ func (st *state) spadBudget() int64 {
 	return int64(st.c.Cfg.Core.SpadBytes) / 2
 }
 
-// Compile lowers g for the target NPU through the four-pass pipeline. The
-// result is bit-identical regardless of Workers and of what the latency
-// cache already contains: lowering fixes the TOG structure and the work
-// lists, parallel passes only fill pre-assigned slots, and the emit pass
-// assembles everything in graph order.
+// Compile lowers g for the target NPU. Lowering hands each kernel id and
+// signature it meets for the first time to Workers goroutines, which
+// generate programs and measure latencies while lowering goes on; after
+// lowering, Compile waits for them and emits. The result is bit-identical
+// regardless of Workers and of what the latency cache already contains:
+// lowering fixes the TOG structure and the work lists, workers only fill in
+// their own requests, and the emit pass assembles everything in graph
+// order. A lowering error wins over any measurement error; among those, the
+// first in signature first-occurrence order is returned.
 func (c *Compiler) Compile(g *graph.Graph) (*Compiled, error) {
 	if err := c.Cfg.Core.Validate(); err != nil {
 		return nil, err
@@ -312,21 +323,28 @@ func (c *Compiler) Compile(g *graph.Graph) (*Compiled, error) {
 		groupEpi:    map[int]groupEpi{},
 		seenKernel:  map[string]bool{},
 		seenMeasure: map[string]bool{},
+		gemmKeys:    map[codegen.GEMMSpec]gemmKey{},
+		work:        startPool(c.workers()),
+		m:           c.Measurer,
+	}
+	if st.m == nil {
+		st.m = TimingMeasurer{}
 	}
 	t0 := time.Now()
-	for _, p := range []struct {
-		name Phase
-		run  func(*state) error
-	}{
-		{PhaseLower, c.lowerPass},
-		{PhaseCodegen, c.codegenPass},
-		{PhaseMeasure, c.measurePass},
-		{PhaseEmit, c.emitPass},
-	} {
-		run := p.run
-		if err := c.phase(t0, p.name, func() error { return run(st) }); err != nil {
-			return nil, err
-		}
+	err := c.phase(t0, PhaseLower, func() error {
+		defer st.work.close() // even if lowering panics, the workers exit
+		return c.lowerPass(st)
+	})
+	if err != nil {
+		st.work.workers.Wait()
+		return nil, err
+	}
+	c.phase(t0, PhaseCodegen, func() error { st.work.codegen.Wait(); return nil })
+	if err := c.phase(t0, PhaseMeasure, func() error { st.work.workers.Wait(); return st.measureErr() }); err != nil {
+		return nil, err
+	}
+	if err := c.phase(t0, PhaseEmit, func() error { return c.emitPass(st) }); err != nil {
+		return nil, err
 	}
 	return st.out, nil
 }
@@ -530,18 +548,26 @@ func (st *state) allocOut(n *graph.Node) (string, groupEpi) {
 	return name, ge
 }
 
-// computeKernel emits a compute node with a zero-cycle placeholder and
-// registers the work it depends on: its kernel id for the codegen pass,
-// its signature for the measure pass (both deduplicated, in lowering
-// order), and a latency patch the emit pass applies once measured.
+// computeKernel emits a compute node with a zero-cycle placeholder, hands
+// the work it depends on to the worker pool — program generation for a new
+// kernel id, latency resolution for a new signature — and records a latency
+// patch the emit pass applies once measured.
 func (st *state) computeKernel(b *tog.Builder, unit tog.Unit, sig, id string, gen func() *isa.Program) {
 	if !st.seenKernel[id] {
 		st.seenKernel[id] = true
-		st.kernelReqs = append(st.kernelReqs, kernelReq{id: id, gen: gen})
+		req := &kernelReq{id: id}
+		st.kernelReqs = append(st.kernelReqs, req)
+		st.work.codegen.Add(1)
+		st.work.add(func() {
+			defer st.work.codegen.Done()
+			req.prog = gen()
+		})
 	}
 	if !st.seenMeasure[sig] {
 		st.seenMeasure[sig] = true
-		st.measureReqs = append(st.measureReqs, measureReq{sig: sig, gen: gen})
+		err := new(error)
+		st.measureErrs = append(st.measureErrs, err)
+		st.work.add(func() { *err = st.c.resolve(st.m, sig, gen) })
 	}
 	b.ComputeKernel(unit, 0, id)
 	st.curPatches = append(st.curPatches, latPatch{node: b.LastNodeID(), sig: sig})

@@ -271,12 +271,20 @@ func (st *state) emitGEMMTOG(e gemmEmit) error {
 }
 
 // emitComputeGEMM emits the panel kernel's compute node, deferring codegen
-// and latency measurement to the parallel passes.
+// and latency measurement to the worker pool. A layer emits the same tile
+// spec many times, so its signature and kernel id are formatted once.
 func (st *state) emitComputeGEMM(b *tog.Builder, spec codegen.GEMMSpec) {
-	sig := spec.Signature()
-	id := fmt.Sprintf("%s@%d_%d_%d", sig, spec.InOff, spec.WOff, spec.OutOff)
-	st.computeKernel(b, tog.UnitSA, sig, id, func() *isa.Program { return codegen.GEMM(spec) })
+	k, ok := st.gemmKeys[spec]
+	if !ok {
+		k.sig = spec.Signature()
+		k.id = fmt.Sprintf("%s@%d_%d_%d", k.sig, spec.InOff, spec.WOff, spec.OutOff)
+		st.gemmKeys[spec] = k
+	}
+	st.computeKernel(b, tog.UnitSA, k.sig, k.id, func() *isa.Program { return codegen.GEMM(spec) })
 }
+
+// gemmKey is a GEMM tile spec's latency signature and kernel id.
+type gemmKey struct{ sig, id string }
 
 // panelSizes splits K into SA-depth panels.
 func panelSizes(K, Kt int) []int {

@@ -19,7 +19,7 @@ const (
 )
 
 // emitComputeKernel emits a vector-unit compute node, deferring codegen and
-// latency measurement to the parallel passes.
+// latency measurement to the worker pool.
 func (st *state) emitComputeKernel(b *tog.Builder, sig, id string, gen func() *isa.Program) {
 	st.computeKernel(b, tog.UnitVector, sig, id, gen)
 }

@@ -1,6 +1,6 @@
 // Tests for the staged pass pipeline's concurrency contract: Compile must
 // be safe to call from many goroutines on one Compiler (run with -race),
-// worker-count must never change the output, and the measure pass must
+// worker-count must never change the output, and measurement must
 // singleflight shared kernel signatures.
 package compiler
 
@@ -8,14 +8,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/isa"
 	"repro/internal/npu"
-	"repro/internal/tensor"
 )
 
 // countingMeasurer wraps the real measurer and counts invocations, so
@@ -94,54 +95,6 @@ func TestWorkerCountIsInvisible(t *testing.T) {
 	}
 }
 
-// TestRecycledMeasurePassMatchesFreshCores compiles with the default
-// measurer, which recycles its measuring cores within the measure pass, and
-// with the zero TimingMeasurer, which measures every kernel on a fresh
-// core: the latencies and the compilations must be identical.
-func TestRecycledMeasurePassMatchesFreshCores(t *testing.T) {
-	conv := func() *graph.Graph {
-		cs := tensor.ConvShape{N: 1, C: 4, H: 8, W: 8, K: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-		g := graph.New("conv")
-		x := g.Input("x", 1, 4, 8, 8)
-		w := g.Param("w", 8, 4, 3, 3)
-		cv := g.Add(&graph.Node{Op: graph.OpConv2D, Inputs: []int{x.ID, w.ID}, Conv: cs, Shape: []int{1, 8, 8, 8}})
-		g.Outputs = []int{cv.ID}
-		return g
-	}
-	cases := []struct {
-		name  string
-		cfg   npu.Config
-		graph func() *graph.Graph
-	}{
-		{"linear-small", small(), testGraph},
-		{"conv-small", small(), conv},
-		{"linear-tpuv3", npu.TPUv3Config(), func() *graph.Graph { return linearGraph(96, 256, 192, true) }},
-	}
-	for _, tc := range cases {
-		recycled := New(tc.cfg, DefaultOptions())
-		recycled.Workers = 2
-		fresh := New(tc.cfg, DefaultOptions())
-		fresh.Measurer = TimingMeasurer{}
-		a, err := recycled.Compile(tc.graph())
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		b, err := fresh.Compile(tc.graph())
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if recycled.MeasureCount() < 3 {
-			t.Fatalf("%s: measured %d kernels; too few for a core to be recycled", tc.name, recycled.MeasureCount())
-		}
-		if !reflect.DeepEqual(recycled.Latencies(), fresh.Latencies()) {
-			t.Fatalf("%s: recycled cores measured %v, fresh cores %v", tc.name, recycled.Latencies(), fresh.Latencies())
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: recycled and fresh measure passes compiled differently", tc.name)
-		}
-	}
-}
-
 // TestSeededCacheSkipsMeasurement pre-seeds a compiler's latency cache from
 // a finished compile and verifies a fresh compiler does zero measurements
 // (and zero measurer calls — the lazy codegen path) on the same model.
@@ -201,19 +154,100 @@ func TestStatsAreConsistent(t *testing.T) {
 	}
 }
 
-// TestRunParallelReturnsLowestIndexError pins the serial-equivalent error
-// contract: whatever the worker count, the reported error is the one the
-// serial loop would have hit first.
-func TestRunParallelReturnsLowestIndexError(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		err := runParallel(10, workers, func(i int) error {
-			if i >= 4 {
-				return fmt.Errorf("task %d failed", i)
+// chainGraph is a stack of matmul+relu layers through the given widths:
+// every layer brings new kernel signatures, in graph order.
+func chainGraph(rows int, widths ...int) *graph.Graph {
+	g := graph.New("chain")
+	x := g.Input("x", rows, widths[0])
+	for i := 1; i < len(widths); i++ {
+		w := g.Param(fmt.Sprintf("w%d", i), widths[i-1], widths[i])
+		mm := g.Add(&graph.Node{Op: graph.OpMatMul, Name: fmt.Sprintf("mm%d", i), Inputs: []int{x.ID, w.ID}, Shape: []int{rows, widths[i]}})
+		x = g.Add(&graph.Node{Op: graph.OpReLU, Name: fmt.Sprintf("relu%d", i), Inputs: []int{mm.ID}, Shape: []int{rows, widths[i]}})
+	}
+	g.Outputs = []int{x.ID}
+	return g
+}
+
+// signatureOrder lists a compilation's kernel signatures in first-occurrence
+// order: the compute nodes in graph order, each named by its program (a
+// codegen program is named by its spec's signature).
+func signatureOrder(comp *Compiled) []string {
+	var sigs []string
+	seen := map[string]bool{}
+	for _, g := range comp.TOGs {
+		for _, n := range g.Nodes {
+			if n.Kernel == "" {
+				continue
 			}
-			return nil
+			if sig := comp.Kernels[n.Kernel].Name; !seen[sig] {
+				seen[sig] = true
+				sigs = append(sigs, sig)
+			}
+		}
+	}
+	return sigs
+}
+
+// TestMeasureErrorPrecedence pins which error Compile reports when work
+// fails: the first failing signature in first-occurrence order — the one a
+// serial compile would hit first — whatever the worker count and whichever
+// failure happens first in time.
+func TestMeasureErrorPrecedence(t *testing.T) {
+	g := chainGraph(24, 16, 40, 24, 48, 8)
+	ref := New(small(), DefaultOptions())
+	ref.Workers = 1
+	comp, err := ref.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := signatureOrder(comp)
+	if len(sigs) < 6 || len(sigs) != ref.Cache().Len() {
+		t.Fatalf("found %d signatures in the TOGs, cache holds %d; need at least 6", len(sigs), ref.Cache().Len())
+	}
+	err3, err5 := errors.New("signature #3 failed"), errors.New("signature #5 failed")
+	for _, workers := range []int{1, 3, 8} {
+		c := New(small(), DefaultOptions())
+		c.Workers = workers
+		c.Measurer = measureFunc(func(cfg npu.CoreConfig, p *isa.Program) (int64, error) {
+			switch p.Name {
+			case sigs[3]:
+				time.Sleep(20 * time.Millisecond) // let #5 fail first in time
+				return 0, err3
+			case sigs[5]:
+				return 0, err5
+			}
+			return TimingMeasurer{}.Measure(cfg, p)
 		})
-		if err == nil || err.Error() != "task 4 failed" {
-			t.Fatalf("workers=%d: got %v, want the index-4 error", workers, err)
+		if _, err := c.Compile(g); !errors.Is(err, err3) {
+			t.Fatalf("workers=%d: got %v, want the error of signature #3", workers, err)
+		}
+	}
+}
+
+// TestLoweringErrorWins: when lowering fails after it has already handed
+// signatures to the workers, and those fail too, Compile reports the
+// lowering error.
+func TestLoweringErrorWins(t *testing.T) {
+	g := chainGraph(24, 16, 40, 24)
+	a := g.Input("sa", 8, 8)
+	b := g.Input("sb", 8, 8)
+	sp := g.Add(&graph.Node{Op: graph.OpSparseMM, Name: "sparse", Inputs: []int{a.ID, b.ID}, Shape: []int{8, 8}})
+	g.Outputs = append(g.Outputs, sp.ID)
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 3, 8} {
+		var calls atomic.Int64
+		c := New(small(), DefaultOptions())
+		c.Workers = workers
+		c.Measurer = measureFunc(func(npu.CoreConfig, *isa.Program) (int64, error) {
+			calls.Add(1)
+			return 0, boom
+		})
+		_, err := c.Compile(g)
+		if err == nil || errors.Is(err, boom) || !strings.Contains(err.Error(), "sparse_mm") {
+			t.Fatalf("workers=%d: got %v, want the sparse_mm lowering error", workers, err)
+		}
+		if calls.Load() == 0 {
+			t.Fatalf("workers=%d: no signature reached the measurer before lowering failed", workers)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/isa"
@@ -21,12 +20,15 @@ type Phase string
 const (
 	// PhaseLower walks the graph: fusion analysis, tensor allocation, tile
 	// planning, and TOG structure building (latencies still unresolved).
+	// The work it finds runs on the worker pool meanwhile, so this is the
+	// lowering wall time with codegen and measurement overlapping it.
 	PhaseLower Phase = "lower"
-	// PhaseCodegen generates the machine-code kernels (isa.Program) for
-	// every unique kernel id and measurement signature, in parallel.
+	// PhaseCodegen is the wait, after lowering, for the machine-code
+	// kernels (isa.Program) of every unique kernel id to be generated.
 	PhaseCodegen Phase = "codegen"
-	// PhaseMeasure resolves unique kernel signatures to cycle counts via
-	// the Measurer, in parallel with per-signature singleflight.
+	// PhaseMeasure is the wait, after PhaseCodegen, for every unique kernel
+	// signature to be resolved to a cycle count through the latency cache
+	// and the Measurer.
 	PhaseMeasure Phase = "measure"
 	// PhaseEmit patches measured latencies into the TOGs in graph order and
 	// assembles the final Compiled — deterministic regardless of worker
@@ -45,46 +47,23 @@ type Measurer interface {
 }
 
 // TimingMeasurer is the production Measurer: the deterministic core timing
-// pipeline over the functional simulator.
-type TimingMeasurer struct {
-	// Meter, when non-nil, recycles the measuring cores across calls; the
-	// zero value measures every kernel on a fresh core. Either way the
-	// cycle counts are the same.
-	Meter *timingsim.Meter
-}
+// pipeline over the functional simulator, on a fresh core per kernel.
+type TimingMeasurer struct{}
 
 // Measure implements Measurer.
-func (t TimingMeasurer) Measure(cfg npu.CoreConfig, p *isa.Program) (int64, error) {
-	var res timingsim.Result
-	var err error
-	if t.Meter != nil {
-		res, err = t.Meter.Measure(cfg, p, nil)
-	} else {
-		res, err = timingsim.MeasureKernel(cfg, p, nil)
-	}
+func (TimingMeasurer) Measure(cfg npu.CoreConfig, p *isa.Program) (int64, error) {
+	res, err := timingsim.MeasureKernel(cfg, p, nil)
 	if err != nil {
 		return 0, err
 	}
 	return res.Cycles, nil
 }
 
-// kernelReq is one unique kernel id whose program the codegen pass must
-// generate for the Compiled.Kernels map (functional execution).
+// kernelReq is one unique kernel id whose program a worker generates for
+// the Compiled.Kernels map (functional execution).
 type kernelReq struct {
 	id   string
-	gen  func() *isa.Program
 	prog *isa.Program
-}
-
-// measureReq is one unique kernel signature the measure pass must resolve.
-// The representative program comes from the signature's first occurrence and
-// is generated lazily, inside the singleflight winner, so cache hits (warm
-// restarts, autotune candidates) skip codegen for it entirely. Latencies
-// depend only on the signature (never on scratchpad offsets), which is the
-// invariant the latency cache has always relied on.
-type measureReq struct {
-	sig string
-	gen func() *isa.Program
 }
 
 // latPatch marks one TOG compute node awaiting its measured latency.
@@ -109,47 +88,64 @@ func (c *Compiler) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runParallel runs f(0..n-1) on up to workers goroutines. The returned
-// error is the lowest-index failure — the same one a serial loop would have
-// returned first — so error behavior stays deterministic under parallelism.
-func runParallel(n, workers int, f func(i int) error) error {
-	if n == 0 {
-		return nil
+// pool runs the work lowering finds, program generation for each new kernel
+// id and latency resolution for each new signature, on a fixed set of
+// workers while lowering goes on. add never blocks: lowering is the
+// critical path, so it must not wait for a busy worker. Each job writes
+// only its own request, so the results do not depend on which worker ran
+// what, or when.
+type pool struct {
+	mu     sync.Mutex
+	ready  sync.Cond
+	queue  []func()
+	closed bool
+
+	codegen sync.WaitGroup // program generations not yet finished
+	workers sync.WaitGroup // workers not yet exited
+}
+
+func startPool(n int) *pool {
+	p := &pool{}
+	p.ready.L = &p.mu
+	p.workers.Add(n)
+	for i := 0; i < n; i++ {
+		go p.work()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
+	return p
+}
+
+func (p *pool) add(job func()) {
+	p.mu.Lock()
+	p.queue = append(p.queue, job)
+	p.mu.Unlock()
+	p.ready.Signal()
+}
+
+// close tells the workers that no more work comes: each exits once the
+// queue is empty, so p.workers.Wait returns when every job has run.
+func (p *pool) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.ready.Broadcast()
+}
+
+func (p *pool) work() {
+	defer p.workers.Done()
+	for {
+		p.mu.Lock()
+		for len(p.queue) == 0 && !p.closed {
+			p.ready.Wait()
 		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+		if len(p.queue) == 0 {
+			p.mu.Unlock()
+			return
 		}
+		job := p.queue[0]
+		p.queue = p.queue[1:]
+		p.mu.Unlock()
+		job()
 	}
-	return nil
 }
 
 // phase wraps one pass with host-time accounting: PhaseHook gets the
@@ -169,42 +165,40 @@ func (c *Compiler) phase(t0 time.Time, name Phase, f func() error) error {
 	return err
 }
 
-// codegenPass generates the program for every unique kernel id (the
-// functional-execution kernels of Compiled.Kernels). Program generation is
-// pure, so the fan-out needs no coordination beyond slice slots.
-func (c *Compiler) codegenPass(st *state) error {
-	return runParallel(len(st.kernelReqs), c.workers(), func(i int) error {
-		st.kernelReqs[i].prog = st.kernelReqs[i].gen()
-		return nil
+// resolve looks one signature up in the shared latency cache and measures
+// it on a miss. Signatures already cached (same-process reuse or a
+// persisted table seeded from disk) cost a map lookup; a miss is
+// singleflighted per signature, so concurrent Compile calls — even on
+// different Compilers sharing the cache — never duplicate a measurement.
+// The representative program comes from the signature's first occurrence
+// and gen runs only inside the singleflight winner, so cache hits (warm
+// restarts, autotune candidates) skip codegen for it entirely. Latencies
+// depend only on the signature (never on scratchpad offsets), which is the
+// invariant the latency cache has always relied on.
+func (c *Compiler) resolve(m Measurer, sig string, gen func() *isa.Program) error {
+	c.lookups.Add(1)
+	_, measured, err := c.lat.resolve(sig, func() (int64, error) {
+		return m.Measure(c.Cfg.Core, gen())
 	})
+	if err != nil {
+		return fmt.Errorf("compiler: measuring %q: %w", sig, err)
+	}
+	if measured {
+		c.measured.Add(1)
+	}
+	return nil
 }
 
-// measurePass resolves every unique signature through the shared latency
-// cache. Signatures already cached (same-process reuse or a persisted table
-// seeded from disk) cost a map lookup; the rest fan out across the worker
-// pool, singleflighted per signature so concurrent Compile calls — even on
-// different Compilers sharing the cache — never duplicate a measurement.
-// The default measurer recycles its measuring cores within this one pass
-// (one per worker), and lets them go with the pass.
-func (c *Compiler) measurePass(st *state) error {
-	m := c.Measurer
-	if m == nil {
-		m = TimingMeasurer{Meter: &timingsim.Meter{}}
+// measureErr returns the first failed measurement in signature
+// first-occurrence order — the one a serial compile would have hit first —
+// so the reported error does not depend on the worker count.
+func (st *state) measureErr() error {
+	for _, err := range st.measureErrs {
+		if *err != nil {
+			return *err
+		}
 	}
-	return runParallel(len(st.measureReqs), c.workers(), func(i int) error {
-		req := st.measureReqs[i]
-		c.lookups.Add(1)
-		_, measured, err := c.lat.resolve(req.sig, func() (int64, error) {
-			return m.Measure(c.Cfg.Core, req.gen())
-		})
-		if err != nil {
-			return fmt.Errorf("compiler: measuring %q: %w", req.sig, err)
-		}
-		if measured {
-			c.measured.Add(1)
-		}
-		return nil
-	})
+	return nil
 }
 
 // emitPass patches resolved latencies into the pending TOGs and builds them

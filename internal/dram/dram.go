@@ -7,6 +7,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/npu"
 	"repro/internal/obs"
@@ -40,23 +41,38 @@ func (r *Request) Channel() int { return r.ch }
 // channel) both decompose addresses through it.
 type AddrMap struct {
 	burstBytes, channels, burstsPerRow, banks uint64
+	// pow2 says all four are powers of two, as on both stock configs; then
+	// decompose shifts and masks instead of dividing. rowShift skips the
+	// channel and column bits of a burst index, bankShift the bank bits.
+	pow2                            bool
+	burstShift, rowShift, bankShift int
 }
 
 // NewAddrMap returns cfg's interleave.
 func NewAddrMap(cfg npu.MemConfig) AddrMap {
-	return AddrMap{
+	a := AddrMap{
 		burstBytes:   uint64(cfg.BurstBytes),
 		channels:     uint64(cfg.Channels),
 		burstsPerRow: uint64(cfg.RowBytes / cfg.BurstBytes),
 		banks:        uint64(cfg.BanksPerChan),
 	}
+	a.pow2 = true
+	for _, v := range []uint64{a.burstBytes, a.channels, a.burstsPerRow, a.banks} {
+		a.pow2 = a.pow2 && v != 0 && v&(v-1) == 0
+	}
+	if a.pow2 {
+		a.burstShift = bits.TrailingZeros64(a.burstBytes)
+		a.rowShift = bits.TrailingZeros64(a.channels) + bits.TrailingZeros64(a.burstsPerRow)
+		a.bankShift = bits.TrailingZeros64(a.banks)
+	}
+	return a
 }
 
 // Locate decomposes r.Addr into channel, bank, and row, caches the result
 // on the request, and returns the channel. A Memory trusts a located
 // request, so only a map of the Memory's own configuration may locate the
 // requests submitted to it.
-func (a AddrMap) Locate(r *Request) int {
+func (a *AddrMap) Locate(r *Request) int {
 	r.ch, r.bk, r.row = a.decompose(r.Addr)
 	r.located = true
 	return r.ch
@@ -64,9 +80,24 @@ func (a AddrMap) Locate(r *Request) int {
 
 // Channel returns the channel serving addr: Locate's channel, without
 // the bank and row.
-func (a AddrMap) Channel(addr uint64) int { return int(addr / a.burstBytes % a.channels) }
+func (a *AddrMap) Channel(addr uint64) int {
+	if a.pow2 {
+		return int(addr >> a.burstShift & (a.channels - 1))
+	}
+	return int(addr / a.burstBytes % a.channels)
+}
 
-func (a AddrMap) decompose(addr uint64) (ch, bk int, row int64) {
+func (a *AddrMap) decompose(addr uint64) (ch, bk int, row int64) {
+	if !a.pow2 {
+		return a.divide(addr)
+	}
+	burst := addr >> a.burstShift
+	rest := burst >> a.rowShift
+	return int(burst & (a.channels - 1)), int(rest & (a.banks - 1)), int64(rest >> a.bankShift)
+}
+
+// divide is decompose for any configuration.
+func (a *AddrMap) divide(addr uint64) (ch, bk int, row int64) {
 	burst := addr / a.burstBytes
 	rest := burst / a.channels
 	ch = int(burst - rest*a.channels)

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -413,5 +414,48 @@ func TestSkipToHopsMatchTicking(t *testing.T) {
 	}
 	if ticked.Refreshes() < 10 {
 		t.Fatalf("only %d refreshes: the stretches do not span enough tREFI periods", ticked.Refreshes())
+	}
+}
+
+// TestAddrMapShiftsMatchDivision: on configs whose burst size, channel
+// count, bursts per row and bank count are all powers of two, the address
+// map shifts and masks; every address must land on the channel, bank and
+// row the division path gives. A config with one non-power-of-two field
+// must keep dividing.
+func TestAddrMapShiftsMatchDivision(t *testing.T) {
+	odd := npu.SmallConfig().Mem
+	odd.Channels = 3
+	oddRow := npu.TPUv3Config().Mem
+	oddRow.RowBytes = 96 * oddRow.BurstBytes
+	cases := []struct {
+		name string
+		cfg  npu.MemConfig
+		pow2 bool
+	}{
+		{"tpuv3", npu.TPUv3Config().Mem, true},
+		{"small", npu.SmallConfig().Mem, true},
+		{"3-channel", odd, false},
+		{"96-burst-row", oddRow, false},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range cases {
+		m := NewAddrMap(tc.cfg)
+		if m.pow2 != tc.pow2 {
+			t.Fatalf("%s: shift path selected = %v, want %v", tc.name, m.pow2, tc.pow2)
+		}
+		div := m
+		div.pow2 = false
+		for i := 0; i < 100000; i++ {
+			addr := rng.Uint64() >> uint(rng.Intn(64))
+			ch, bk, row := m.decompose(addr)
+			wch, wbk, wrow := div.decompose(addr)
+			if ch != wch || bk != wbk || row != wrow {
+				t.Fatalf("%s: addr %#x decomposes to ch %d bank %d row %d, division gives %d %d %d",
+					tc.name, addr, ch, bk, row, wch, wbk, wrow)
+			}
+			if got := m.Channel(addr); got != wch {
+				t.Fatalf("%s: Channel(%#x) = %d, division gives %d", tc.name, addr, got, wch)
+			}
+		}
 	}
 }

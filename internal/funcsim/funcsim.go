@@ -56,30 +56,10 @@ func NewCore(cfg npu.CoreConfig, dram *npu.PagedMem) *Core {
 	for i := range v {
 		v[i] = make([]float32, cfg.VLEN())
 	}
-	c := &Core{}
-	c.init(cfg, dram, npu.NewScratchpad(cfg.SpadBytes), v)
-	return c
-}
-
-// Reset returns the core to the state NewCore(c.Cfg, dram) builds, reusing
-// the scratchpad and the vector register rows after zeroing them; every
-// other field starts from the zero value again, so no state can leak from
-// one program to the next. The offline kernel measurement recycles cores
-// this way (timingsim.Meter) instead of allocating a scratchpad per kernel.
-func (c *Core) Reset(dram *npu.PagedMem) {
-	spad, v := c.Mem.Spad, c.V
-	spad.Reset()
-	for _, row := range v {
-		clear(row)
-	}
-	c.init(c.Cfg, dram, spad, v)
-}
-
-func (c *Core) init(cfg npu.CoreConfig, dram *npu.PagedMem, spad *npu.Scratchpad, v [isa.NumVectorRegs][]float32) {
-	*c = Core{
+	return &Core{
 		Cfg: cfg,
 		V:   v,
-		Mem: npu.AddressSpace{DRAM: dram, Spad: spad},
+		Mem: npu.AddressSpace{DRAM: dram, Spad: npu.NewScratchpad(cfg.SpadBytes)},
 		SA:  systolic.New(cfg.SARows, cfg.SACols),
 		VL:  cfg.VLEN(),
 	}

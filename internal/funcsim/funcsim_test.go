@@ -2,7 +2,6 @@ package funcsim
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -342,55 +341,5 @@ func TestTraceHookAndCounters(t *testing.T) {
 	}
 	if c.ClassCounts[isa.ClassScalar] != 9 {
 		t.Fatalf("scalar class count = %d", c.ClassCounts[isa.ClassScalar])
-	}
-}
-
-// Reset must leave a used core equal to a new one in every field —
-// registers, VL, scratchpad, systolic array, DMA descriptor, counters, hooks
-// and DRAM — because timingsim.Meter recycles measuring cores with it and a
-// recycled core must time a kernel exactly as a fresh one does.
-func TestResetEqualsNewCore(t *testing.T) {
-	cfg := npu.SmallConfig().Core
-	c := NewCore(cfg, npu.NewPagedMem())
-	c.Mem.DRAM.WriteFloats(0, []float32{1, 2, 3, 4, 5, 6})
-	c.X[6] = 0
-	// The tile lands in the last 24 bytes, the top of the scratchpad.
-	c.X[7] = int64(isa.SpadBase) + int64(cfg.SpadBytes) - 24
-	c.MaxInstrs = 1000
-	c.Trace = func(TraceEvent) {}
-	run(t, c, `
-		addi x1, x0, 2
-		addi x2, x0, 3
-		config.0 x1, x2
-		addi x3, x0, 12
-		addi x4, x0, 12
-		config.1 x3, x4
-		addi x5, x0, 1024
-		config.2 x5, x0
-		mvin x6, x7
-		waitdma x0
-		addi x6, x6, 4096
-		mvout x6, x7
-		waitdma x0
-		addi x8, x0, 3
-		setvl x9, x8
-		vle32 v1, (x7)
-		vadd v2, v1, v1
-		vredsum f1, v2
-		wvpush v1
-		halt
-	`)
-	if reflect.DeepEqual(c, NewCore(cfg, npu.NewPagedMem())) {
-		t.Fatal("the kernel left no state behind; the test checks nothing")
-	}
-	c.Reset(npu.NewPagedMem())
-	if want := NewCore(cfg, npu.NewPagedMem()); !reflect.DeepEqual(c, want) {
-		t.Fatalf("Reset core differs from NewCore:\n got X=%v F=%v VL=%d DMA=%+v SA=%+v in=%d out=%d\nwant X=%v F=%v VL=%d DMA=%+v SA=%+v",
-			c.X, c.F, c.VL, c.DMA, c.SA, c.DMABytesIn, c.DMABytesOut, want.X, want.F, want.VL, want.DMA, want.SA)
-	}
-	for a := uint64(0); a < uint64(cfg.SpadBytes); a += 4 {
-		if w := c.Mem.Spad.LoadW(isa.SpadBase + a); w != 0 {
-			t.Fatalf("scratchpad word at offset %#x = %#x after Reset", a, w)
-		}
 	}
 }

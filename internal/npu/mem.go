@@ -78,18 +78,25 @@ func (m *PagedMem) ReadFloats(addr uint64, n int) []float32 {
 func (m *PagedMem) FootprintBytes() int64 { return int64(len(m.pages)) * pageBytes }
 
 // Scratchpad is the per-core software-managed SRAM, mapped at isa.SpadBase.
+// Its storage is paged: a page is allocated by the first store into it and a
+// word never stored reads 0, so a core whose kernel touches a few tiles of a
+// 16 MiB scratchpad allocates those tiles, not 16 MiB.
 type Scratchpad struct {
-	words []uint32
-	dirty int // words[dirty:] have never been stored to since the last Reset
+	words int
+	pages []*[spadPageWords]uint32
 }
+
+// spadPageWords is the scratchpad page size in words (16 KiB).
+const spadPageWords = 4 << 10
 
 // NewScratchpad returns a scratchpad of the given byte capacity.
 func NewScratchpad(bytes int) *Scratchpad {
-	return &Scratchpad{words: make([]uint32, bytes/4)}
+	words := bytes / 4
+	return &Scratchpad{words: words, pages: make([]*[spadPageWords]uint32, (words+spadPageWords-1)/spadPageWords)}
 }
 
 // SizeBytes returns the capacity.
-func (s *Scratchpad) SizeBytes() int { return len(s.words) * 4 }
+func (s *Scratchpad) SizeBytes() int { return s.words * 4 }
 
 func (s *Scratchpad) index(addr uint64) int {
 	checkAlign(addr)
@@ -97,31 +104,31 @@ func (s *Scratchpad) index(addr uint64) int {
 		panic(fmt.Sprintf("npu: scratchpad access to non-scratchpad address %#x", addr))
 	}
 	off := addr - isa.SpadBase
-	if off >= uint64(len(s.words))*4 {
-		panic(fmt.Sprintf("npu: scratchpad access out of range: offset %#x of %#x bytes", off, len(s.words)*4))
+	if off >= uint64(s.words)*4 {
+		panic(fmt.Sprintf("npu: scratchpad access out of range: offset %#x of %#x bytes", off, s.words*4))
 	}
 	return int(off / 4)
 }
 
 // LoadW implements Mem for scratchpad-mapped addresses.
-func (s *Scratchpad) LoadW(addr uint64) uint32 { return s.words[s.index(addr)] }
+func (s *Scratchpad) LoadW(addr uint64) uint32 {
+	i := s.index(addr)
+	p := s.pages[i/spadPageWords]
+	if p == nil {
+		return 0
+	}
+	return p[i%spadPageWords]
+}
 
 // StoreW implements Mem.
 func (s *Scratchpad) StoreW(addr uint64, v uint32) {
 	i := s.index(addr)
-	s.words[i] = v
-	if i >= s.dirty {
-		s.dirty = i + 1
+	p := s.pages[i/spadPageWords]
+	if p == nil {
+		p = new([spadPageWords]uint32)
+		s.pages[i/spadPageWords] = p
 	}
-}
-
-// Reset zeroes the scratchpad, leaving it equal to a new one of the same
-// capacity. Only the words up to the highest one ever stored are cleared,
-// so resetting after a kernel that used a few tiles of a 16 MiB scratchpad
-// costs those tiles, not 16 MiB.
-func (s *Scratchpad) Reset() {
-	clear(s.words[:s.dirty])
-	s.dirty = 0
+	p[i%spadPageWords] = v
 }
 
 // LoadF loads a float32.

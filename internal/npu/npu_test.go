@@ -1,6 +1,8 @@
 package npu
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -81,6 +83,71 @@ func TestScratchpadBounds(t *testing.T) {
 		}
 	}()
 	s.LoadW(isa.SpadBase + 2048)
+}
+
+// TestScratchpadPaged: the paged scratchpad reads 0 wherever nothing was
+// stored, round-trips words at both ends of its capacity and across a page
+// boundary, and panics with the same messages as a flat one.
+func TestScratchpadPaged(t *testing.T) {
+	const pageBytes = spadPageWords * 4
+	for _, size := range []int{16 << 20, 3*pageBytes + 12} { // whole pages; a partial last page
+		s := NewScratchpad(size)
+		if s.SizeBytes() != size {
+			t.Fatalf("SizeBytes() = %d, want %d", s.SizeBytes(), size)
+		}
+		last := isa.SpadBase + uint64(size) - 4
+		rng := rand.New(rand.NewSource(int64(size)))
+		probes := []uint64{isa.SpadBase, last, isa.SpadBase + pageBytes - 4, isa.SpadBase + pageBytes}
+		for i := 0; i < 64; i++ {
+			probes = append(probes, isa.SpadBase+4*uint64(rng.Intn(size/4)))
+		}
+		for _, a := range probes {
+			if v := s.LoadW(a); v != 0 {
+				t.Fatalf("size %d: unwritten word at %#x reads %d", size, a, v)
+			}
+		}
+		stores := map[uint64]uint32{
+			isa.SpadBase:                 1,
+			last:                         2,
+			isa.SpadBase + pageBytes - 4: 3, // last word of page 0
+			isa.SpadBase + pageBytes:     4, // first word of page 1
+		}
+		for a, v := range stores {
+			s.StoreW(a, v)
+		}
+		for a, v := range stores {
+			if got := s.LoadW(a); got != v {
+				t.Fatalf("size %d: word at %#x = %d, want %d", size, a, got, v)
+			}
+		}
+		for _, a := range []uint64{isa.SpadBase + 4, isa.SpadBase + pageBytes + 4, last - 4} {
+			if v := s.LoadW(a); v != 0 {
+				t.Fatalf("size %d: neighbour %#x of a stored word reads %d", size, a, v)
+			}
+		}
+	}
+
+	s := NewScratchpad(1024)
+	for _, tc := range []struct {
+		name string
+		f    func()
+		want string
+	}{
+		{"unaligned load", func() { s.LoadW(isa.SpadBase + 2) }, fmt.Sprintf("npu: unaligned 32-bit access at %#x", isa.SpadBase+2)},
+		{"unaligned store", func() { s.StoreW(isa.SpadBase+6, 1) }, fmt.Sprintf("npu: unaligned 32-bit access at %#x", isa.SpadBase+6)},
+		{"load past end", func() { s.LoadW(isa.SpadBase + 1024) }, "npu: scratchpad access out of range: offset 0x400 of 0x400 bytes"},
+		{"store past end", func() { s.StoreW(isa.SpadBase+4096, 1) }, "npu: scratchpad access out of range: offset 0x1000 of 0x400 bytes"},
+		{"low address", func() { s.StoreW(64, 1) }, "npu: scratchpad access to non-scratchpad address 0x40"},
+	} {
+		got := func() (msg any) {
+			defer func() { msg = recover() }()
+			tc.f()
+			return nil
+		}()
+		if got != tc.want {
+			t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestScratchpadRejectsLowAddress(t *testing.T) {

@@ -1,8 +1,10 @@
 package timingsim
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/codegen"
 	"repro/internal/funcsim"
 	"repro/internal/isa"
 	"repro/internal/npu"
@@ -275,5 +277,26 @@ func TestMeasureKernelCountsDMABytes(t *testing.T) {
 	})
 	if r.DMABytesIn != 2*4*4 {
 		t.Fatalf("DMABytesIn = %d, want 32", r.DMABytesIn)
+	}
+}
+
+// A fresh measuring core allocates only the scratchpad pages its kernel
+// stores to: timing a GEMM tile on a TPUv3 core (16 MiB scratchpad) must
+// not cost a scratchpad's worth of memory. The measurement allocated
+// 422,024 bytes in total on go1.24/amd64, the tiles' scratchpad pages
+// among them; the 1 MiB bound is about 2.5x that and 1/16 of SpadBytes.
+func TestMeasureKernelAllocatesTouchedScratchpad(t *testing.T) {
+	cfg := npu.TPUv3Config().Core
+	p := codegen.GEMM(codegen.GEMMSpec{M: 64, K: 128, N: 128, WOff: 1 << 20, OutOff: 2 << 20})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := MeasureKernel(cfg, p, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	d := after.TotalAlloc - before.TotalAlloc
+	t.Logf("MeasureKernel allocated %d bytes (scratchpad %d)", d, cfg.SpadBytes)
+	if d >= 1<<20 {
+		t.Fatalf("MeasureKernel allocated %d bytes, want < 1 MiB (scratchpad is %d)", d, cfg.SpadBytes)
 	}
 }

@@ -7,11 +7,14 @@
 #
 #   make profile MODEL=resnet18 CORES=1        # or scripts/profile.sh resnet18 1
 #   make profile MODEL=compile                 # or scripts/profile.sh compile
+#   make profile MODEL=zoo                     # or scripts/profile.sh zoo
 #
 # MODEL is resnet18 or bert-base (BenchmarkEngine<Model>C<n>Serial, CORES
-# 1, 4 or 8), or compile (BenchmarkCompileParallel: a cold resnet18 compile
-# on TPUv3, CORES ignored), which also writes an allocation profile and
-# prints its alloc_space table. RUNS (default 3) is the -benchtime
+# 1, 4 or 8), compile (BenchmarkCompileParallel: a cold resnet18 compile on
+# TPUv3) or zoo (BenchmarkCompileZoo: the eight cold compiles of the
+# benchmark's compile.zoo-cold workload); the two compiler profiles ignore
+# CORES, and also write an allocation profile and print its alloc_space
+# table. RUNS (default 3) is the -benchtime
 # iteration count and ROWS (default 15) the table length. The profiles, the
 # test binary pprof needs to symbolize them, and the tables stay in
 # profile/ (git-ignored) for `go tool pprof -list` afterwards.
@@ -26,15 +29,15 @@ rows=${ROWS:-15}
 case "$model" in
     resnet18) name=Resnet18 ;;
     bert-base) name=BertBase ;;
-    compile) ;;
-    *) echo "profile: unknown MODEL '$model' (resnet18, bert-base, compile)" >&2; exit 2 ;;
+    compile) bench=BenchmarkCompileParallel ;;
+    zoo) bench=BenchmarkCompileZoo ;;
+    *) echo "profile: unknown MODEL '$model' (resnet18, bert-base, compile, zoo)" >&2; exit 2 ;;
 esac
 dir=profile
 mkdir -p "$dir"
 memflags=()
-if [ "$model" = compile ]; then
-    bench=BenchmarkCompileParallel
-    base="$dir/compile"
+if [ "$model" = compile ] || [ "$model" = zoo ]; then
+    base="$dir/$model"
     memflags=(-test.memprofile "$base.mem.prof")
 else
     case "$cores" in
@@ -59,7 +62,7 @@ echo "profile: $bench x$runs"
 {
     echo "$stamp"
     go tool pprof -top -nodecount="$rows" "$base.test" "$base.prof" 2>/dev/null | sed -n '/^Duration:/p;/flat%/,$p'
-    if [ "$model" = compile ]; then
+    if [ ${#memflags[@]} -gt 0 ]; then
         echo "allocated bytes (alloc_space):"
         go tool pprof -top -sample_index=alloc_space -nodecount="$rows" "$base.test" "$base.mem.prof" 2>/dev/null | sed -n '/flat%/,$p'
     fi
