@@ -66,7 +66,7 @@ func main() {
 		Set("x", tensor.RandNormal(r, 0, 1, m, k)).
 		Set("w", tensor.RandNormal(r, 0, 0.05, k, n)).
 		Set("b", tensor.RandNormal(r, 0, 0.05, n))
-	npuOut, err := sim.RunFunctional(comp, g, env)
+	npuOut, err := compiler.RunFunctional(comp, g, env)
 	if err != nil {
 		log.Fatal(err)
 	}

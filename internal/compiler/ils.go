@@ -16,7 +16,7 @@ type ILSResult struct {
 }
 
 // RunILS is the per-instruction pass of Instruction-Level Simulation: it
-// expands every TOG's loops and runs each dynamic kernel instance through
+// walks every TOG (tog.Walk expands the loops) and runs each dynamic kernel instance through
 // the functional simulator with a fresh core timing pipeline attached,
 // instruction by instruction. It runs no engine and reports no cycle
 // count: core.Simulator.SimulateILS pairs it with the same engine run as
@@ -26,19 +26,22 @@ func RunILS(c *Compiled, cfg npu.CoreConfig) (ILSResult, error) {
 	var res ILSResult
 	core := funcsim.NewCore(cfg, npu.NewPagedMem())
 	for _, g := range c.TOGs {
-		if err := walkComputes(g, func(kernelID string) error {
-			prog, ok := c.Kernels[kernelID]
+		if err := g.Walk(func(n *tog.Node, _ map[string]int64) error {
+			if n.Kind != tog.Compute || n.Kernel == "" {
+				return nil
+			}
+			prog, ok := c.Kernels[n.Kernel]
 			if !ok {
-				return fmt.Errorf("compiler: ILS: unknown kernel %q", kernelID)
+				return fmt.Errorf("compiler: ILS: unknown kernel %q", n.Kernel)
 			}
 			pipe := timingsim.NewPipeline(cfg)
 			core.Trace = pipe.Consume
-			n, err := core.Run(prog)
+			instrs, err := core.Run(prog)
 			core.Trace = nil
 			if err != nil {
 				return err
 			}
-			res.Instrs += n
+			res.Instrs += instrs
 			res.KernelRuns++
 			return nil
 		}); err != nil {
@@ -46,52 +49,4 @@ func RunILS(c *Compiled, cfg npu.CoreConfig) (ILSResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// walkComputes expands a TOG's loops and invokes f for every dynamic
-// compute-node instance.
-func walkComputes(g *tog.TOG, f func(kernelID string) error) error {
-	var walk func(from, to int) error
-	walk = func(from, to int) error {
-		for i := from; i < to; i++ {
-			n := &g.Nodes[i]
-			switch n.Kind {
-			case tog.LoopBegin:
-				end, err := matchEnd(g, i)
-				if err != nil {
-					return err
-				}
-				for v := n.Init; v < n.Limit; v += n.Step {
-					if err := walk(i+1, end); err != nil {
-						return err
-					}
-				}
-				i = end
-			case tog.Compute:
-				if n.Kernel != "" {
-					if err := f(n.Kernel); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-	return walk(0, len(g.Nodes))
-}
-
-func matchEnd(g *tog.TOG, begin int) (int, error) {
-	depth := 0
-	for j := begin; j < len(g.Nodes); j++ {
-		switch g.Nodes[j].Kind {
-		case tog.LoopBegin:
-			depth++
-		case tog.LoopEnd:
-			depth--
-			if depth == 0 {
-				return j, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("compiler: unmatched loop at node %d", begin)
 }

@@ -50,46 +50,10 @@ func RunFunctional(c *Compiled, g *graph.Graph, env *graph.Env) (map[string]*ten
 	return out, nil
 }
 
-// runTOG walks one TOG, interpreting loops and executing DMAs/kernels.
+// runTOG walks one TOG, executing its DMAs and kernels.
 func runTOG(c *Compiled, core *funcsim.Core, dram *npu.PagedMem, g *tog.TOG) error {
-	vars := map[string]int64{}
-	type frame struct{ begin, end int }
-	var loops []frame
-	findEnd := func(begin int) int {
-		depth := 0
-		for j := begin; j < len(g.Nodes); j++ {
-			switch g.Nodes[j].Kind {
-			case tog.LoopBegin:
-				depth++
-			case tog.LoopEnd:
-				depth--
-				if depth == 0 {
-					return j
-				}
-			}
-		}
-		panic("compiler: unmatched loop in validated TOG")
-	}
-	for pc := 0; pc < len(g.Nodes); pc++ {
-		n := &g.Nodes[pc]
+	return g.Walk(func(n *tog.Node, vars map[string]int64) error {
 		switch n.Kind {
-		case tog.LoopBegin:
-			if n.Init >= n.Limit {
-				pc = findEnd(pc)
-				continue
-			}
-			vars[n.Var] = n.Init
-			loops = append(loops, frame{begin: pc, end: findEnd(pc)})
-		case tog.LoopEnd:
-			fr := loops[len(loops)-1]
-			begin := &g.Nodes[fr.begin]
-			vars[begin.Var] += begin.Step
-			if vars[begin.Var] < begin.Limit {
-				pc = fr.begin
-			} else {
-				delete(vars, begin.Var)
-				loops = loops[:len(loops)-1]
-			}
 		case tog.LoadDMA, tog.StoreDMA:
 			base, ok := c.Bases[n.Tensor]
 			if !ok {
@@ -102,13 +66,9 @@ func runTOG(c *Compiled, core *funcsim.Core, dram *npu.PagedMem, g *tog.TOG) err
 			addr := base + uint64(off)
 			spad := isa.SpadBase + uint64(n.SpadOff)
 			if n.Kind == tog.LoadDMA {
-				err = n.Desc.RunIn(dram, core.Mem.Spad, addr, spad)
-			} else {
-				err = n.Desc.RunOut(dram, core.Mem.Spad, addr, spad)
+				return n.Desc.RunIn(dram, core.Mem.Spad, addr, spad)
 			}
-			if err != nil {
-				return err
-			}
+			return n.Desc.RunOut(dram, core.Mem.Spad, addr, spad)
 		case tog.WaitDMA:
 			// Functional DMAs are synchronous.
 		case tog.AllReduce, tog.AllGather, tog.ReduceScatter, tog.CollEnd:
@@ -122,10 +82,9 @@ func runTOG(c *Compiled, core *funcsim.Core, dram *npu.PagedMem, g *tog.TOG) err
 			if !ok {
 				return fmt.Errorf("compute node references unknown kernel %q", n.Kernel)
 			}
-			if _, err := core.Run(prog); err != nil {
-				return err
-			}
+			_, err := core.Run(prog)
+			return err
 		}
-	}
-	return nil
+		return nil
+	})
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/report"
 	"repro/internal/service/cache"
-	"repro/internal/tensor"
 	"repro/internal/togsim"
 	"repro/internal/topo"
 )
@@ -306,10 +305,4 @@ func (s *Simulator) SimulateILS(comp *compiler.Compiled, kind NetKind) (Report, 
 	}
 	rep.WallClock = time.Since(start)
 	return rep, ils, nil
-}
-
-// RunFunctional executes the compiled model on the functional simulator
-// (output validation, training loss values).
-func (s *Simulator) RunFunctional(comp *compiler.Compiled, g *graph.Graph, env *graph.Env) (map[string]*tensor.Tensor, error) {
-	return compiler.RunFunctional(comp, g, env)
 }

@@ -93,7 +93,7 @@ func TestSimulatorFunctional(t *testing.T) {
 	env := graph.NewEnv().
 		Set("x", tensor.RandNormal(r, 0, 1, 16, 16)).
 		Set("w", tensor.RandNormal(r, 0, 1, 16, 16))
-	out, err := sim.RunFunctional(comp, g, env)
+	out, err := compiler.RunFunctional(comp, g, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/report"
 	"repro/internal/serve"
+	"repro/internal/service"
 	"repro/internal/service/modelzoo"
 	"repro/internal/togsim"
 	"repro/internal/topo"
@@ -53,30 +54,16 @@ func CheckServe(seed int64) error {
 }
 
 // runServeScenario replays a standing serving scenario with a fresh
-// compiler and memoized compile results (the cache-hit semantics of the
-// service's content-addressed cache, minus persistence). With topoVariant
-// the decoder serves tensor-parallel over two packages and prompt lengths
-// come from a seeded uniform distribution. A non-nil probe records the
-// run's trace.
+// service compile cache (the service's content-addressed cache semantics,
+// minus persistence). With topoVariant the decoder serves tensor-parallel
+// over two packages and prompt lengths come from a seeded uniform
+// distribution. A non-nil probe records the run's trace.
 func runServeScenario(seed int64, topoVariant bool, probe obs.Probe) (report.ServeReport, error) {
 	cfg := npu.SmallConfig()
-	comp := compiler.New(cfg, compiler.DefaultOptions())
-	memo := map[string]*compiler.Compiled{}
+	cache := service.NewCache()
 	compile := func(spec modelzoo.Spec) (*compiler.Compiled, bool, error) {
-		key := fmt.Sprintf("%+v", spec.Normalize())
-		if c, ok := memo[key]; ok {
-			return c, true, nil
-		}
-		g, err := modelzoo.BuildFor(spec, cfg.Mem)
-		if err != nil {
-			return nil, false, err
-		}
-		c, err := comp.Compile(g)
-		if err != nil {
-			return nil, false, err
-		}
-		memo[key] = c
-		return c, false, nil
+		c, _, hit, err := cache.CompileSpec(spec, cfg, compiler.DefaultOptions())
+		return c, hit, err
 	}
 	sc := serve.Config{
 		Model:    "decoder-tiny",

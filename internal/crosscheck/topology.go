@@ -13,6 +13,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/npu"
 	"repro/internal/parallel"
+	"repro/internal/service"
 	"repro/internal/tensor"
 	"repro/internal/togsim"
 	"repro/internal/topo"
@@ -55,14 +56,13 @@ func (c topoCase) String() string {
 //     for the placed ranks, with nonzero link traffic and the expected
 //     number of collective regions per rank.
 //
-// Compiles are memoized across cases (the same content-addressed-cache
-// semantics the service uses), so 200 cases reuse a few dozen artifacts.
+// Compiles go through one service compile cache per call, so 200 cases
+// reuse a few dozen artifacts.
 func CheckTopology(seed uint64, n int) error {
-	comp := compiler.New(npu.SmallConfig(), compiler.DefaultOptions())
-	memo := map[string]*compiler.Compiled{}
+	cache := service.NewCache()
 	for i := 0; i < n; i++ {
 		c := genTopoCase(seed, i)
-		if err := runTopoCase(c, comp, memo); err != nil {
+		if err := runTopoCase(c, cache); err != nil {
 			return fmt.Errorf("%s: %w", c, err)
 		}
 	}
@@ -100,7 +100,7 @@ func genTopoCase(seed uint64, i int) topoCase {
 	return c
 }
 
-func runTopoCase(c topoCase, comp *compiler.Compiler, memo map[string]*compiler.Compiled) error {
+func runTopoCase(c topoCase, cache *service.Cache) error {
 	tc, err := topo.Preset(c.Preset, npu.SmallConfig().Mem)
 	if err != nil {
 		return err
@@ -130,13 +130,10 @@ func runTopoCase(c topoCase, comp *compiler.Compiler, memo map[string]*compiler.
 	}
 
 	key := fmt.Sprintf("%s|%s|b%d|c%d|n%d|pre%v|p%d", c.Strategy, c.Model, c.Batch, c.Ctx, c.GemmN, c.Prefill, parts)
-	art, ok := memo[key]
-	if !ok {
-		art, err = comp.Compile(rg)
-		if err != nil {
-			return fmt.Errorf("compiling rank graph: %w", err)
-		}
-		memo[key] = art
+	art, _, err := cache.Compile(key, npu.SmallConfig(), compiler.DefaultOptions(),
+		func() (*graph.Graph, error) { return rg, nil })
+	if err != nil {
+		return fmt.Errorf("compiling rank graph: %w", err)
 	}
 	if art.FunctionalOK {
 		return fmt.Errorf("collective graph compiled FunctionalOK=true: ring-lowered TOGs must not claim funcsim validity")

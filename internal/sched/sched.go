@@ -7,10 +7,9 @@ package sched
 
 import (
 	"fmt"
-	"math"
+	"math/rand"
 	"sort"
 
-	"repro/internal/tensor"
 	"repro/internal/togsim"
 )
 
@@ -40,32 +39,45 @@ type Profile struct {
 }
 
 // Generate produces the merged, arrival-sorted request stream for the
-// given profiles, deterministically from seed.
+// given profiles, deterministically from seed. Uniform streams arrive
+// every MeanGap cycles; Poisson streams draw their gaps from one seeded
+// source through PoissonArrivals, one profile after another.
 func Generate(seed uint64, profiles []Profile) []Request {
-	r := tensor.NewRNG(seed)
+	r := rand.New(rand.NewSource(int64(seed)))
 	var out []Request
 	for _, p := range profiles {
-		var t int64
+		var poisson []int64
+		if p.Arrivals == Poisson {
+			poisson = PoissonArrivals(r, p.Count, 1, float64(p.MeanGap))
+		}
 		for i := 0; i < p.Count; i++ {
-			gap := p.MeanGap
-			if p.Arrivals == Poisson {
-				// Exponential via inverse CDF; clamp the tail.
-				u := r.Float64()
-				if u < 1e-9 {
-					u = 1e-9
-				}
-				gap = int64(float64(p.MeanGap) * negLog(u))
+			at := int64(i+1) * p.MeanGap
+			if poisson != nil {
+				at = poisson[i]
 			}
-			t += gap
-			out = append(out, Request{Model: p.Model, Arrival: t})
+			out = append(out, Request{Model: p.Model, Arrival: at})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
 	return out
 }
 
-func negLog(u float64) float64 {
-	return -math.Log(u)
+// PoissonArrivals draws n arrival cycles of a Poisson process from r, at
+// rate arrivals per unit of time, where one unit is cyclesPerUnit cycles:
+// each gap is r.ExpFloat64() / rate * cyclesPerUnit, the gaps accumulate
+// in floating point, and each arrival is the running sum truncated to a
+// cycle. A non-positive rate puts every arrival at cycle 0. It is the one
+// arrival generator: Generate and serve.PoissonTrace both draw from it.
+func PoissonArrivals(r *rand.Rand, n int, rate, cyclesPerUnit float64) []int64 {
+	out := make([]int64, n)
+	var now float64
+	for i := range out {
+		if rate > 0 {
+			now += r.ExpFloat64() / rate * cyclesPerUnit
+		}
+		out[i] = int64(now)
+	}
+	return out
 }
 
 // Policy selects how cores are shared among models (§3.10).

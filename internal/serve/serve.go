@@ -35,6 +35,7 @@ import (
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/obs/report"
+	"repro/internal/sched"
 	"repro/internal/service/modelzoo"
 	"repro/internal/togsim"
 	"repro/internal/topo"
@@ -99,17 +100,12 @@ func (c *Config) defaults() {
 // each with the given prompt and output lengths. The same seed always
 // yields the same trace.
 func PoissonTrace(seed int64, n int, ratePerSec float64, freqMHz, prompt, output int) []Request {
-	r := rand.New(rand.NewSource(seed))
-	cyclesPerSec := float64(freqMHz) * 1e6
-	var now float64
+	arrivals := sched.PoissonArrivals(rand.New(rand.NewSource(seed)), n, ratePerSec, float64(freqMHz)*1e6)
 	reqs := make([]Request, n)
-	for i := range reqs {
-		if ratePerSec > 0 {
-			now += r.ExpFloat64() / ratePerSec * cyclesPerSec
-		}
+	for i, at := range arrivals {
 		reqs[i] = Request{
 			ID:      fmt.Sprintf("r%d", i),
-			Arrival: int64(now),
+			Arrival: at,
 			Prompt:  prompt,
 			Output:  output,
 		}

@@ -271,16 +271,55 @@ type Stats struct {
 
 // CollectStats walks the TOG, expanding loops, and accumulates totals.
 // Data-dependent compute nodes contribute their table latencies.
+// Collective markers are zero-cycle; the primitives they enclose are
+// counted as ordinary nodes.
 func (g *TOG) CollectStats() (Stats, error) {
 	var s Stats
+	err := g.Walk(func(n *Node, vars map[string]int64) error {
+		switch n.Kind {
+		case Compute:
+			s.ComputeNodes++
+			lat := n.Cycles
+			if n.LatKey != "" {
+				key := SubstituteKey(n.LatKey, vars)
+				l, ok := g.TileLatencies[key]
+				if !ok {
+					return fmt.Errorf("tog: missing tile latency for key %q", key)
+				}
+				lat = l
+			}
+			s.ComputeCycles += lat
+		case LoadDMA:
+			s.LoadNodes++
+			s.LoadBytes += int64(n.Desc.TotalBytes())
+		case StoreDMA:
+			s.StoreNodes++
+			s.StoreBytes += int64(n.Desc.TotalBytes())
+		case WaitDMA:
+			s.WaitNodes++
+		}
+		return nil
+	})
+	if err != nil {
+		return Stats{}, err
+	}
+	return s, nil
+}
+
+// Walk expands the TOG's loops and calls visit for every non-loop node
+// instance in program order, with the active loop bindings in vars. vars
+// is valid only during the call. A loop whose Init is not below its Limit
+// visits nothing. A visitor error or an unmatched loopBegin stops the walk
+// and is returned.
+func (g *TOG) Walk(visit func(n *Node, vars map[string]int64) error) error {
 	vars := map[string]int64{}
 	var walk func(from, to int) error
 	walk = func(from, to int) error {
 		for i := from; i < to; i++ {
-			n := g.Nodes[i]
+			n := &g.Nodes[i]
 			switch n.Kind {
 			case LoopBegin:
-				end, err := g.matchEnd(i)
+				end, err := g.MatchEnd(i)
 				if err != nil {
 					return err
 				}
@@ -293,44 +332,24 @@ func (g *TOG) CollectStats() (Stats, error) {
 				delete(vars, n.Var)
 				i = end
 			case LoopEnd:
-				// handled by matchEnd skipping
-			case Compute:
-				s.ComputeNodes++
-				lat := n.Cycles
-				if n.LatKey != "" {
-					key := SubstituteKey(n.LatKey, vars)
-					l, ok := g.TileLatencies[key]
-					if !ok {
-						return fmt.Errorf("tog: missing tile latency for key %q", key)
-					}
-					lat = l
+				// Reached only unmatched; MatchEnd skips matched ones.
+			default:
+				if err := visit(n, vars); err != nil {
+					return err
 				}
-				s.ComputeCycles += lat
-			case LoadDMA:
-				s.LoadNodes++
-				s.LoadBytes += int64(n.Desc.TotalBytes())
-			case StoreDMA:
-				s.StoreNodes++
-				s.StoreBytes += int64(n.Desc.TotalBytes())
-			case WaitDMA:
-				s.WaitNodes++
-			case AllReduce, AllGather, ReduceScatter, CollEnd:
-				// Zero-cycle markers; the enclosed primitives are counted
-				// as ordinary nodes.
 			}
 		}
 		return nil
 	}
-	if err := walk(0, len(g.Nodes)); err != nil {
-		return Stats{}, err
-	}
-	return s, nil
+	return walk(0, len(g.Nodes))
 }
 
-// matchEnd returns the index of the loopEnd matching the loopBegin at i.
-func (g *TOG) matchEnd(i int) (int, error) {
+// MatchEnd returns the index of the loopEnd matching the loopBegin at
+// begin. It is the one loop matcher: Walk and the TLS engine's resumable
+// interpreter both call it.
+func (g *TOG) MatchEnd(begin int) (int, error) {
 	depth := 0
-	for j := i; j < len(g.Nodes); j++ {
+	for j := begin; j < len(g.Nodes); j++ {
 		switch g.Nodes[j].Kind {
 		case LoopBegin:
 			depth++
@@ -341,7 +360,7 @@ func (g *TOG) matchEnd(i int) (int, error) {
 			}
 		}
 	}
-	return 0, fmt.Errorf("tog: unmatched loopBegin at node %d", i)
+	return 0, fmt.Errorf("tog: unmatched loopBegin at node %d", begin)
 }
 
 // MarshalJSON round-trip helpers -------------------------------------------

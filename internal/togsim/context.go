@@ -76,7 +76,6 @@ type job2 = Job
 
 type loopFrame struct {
 	beginPC int
-	endPC   int
 	v       string
 }
 
@@ -214,7 +213,8 @@ func (c *context) stall(cycle int64) string {
 }
 
 // step advances the context as far as it can within one cycle. A non-nil
-// error (unbound tensor, missing tile latency) aborts the run.
+// error (unbound tensor, missing tile latency, unmatched loop) aborts the
+// run.
 func (c *context) step(cycle int64, cs *coreState, fabric Fabric) error {
 	if c.finished() || cycle < c.readyAt {
 		return nil
@@ -266,13 +266,16 @@ func (c *context) step(cycle int64, cs *coreState, fabric Fabric) error {
 		n := &g.Nodes[c.pc]
 		switch n.Kind {
 		case tog.LoopBegin:
-			end := c.findEnd(g, c.pc)
+			end, err := g.MatchEnd(c.pc)
+			if err != nil {
+				return err
+			}
 			if n.Init >= n.Limit {
 				c.pc = end + 1
 				continue
 			}
 			c.vars[n.Var] = n.Init
-			c.loops = append(c.loops, loopFrame{beginPC: c.pc, endPC: end, v: n.Var})
+			c.loops = append(c.loops, loopFrame{beginPC: c.pc, v: n.Var})
 			c.pc++
 		case tog.LoopEnd:
 			fr := &c.loops[len(c.loops)-1]
@@ -474,20 +477,4 @@ func (c *context) issueDMA(g *tog.TOG, n *tog.Node, cs *coreState, fabric Fabric
 func (c *context) baseOf(tensor string) (uint64, bool) {
 	b, ok := c.job.Bases[c.togIdx][tensor]
 	return b, ok
-}
-
-func (c *context) findEnd(g *tog.TOG, begin int) int {
-	depth := 0
-	for j := begin; j < len(g.Nodes); j++ {
-		switch g.Nodes[j].Kind {
-		case tog.LoopBegin:
-			depth++
-		case tog.LoopEnd:
-			depth--
-			if depth == 0 {
-				return j
-			}
-		}
-	}
-	panic("togsim: unmatched loop (validated TOG should not reach here)")
 }

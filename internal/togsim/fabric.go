@@ -110,8 +110,8 @@ type StdFabric struct {
 	// response carries its request's slot tag; a store burst crossing the
 	// NoC (a message from a core port) carries a wire tag, naming the
 	// one-burst run it stages on arrival.
-	slots registry[slot]
-	wires registry[run]
+	slots sim.Registry[slot]
+	wires sim.Registry[run]
 
 	delayedDue []*MemReq // scratch for draining delayed each tick
 	done       []*MemReq
@@ -141,34 +141,6 @@ type run struct {
 	left int
 }
 
-// registry hands out dense tags (index+1) for in-flight records and
-// recycles freed indices, replacing per-burst map traffic on the tick path.
-type registry[T any] struct {
-	items []T
-	free  []int32
-}
-
-func (g *registry[T]) add(v T) int64 {
-	if n := len(g.free); n > 0 {
-		i := g.free[n-1]
-		g.free = g.free[:n-1]
-		g.items[i] = v
-		return int64(i) + 1
-	}
-	g.items = append(g.items, v)
-	return int64(len(g.items))
-}
-
-func (g *registry[T]) at(tag int64) *T { return &g.items[tag-1] }
-
-func (g *registry[T]) take(tag int64) T {
-	var zero T
-	v := g.items[tag-1]
-	g.items[tag-1] = zero
-	g.free = append(g.free, int32(tag-1))
-	return v
-}
-
 // newDram takes a request record from the pool (or allocates one), fully
 // reinitializes it, including the controller's private fields, for the
 // head burst of rn, and locates it — the burst's one address decomposition.
@@ -180,7 +152,7 @@ func (f *StdFabric) newDram(rn *run) *dram.Request {
 	} else {
 		dr = new(dram.Request)
 	}
-	r := f.slots.at(rn.tag).r
+	r := f.slots.At(rn.tag).r
 	*dr = dram.Request{Addr: rn.addr, IsWrite: r.IsWrite, Src: r.Src, Tag: rn.tag}
 	f.amap.Locate(dr)
 	return dr
@@ -250,11 +222,11 @@ func (f *StdFabric) release(r *MemReq) {
 // request at its last burst.
 func (f *StdFabric) burstDone(tag int64) {
 	f.pending--
-	if sl := f.slots.at(tag); sl.left > 1 {
+	if sl := f.slots.At(tag); sl.left > 1 {
 		sl.left--
 		return
 	}
-	r := f.slots.take(tag).r
+	r := f.slots.Take(tag).r
 	r.tag, r.sent = 0, 0 // the record may be submitted again
 	f.done = append(f.done, r)
 }
@@ -264,7 +236,7 @@ func (f *StdFabric) Submit(r *MemReq) bool {
 	n := f.bursts(r)
 	if !r.IsWrite {
 		// Loads: header-only request path is a fixed delay before the DRAM.
-		r.tag = f.slots.add(slot{r, n})
+		r.tag = f.slots.Add(slot{r, n})
 		f.delayed.Push(0, f.cycle+f.reqDelay, r)
 		f.pending += n
 		return true
@@ -280,9 +252,9 @@ func (f *StdFabric) Submit(r *MemReq) bool {
 			return false
 		}
 		if r.tag == 0 {
-			r.tag = f.slots.add(slot{r, n})
+			r.tag = f.slots.Add(slot{r, n})
 		}
-		msg.Tag = f.wires.add(run{tag: r.tag, addr: addr, left: 1})
+		msg.Tag = f.wires.Add(run{tag: r.tag, addr: addr, left: 1})
 		f.pending++
 	}
 	return true
@@ -305,7 +277,7 @@ func (f *StdFabric) Tick() {
 		tag, src, dst := msg.Tag, msg.Src, msg.Dst
 		f.msgPool = append(f.msgPool, msg)
 		if src < f.cores {
-			f.stage(dst-f.cores, f.wires.take(tag))
+			f.stage(dst-f.cores, f.wires.Take(tag))
 		} else {
 			f.burstDone(tag)
 		}
@@ -330,7 +302,7 @@ func (f *StdFabric) Tick() {
 			f.burstDone(tag)
 			continue
 		}
-		r := f.slots.at(tag).r
+		r := f.slots.At(tag).r
 		msg := f.newMsg(port, r.Core, f.burstBytes(r, addr))
 		msg.Tag = tag
 		// The NoC response port may be busy; stage in the port's FIFO (it

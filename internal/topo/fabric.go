@@ -46,13 +46,13 @@ type Fabric struct {
 	// the links.
 	toMem     [][]stagedReq
 	toMemHead []int
-	returns   sim.EventQueue[*togsim.MemReq]
-	// byDram maps a burst's dram.Request, whose Tag carries the burst's
-	// byte count, to its memory request; left counts each request's bursts
-	// not yet completed.
-	byDram   map[*dram.Request]*togsim.MemReq
-	left     map[*togsim.MemReq]int
-	returned []*togsim.MemReq // reused buffer for draining returns each tick
+	returns   sim.EventQueue[int64] // slot tags of loads returning
+	// In-flight registries: a request's slot counts its bursts not yet
+	// completed, and a burst's dram.Request carries the tag of its burst
+	// record.
+	slots    sim.Registry[reqSlot]
+	bursts   sim.Registry[burstRec]
+	returned []int64 // reused buffer for draining returns each tick
 	done     []*togsim.MemReq
 	pending  int // bursts in flight
 
@@ -76,6 +76,18 @@ type stagedReq struct {
 	req *dram.Request
 }
 
+// reqSlot is one in-flight request and its bursts not yet completed.
+type reqSlot struct {
+	r    *togsim.MemReq
+	left int
+}
+
+// burstRec is one burst in flight: its request's slot tag and its size.
+type burstRec struct {
+	slot  int64
+	bytes int
+}
+
 // NewFabric builds the topology fabric with FR-FCFS controllers. The
 // config must validate.
 func NewFabric(cfg Config) *Fabric {
@@ -85,8 +97,6 @@ func NewFabric(cfg Config) *Fabric {
 	p := cfg.Packages()
 	f := &Fabric{
 		cfg:       cfg,
-		byDram:    map[*dram.Request]*togsim.MemReq{},
-		left:      map[*togsim.MemReq]int{},
 		toMem:     make([][]stagedReq, p),
 		toMemHead: make([]int, p),
 		Pkg:       make([]PackageStats, p),
@@ -157,14 +167,16 @@ func (f *Fabric) linkDelay(a, b int, bytes int, now int64) int64 {
 // is the unit of link serialization and of DRAM access.
 func (f *Fabric) Submit(r *togsim.MemReq) bool {
 	burst := f.cfg.MemPerPackage.BurstBytes
+	tag := f.slots.Add(reqSlot{r, (r.Bytes + burst - 1) / burst})
 	for off := 0; off < r.Bytes; off += burst {
-		f.submitBurst(r, r.Addr+uint64(off), min(burst, r.Bytes-off))
+		f.submitBurst(r, tag, r.Addr+uint64(off), min(burst, r.Bytes-off))
 	}
 	return true
 }
 
-// submitBurst stages one burst of r for its package's controller.
-func (f *Fabric) submitBurst(r *togsim.MemReq, addr uint64, bytes int) {
+// submitBurst stages one burst of r, whose slot is tagged tag, for its
+// package's controller.
+func (f *Fabric) submitBurst(r *togsim.MemReq, tag int64, addr uint64, bytes int) {
 	src := f.cfg.PackageOfCore(r.Core)
 	dst := f.cfg.PackageOf(addr)
 	local := src == dst
@@ -182,10 +194,8 @@ func (f *Fabric) submitBurst(r *togsim.MemReq, addr uint64, bytes int) {
 		Addr:    f.cfg.LocalOff(addr),
 		IsWrite: r.IsWrite,
 		Src:     r.Src,
-		Tag:     int64(bytes),
+		Tag:     f.bursts.Add(burstRec{tag, bytes}),
 	}
-	f.byDram[dr] = r
-	f.left[r]++
 	at := f.cycle + 1 + f.cfg.NoCLatency
 	if !local {
 		// Request traverses the link path; stores carry data, loads a header.
@@ -199,13 +209,15 @@ func (f *Fabric) submitBurst(r *togsim.MemReq, addr uint64, bytes int) {
 	f.pending++
 }
 
-// burstDone retires one burst of r, completing r at its last burst.
-func (f *Fabric) burstDone(r *togsim.MemReq) {
+// burstDone retires one burst of the request tagged tag, completing the
+// request at its last burst.
+func (f *Fabric) burstDone(tag int64) {
 	f.pending--
-	if f.left[r]--; f.left[r] == 0 {
-		delete(f.left, r)
-		f.done = append(f.done, r)
+	if sl := f.slots.At(tag); sl.left > 1 {
+		sl.left--
+		return
 	}
+	f.done = append(f.done, f.slots.Take(tag).r)
 }
 
 // Tick implements togsim.Fabric.
@@ -224,29 +236,26 @@ func (f *Fabric) Tick() {
 	for p, m := range f.mems {
 		m.Tick()
 		for _, dr := range m.Completed() {
-			r := f.byDram[dr]
-			delete(f.byDram, dr)
-			if r == nil {
-				continue
-			}
+			b := f.bursts.Take(dr.Tag)
+			r := f.slots.At(b.slot).r
 			src := f.cfg.PackageOfCore(r.Core)
 			if src == p || r.IsWrite {
 				// Local completion, or write acknowledged at the controller.
-				f.burstDone(r)
+				f.burstDone(b.slot)
 				continue
 			}
 			// Load data returns over the links; queue by arrival cycle.
-			at := f.linkDelay(p, src, int(dr.Tag), f.cycle)
+			at := f.linkDelay(p, src, b.bytes, f.cycle)
 			if at <= f.cycle {
 				at = f.cycle + 1
 			}
-			f.returns.Push(at, r)
+			f.returns.Push(at, b.slot)
 		}
 	}
 	// Deliver link-returned loads due this cycle.
 	f.returned = f.returns.PopDue(f.cycle, f.returned[:0])
-	for _, r := range f.returned {
-		f.burstDone(r)
+	for _, tag := range f.returned {
+		f.burstDone(tag)
 	}
 	if f.Probe != nil {
 		if f.pending != f.lastPending {

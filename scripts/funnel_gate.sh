@@ -19,7 +19,10 @@
 # of the shared flags (-model, -topology, -parallel, -small, -net,
 # -max-cycles, -cache-dir, -json, -trace and the daemon flags) — commands
 # bind those through internal/cli, which resolves the machine with
-# service.ResolveMachine. Also prints the non-test Go line count outside
+# service.ResolveMachine. And it fails if non-test Go outside internal/tog/
+# and the engine's resumable interpreter (internal/togsim/context.go) has
+# a `case tog.LoopBegin` — every other TOG pass expands loops through
+# tog.Walk, the one walker, over the one matcher (*TOG).MatchEnd. Also prints the non-test Go line count outside
 # bench/, so "the code got smaller" is a number. Wired into `make check`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -68,6 +71,15 @@ hits=$(echo "$files" | grep '^cmd/' |
     -e "\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text)(Var)?\(([^\"]*, )?\"($shared)\"" || true)
 if [ -n "$hits" ]; then
   echo "funnel-gate: FAIL — a command binds a shared flag or builds its machine itself (use internal/cli):"
+  echo "$hits"
+  exit 1
+fi
+
+hits=$(echo "$files" |
+  grep -v -e '^internal/tog/' -e '^internal/togsim/context\.go$' |
+  xargs grep -nE -e 'case [^:]*\btog\.LoopBegin\b' || true)
+if [ -n "$hits" ]; then
+  echo "funnel-gate: FAIL — a TOG loop interpreter outside internal/tog (use tog.Walk):"
   echo "$hits"
   exit 1
 fi
