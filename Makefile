@@ -145,7 +145,9 @@ bench-topo:
 
 # CPU profile of the untraced serial engine on one model: runs the matching
 # BenchmarkEngine<Model>C<n>Serial with -cpuprofile into profile/ and prints
-# `go tool pprof -top` with the host stamp (scripts/profile.sh). MODEL=compile
+# `go tool pprof -top` with the host stamp (scripts/profile.sh).
+# MODEL=resnet18-cn runs resnet18 on one core over the CN crossbar
+# (BenchmarkEngineResnet18C1CN). MODEL=compile
 # profiles the cold compiler (BenchmarkCompileParallel) instead, and
 # MODEL=zoo the eight cold compiles of compile.zoo-cold
 # (BenchmarkCompileZoo), each CPU and allocated bytes.

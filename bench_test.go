@@ -526,7 +526,7 @@ func engineBenchComp(b *testing.B, model string) *compiler.Compiled {
 	return comp
 }
 
-func benchEngineScale(b *testing.B, model string, cores int) {
+func benchEngineScale(b *testing.B, model string, cores int, net togsim.NetKind) {
 	b.Helper()
 	comp := engineBenchComp(b, model)
 	cfg := benchCfg()
@@ -539,7 +539,7 @@ func benchEngineScale(b *testing.B, model string, cores int) {
 		for ci := 0; ci < cores; ci++ {
 			jobs[ci] = comp.Job(fmt.Sprintf("%s-c%d", model, ci), ci, ci)
 		}
-		s := togsim.NewStandard(cfg, togsim.SimpleNet, dram.FRFCFS)
+		s := togsim.NewStandard(cfg, net, dram.FRFCFS)
 		res, err := s.Engine.Run(jobs)
 		if err != nil {
 			b.Fatal(err)
@@ -549,12 +549,28 @@ func benchEngineScale(b *testing.B, model string, cores int) {
 	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 
-func BenchmarkEngineResnet18C1Serial(b *testing.B) { benchEngineScale(b, "resnet18", 1) }
-func BenchmarkEngineResnet18C4Serial(b *testing.B) { benchEngineScale(b, "resnet18", 4) }
-func BenchmarkEngineResnet18C8Serial(b *testing.B) { benchEngineScale(b, "resnet18", 8) }
-func BenchmarkEngineBertBaseC1Serial(b *testing.B) { benchEngineScale(b, "bert-base", 1) }
-func BenchmarkEngineBertBaseC4Serial(b *testing.B) { benchEngineScale(b, "bert-base", 4) }
-func BenchmarkEngineBertBaseC8Serial(b *testing.B) { benchEngineScale(b, "bert-base", 8) }
+func BenchmarkEngineResnet18C1Serial(b *testing.B) {
+	benchEngineScale(b, "resnet18", 1, togsim.SimpleNet)
+}
+func BenchmarkEngineResnet18C4Serial(b *testing.B) {
+	benchEngineScale(b, "resnet18", 4, togsim.SimpleNet)
+}
+func BenchmarkEngineResnet18C8Serial(b *testing.B) {
+	benchEngineScale(b, "resnet18", 8, togsim.SimpleNet)
+}
+func BenchmarkEngineBertBaseC1Serial(b *testing.B) {
+	benchEngineScale(b, "bert-base", 1, togsim.SimpleNet)
+}
+func BenchmarkEngineBertBaseC4Serial(b *testing.B) {
+	benchEngineScale(b, "bert-base", 4, togsim.SimpleNet)
+}
+func BenchmarkEngineBertBaseC8Serial(b *testing.B) {
+	benchEngineScale(b, "bert-base", 8, togsim.SimpleNet)
+}
+
+// BenchmarkEngineResnet18C1CN is resnet18 on one core over the
+// cycle-accurate crossbar (CN, Fig. 5's reference) instead of SN.
+func BenchmarkEngineResnet18C1CN(b *testing.B) { benchEngineScale(b, "resnet18", 1, togsim.CycleNet) }
 
 // tlsResidentJobs is the scratchpad-resident multi-tenant shape: each core
 // runs a long compute-dense kernel sequence touching DRAM only at tile

@@ -91,6 +91,35 @@ func TestMNPUSimRunsAndUsesFiles(t *testing.T) {
 	}
 }
 
+// TestMNPUSimCyclesMatchRun: the in-memory count Fig. 5 uses reports the
+// cycles of the file-staged run Fig. 6 times, ragged tiles included.
+func TestMNPUSimCyclesMatchRun(t *testing.T) {
+	cs := tensor.ConvShape{N: 1, C: 3, H: 9, W: 9, K: 5, KH: 3, KW: 3, Stride: 2, Pad: 1}
+	gm, gk, gn := cs.GEMMDims()
+	layers := []Layer{
+		{Kind: KindGEMM, M: 32, K: 32, N: 32},
+		{Kind: KindGEMM, M: 45, K: 7, N: 130},
+		{Kind: KindConv, M: gm, K: gk, N: gn, Conv: cs},
+	}
+	for _, cfg := range []npu.Config{npu.SmallConfig(), npu.TPUv3Config()} {
+		m := MNPUSim{Cfg: cfg, TraceDir: t.TempDir()}
+		run, err := m.Run(layers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles, err := m.Cycles(layers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cycles != run {
+			t.Fatalf("Cycles = %d, Run = %d", cycles, run)
+		}
+	}
+	if _, err := (MNPUSim{Cfg: npu.SmallConfig()}).Cycles([]Layer{{Kind: KindConv, Conv: tensor.ConvShape{N: 2}}}); err == nil {
+		t.Fatal("Cycles must reject batch > 1 like Run")
+	}
+}
+
 func TestMNPUSimRejectsBatch(t *testing.T) {
 	m := MNPUSim{Cfg: npu.SmallConfig(), TraceDir: t.TempDir()}
 	cs := tensor.ConvShape{N: 4, C: 3, H: 8, W: 8, K: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}

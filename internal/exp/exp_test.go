@@ -1,11 +1,38 @@
 package exp
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/npu"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
+
+// goldenCompare diffs got against the repository's testdata/golden/<name>,
+// rewriting the file instead when -update is set.
+func goldenCompare(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("..", "..", "testdata", "golden", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test -run %s -update ./internal/exp`): %v", t.Name(), err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s\nIf the change is intentional, regenerate with `go test -run %s -update ./internal/exp`",
+			name, got, want, t.Name())
+	}
+}
 
 // The experiment drivers run in quick mode against the TPUv3 configuration
 // (its wide vector units and 128x128 SA are what the workloads are sized
@@ -25,7 +52,7 @@ func TestWorkloadsBuild(t *testing.T) {
 
 func TestFig5Quick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("tier-2: full accuracy sweep, ~60s (DESIGN.md \"Test tiers\")")
+		t.Skip("tier-2: full accuracy sweep, ~13s (DESIGN.md \"Test tiers\")")
 	}
 	res, err := Fig5(expCfg(), true)
 	if err != nil {
@@ -34,6 +61,9 @@ func TestFig5Quick(t *testing.T) {
 	if len(res.Rows) == 0 {
 		t.Fatal("no rows")
 	}
+	// The quick table holds only simulated cycles and MAEs, so it is
+	// deterministic: it pins the CN reference and every model end to end.
+	goldenCompare(t, "fig5.txt", []byte(res.String()))
 	// The PyTorchSim configuration under test must be far more accurate
 	// than the analytical roofline (the headline Fig. 5 shape).
 	if res.MAEPyTorchSim >= res.MAEAnalytical {

@@ -62,7 +62,7 @@ func Fig5(cfg npu.Config, quick bool) (*Fig5Result, error) {
 		layers := baseline.ExtractLayers(w.Graph)
 		ana := baseline.Analytical{Cfg: cfg}.Run(layers)
 		ss := baseline.ScaleSim{Cfg: cfg}.Run(layers)
-		mnp, err := baseline.MNPUSim{Cfg: cfg}.Run(layers)
+		mnp, err := baseline.MNPUSim{Cfg: cfg}.Cycles(layers)
 		if err != nil {
 			// mNPUsim rejects batch > 1; report zero like an unsupported run.
 			mnp = 0

@@ -22,6 +22,81 @@ type Message struct {
 	Finish   int64
 }
 
+// portTable is the per-port bandwidth table both models share. Ports are
+// small dense integers, so per-port state lives in slices grown on demand,
+// not maps.
+type portTable struct {
+	width    []int // flits per cycle per port (0 = default 1)
+	maxWidth int   // widest port (CN starts it at the default, 1)
+}
+
+// SetPortWidth sets a port's bandwidth in flits per cycle (a core's memory
+// interface spans every channel, so its port is many flits wide). CN
+// applies it to both the port's input and output sides.
+func (t *portTable) SetPortWidth(port, width int) {
+	width = max(width, 1)
+	t.width = grow(t.width, port)
+	t.width[port] = width
+	t.maxWidth = max(t.maxWidth, width)
+}
+
+func (t *portTable) portWidth(port int) int {
+	if port < len(t.width) && t.width[port] > 0 {
+		return t.width[port]
+	}
+	return 1
+}
+
+// grow returns s extended with zero values so that s[i] is valid.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
+}
+
+// flitCount is the number of flits a message of the given size splits
+// into (at least one: a header-only message still crosses the switch).
+func flitCount(bytes, flitBytes int) int {
+	return max(1, (bytes+flitBytes-1)/flitBytes)
+}
+
+// outbox is the delivery side both models share: delivered messages,
+// double-buffered for Completed, and the change-triggered probe counters.
+type outbox struct {
+	done  []*Message
+	spare []*Message // double buffer swapped with done at Completed
+
+	probe       obs.Probe
+	lastPending int
+	lastFlits   int64
+}
+
+// Completed drains delivered messages; the slice is valid until the next
+// call.
+func (o *outbox) Completed() []*Message {
+	out := o.done
+	o.done = o.spare[:0]
+	o.spare = out
+	return out
+}
+
+// SetProbe implements Network.
+func (o *outbox) SetProbe(p obs.Probe) { o.probe = p }
+
+// observe reports the in-flight message count and the cumulative flit
+// count to the attached probe when either changed.
+func (o *outbox) observe(cycle int64, pending int, flits int64) {
+	if pending != o.lastPending {
+		o.probe.Counter(obs.NoCTrack, "noc.inflight", cycle, float64(pending))
+		o.lastPending = pending
+	}
+	if flits != o.lastFlits {
+		o.probe.Counter(obs.NoCTrack, "noc.flits_total", cycle, float64(flits))
+		o.lastFlits = flits
+	}
+}
+
 // Network is the interface shared by both models. It embeds the
 // discrete-event kernel contract so engines can skip idle stretches.
 type Network interface {
@@ -50,13 +125,12 @@ type Simple struct {
 	Latency   int64
 
 	cycle int64
+	portTable
 	// srcClock tracks each source port's occupancy in flit-time units
 	// (cycle * width + flits), so wide ports move many single-flit
 	// messages per cycle. Receive ports are ideal (never the bottleneck in
-	// this model — CN models them). Ports are small dense integers, so
-	// per-port state lives in slices grown on demand, not maps.
+	// this model — CN models them).
 	srcClock []int64
-	width    []int // flits per cycle per port (0 = default 1)
 
 	// In-flight deliveries. Per-source delivery slots are monotone (the
 	// serialization clock only moves forward), so each source is a lane of
@@ -64,15 +138,10 @@ type Simple struct {
 	inFlight *sim.MonotonicQueue[*Message]
 	laneOf   []int // source port -> lane index + 1 (0 = none yet)
 
-	done  []*Message
-	spare []*Message // double buffer swapped with done at Completed
+	outbox
 
 	// FlitsSent counts flits accepted for serialization (always on).
 	FlitsSent int64
-
-	probe       obs.Probe
-	lastPending int
-	lastFlits   int64
 }
 
 // NewSimple returns the SN model.
@@ -90,39 +159,15 @@ func NewSimple(flitBytes int, latency int64) *Simple {
 // Cycle returns the current cycle.
 func (s *Simple) Cycle() int64 { return s.cycle }
 
-// SetPortWidth sets a port's bandwidth in flits per cycle (a core's memory
-// interface spans every channel, so its port is many flits wide).
-func (s *Simple) SetPortWidth(port, width int) {
-	if width < 1 {
-		width = 1
-	}
-	for port >= len(s.width) {
-		s.width = append(s.width, 0)
-	}
-	s.width[port] = width
-}
-
-func (s *Simple) portWidth(port int) int {
-	if port < len(s.width) && s.width[port] > 0 {
-		return s.width[port]
-	}
-	return 1
-}
-
 // Submit schedules a message: its flits serialize through the source
 // port's flit clock (width flits per cycle); delivery happens Latency
 // cycles after the last flit leaves.
 func (s *Simple) Submit(m *Message) bool {
 	m.Arrive = s.cycle
-	flits := int64((m.Bytes + s.FlitBytes - 1) / s.FlitBytes)
-	if flits == 0 {
-		flits = 1
-	}
+	flits := int64(flitCount(m.Bytes, s.FlitBytes))
 	s.FlitsSent += flits
 	w := int64(s.portWidth(m.Src))
-	for m.Src >= len(s.srcClock) {
-		s.srcClock = append(s.srcClock, 0)
-	}
+	s.srcClock = grow(s.srcClock, m.Src)
 	startFlit := s.cycle * w
 	if t := s.srcClock[m.Src]; t > startFlit {
 		startFlit = t
@@ -136,9 +181,7 @@ func (s *Simple) Submit(m *Message) bool {
 	if slot <= s.cycle {
 		slot = s.cycle + 1
 	}
-	for m.Src >= len(s.laneOf) {
-		s.laneOf = append(s.laneOf, 0)
-	}
+	s.laneOf = grow(s.laneOf, m.Src)
 	lane := s.laneOf[m.Src] - 1
 	if lane < 0 {
 		lane = s.inFlight.AddLane()
@@ -148,22 +191,12 @@ func (s *Simple) Submit(m *Message) bool {
 	return true
 }
 
-// SetProbe implements Network.
-func (s *Simple) SetProbe(p obs.Probe) { s.probe = p }
-
 // Tick advances one cycle, delivering due messages.
 func (s *Simple) Tick() {
 	s.cycle++
 	s.done = s.inFlight.PopDue(s.cycle, s.done)
 	if s.probe != nil {
-		if p := s.Pending(); p != s.lastPending {
-			s.probe.Counter(obs.NoCTrack, "noc.inflight", s.cycle, float64(p))
-			s.lastPending = p
-		}
-		if s.FlitsSent != s.lastFlits {
-			s.probe.Counter(obs.NoCTrack, "noc.flits_total", s.cycle, float64(s.FlitsSent))
-			s.lastFlits = s.FlitsSent
-		}
+		s.observe(s.cycle, s.Pending(), s.FlitsSent)
 	}
 }
 
@@ -185,14 +218,6 @@ func (s *Simple) NextEvent() int64 {
 // cycles, so an idle jump is just a clock update.
 func (s *Simple) SkipTo(cycle int64) { s.cycle = cycle }
 
-// Completed drains delivered messages.
-func (s *Simple) Completed() []*Message {
-	out := s.done
-	s.done = s.spare[:0]
-	s.spare = out
-	return out
-}
-
 // Pending returns undelivered message count.
 func (s *Simple) Pending() int { return s.inFlight.Len() + len(s.done) }
 
@@ -206,10 +231,6 @@ type flit struct {
 	last bool
 }
 
-type inputPort struct {
-	queue []flit
-}
-
 // Crossbar is an input-queued crossbar switch: each input port holds a flit
 // FIFO; every cycle a round-robin allocator grants each output port to at
 // most one requesting input (head-of-line), and each input sends at most one
@@ -220,31 +241,34 @@ type Crossbar struct {
 	Latency   int64 // switch pipeline traversal latency
 	QueueCap  int   // per-input queue capacity in flits
 
-	width    map[int]int // flits per cycle per port (default 1)
-	maxWidth int
+	portTable
 
-	cycle   int64
-	inputs  map[int]*inputPort
-	rrNext  map[int]int // per-output round-robin pointer over input ids
-	inIDs   []int       // stable order of known input ports
-	pending map[*Message]int
-	done    []*Message
-	spare   []*Message               // double buffer swapped with done at Completed
-	delayed sim.EventQueue[*Message] // waiting out the pipeline latency
+	cycle int64
+	// Input ports in first-submit order, the order round-robin visits them
+	// in; inPos maps a port to its position + 1 (0 = not seen yet). Per-input
+	// state is indexed by that position, per-output state by port.
+	inIDs   []int
+	inPos   []int
+	queue   [][]flit // per input: head-indexed flit FIFO (live: queue[i][head[i]:])
+	head    []int
+	queued  int   // flits queued over all inputs
+	rrNext  []int // per output: position of the input granted last
+	pending int   // messages with flits still queued
+	// Messages waiting out the pipeline latency. Finish = switch cycle +
+	// Latency only moves forward, so one monotone lane holds them all.
+	delayed *sim.MonotonicQueue[*Message]
 
 	// Scratch reused across ticks to avoid per-cycle allocation.
-	reqScratch map[int][]int
-	reqOuts    []int
-	idIndex    map[int]int // input id -> position in inIDs
-	granted    []bool      // per input index, reused per tick
+	inUsed  []int   // per input: flits sent this cycle
+	outUsed []int   // per output: flits received this cycle
+	reqs    [][]int // per output: positions of this pass's requesting inputs
+	reqOuts []int   // outputs with requests this pass
 
 	// Stats.
 	FlitsSwitched  int64
 	AllocConflicts int64
 
-	probe       obs.Probe
-	lastPending int
-	lastFlits   int64
+	outbox
 }
 
 // NewCrossbar returns the CN model.
@@ -256,67 +280,44 @@ func NewCrossbar(flitBytes int, latency int64, queueCap int) *Crossbar {
 		FlitBytes: flitBytes,
 		Latency:   latency,
 		QueueCap:  queueCap,
-		width:     map[int]int{},
-		maxWidth:  1,
-		inputs:    map[int]*inputPort{},
-		rrNext:    map[int]int{},
-		pending:   map[*Message]int{},
+		portTable: portTable{maxWidth: 1},
+		delayed:   sim.NewMonotonicQueue[*Message](1),
 	}
 }
 
 // Cycle returns the current cycle.
 func (x *Crossbar) Cycle() int64 { return x.cycle }
 
-// SetPortWidth sets a port's bandwidth in flits per cycle, for both its
-// input and output sides.
-func (x *Crossbar) SetPortWidth(port, width int) {
-	if width < 1 {
-		width = 1
+// input returns the position of an input port, registering it on first use.
+func (x *Crossbar) input(port int) int {
+	x.inPos = grow(x.inPos, port)
+	if x.inPos[port] == 0 {
+		x.inIDs = append(x.inIDs, port)
+		x.inPos[port] = len(x.inIDs)
+		x.queue = append(x.queue, nil)
+		x.head = append(x.head, 0)
+		x.inUsed = append(x.inUsed, 0)
 	}
-	x.width[port] = width
-	if width > x.maxWidth {
-		x.maxWidth = width
-	}
-}
-
-func (x *Crossbar) portWidth(port int) int {
-	if w, ok := x.width[port]; ok {
-		return w
-	}
-	return 1
-}
-
-func (x *Crossbar) input(id int) *inputPort {
-	p, ok := x.inputs[id]
-	if !ok {
-		p = &inputPort{}
-		x.inputs[id] = p
-		if x.idIndex == nil {
-			x.idIndex = map[int]int{}
-		}
-		x.idIndex[id] = len(x.inIDs)
-		x.inIDs = append(x.inIDs, id)
-		x.granted = append(x.granted, false)
-	}
-	return p
+	return x.inPos[port] - 1
 }
 
 // Submit enqueues a message's flits at its source port. It returns false if
 // the input queue lacks space for all flits (caller retries).
 func (x *Crossbar) Submit(m *Message) bool {
-	flits := (m.Bytes + x.FlitBytes - 1) / x.FlitBytes
-	if flits == 0 {
-		flits = 1
-	}
-	p := x.input(m.Src)
-	if len(p.queue)+flits > x.QueueCap {
+	flits := flitCount(m.Bytes, x.FlitBytes)
+	i := x.input(m.Src)
+	if len(x.queue[i])-x.head[i]+flits > x.QueueCap {
 		return false
 	}
+	x.rrNext = grow(x.rrNext, m.Dst)
+	x.outUsed = grow(x.outUsed, m.Dst)
+	x.reqs = grow(x.reqs, m.Dst)
 	m.Arrive = x.cycle
-	for i := 0; i < flits; i++ {
-		p.queue = append(p.queue, flit{msg: m, last: i == flits-1})
+	for k := 0; k < flits; k++ {
+		x.queue[i] = append(x.queue[i], flit{msg: m, last: k == flits-1})
 	}
-	x.pending[m] = flits
+	x.queued += flits
+	x.pending++
 	return true
 }
 
@@ -325,101 +326,74 @@ func (x *Crossbar) Submit(m *Message) bool {
 // each granting at most one flit per (input, output) pair round-robin.
 func (x *Crossbar) Tick() {
 	x.cycle++
-	if x.reqScratch == nil {
-		x.reqScratch = map[int][]int{}
-	}
-	// Remaining per-port capacities this cycle.
-	inCap := make(map[int]int, len(x.inIDs))
-	outCap := map[int]int{}
-	for _, id := range x.inIDs {
-		inCap[id] = x.portWidth(id)
-	}
-	for pass := 0; pass < x.maxWidth; pass++ {
-		// Collect head-of-line requests per output among inputs with
-		// remaining capacity and queued flits.
-		for _, out := range x.reqOuts {
-			x.reqScratch[out] = x.reqScratch[out][:0]
-		}
-		x.reqOuts = x.reqOuts[:0]
-		reqs := x.reqScratch
-		any := false
-		for _, id := range x.inIDs {
-			p := x.inputs[id]
-			if len(p.queue) == 0 || inCap[id] <= 0 {
-				continue
-			}
-			dst := p.queue[0].msg.Dst
-			if _, ok := outCap[dst]; !ok {
-				outCap[dst] = x.portWidth(dst)
-			}
-			if outCap[dst] <= 0 {
-				continue
-			}
-			if len(reqs[dst]) == 0 {
-				x.reqOuts = append(x.reqOuts, dst)
-			}
-			reqs[dst] = append(reqs[dst], id)
-			any = true
-		}
-		if !any {
-			break
-		}
-		for i := range x.granted {
-			x.granted[i] = false
-		}
-		for _, out := range x.reqOuts {
-			ins := reqs[out]
-			if pass == 0 && len(ins) > 1 {
-				x.AllocConflicts += int64(len(ins) - 1)
-			}
-			// Round-robin among the requesting inputs: choose the one
-			// closest after rrNext[out] in inIDs order.
-			start := x.rrNext[out]
-			n := len(x.inIDs)
-			pick, best := -1, n+1
-			for _, rid := range ins {
-				idx := x.idIndex[rid]
-				if x.granted[idx] {
-					continue
-				}
-				score := idx - start
-				if score <= 0 {
-					score += n
-				}
-				if score < best {
-					best, pick = score, idx
-				}
-			}
-			if pick < 0 {
-				continue
-			}
-			id := x.inIDs[pick]
-			x.granted[pick] = true
-			x.rrNext[out] = pick
-			inCap[id]--
-			outCap[out]--
-			p := x.inputs[id]
-			f := p.queue[0]
-			p.queue = p.queue[1:]
-			x.FlitsSwitched++
-			x.pending[f.msg]--
-			if f.last {
-				f.msg.Finish = x.cycle + x.Latency
-				delete(x.pending, f.msg)
-				x.delayed.Push(f.msg.Finish, f.msg)
-			}
-		}
+	if x.queued > 0 {
+		x.allocate()
 	}
 	// Deliver messages whose pipeline latency elapsed.
 	x.done = x.delayed.PopDue(x.cycle, x.done)
 	if x.probe != nil {
-		if p := x.Pending(); p != x.lastPending {
-			x.probe.Counter(obs.NoCTrack, "noc.inflight", x.cycle, float64(p))
-			x.lastPending = p
+		x.observe(x.cycle, x.Pending(), x.FlitsSwitched)
+	}
+}
+
+// allocate runs one cycle's allocation passes. An input requests only its
+// head flit's output, so it is on at most one request list per pass.
+func (x *Crossbar) allocate() {
+	clear(x.inUsed)
+	clear(x.outUsed)
+	n := len(x.inIDs)
+	for pass := 0; pass < x.maxWidth; pass++ {
+		// Collect head-of-line requests per output among inputs with
+		// remaining capacity and queued flits.
+		for _, out := range x.reqOuts {
+			x.reqs[out] = x.reqs[out][:0]
 		}
-		if x.FlitsSwitched != x.lastFlits {
-			x.probe.Counter(obs.NoCTrack, "noc.flits_total", x.cycle, float64(x.FlitsSwitched))
-			x.lastFlits = x.FlitsSwitched
+		x.reqOuts = x.reqOuts[:0]
+		for i, id := range x.inIDs {
+			if x.head[i] == len(x.queue[i]) || x.inUsed[i] >= x.portWidth(id) {
+				continue
+			}
+			dst := x.queue[i][x.head[i]].msg.Dst
+			if x.outUsed[dst] >= x.portWidth(dst) {
+				continue
+			}
+			if len(x.reqs[dst]) == 0 {
+				x.reqOuts = append(x.reqOuts, dst)
+			}
+			x.reqs[dst] = append(x.reqs[dst], i)
+		}
+		if len(x.reqOuts) == 0 {
+			return
+		}
+		for _, out := range x.reqOuts {
+			ins := x.reqs[out]
+			if pass == 0 {
+				x.AllocConflicts += int64(len(ins) - 1)
+			}
+			// Round-robin among the requesting inputs: grant the one
+			// closest after rrNext[out] in first-submit order.
+			pick, best := -1, n+1
+			for _, i := range ins {
+				score := i - x.rrNext[out]
+				if score <= 0 {
+					score += n
+				}
+				if score < best {
+					best, pick = score, i
+				}
+			}
+			x.rrNext[out] = pick
+			x.inUsed[pick]++
+			x.outUsed[out]++
+			f := x.queue[pick][x.head[pick]]
+			x.queue[pick], x.head[pick] = sim.CompactFIFO(x.queue[pick], x.head[pick]+1)
+			x.queued--
+			x.FlitsSwitched++
+			if f.last {
+				f.msg.Finish = x.cycle + x.Latency
+				x.pending--
+				x.delayed.Push(0, f.msg.Finish, f.msg)
+			}
 		}
 	}
 }
@@ -428,13 +402,8 @@ func (x *Crossbar) Tick() {
 // work next cycle; otherwise the next event is the earliest pipeline
 // delivery.
 func (x *Crossbar) NextEvent() int64 {
-	if len(x.done) > 0 {
+	if len(x.done) > 0 || x.queued > 0 {
 		return x.cycle + 1
-	}
-	for _, id := range x.inIDs {
-		if len(x.inputs[id].queue) > 0 {
-			return x.cycle + 1
-		}
 	}
 	next := x.delayed.NextCycle()
 	if next <= x.cycle {
@@ -447,20 +416,9 @@ func (x *Crossbar) NextEvent() int64 {
 // time-dependent state is the absolute-cycle delivery queue.
 func (x *Crossbar) SkipTo(cycle int64) { x.cycle = cycle }
 
-// SetProbe implements Network.
-func (x *Crossbar) SetProbe(p obs.Probe) { x.probe = p }
-
-// Completed drains delivered messages.
-func (x *Crossbar) Completed() []*Message {
-	out := x.done
-	x.done = x.spare[:0]
-	x.spare = out
-	return out
-}
-
 // Pending returns messages not yet delivered.
 func (x *Crossbar) Pending() int {
-	return len(x.pending) + x.delayed.Len() + len(x.done)
+	return x.pending + x.delayed.Len() + len(x.done)
 }
 
 // Flits implements Network.

@@ -188,28 +188,70 @@ func TestCrossbarPerPairOrdering(t *testing.T) {
 	}
 }
 
+// TestAllMessagesDelivered is a conservation check on both models with
+// wide ports, as togsim.NewStandard sets them (so the crossbar's
+// multi-pass allocator runs): every submitted message is delivered exactly
+// once — counting completions drained while a submit retries — at its
+// Finish cycle, no earlier than Arrive + Latency, and Flits() equals the
+// flits the messages split into.
 func TestAllMessagesDelivered(t *testing.T) {
+	const flitBytes, latency = 32, 3
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)
-		nets := []Network{NewSimple(32, 3), NewCrossbar(32, 3, 256)}
-		for _, n := range nets {
-			sent := 0
+		for _, n := range []Network{NewSimple(flitBytes, latency), NewCrossbar(flitBytes, latency, 16)} {
+			for port := 0; port < 2; port++ {
+				n.SetPortWidth(port, 4)
+			}
+			delivered := map[*Message]int{}
+			collect := func(done []*Message) bool {
+				for _, m := range done {
+					delivered[m]++
+					if n.Cycle() != m.Finish {
+						t.Logf("%T: message finishing at %d delivered at %d", n, m.Finish, n.Cycle())
+						return false
+					}
+				}
+				return true
+			}
+			var sent []*Message
+			var flits int64
 			for i := 0; i < 100; i++ {
-				m := &Message{Src: r.Intn(4), Dst: 4 + r.Intn(4), Bytes: 32 * (1 + r.Intn(4))}
+				m := &Message{Src: r.Intn(8), Dst: r.Intn(8), Bytes: r.Intn(200)}
 				for !n.Submit(m) {
 					n.Tick()
-					n.Completed()
+					if !collect(n.Completed()) {
+						return false
+					}
 				}
-				sent++
+				sent = append(sent, m)
+				flits += int64(max(1, (m.Bytes+flitBytes-1)/flitBytes))
+				if r.Intn(3) == 0 {
+					n.Tick()
+					if !collect(n.Completed()) {
+						return false
+					}
+				}
 			}
-			got := len(Drain(n))
-			// Completions drained during submit retries are not in Drain's
-			// return; count via Pending instead.
-			if n.Pending() != 0 {
+			for n.Pending() > 0 && n.Cycle() < 1_000_000 {
+				n.Tick()
+				if !collect(n.Completed()) {
+					return false
+				}
+			}
+			if len(delivered) != len(sent) || n.Pending() != 0 {
+				t.Logf("%T: %d of %d messages delivered, %d pending", n, len(delivered), len(sent), n.Pending())
 				return false
 			}
-			_ = got
-			_ = sent
+			for _, m := range sent {
+				if delivered[m] != 1 || m.Finish < m.Arrive+latency {
+					t.Logf("%T: message %+v delivered %d times", n, *m, delivered[m])
+					return false
+				}
+			}
+			if n.Flits() != flits {
+				t.Logf("%T: Flits() = %d, want %d", n, n.Flits(), flits)
+				return false
+			}
 		}
 		return true
 	}

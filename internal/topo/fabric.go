@@ -50,11 +50,16 @@ type Fabric struct {
 	// In-flight registries: a request's slot counts its bursts not yet
 	// completed, and a burst's dram.Request carries the tag of its burst
 	// record.
-	slots    sim.Registry[reqSlot]
-	bursts   sim.Registry[burstRec]
-	returned []int64 // reused buffer for draining returns each tick
-	done     []*togsim.MemReq
-	pending  int // bursts in flight
+	slots     sim.Registry[reqSlot]
+	bursts    sim.Registry[burstRec]
+	returned  []int64 // reused buffer for draining returns each tick
+	done      []*togsim.MemReq
+	doneSpare []*togsim.MemReq // double buffer swapped with done at Completed
+	pending   int              // bursts in flight
+
+	// Freelist of per-burst controller requests: the fabric owns each one
+	// from submitBurst until its controller completes it.
+	drPool []*dram.Request
 
 	// Stats (fabric-wide; Pkg holds the per-package split).
 	LocalBytes, RemoteBytes int64
@@ -190,7 +195,14 @@ func (f *Fabric) submitBurst(r *togsim.MemReq, tag int64, addr uint64, bytes int
 	}
 
 	// The controller sees the local offset within its package's stack.
-	dr := &dram.Request{
+	var dr *dram.Request
+	if n := len(f.drPool); n > 0 {
+		dr = f.drPool[n-1]
+		f.drPool = f.drPool[:n-1]
+	} else {
+		dr = new(dram.Request)
+	}
+	*dr = dram.Request{
 		Addr:    f.cfg.LocalOff(addr),
 		IsWrite: r.IsWrite,
 		Src:     r.Src,
@@ -237,6 +249,7 @@ func (f *Fabric) Tick() {
 		m.Tick()
 		for _, dr := range m.Completed() {
 			b := f.bursts.Take(dr.Tag)
+			f.drPool = append(f.drPool, dr)
 			r := f.slots.At(b.slot).r
 			src := f.cfg.PackageOfCore(r.Core)
 			if src == p || r.IsWrite {
@@ -316,7 +329,8 @@ func (f *Fabric) SkipTo(cycle int64) {
 // Completed implements togsim.Fabric.
 func (f *Fabric) Completed() []*togsim.MemReq {
 	out := f.done
-	f.done = nil
+	f.done = f.doneSpare[:0]
+	f.doneSpare = out
 	return out
 }
 

@@ -6,15 +6,17 @@
 # a table:
 #
 #   make profile MODEL=resnet18 CORES=1        # or scripts/profile.sh resnet18 1
+#   make profile MODEL=resnet18-cn             # or scripts/profile.sh resnet18-cn
 #   make profile MODEL=compile                 # or scripts/profile.sh compile
 #   make profile MODEL=zoo                     # or scripts/profile.sh zoo
 #
 # MODEL is resnet18 or bert-base (BenchmarkEngine<Model>C<n>Serial, CORES
-# 1, 4 or 8), compile (BenchmarkCompileParallel: a cold resnet18 compile on
-# TPUv3) or zoo (BenchmarkCompileZoo: the eight cold compiles of the
-# benchmark's compile.zoo-cold workload); the two compiler profiles ignore
-# CORES, and also write an allocation profile and print its alloc_space
-# table. RUNS (default 3) is the -benchtime
+# 1, 4 or 8), resnet18-cn (BenchmarkEngineResnet18C1CN: one core over the
+# cycle-accurate CN crossbar; ignores CORES), compile
+# (BenchmarkCompileParallel: a cold resnet18 compile on TPUv3) or zoo
+# (BenchmarkCompileZoo: the eight cold compiles of the benchmark's
+# compile.zoo-cold workload); the two compiler profiles ignore CORES, and
+# also write an allocation profile and print its alloc_space table. RUNS (default 3) is the -benchtime
 # iteration count and ROWS (default 15) the table length. The profiles, the
 # test binary pprof needs to symbolize them, and the tables stay in
 # profile/ (git-ignored) for `go tool pprof -list` afterwards.
@@ -29,9 +31,10 @@ rows=${ROWS:-15}
 case "$model" in
     resnet18) name=Resnet18 ;;
     bert-base) name=BertBase ;;
+    resnet18-cn) bench=BenchmarkEngineResnet18C1CN ;;
     compile) bench=BenchmarkCompileParallel ;;
     zoo) bench=BenchmarkCompileZoo ;;
-    *) echo "profile: unknown MODEL '$model' (resnet18, bert-base, compile, zoo)" >&2; exit 2 ;;
+    *) echo "profile: unknown MODEL '$model' (resnet18, bert-base, resnet18-cn, compile, zoo)" >&2; exit 2 ;;
 esac
 dir=profile
 mkdir -p "$dir"
@@ -39,6 +42,8 @@ memflags=()
 if [ "$model" = compile ] || [ "$model" = zoo ]; then
     base="$dir/$model"
     memflags=(-test.memprofile "$base.mem.prof")
+elif [ "$model" = resnet18-cn ]; then
+    base="$dir/$model"
 else
     case "$cores" in
         1|4|8) ;;
