@@ -1,0 +1,113 @@
+package e2e
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/fleet"
+	"repro/internal/service"
+)
+
+// gemm64Spec is gemm64 as a job spec.
+var gemm64Spec = service.JobSpec{Model: "gemm", N: 64, NPU: "small"}
+
+// A ptsimd job and a direct ptsim run of the same spec report the same
+// cycle count.
+func TestPtsimdMatchesPtsim(t *testing.T) {
+	d := startDaemon(t, buildCmd(t, "ptsimd"), "-addr", "127.0.0.1:0", "-workers", "2", "-queue", "8")
+	base := d.urls(t, "ptsimd: listening", 1)[0]
+	var job service.Job
+	waitDone(t, base, submit(t, base, gemm64Spec), &job)
+	if job.Result == nil {
+		t.Fatal("done job has no result")
+	}
+	cli := tlsCycles(t, mustRun(t, buildCmd(t, "ptsim"), gemm64...))
+	if job.Result.Cycles != cli {
+		t.Fatalf("service reported %d cycles, ptsim %d", job.Result.Cycles, cli)
+	}
+	var st service.Stats
+	getJSON(t, base+"/stats", &st)
+	if st.Done != 1 {
+		t.Fatalf("/stats counts %d done jobs, want 1", st.Done)
+	}
+}
+
+// ptsimfleet boots three ptsimd members behind its coordinator. Jobs under
+// distinct tenants finish with a direct ptsim run's cycles; a spec the
+// fleet has warmed runs on every member without one new kernel
+// measurement, because the members fetch its latency table over the peer
+// cache tier; and SIGTERM drains the whole fleet cleanly.
+func TestPtsimfleetPeerCacheAndDrain(t *testing.T) {
+	d := startDaemon(t, buildCmd(t, "ptsimfleet"), "-n", "3", "-addr", "127.0.0.1:0", "-workers", "2")
+	coord := d.urls(t, "ptsimfleet: coordinator", 1)[0]
+	members := d.urls(t, "ptsimfleet: member", 3)
+
+	// The GEMM finishes before the MLP is submitted. Both compile for the
+	// same core, whose latency table a member reads from the peer tier
+	// only before its first compile, and the owner keeps the last table
+	// pushed; an MLP compiled beside the GEMM would leave its member
+	// without the GEMM's kernels.
+	spec := gemm64Spec
+	spec.Tenant = "team-a"
+	var jobA, jobB fleet.Job
+	waitDone(t, coord, submit(t, coord, spec), &jobA)
+	waitDone(t, coord, submit(t, coord, service.JobSpec{Model: "mlp", Batch: 2, NPU: "small", Tenant: "team-b"}), &jobB)
+	if jobA.Result == nil {
+		t.Fatal("done fleet job has no result")
+	}
+	cycles := jobA.Result.Cycles
+	if cli := tlsCycles(t, mustRun(t, buildCmd(t, "ptsim"), gemm64...)); cycles != cli {
+		t.Fatalf("fleet reported %d cycles, ptsim %d", cycles, cli)
+	}
+
+	// The fleet routed the GEMM to one member, which measured its kernels
+	// and pushed the latency table to the table's hash owner. The same
+	// spec submitted to each member directly must be measured nowhere.
+	before := make([]service.Stats, len(members))
+	for i, m := range members {
+		getJSON(t, m+"/stats", &before[i])
+	}
+	for i, m := range members {
+		var job service.Job
+		waitDone(t, m, submit(t, m, spec), &job)
+		if job.Result == nil || job.Result.Cycles != cycles {
+			t.Fatalf("member %s reported %+v, want %d cycles", m, job.Result, cycles)
+		}
+		var after service.Stats
+		getJSON(t, m+"/stats", &after)
+		if after.KernelsMeasured != before[i].KernelsMeasured {
+			t.Fatalf("member %s measured a warmed spec again (kernels_measured %d -> %d); the peer tier should have served it",
+				m, before[i].KernelsMeasured, after.KernelsMeasured)
+		}
+	}
+
+	var st fleet.Stats
+	getJSON(t, coord+"/stats", &st)
+	if st.TenantDone["team-a"] == 0 {
+		t.Fatalf("tenant team-a missing from the fleet stats: %+v", st.TenantDone)
+	}
+	if st.DuplicateCompletions != 0 {
+		t.Fatalf("%d duplicate completions", st.DuplicateCompletions)
+	}
+	if !hasLinePrefix(string(get(t, coord+"/metrics")), "ptsimfleet_jobs_done_total") {
+		t.Fatal("no ptsimfleet_jobs_done_total in the fleet exposition")
+	}
+
+	out, err := d.stop(t)
+	if err != nil {
+		t.Fatalf("fleet exited with %v on SIGTERM", err)
+	}
+	if !strings.Contains(out, "draining") {
+		t.Fatal("no draining line after SIGTERM")
+	}
+}
+
+// hasLinePrefix reports whether a line of text starts with prefix.
+func hasLinePrefix(text, prefix string) bool {
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return true
+		}
+	}
+	return false
+}

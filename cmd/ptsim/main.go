@@ -51,8 +51,14 @@ func run() error {
 	showReport := flag.Bool("report", false, "print the full utilization and stall breakdown (tls mode)")
 	flag.Parse()
 
-	if *mode != "tls" && (out.Trace != "" || *showReport || out.JSON) {
-		return fmt.Errorf("-trace, -report, and -json require -mode tls")
+	switch *mode {
+	case "tls":
+	case "ils":
+		if out.Trace != "" || *showReport || out.JSON || *autotune {
+			return fmt.Errorf("-trace, -report, -json, and -autotune require -mode tls")
+		}
+	default:
+		return fmt.Errorf("unknown mode %q (tls, ils)", *mode)
 	}
 	logw := out.Log()
 
@@ -165,8 +171,6 @@ func run() error {
 			return err
 		}
 		return out.WriteTrace(logw)
-	default:
-		return fmt.Errorf("unknown mode %q (tls, ils)", *mode)
 	}
 	return nil
 }

@@ -75,9 +75,9 @@ func run() error {
 	defer svc.Close()
 
 	return d.Serve("ptsimd", service.NewHandler(svc), func(addr net.Addr) {
-		// The listening line is machine-readable on purpose: the smoke
-		// tests (scripts/service_smoke.sh, scripts/fleet_smoke.sh) start us
-		// on an ephemeral port and scrape the URL from it.
+		// The listening line is machine-readable on purpose: the end-to-end
+		// tests (cmd/e2e, TestPtsimdMatchesPtsim) start us on an ephemeral
+		// port and read the URL from it.
 		fmt.Printf("ptsimd: listening on http://%s\n", addr)
 		st := svc.Stats()
 		fmt.Printf("ptsimd: %d workers, queue depth %d; endpoints: POST /jobs, GET /jobs/{id}, GET /jobs/{id}/events, GET /stats, GET /metrics, GET|PUT /cache/{key}\n",

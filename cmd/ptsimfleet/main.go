@@ -45,9 +45,9 @@ func run() error {
 	defer fl.Close()
 
 	return d.Serve("ptsimfleet", fleet.NewHandler(fl.Coord), func(addr net.Addr) {
-		// These lines are machine-readable on purpose: scripts/fleet_smoke.sh
-		// starts us on an ephemeral port and scrapes the coordinator and
-		// member URLs from them.
+		// These lines are machine-readable on purpose: the end-to-end tests
+		// (cmd/e2e, TestPtsimfleetPeerCacheAndDrain) start us on an
+		// ephemeral port and read the coordinator and member URLs from them.
 		fmt.Printf("ptsimfleet: coordinator on http://%s\n", addr)
 		for i := 0; i < fl.N(); i++ {
 			fmt.Printf("ptsimfleet: member %s on %s\n", fl.MemberName(i), fl.URL(i))

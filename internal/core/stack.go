@@ -19,9 +19,10 @@ import (
 // iterations, cmd/togsim, the experiments, training, the oracles and the
 // examples all build their engine here, so a hook that must see every run
 // (recover, cancellation, request IDs, host-time phases) belongs in
-// NewStack and Run. Run knobs stay on Engine (MaxCycles, StrictTick). The one deliberate exception is the §5.1 sparse-core
-// validation (exp/sparseval.go), which runs on togsim.NewFlatLatency's
-// flat 100 ns memory instead of the DRAM/NoC stack built here.
+// NewStack and Run. Run knobs stay on Engine (MaxCycles, StrictTick).
+// The one deliberate exception is the §5.1 sparse-core validation
+// (exp/sparseval.go), which runs on togsim.NewFlatLatency's flat 100 ns
+// memory instead of the DRAM/NoC stack built here.
 type Stack struct {
 	Engine *togsim.Engine
 	// Cfg is the machine the engine simulates: the caller's config, with

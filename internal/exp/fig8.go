@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
@@ -184,5 +183,3 @@ func Fig8c(cfg npu.Config, quick bool) (*Fig8cResult, error) {
 	}
 	return res, nil
 }
-
-var _ = strings.TrimSpace // keep strings imported for future formatting

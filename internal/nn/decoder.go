@@ -38,7 +38,7 @@ type DecoderConfig struct {
 	Prefill bool
 }
 
-// DecoderTinyConfig is the scaled-down decoder for tests and smokes:
+// DecoderTinyConfig is the scaled-down decoder for tests:
 // 2 layers, hidden 32, 2 heads.
 func DecoderTinyConfig(batch, ctx int, prefill bool) DecoderConfig {
 	return DecoderConfig{Name: "decoder-tiny", Batch: batch, Ctx: ctx,

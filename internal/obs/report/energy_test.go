@@ -22,8 +22,8 @@ func sampleTotals() (npu.Config, ActivityTotals) {
 
 // TestBuildEnergySumsExactly: the total is defined as the sum of the unit
 // fields in declaration order, so equality must hold bitwise — the
-// contract the smoke script and the energy-determinism oracle re-check
-// end to end.
+// contract TestPtsimEnergySumsExactly (cmd/e2e) and the
+// energy-determinism oracle re-check end to end.
 func TestBuildEnergySumsExactly(t *testing.T) {
 	cfg, a := sampleTotals()
 	e := BuildEnergy(cfg, a)

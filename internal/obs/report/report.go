@@ -176,8 +176,9 @@ func Build(cfg npu.Config, in Inputs) Report {
 	return r
 }
 
-// Summary is the one-line run summary every CLI prints (and the smoke
-// tests parse): cycle count first, then simulated and host time.
+// Summary is the one-line run summary every CLI prints (and the
+// end-to-end tests in cmd/e2e parse): cycle count first, then simulated
+// and host time.
 func (r Report) Summary() string {
 	s := fmt.Sprintf("%d cycles (%.3f ms simulated @ %d MHz", r.Cycles, r.SimulatedMs, r.FreqMHz)
 	if r.WallMs > 0 {

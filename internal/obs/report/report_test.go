@@ -82,8 +82,8 @@ func TestBuildClampsOther(t *testing.T) {
 	}
 }
 
-// TestSummaryFormat pins the smoke-test contract: the summary starts with
-// the cycle count so scripts can parse `^TLS: ([0-9]*) cycles`.
+// TestSummaryFormat pins the contract the end-to-end tests (cmd/e2e)
+// parse: the summary starts with the cycle count, as in `TLS: <n> cycles`.
 func TestSummaryFormat(t *testing.T) {
 	cfg, res, mem := sampleInputs()
 	r := Build(cfg, Inputs{Res: res, Mem: mem, Wall: 50 * time.Millisecond})

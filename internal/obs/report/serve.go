@@ -100,8 +100,8 @@ func Percentile(xs []float64, q float64) float64 {
 	return s[rank-1]
 }
 
-// Summary is the one-line serving summary (smoke tests parse the
-// tokens/s figure).
+// Summary is the one-line serving summary (cmd/e2e's
+// TestPtserveZeroFlagMeansWireDefault reads its request count).
 func (r ServeReport) Summary() string {
 	return fmt.Sprintf("%d requests, %d tokens in %.3f ms simulated (%.0f tokens/s)",
 		r.Requests, r.TokensOut, r.SimulatedMs, r.TokensPerSec)
