@@ -35,23 +35,20 @@ func TestPtsimdMatchesPtsim(t *testing.T) {
 // ptsimfleet boots three ptsimd members behind its coordinator. Jobs under
 // distinct tenants finish with a direct ptsim run's cycles; a spec the
 // fleet has warmed runs on every member without one new kernel
-// measurement, because the members fetch its latency table over the peer
-// cache tier; and SIGTERM drains the whole fleet cleanly.
+// measurement, because the members fetch its kernel latencies over the
+// peer cache tier; and SIGTERM drains the whole fleet cleanly.
 func TestPtsimfleetPeerCacheAndDrain(t *testing.T) {
 	d := startDaemon(t, buildCmd(t, "ptsimfleet"), "-n", "3", "-addr", "127.0.0.1:0", "-workers", "2")
 	coord := d.urls(t, "ptsimfleet: coordinator", 1)[0]
 	members := d.urls(t, "ptsimfleet: member", 3)
 
-	// The GEMM finishes before the MLP is submitted. Both compile for the
-	// same core, whose latency table a member reads from the peer tier
-	// only before its first compile, and the owner keeps the last table
-	// pushed; an MLP compiled beside the GEMM would leave its member
-	// without the GEMM's kernels.
 	spec := gemm64Spec
 	spec.Tenant = "team-a"
+	idA := submit(t, coord, spec)
+	idB := submit(t, coord, service.JobSpec{Model: "mlp", Batch: 2, NPU: "small", Tenant: "team-b"})
 	var jobA, jobB fleet.Job
-	waitDone(t, coord, submit(t, coord, spec), &jobA)
-	waitDone(t, coord, submit(t, coord, service.JobSpec{Model: "mlp", Batch: 2, NPU: "small", Tenant: "team-b"}), &jobB)
+	waitDone(t, coord, idA, &jobA)
+	waitDone(t, coord, idB, &jobB)
 	if jobA.Result == nil {
 		t.Fatal("done fleet job has no result")
 	}
@@ -61,8 +58,9 @@ func TestPtsimfleetPeerCacheAndDrain(t *testing.T) {
 	}
 
 	// The fleet routed the GEMM to one member, which measured its kernels
-	// and pushed the latency table to the table's hash owner. The same
-	// spec submitted to each member directly must be measured nowhere.
+	// and pushed each kernel's latency to that entry's hash owner. The
+	// same spec submitted to each member directly must be measured
+	// nowhere.
 	before := make([]service.Stats, len(members))
 	for i, m := range members {
 		getJSON(t, m+"/stats", &before[i])

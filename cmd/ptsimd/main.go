@@ -18,8 +18,8 @@
 // (weighted-fair, typed per-tenant 429s).
 //
 // As a fleet member, ptsimd joins a consistent-hash ring of peers and
-// backfills compiled artifacts (kernel-latency tables) from whichever peer
-// owns their hash instead of recomputing them:
+// backfills measured kernel latencies (one store entry per kernel) from
+// whichever peer owns their hash instead of re-measuring them:
 //
 //	ptsimd -addr 127.0.0.1:8726 -self http://127.0.0.1:8726 \
 //	       -peers http://127.0.0.1:8727,http://127.0.0.1:8728

@@ -155,7 +155,7 @@ type Compiler struct {
 
 // New returns a compiler for the target NPU with a private latency cache.
 func New(cfg npu.Config, opts Options) *Compiler {
-	return NewShared(cfg, opts, NewLatencyCache())
+	return NewShared(cfg, opts, nil)
 }
 
 // NewShared returns a compiler backed by an existing latency cache, so
@@ -163,7 +163,7 @@ func New(cfg npu.Config, opts Options) *Compiler {
 // measurements. All sharers must target the same npu.CoreConfig.
 func NewShared(cfg npu.Config, opts Options, lc *LatencyCache) *Compiler {
 	if lc == nil {
-		lc = NewLatencyCache()
+		lc = NewLatencyCache(cfg.Core)
 	}
 	return &Compiler{Cfg: cfg, Opts: opts, lat: lc}
 }
@@ -198,19 +198,9 @@ func (c *Compiler) Stats() Stats {
 }
 
 // Latencies returns a copy of the kernel-latency cache — the tile-latency
-// table measured so far. Together with the TOGs it is the whole compiled
-// artifact, so a service-level cache can persist both and reseed a fresh
-// compiler without re-running the timing simulator.
+// table measured (or read from an attached store) so far.
 func (c *Compiler) Latencies() map[string]int64 {
 	return c.lat.Snapshot()
-}
-
-// SeedLatencies merges previously measured kernel latencies into the cache
-// so matching kernels skip the timing simulator. Signatures encode the full
-// kernel spec but not the core configuration: only seed tables measured on
-// the same npu.CoreConfig.
-func (c *Compiler) SeedLatencies(lat map[string]int64) {
-	c.lat.Seed(lat)
 }
 
 // state carries per-compilation context. One state lives for one Compile

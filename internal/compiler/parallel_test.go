@@ -17,6 +17,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/isa"
 	"repro/internal/npu"
+	"repro/internal/service/cache"
 )
 
 // countingMeasurer wraps the real measurer and counts invocations, so
@@ -37,11 +38,14 @@ func testGraph() *graph.Graph { return linearGraph(24, 32, 16, true) }
 // TestConcurrentCompileSameCompiler hammers one Compiler from many
 // goroutines with the same model. Under -race this catches any unsynchronized
 // state in the pass pipeline; functionally, every result must be identical
-// and shared signatures must be measured exactly once across all calls.
+// and shared signatures must be measured, and looked up in the store,
+// exactly once across all calls.
 func TestConcurrentCompileSameCompiler(t *testing.T) {
 	cm := &countingMeasurer{}
+	st := cache.NewMemory()
 	c := New(small(), DefaultOptions())
 	c.Measurer = cm
+	c.Cache().SetStore(st)
 
 	const goroutines = 8
 	comps := make([]*Compiled, goroutines)
@@ -71,6 +75,10 @@ func TestConcurrentCompileSameCompiler(t *testing.T) {
 	if c.MeasureCount() != cm.calls.Load() {
 		t.Fatalf("MeasureCount()=%d but measurer saw %d calls", c.MeasureCount(), cm.calls.Load())
 	}
+	if hits, misses := st.Stats(); hits != 0 || misses != int64(c.Cache().Len()) {
+		t.Fatalf("store saw %d hits, %d misses for %d unique signatures; want 0 and one each",
+			hits, misses, c.Cache().Len())
+	}
 }
 
 // TestWorkerCountIsInvisible compiles the same graph with worker counts 1,
@@ -95,11 +103,13 @@ func TestWorkerCountIsInvisible(t *testing.T) {
 	}
 }
 
-// TestSeededCacheSkipsMeasurement pre-seeds a compiler's latency cache from
-// a finished compile and verifies a fresh compiler does zero measurements
-// (and zero measurer calls — the lazy codegen path) on the same model.
+// TestSeededCacheSkipsMeasurement fills a store from a finished compile and
+// verifies a fresh compiler over the same store does zero measurements (and
+// zero measurer calls — the lazy codegen path) on the same model.
 func TestSeededCacheSkipsMeasurement(t *testing.T) {
+	st := cache.NewMemory()
 	warm := New(small(), DefaultOptions())
+	warm.Cache().SetStore(st)
 	want, err := warm.Compile(testGraph())
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +121,7 @@ func TestSeededCacheSkipsMeasurement(t *testing.T) {
 	cm := &countingMeasurer{}
 	cold := New(small(), DefaultOptions())
 	cold.Measurer = cm
-	cold.SeedLatencies(warm.Latencies())
+	cold.Cache().SetStore(st)
 	got, err := cold.Compile(testGraph())
 	if err != nil {
 		t.Fatal(err)

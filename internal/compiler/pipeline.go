@@ -166,13 +166,13 @@ func (c *Compiler) phase(t0 time.Time, name Phase, f func() error) error {
 }
 
 // resolve looks one signature up in the shared latency cache and measures
-// it on a miss. Signatures already cached (same-process reuse or a
-// persisted table seeded from disk) cost a map lookup; a miss is
+// it on a miss. Signatures already cached cost a map lookup; a miss is
 // singleflighted per signature, so concurrent Compile calls — even on
-// different Compilers sharing the cache — never duplicate a measurement.
-// The representative program comes from the signature's first occurrence
-// and gen runs only inside the singleflight winner, so cache hits (warm
-// restarts, autotune candidates) skip codegen for it entirely. Latencies
+// different Compilers sharing the cache — never duplicate a measurement,
+// and it tries the attached store before measuring. The representative
+// program comes from the signature's first occurrence and gen runs only
+// when the winner measures, so cache and store hits (warm restarts,
+// autotune candidates) skip codegen for it entirely. Latencies
 // depend only on the signature (never on scratchpad offsets), which is the
 // invariant the latency cache has always relied on.
 func (c *Compiler) resolve(m Measurer, sig string, gen func() *isa.Program) error {

@@ -61,8 +61,8 @@ type Simulator struct {
 	// Objective selects what AutoTune minimizes (default TuneCycles).
 	Objective TuneObjective
 
-	// store, when attached, persists the kernel-latency table across
-	// processes (the offline TOG cache of §3.10 on disk).
+	// store is the persistent tier handed to the compiler's latency cache
+	// (the offline TOG cache of §3.10 on disk), kept for DiskStats.
 	store cache.Store
 }
 
@@ -71,18 +71,13 @@ func NewSimulator(cfg npu.Config, opts compiler.Options) *Simulator {
 	return &Simulator{Cfg: cfg, Compiler: compiler.New(cfg, opts)}
 }
 
-// AttachStore connects a persistent artifact store: the compiler's latency
-// cache is seeded from the store's table for this core configuration
-// immediately, and Compile writes the grown table back whenever it measured
-// new kernels. Corrupt or stale-schema entries are ignored (clean
-// recompile).
+// AttachStore connects a persistent artifact store to the compiler's
+// latency cache, which reads a kernel's latency from it before measuring
+// and writes every new measurement back (compiler.LatencyCache). Corrupt
+// or stale entries read as misses (clean re-measure).
 func (s *Simulator) AttachStore(st cache.Store) {
 	s.store = st
-	if data, ok := st.Get(cache.LatencyKey(s.Cfg.Core)); ok {
-		if m, err := cache.DecodeLatencies(data); err == nil {
-			s.Compiler.SeedLatencies(m)
-		}
-	}
+	s.Compiler.Cache().SetStore(st)
 }
 
 // DiskStats reports the attached store's hits and misses (zeros without a
@@ -99,19 +94,7 @@ func (s *Simulator) Compile(g *graph.Graph) (*compiler.Compiled, error) {
 	if s.Compiler.Probe == nil {
 		s.Compiler.Probe = s.Probe
 	}
-	before := s.Compiler.MeasureCount()
-	comp, err := s.Compiler.Compile(g)
-	if err != nil {
-		return nil, err
-	}
-	if s.store != nil && s.Compiler.MeasureCount() > before {
-		// Best-effort persistence of the grown latency table; a failed
-		// write only costs a future re-measure.
-		if data, encErr := cache.EncodeLatencies(s.Compiler.Latencies()); encErr == nil {
-			_ = s.store.Put(cache.LatencyKey(s.Cfg.Core), data)
-		}
-	}
-	return comp, nil
+	return s.Compiler.Compile(g)
 }
 
 // TuneObjective selects AutoTune's winner metric.
@@ -221,9 +204,8 @@ func (s *Simulator) AutoTune(g *graph.Graph, candidates []compiler.Options, kind
 		return compiler.Options{}, nil, Report{}, fmt.Errorf("core: no autotune candidates")
 	}
 	type outcome struct {
-		comp     *compiler.Compiled
-		rep      Report
-		measured int64
+		comp *compiler.Compiled
+		rep  Report
 	}
 	results := make([]*outcome, len(candidates))
 	var wg sync.WaitGroup
@@ -243,19 +225,17 @@ func (s *Simulator) AutoTune(g *graph.Graph, candidates []compiler.Options, kind
 			if err != nil {
 				return
 			}
-			results[i] = &outcome{comp: comp, rep: rep, measured: c.MeasureCount()}
+			results[i] = &outcome{comp: comp, rep: rep}
 		}(i, opts)
 	}
 	wg.Wait()
 
 	best := -1
 	var bestScore float64
-	var sweepMeasured int64
 	for i, r := range results {
 		if r == nil {
 			continue
 		}
-		sweepMeasured += r.measured
 		score := s.tuneScore(r.rep)
 		if best < 0 || score < bestScore {
 			best, bestScore = i, score
@@ -263,11 +243,6 @@ func (s *Simulator) AutoTune(g *graph.Graph, candidates []compiler.Options, kind
 	}
 	if best < 0 {
 		return compiler.Options{}, nil, Report{}, fmt.Errorf("core: no autotune candidate compiled successfully")
-	}
-	if s.store != nil && sweepMeasured > 0 {
-		if data, err := cache.EncodeLatencies(s.Compiler.Latencies()); err == nil {
-			_ = s.store.Put(cache.LatencyKey(s.Cfg.Core), data)
-		}
 	}
 	return candidates[best], results[best].comp, results[best].rep, nil
 }

@@ -306,8 +306,8 @@ func (ck *Checker) checkWorkers(cs Case, art *artifacts) error {
 	return nil
 }
 
-// checkStore requires a warm compile seeded from a cold compile's
-// persisted latency table to be bit-identical and measurement-free.
+// checkStore requires a warm compile over the store a cold compile wrote
+// its kernel latencies to be bit-identical and measurement-free.
 func (ck *Checker) checkStore(cs Case, art *artifacts) error {
 	store := cache.NewMemory()
 	cold := core.NewSimulator(cs.NPU, cs.Opts)

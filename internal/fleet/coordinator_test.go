@@ -221,7 +221,7 @@ func TestCoordinatorTenantOverload(t *testing.T) {
 }
 
 // The second identical job submitted to a *different* member compiles with
-// zero kernel measurements: the latency table arrives through the peer
+// zero kernel measurements: the kernel latencies arrive through the peer
 // cache tier, not recomputation.
 func TestPeerCacheBackfill(t *testing.T) {
 	fl, err := StartLocal(LocalOptions{N: 3, Workers: 1})
@@ -241,7 +241,7 @@ func TestPeerCacheBackfill(t *testing.T) {
 	}
 
 	// Run the job once through the fleet: it lands on the owner, compiles,
-	// and pushes its latency table to the table's own ring owner.
+	// and pushes each kernel latency to that entry's own ring owner.
 	j, err := fl.Coord.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -291,6 +291,74 @@ func TestPeerCacheBackfill(t *testing.T) {
 	// And the results agree bit-for-bit.
 	if err := compareCanonical(fin.Result, fin2.Result); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Two members compile different models for the same core at the same
+// time. Each measured kernel is its own store entry, so neither build hides
+// the other's kernels: afterwards every other member compiles each model
+// without measuring anything.
+func TestPeerCacheConcurrentModels(t *testing.T) {
+	fl, err := StartLocal(LocalOptions{N: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+
+	specs := []service.JobSpec{
+		{Model: "gemm", N: 64, NPU: "small"},
+		{Model: "mlp", Batch: 2, NPU: "small"},
+	}
+	// Member i builds specs[i]; both are submitted before either is awaited.
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		j, err := fl.Service(i).Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = j.ID
+	}
+	want := make([]*service.JobResult, len(specs))
+	for i := range specs {
+		fin, err := fl.Service(i).Wait(ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.State != service.StateDone {
+			t.Fatalf("warmup job %d failed: %s", i, fin.Error)
+		}
+		if fl.Service(i).Stats().KernelsMeasured == 0 {
+			t.Fatalf("member %d compiled %s without measuring kernels", i, specs[i].Model)
+		}
+		want[i] = fin.Result
+	}
+
+	for i, spec := range specs {
+		for m := 0; m < fl.N(); m++ {
+			if m == i {
+				continue
+			}
+			svc := fl.Service(m)
+			before := svc.Stats().KernelsMeasured
+			j, err := svc.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin, err := svc.Wait(j.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fin.State != service.StateDone {
+				t.Fatalf("member %d: %s failed: %s", m, spec.Model, fin.Error)
+			}
+			if after := svc.Stats().KernelsMeasured; after != before {
+				t.Fatalf("member %d measured %d kernels of the warmed %s; the peer tier should have served them",
+					m, after-before, spec.Model)
+			}
+			if err := compareCanonical(want[i], fin.Result); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

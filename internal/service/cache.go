@@ -16,7 +16,7 @@ import (
 // that only changes how the result is simulated (interconnect model, cycle
 // limits) is not.
 func CompileKey(spec modelzoo.Spec, cfg npu.Config, opts compiler.Options) string {
-	return CanonicalHash(spec.Normalize(), cfg, opts)
+	return cache.CanonicalHash(spec.Normalize(), cfg, opts)
 }
 
 // ContentKey resolves a wire JobSpec to its compile content address — the
@@ -47,10 +47,11 @@ type cacheEntry struct {
 // it stores, per CompileKey, the compiled TOGs plus the tile-latency table,
 // so repeated or swept requests skip compilation (and even distinct models
 // on the same core configuration reuse each other's kernel measurements
-// through the shared per-core latency cache). With a persistent Store
-// attached, each per-core latency table is seeded from disk on first use
-// and written back after every compilation that measured new kernels — the
-// paper's offline tile-latency cache surviving process restarts.
+// through the shared per-core latency cache). An attached Store is handed
+// to every per-core latency cache, which reads each kernel it lacks from
+// the store and writes each new measurement back as its own entry — the
+// paper's offline tile-latency cache surviving process restarts and shared
+// across a fleet.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -59,10 +60,9 @@ type Cache struct {
 	// on npu.CoreConfig, not on the full machine). The caches are the
 	// compiler's own thread-safe singleflight tables, so compilations on
 	// different workers dedupe measurements live, not just after the fact.
-	lat    map[string]*compiler.LatencyCache
-	seeded map[string]bool
-	store  cache.Store
-	hook   func(*compiler.Compiler)
+	lat   map[string]*compiler.LatencyCache
+	store cache.Store
+	hook  func(*compiler.Compiler)
 
 	hits, misses int64
 	measured     int64
@@ -73,20 +73,18 @@ func NewCache() *Cache {
 	return &Cache{
 		entries: map[string]*cacheEntry{},
 		lat:     map[string]*compiler.LatencyCache{},
-		seeded:  map[string]bool{},
 	}
 }
 
-// SetStore attaches the persistent artifact tier. Latency tables load from
-// it lazily (first compilation per core configuration) and persist back
-// after compilations that measured new kernels. Call before serving.
+// SetStore attaches the persistent artifact tier to every per-core latency
+// cache, present and future. Call before serving.
 func (c *Cache) SetStore(st cache.Store) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.store = st
-	// Re-seed on the next use of each core table in case the store knows
-	// more than what has been measured so far.
-	c.seeded = map[string]bool{}
+	for _, lc := range c.lat {
+		lc.SetStore(st)
+	}
 }
 
 // SetCompilerHook registers a function applied to every compiler the cache
@@ -120,33 +118,13 @@ func (c *Cache) Stats() (hits, misses int64) {
 }
 
 // Measured reports kernel measurements run by compilations so far. A
-// compile whose latency table was fully seeded (from disk or a fleet peer)
-// contributes zero — the observable pin for "warm cache, no recompute".
+// compile whose every kernel was already cached or stored (on disk or at a
+// fleet peer) contributes zero — the observable pin for "warm cache, no
+// recompute".
 func (c *Cache) Measured() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.measured
-}
-
-// latFor returns the shared latency cache for one core configuration,
-// seeding it from the persistent store on first use. Callers hold c.mu.
-func (c *Cache) latFor(coreKey string) *compiler.LatencyCache {
-	lc := c.lat[coreKey]
-	if lc == nil {
-		lc = compiler.NewLatencyCache()
-		c.lat[coreKey] = lc
-	}
-	if c.store != nil && !c.seeded[coreKey] {
-		c.seeded[coreKey] = true
-		if data, ok := c.store.Get(cache.LatencyKeyForHash(coreKey)); ok {
-			if m, err := cache.DecodeLatencies(data); err == nil {
-				lc.Seed(m)
-			}
-			// A decode error means a stale-schema entry: treat as a miss
-			// and let the write-back below replace it.
-		}
-	}
-	return lc
 }
 
 // Compile returns the compilation for key, building it at most once per
@@ -171,13 +149,17 @@ func (c *Cache) Compile(key string, cfg npu.Config, opts compiler.Options,
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries[key] = e
 	c.misses++
-	coreKey := CanonicalHash(cfg.Core)
-	lc := c.latFor(coreKey)
+	coreKey := cache.CanonicalHash(cfg.Core)
+	lc := c.lat[coreKey]
+	if lc == nil {
+		lc = compiler.NewLatencyCache(cfg.Core)
+		lc.SetStore(c.store)
+		c.lat[coreKey] = lc
+	}
 	comp := compiler.NewShared(cfg, opts, lc)
 	if c.hook != nil {
 		c.hook(comp)
 	}
-	st := c.store
 	c.mu.Unlock()
 
 	e.comp, e.err = c.build(comp, build)
@@ -191,14 +173,6 @@ func (c *Cache) Compile(key string, cfg npu.Config, opts compiler.Options,
 	close(e.ready)
 	if e.err != nil {
 		return nil, false, e.err
-	}
-	// Persist the (grown) latency table when this build measured kernels
-	// the store had not seen. Best-effort: a failed write only costs a
-	// future recompute, never correctness.
-	if st != nil && comp.MeasureCount() > 0 {
-		if data, err := cache.EncodeLatencies(lc.Snapshot()); err == nil {
-			_ = st.Put(cache.LatencyKeyForHash(coreKey), data)
-		}
 	}
 	return e.comp, false, nil
 }

@@ -1,37 +1,24 @@
 package cache
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "strconv"
 
-// latSchema versions the latency-table payload independently of the disk
-// envelope: bumping it makes old tables decode as errors (callers treat
-// that as a miss and re-measure) even though their checksums still verify.
-const latSchema = 1
+// A kernel-latency entry's payload is the kernel's cycle count in decimal
+// ASCII. The payload format's version lives in the key prefix (LatencyKey),
+// so a new format starts a fresh key space rather than misreading old
+// entries.
 
-type latEnvelope struct {
-	Schema    int              `json:"schema"`
-	Latencies map[string]int64 `json:"latencies"`
+// EncodeLatency serializes one measured kernel latency for the store.
+func EncodeLatency(cycles int64) []byte {
+	return strconv.AppendInt(nil, cycles, 10)
 }
 
-// EncodeLatencies serializes a kernel-latency table for the store.
-func EncodeLatencies(m map[string]int64) ([]byte, error) {
-	return json.Marshal(latEnvelope{Schema: latSchema, Latencies: m})
-}
-
-// DecodeLatencies parses a stored latency table, rejecting payloads written
-// under a different schema version.
-func DecodeLatencies(data []byte) (map[string]int64, error) {
-	var env latEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("cache: latency table: %w", err)
+// DecodeLatency parses a stored kernel latency. Anything but the canonical
+// encoding of a non-negative cycle count (what EncodeLatency writes) is
+// rejected, and callers treat it as a miss.
+func DecodeLatency(data []byte) (int64, bool) {
+	v, err := strconv.ParseInt(string(data), 10, 64)
+	if err != nil || v < 0 || string(EncodeLatency(v)) != string(data) {
+		return 0, false
 	}
-	if env.Schema != latSchema {
-		return nil, fmt.Errorf("cache: latency table schema %d, want %d", env.Schema, latSchema)
-	}
-	if env.Latencies == nil {
-		env.Latencies = map[string]int64{}
-	}
-	return env.Latencies, nil
+	return v, true
 }

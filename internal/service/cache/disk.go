@@ -46,13 +46,13 @@ func NewDisk(dir string) (*Disk, error) {
 	return &Disk{root: root}, nil
 }
 
-// path maps a key to its entry file, sharding by the first two key bytes to
-// keep directories small. Keys are content hashes; anything that could
-// escape the root is rejected by validKey.
+// path maps a key to its entry file, sharding by the last two key bytes to
+// keep directories small (keys share a format prefix, but end in hash
+// digits). Anything that could escape the root is rejected by validKey.
 func (s *Disk) path(key string) string {
 	shard := "xx"
 	if len(key) >= 2 {
-		shard = key[:2]
+		shard = key[len(key)-2:]
 	}
 	return filepath.Join(s.root, shard, key)
 }

@@ -1,12 +1,13 @@
 // Package cache provides the content-addressed artifact store underneath
-// the simulation service's compile cache: canonical content hashing, a
-// Store interface with in-memory and versioned on-disk implementations, and
-// the codec for the persisted kernel-latency tables (the paper's offline
-// TOG/tile-latency cache, §3.10 — explicitly a reusable artifact that
-// should survive process restarts).
+// the compiler's kernel-latency cache: canonical content hashing, a Store
+// interface with in-memory, versioned on-disk and fleet-peer
+// implementations, and the key and payload format of a persisted kernel
+// latency (the paper's offline tile-latency cache, §3.10 — explicitly a
+// reusable artifact that should survive process restarts). Each measured
+// kernel is one immutable entry, so stores never merge or overwrite tables.
 //
-// The package is a leaf: cmds and core can hash configurations and attach
-// stores without importing the service itself.
+// The package is a leaf: cmds, core and the compiler can hash
+// configurations and attach stores without importing the service itself.
 package cache
 
 import (
@@ -35,17 +36,22 @@ func CanonicalHash(vs ...any) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// LatencyKey is the store key of the kernel-latency table measured on one
-// core configuration (pass npu.CoreConfig). Latencies depend only on the
-// core, not the full machine, so every model compiled for the same core
-// shares one table.
-func LatencyKey(core any) string {
-	return LatencyKeyForHash(CanonicalHash(core))
-}
+// latencyKeyPrefix starts every kernel-latency key and names the payload
+// format (EncodeLatency's decimal cycle count): a new format takes a new
+// prefix, so entries in an older format are never read.
+const latencyKeyPrefix = "lat2-"
 
-// LatencyKeyForHash is LatencyKey for an already-computed core-config hash.
-func LatencyKeyForHash(coreHash string) string {
-	return "lat-" + coreHash
+// LatencyKey is the store key of one kernel latency: the kernel signature
+// sig measured on the core configuration whose CanonicalHash is coreHash.
+// Latencies depend only on the core and the kernel, so every model compiled
+// for the same core shares its kernels' entries. The pair is hashed, so any
+// signature yields a short key that is safe as a file name and URL path.
+func LatencyKey(coreHash, sig string) string {
+	h := sha256.New()
+	h.Write([]byte(coreHash))
+	h.Write([]byte{0})
+	h.Write([]byte(sig))
+	return latencyKeyPrefix + hex.EncodeToString(h.Sum(nil))
 }
 
 func writeCanonical(h hash.Hash, name string, v reflect.Value) {

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// PeerMaxEntryBytes caps one peer-transferred artifact. Latency tables are
-// a few KB; anything larger than this is either corruption or a future
+// PeerMaxEntryBytes caps one peer-transferred artifact. A kernel latency
+// is a few bytes; anything larger than this is either corruption or a future
 // artifact class that should negotiate its own limit.
 const PeerMaxEntryBytes = 16 << 20
 
@@ -57,8 +57,12 @@ func NewPeer(resolve func(key string) []string, timeout time.Duration) *Peer {
 	}
 }
 
-// Get implements Store: try each candidate owner in order, verify the
-// envelope, and treat every failure mode as a miss.
+// Get implements Store: ask the candidate owners in order, verify the
+// envelope, and treat every failure mode as a miss. A clean 404 ends the
+// lookup: a putter pushes to the key's first owner other than itself, so
+// under a static ring the first candidate has every entry any peer holds.
+// Only a failed round trip (transport error, bad status, corrupt envelope)
+// moves on to the next candidate.
 func (p *Peer) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		p.misses.Add(1)
@@ -76,10 +80,11 @@ func (p *Peer) Get(key string) ([]byte, bool) {
 		}
 		raw, err := io.ReadAll(io.LimitReader(resp.Body, PeerMaxEntryBytes+1))
 		resp.Body.Close()
+		if resp.StatusCode == http.StatusNotFound {
+			break
+		}
 		if err != nil || resp.StatusCode != http.StatusOK || len(raw) > PeerMaxEntryBytes {
-			if resp.StatusCode != http.StatusNotFound {
-				p.errs.Add(1)
-			}
+			p.errs.Add(1)
 			continue
 		}
 		payload, ok := openEnvelope(raw)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -53,12 +54,26 @@ func TestPeerGetHit(t *testing.T) {
 	}
 }
 
+// A clean 404 from the first candidate is a miss that ends the lookup:
+// the second candidate is never contacted.
 func TestPeerGetMissOnAbsent(t *testing.T) {
-	ts := httptest.NewServer(peerHandler(NewMemory()))
-	defer ts.Close()
-	p := NewPeer(func(string) []string { return []string{ts.URL} }, 0)
+	first := httptest.NewServer(peerHandler(NewMemory()))
+	defer first.Close()
+	var asked atomic.Int64
+	st := NewMemory()
+	_ = st.Put(peerKey, []byte("artifact-bytes"))
+	second := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		asked.Add(1)
+		peerHandler(st).ServeHTTP(w, r)
+	}))
+	defer second.Close()
+
+	p := NewPeer(func(string) []string { return []string{first.URL, second.URL} }, 0)
 	if _, ok := p.Get(peerKey); ok {
 		t.Fatal("absent key reported as hit")
+	}
+	if n := asked.Load(); n != 0 {
+		t.Fatalf("second candidate contacted %d times after a clean 404", n)
 	}
 	if _, errs := p.NetStats(); errs != 0 {
 		t.Fatalf("a 404 is a clean miss, not an error (errs=%d)", errs)
@@ -120,8 +135,9 @@ func TestPeerGetMissOnCorruptBody(t *testing.T) {
 	}
 }
 
-// Get falls through the candidate list: a dead first owner hides nothing
-// when the second has the artifact.
+// Get falls through the candidate list after a failed round trip: a dead
+// first owner, or one answering with a corrupt envelope, hides nothing when
+// the second has the artifact.
 func TestPeerGetSecondCandidate(t *testing.T) {
 	st := NewMemory()
 	_ = st.Put(peerKey, []byte("artifact-bytes"))
@@ -130,11 +146,22 @@ func TestPeerGetSecondCandidate(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close()
+	corrupt := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		env := sealEnvelope([]byte("artifact-bytes"))
+		env[len(env)-1] ^= 0xff
+		_, _ = w.Write(env)
+	}))
+	defer corrupt.Close()
 
-	p := NewPeer(func(string) []string { return []string{deadURL, good.URL} }, 0)
-	data, ok := p.Get(peerKey)
-	if !ok || string(data) != "artifact-bytes" {
-		t.Fatalf("fallback Get = %q, %v", data, ok)
+	for _, first := range []string{deadURL, corrupt.URL} {
+		p := NewPeer(func(string) []string { return []string{first, good.URL} }, 0)
+		data, ok := p.Get(peerKey)
+		if !ok || string(data) != "artifact-bytes" {
+			t.Fatalf("fallback Get past %s = %q, %v", first, data, ok)
+		}
+		if _, errs := p.NetStats(); errs != 1 {
+			t.Fatalf("errs = %d after one failed candidate, want 1", errs)
+		}
 	}
 }
 

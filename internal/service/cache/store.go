@@ -6,7 +6,7 @@ import (
 )
 
 // Store is a content-addressed blob store: keys are canonical content
-// hashes (CanonicalHash / LatencyKey), values are opaque artifact bytes.
+// hashes (CanonicalHash, LatencyKey), values are opaque artifact bytes.
 // Implementations must be safe for concurrent use and must treat any entry
 // they cannot fully verify (corrupt, truncated, written by an incompatible
 // schema version) as absent — callers always fall back to recomputing.

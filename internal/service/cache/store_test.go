@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,7 +75,7 @@ func TestDiskSurvivesReopen(t *testing.T) {
 // entryFile locates the single entry file written for key.
 func entryFile(t *testing.T, dir, key string) string {
 	t.Helper()
-	p := filepath.Join(dir, diskVersion, key[:2], key)
+	p := filepath.Join(dir, diskVersion, key[len(key)-2:], key)
 	if _, err := os.Stat(p); err != nil {
 		t.Fatalf("entry file missing: %v", err)
 	}
@@ -199,40 +200,84 @@ func TestLayeredBackfill(t *testing.T) {
 }
 
 func TestLatencyCodecRoundTrip(t *testing.T) {
-	in := map[string]int64{"gemm_m8_k8_n8": 123, "elt_add_r1_c64": 7}
-	data, err := EncodeLatencies(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeLatencies(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) || out["gemm_m8_k8_n8"] != 123 || out["elt_add_r1_c64"] != 7 {
-		t.Fatalf("round trip = %v", out)
+	for _, v := range []int64{0, 1, 7, 123456789, math.MaxInt64} {
+		got, ok := DecodeLatency(EncodeLatency(v))
+		if !ok || got != v {
+			t.Fatalf("round trip of %d = %d, %v", v, got, ok)
+		}
 	}
 }
 
+// Format-1 tables, garbage and non-canonical numbers all read as misses.
 func TestLatencyCodecRejectsWrongSchema(t *testing.T) {
-	if _, err := DecodeLatencies([]byte(`{"schema":99,"latencies":{}}`)); err == nil {
-		t.Fatal("wrong schema accepted")
-	}
-	if _, err := DecodeLatencies([]byte("not json")); err == nil {
-		t.Fatal("garbage accepted")
+	for _, data := range []string{
+		`{"schema":1,"latencies":{"gemm_m8_k8_n8":123}}`,
+		"not a number", "", "-5", "+5", "007", " 7", "7\n", "99999999999999999999",
+	} {
+		if v, ok := DecodeLatency([]byte(data)); ok {
+			t.Errorf("DecodeLatency(%q) = %d, accepted", data, v)
+		}
 	}
 }
 
 func TestLatencyKeyDistinguishesCores(t *testing.T) {
 	type core struct{ SARows, SACols int }
-	a := LatencyKey(core{8, 8})
-	b := LatencyKey(core{16, 16})
-	if a == b {
+	a, b := CanonicalHash(core{8, 8}), CanonicalHash(core{16, 16})
+	ka := LatencyKey(a, "gemm_m8_k8_n8")
+	if ka == LatencyKey(b, "gemm_m8_k8_n8") {
 		t.Fatal("different cores share a latency key")
 	}
-	if a != LatencyKey(core{8, 8}) {
+	if ka == LatencyKey(a, "gemm_m8_k8_n16") {
+		t.Fatal("different kernels share a latency key")
+	}
+	if ka != LatencyKey(CanonicalHash(core{8, 8}), "gemm_m8_k8_n8") {
 		t.Fatal("latency key not stable")
 	}
-	if !strings.HasPrefix(a, "lat-") {
-		t.Fatalf("latency key %q lacks prefix", a)
+	if !strings.HasPrefix(ka, latencyKeyPrefix) || !validKey(ka) {
+		t.Fatalf("latency key %q lacks the format prefix or fails the key check", ka)
+	}
+	// Any signature, however long or odd, yields a valid key.
+	if k := LatencyKey(a, strings.Repeat("a/b:\\x00", 100)); !validKey(k) {
+		t.Fatalf("odd signature gave invalid key %q", k)
+	}
+}
+
+// A writer killed between writing its temp file and renaming it leaves a
+// <key>.tmp* file in the shard directory: Get never serves it, and a later
+// Put of the same key publishes normally.
+func TestDiskCrashedWriterLeavesNoEntry(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := LatencyKey(CanonicalHash("core"), "gemm_m8_k8_n8")
+	if err := os.MkdirAll(filepath.Dir(s.path(key)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// What Put had written when the writer died: a complete envelope under
+	// the temp name, never renamed.
+	tmp, err := os.CreateTemp(filepath.Dir(s.path(key)), key+".tmp*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tmp.Write(sealEnvelope(EncodeLatency(41))); err != nil {
+		t.Fatal(err)
+	}
+	tmp.Close()
+
+	reopened, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := reopened.Get(key); ok {
+		t.Fatalf("Get served the crashed writer's temp file: %q", data)
+	}
+	if err := reopened.Put(key, EncodeLatency(42)); err != nil {
+		t.Fatal(err)
+	}
+	data, ok := reopened.Get(key)
+	if v, vok := DecodeLatency(data); !ok || !vok || v != 42 {
+		t.Fatalf("Get after Put = %q, %v", data, ok)
 	}
 }

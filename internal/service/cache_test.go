@@ -2,12 +2,16 @@ package service
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/compiler"
 	"repro/internal/graph"
+	"repro/internal/isa"
 	"repro/internal/npu"
+	"repro/internal/service/cache"
 	"repro/internal/service/modelzoo"
 )
 
@@ -94,13 +98,13 @@ func TestCompileKeyCanonical(t *testing.T) {
 	for i := 31; i >= 0; i-- {
 		m2[fmt.Sprintf("k%d", i)] = int64(i)
 	}
-	if CanonicalHash(m1) != CanonicalHash(m2) {
+	if cache.CanonicalHash(m1) != cache.CanonicalHash(m2) {
 		t.Fatal("map insertion order changed the canonical hash")
 	}
 
 	// And differing map contents must.
 	m2["k0"] = 99
-	if CanonicalHash(m1) == CanonicalHash(m2) {
+	if cache.CanonicalHash(m1) == cache.CanonicalHash(m2) {
 		t.Fatal("differing map contents hashed identically")
 	}
 }
@@ -177,9 +181,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 }
 
-// A compiler seeded with a previous compilation's tile-latency table skips
-// the timing simulator entirely (MeasureCount stays 0) and produces the
-// same latencies — the property that lets the cache persist the table.
+// A compiler whose latency cache shares a store with a previous compile
+// skips the timing simulator entirely (no measurer call, MeasureCount 0)
+// and produces the identical artifact — the property that lets the store
+// persist latencies.
 func TestSeededCompilerSkipsMeasurement(t *testing.T) {
 	cfg, _ := modelzoo.NPUConfig("small")
 	opts := compiler.DefaultOptions()
@@ -187,7 +192,9 @@ func TestSeededCompilerSkipsMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := cache.NewMemory()
 	c1 := compiler.New(cfg, opts)
+	c1.Cache().SetStore(st)
 	a, err := c1.Compile(g)
 	if err != nil {
 		t.Fatal(err)
@@ -197,19 +204,26 @@ func TestSeededCompilerSkipsMeasurement(t *testing.T) {
 	}
 
 	c2 := compiler.New(cfg, opts)
-	c2.SeedLatencies(c1.Latencies())
+	c2.Cache().SetStore(st)
+	cm := &countingMeasurer{}
+	c2.Measurer = cm
 	b, err := c2.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.MeasureCount() != 0 {
-		t.Fatalf("seeded compile ran the timing simulator %d times, want 0", c2.MeasureCount())
+	if cm.calls.Load() != 0 || c2.MeasureCount() != 0 {
+		t.Fatalf("store-backed compile called the measurer %d times (MeasureCount %d), want 0",
+			cm.calls.Load(), c2.MeasureCount())
 	}
-	for i := range a.TOGs {
-		for k, v := range a.TOGs[i].TileLatencies {
-			if bv := b.TOGs[i].TileLatencies[k]; bv != v {
-				t.Fatalf("latency %q differs in seeded compile: %d vs %d", k, v, bv)
-			}
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("store-backed compile produced a different compilation")
 	}
+}
+
+// countingMeasurer counts calls into the real timing measurer.
+type countingMeasurer struct{ calls atomic.Int64 }
+
+func (m *countingMeasurer) Measure(cfg npu.CoreConfig, p *isa.Program) (int64, error) {
+	m.calls.Add(1)
+	return compiler.TimingMeasurer{}.Measure(cfg, p)
 }

@@ -5,6 +5,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/npu"
 	"repro/internal/sched"
+	"repro/internal/service/cache"
 	"repro/internal/service/modelzoo"
 )
 
@@ -15,7 +16,7 @@ import (
 // and daemon jobs share one cache and each unique configuration compiles
 // exactly once per process. build maps scheduler model names to graphs;
 // pass nil to use the built-in model zoo.
-func SchedCompileFn(cache *Cache, cfg npu.Config, opts compiler.Options,
+func SchedCompileFn(cc *Cache, cfg npu.Config, opts compiler.Options,
 	build func(model string, batch int) (*graph.Graph, error)) sched.CompileFn {
 	if build == nil {
 		build = func(model string, batch int) (*graph.Graph, error) {
@@ -26,11 +27,11 @@ func SchedCompileFn(cache *Cache, cfg npu.Config, opts compiler.Options,
 		// Scheduler model names are free-form (callers may map arbitrary
 		// names to graphs), so the name itself joins the hash alongside
 		// the shape and machine.
-		key := CanonicalHash(struct {
+		key := cache.CanonicalHash(struct {
 			Model string
 			Batch int
 		}{model, batch}, cfg, opts)
-		comp, _, err := cache.Compile(key, cfg, opts, func() (*graph.Graph, error) {
+		comp, _, err := cc.Compile(key, cfg, opts, func() (*graph.Graph, error) {
 			return build(model, batch)
 		})
 		if err != nil {

@@ -378,7 +378,7 @@ type Stats struct {
 	PeerErrors int64 `json:"peer_errors,omitempty"`
 
 	// KernelsMeasured counts kernel measurements run by compilations so
-	// far. A node that compiled a model whose latency table arrived whole
+	// far. A node that compiled a model whose kernel latencies all arrived
 	// from a warm peer (or disk) shows a compile-cache miss here but zero
 	// new measurements — the "zero recompilation" pin of the fleet's
 	// remote cache tier.
@@ -500,9 +500,9 @@ func New(cfg Config) *Service {
 }
 
 // EnableDiskCache attaches the persistent compile-cache tier rooted at dir
-// (layered: in-memory over versioned on-disk entries). Kernel-latency
-// tables measured by this or any previous process become warm-start seeds,
-// so a daemon restart re-measures nothing already covered. Call before
+// (layered: in-memory over versioned on-disk entries). Kernel latencies
+// measured by this or any previous process are read from it before any
+// measurement, so a daemon restart re-measures nothing already covered. Call before
 // Start.
 func (s *Service) EnableDiskCache(dir string) error {
 	disk, err := cache.NewDisk(dir)
