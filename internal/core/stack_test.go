@@ -42,7 +42,7 @@ func TestStackFunnel(t *testing.T) {
 	}{
 		{"single/sn", togsim.SimpleNet, topo.Config{}, gemmGraph(32)},
 		{"single/cn", togsim.CycleNet, preset("single"), gemmGraph(32)},
-		{"pkg2/tensor", togsim.SimpleNet, preset("pkg2"), nn.DecoderTP(nn.DecoderTinyConfig(1, 8, false), 2).Graph},
+		{"pkg2/tensor", togsim.SimpleNet, preset("pkg2"), nn.Decoder(nn.DecoderTinyConfig(1, 8, false), 2).Graph},
 		{"mesh2x2/data", togsim.SimpleNet, preset("mesh2x2"), parallel.DataParallel(gemmGraph(32), 4)},
 	} {
 		t.Run(m.name, func(t *testing.T) {
@@ -163,7 +163,7 @@ func TestSimulatorTopology(t *testing.T) {
 	}
 	sim := NewSimulator(cfg, compiler.DefaultOptions())
 	sim.Topo = tc
-	comp, err := sim.Compile(nn.DecoderTP(nn.DecoderTinyConfig(1, 8, false), 2).Graph)
+	comp, err := sim.Compile(nn.Decoder(nn.DecoderTinyConfig(1, 8, false), 2).Graph)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,7 +226,7 @@ func checkTopoGemmNumerics(c topoCase, parts int) (*graph.Graph, error) {
 // funcsim reference within float32 tolerance (sum order differs: the
 // reference sums heads sequentially, TP sums rank partials).
 func checkTopoDecoderNumerics(cfg nn.DecoderConfig, parts int, seed uint64) (*graph.Graph, error) {
-	ref := nn.Decoder(cfg)
+	ref := nn.Decoder(cfg, 1)
 	env := ref.InitParams(seed)
 	r := tensor.NewRNG(seed + 1)
 	env.Set("x", tensor.RandNormal(r, 0, 1, ref.InputShape...))
@@ -249,7 +249,7 @@ func checkTopoDecoderNumerics(cfg nn.DecoderConfig, parts int, seed uint64) (*gr
 	}
 	want := refVals[ref.OutputID]
 
-	tp := nn.DecoderTP(cfg, parts)
+	tp := nn.Decoder(cfg, parts)
 	replicas := make([]*graph.Graph, parts)
 	for i := range replicas {
 		replicas[i] = tp.Graph

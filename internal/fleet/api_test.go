@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/service"
 )
@@ -196,7 +195,7 @@ func TestDrainingMemberRejectionIsRetryable(t *testing.T) {
 	srv := httptest.NewServer(service.NewHandler(svc))
 	defer srv.Close()
 
-	m := newMemberState(Member{Name: "m0", URL: srv.URL}, time.Second)
+	m := newMemberState(Member{Name: "m0", URL: srv.URL})
 	_, err := m.submit(service.JobSpec{Model: "gemm", N: 32, NPU: "small"})
 	if err == nil || isPermanent(err) {
 		t.Fatalf("submit to a draining member: %v, want a retryable error", err)

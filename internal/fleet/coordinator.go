@@ -27,15 +27,11 @@ type Config struct {
 	// (default 2 per member): each owns a job end to end — submit to the
 	// routed member, poll, re-dispatch on member death, finish.
 	Dispatchers int
-	// PollInterval is the result-poll period (default 5ms); HealthInterval
-	// the member probe period (default 250ms).
-	PollInterval   time.Duration
+	// HealthInterval is the member probe period (default 250ms).
 	HealthInterval time.Duration
 	// MaxAttempts bounds dispatch attempts per job across members
 	// (default 3).
 	MaxAttempts int
-	// Timeout bounds each member HTTP round trip (default 10s).
-	Timeout time.Duration
 	// ResultFault, when set, mutates every result arriving from a member
 	// before the coordinator records it — the fault-injection hook the
 	// fleet crosscheck oracle uses to prove it would catch a member
@@ -148,17 +144,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Dispatchers <= 0 {
 		cfg.Dispatchers = 2 * len(cfg.Members)
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 5 * time.Millisecond
-	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 250 * time.Millisecond
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
 	}
 	names := make([]string, 0, len(cfg.Members))
 	members := map[string]*memberState{}
@@ -169,7 +159,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		if members[m.Name] != nil {
 			return nil, fmt.Errorf("fleet: duplicate member name %q", m.Name)
 		}
-		members[m.Name] = newMemberState(m, cfg.Timeout)
+		members[m.Name] = newMemberState(m)
 		names = append(names, m.Name)
 	}
 	sort.Strings(names)
@@ -368,7 +358,7 @@ func (c *Coordinator) pollResult(m *memberState, remoteID string) (*service.Job,
 		if !m.isUp() {
 			return nil, fmt.Errorf("fleet: member %s went down mid-job", m.Name)
 		}
-		time.Sleep(c.cfg.PollInterval)
+		time.Sleep(pollInterval)
 	}
 }
 

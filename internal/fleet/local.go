@@ -28,11 +28,8 @@ type LocalOptions struct {
 	CacheDir string
 	// MaxCycles is each member's deadlock guard override (0 = default).
 	MaxCycles int64
-	// PeerTimeout bounds peer cache round trips (0 = cache default).
-	PeerTimeout time.Duration
 	// Coordinator knobs, zero = NewCoordinator defaults.
 	Dispatchers    int
-	PollInterval   time.Duration
 	HealthInterval time.Duration
 	MaxAttempts    int
 	// ResultFault is the coordinator's test-only fault hook.
@@ -119,7 +116,7 @@ func StartLocal(opt LocalOptions) (*Local, error) {
 				return nil, err
 			}
 		}
-		svc.EnablePeerCache(cache.NewPeer(resolve, opt.PeerTimeout))
+		svc.EnablePeerCache(cache.NewPeer(resolve, 0))
 		svc.Start()
 		srv := &http.Server{Handler: service.NewHandler(svc)}
 		m := &localMember{name: self, url: urls[self], svc: svc, srv: srv}
@@ -137,7 +134,6 @@ func StartLocal(opt LocalOptions) (*Local, error) {
 		TenantQueueDepth: opt.TenantQueueDepth,
 		TenantWeights:    opt.TenantWeights,
 		Dispatchers:      opt.Dispatchers,
-		PollInterval:     opt.PollInterval,
 		HealthInterval:   opt.HealthInterval,
 		MaxAttempts:      opt.MaxAttempts,
 		ResultFault:      opt.ResultFault,

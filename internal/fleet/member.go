@@ -33,6 +33,10 @@ const (
 	healthFailures = 3
 	// maxRespBytes caps any member response the coordinator parses.
 	maxRespBytes = 8 << 20
+	// memberTimeout bounds each member HTTP round trip; pollInterval is a
+	// dispatcher's result-poll period.
+	memberTimeout = 10 * time.Second
+	pollInterval  = 5 * time.Millisecond
 )
 
 // permanentError marks a member rejection that re-dispatching cannot fix
@@ -64,10 +68,10 @@ type memberState struct {
 	dispatched int64 // jobs this coordinator sent here
 }
 
-func newMemberState(m Member, timeout time.Duration) *memberState {
+func newMemberState(m Member) *memberState {
 	return &memberState{
 		Member: m,
-		client: &http.Client{Timeout: timeout},
+		client: &http.Client{Timeout: memberTimeout},
 		up:     true, // optimistic until the first probe says otherwise
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/tensor"
 )
 
 // DecoderConfig parameterizes a transformer decoder block stack for LLM
@@ -58,34 +59,67 @@ func DecoderBaseConfig(batch, ctx int, prefill bool) DecoderConfig {
 		Hidden: 768, Heads: 12, Layers: 12, FFN: 3072, Prefill: prefill}
 }
 
-// Decoder builds a transformer decoder block stack. Like BERT, attention
-// is expressed per head with separate projections (identical to slicing a
-// fused projection), normalization is RMSNorm (pre-norm, no bias), and the
-// MLP uses GELU. Prefill processes Batch*Ctx tokens with full attention;
-// decode processes Batch single tokens against per-head KV-cache inputs.
-func Decoder(cfg DecoderConfig) *Model {
+// Decoder builds a transformer decoder block stack, either whole
+// (parts == 1) or as the tensor-parallel shard each of `parts` ranks runs,
+// Megatron-style. Like BERT, attention is expressed per head with separate
+// projections (identical to slicing a fused projection), normalization is
+// RMSNorm (pre-norm, no bias), and the MLP uses GELU. Prefill processes
+// Batch*Ctx tokens with full attention; decode processes Batch single
+// tokens against per-head KV-cache inputs.
+//
+// With parts > 1:
+//
+//   - Attention splits by head: each rank computes Heads/parts heads, sums
+//     its head projections locally, then an all_reduce completes the
+//     attention output across ranks.
+//   - The MLP column-shards w1 (Hidden, FFN/parts) and row-shards w2
+//     (FFN/parts, Hidden); the partial ffn2 products all_reduce.
+//   - Residual streams and RMSNorms are replicated on every rank.
+//
+// The shard graph is rank-0-normalized and named with a -tp<parts>
+// suffix: every rank runs this same graph, with rank r's environment
+// binding its own weight shards (see ShardDecoderEnv) and the runtime
+// binding collective peers around the ring. Activation input x is
+// replicated.
+func Decoder(cfg DecoderConfig, parts int) *Model {
 	if cfg.Hidden%cfg.Heads != 0 {
 		panic("nn: hidden must be divisible by heads")
 	}
-	if cfg.Prefill {
-		return decoderPrefill(cfg)
+	if parts < 1 || cfg.Heads%parts != 0 || cfg.FFN%parts != 0 {
+		panic(fmt.Sprintf("nn: heads (%d) and FFN (%d) must divide across %d ranks",
+			cfg.Heads, cfg.FFN, parts))
 	}
-	return decoderDecode(cfg)
-}
-
-// decoderPrefill is the full-attention prompt pass over Batch*Ctx tokens.
-func decoderPrefill(cfg DecoderConfig) *Model {
-	g := graph.New(fmt.Sprintf("%s-prefill", cfg.Name))
-	tokens := cfg.Batch * cfg.Ctx
+	kvLen := cfg.KVLen
+	if kvLen <= 0 {
+		kvLen = cfg.Ctx
+	}
+	rows, pass := cfg.Batch, "decode" // one new token per sequence
+	if cfg.Prefill {
+		rows, pass = cfg.Batch*cfg.Ctx, "prefill"
+	}
+	name := cfg.Name + "-" + pass
+	if parts > 1 {
+		name += fmt.Sprintf("-tp%d", parts)
+	}
+	headsPer := cfg.Heads / parts
+	ffnPer := cfg.FFN / parts
 	dHead := cfg.Hidden / cfg.Heads
 
-	x := g.Input("x", tokens, cfg.Hidden)
-	cur := x
+	g := graph.New(name)
+	cur := g.Input("x", rows, cfg.Hidden)
 	mm := func(name string, a, w *graph.Node, m, n int) *graph.Node {
 		return g.Add(&graph.Node{Op: graph.OpMatMul, Name: name, Inputs: []int{a.ID, w.ID}, Shape: []int{m, n}})
 	}
 	add := func(name string, a, b *graph.Node) *graph.Node {
 		return g.Add(&graph.Node{Op: graph.OpAdd, Name: name, Inputs: []int{a.ID, b.ID}, Shape: append([]int(nil), a.Shape...)})
+	}
+	// allReduce completes a sum of rank partials; the whole model has none.
+	allReduce := func(name string, a *graph.Node) *graph.Node {
+		if parts == 1 {
+			return a
+		}
+		return g.Add(&graph.Node{Op: graph.OpAllReduce, Name: name, Parts: parts,
+			Inputs: []int{a.ID}, Shape: append([]int(nil), a.Shape...)})
 	}
 
 	for l := 0; l < cfg.Layers; l++ {
@@ -94,117 +128,67 @@ func decoderPrefill(cfg DecoderConfig) *Model {
 		g1 := g.Param(p("attn_norm_gamma"), cfg.Hidden)
 		normed := g.Add(&graph.Node{
 			Op: graph.OpRMSNorm, Name: p("attn_norm"),
-			Inputs: []int{cur.ID, g1.ID}, Shape: []int{tokens, cfg.Hidden},
-		})
-		var attnOut *graph.Node
-		for h := 0; h < cfg.Heads; h++ {
-			hp := func(s string) string { return fmt.Sprintf("l%d_h%d_%s", l, h, s) }
-			wq := g.Param(hp("wq"), cfg.Hidden, dHead)
-			wk := g.Param(hp("wk"), cfg.Hidden, dHead)
-			wv := g.Param(hp("wv"), cfg.Hidden, dHead)
-			q := mm(hp("q"), normed, wq, tokens, dHead)
-			k := mm(hp("k"), normed, wk, tokens, dHead)
-			v := mm(hp("v"), normed, wv, tokens, dHead)
-			scores := g.Add(&graph.Node{
-				Op: graph.OpMatMulTB, Name: hp("scores"),
-				Inputs: []int{q.ID, k.ID}, Shape: []int{tokens, tokens},
-			})
-			scaled := g.Add(&graph.Node{
-				Op: graph.OpScale, Name: hp("scaled"), ScaleF: 1 / sqrtf(dHead),
-				Inputs: []int{scores.ID}, Shape: []int{tokens, tokens},
-			})
-			probs := g.Add(&graph.Node{
-				Op: graph.OpSoftmax, Name: hp("probs"),
-				Inputs: []int{scaled.ID}, Shape: []int{tokens, tokens},
-			})
-			ctx := mm(hp("ctx"), probs, v, tokens, dHead)
-			wo := g.Param(hp("wo"), dHead, cfg.Hidden)
-			proj := mm(hp("proj"), ctx, wo, tokens, cfg.Hidden)
-			if attnOut == nil {
-				attnOut = proj
-			} else {
-				attnOut = add(hp("headsum"), attnOut, proj)
-			}
-		}
-		cur = add(p("res1"), attnOut, cur)
-		// Pre-norm MLP.
-		g2 := g.Param(p("mlp_norm_gamma"), cfg.Hidden)
-		normed2 := g.Add(&graph.Node{
-			Op: graph.OpRMSNorm, Name: p("mlp_norm"),
-			Inputs: []int{cur.ID, g2.ID}, Shape: []int{tokens, cfg.Hidden},
-		})
-		cur = add(p("res2"), decoderMLP(g, normed2, l, tokens, cfg), cur)
-	}
-	g.Outputs = []int{cur.ID}
-	m := newModel(g.Name, g)
-	m.OutputID = cur.ID
-	return m
-}
-
-// decoderDecode is one autoregressive step: Batch current tokens attend
-// against per-head KV caches of kvLen tokens (graph inputs, i.e. DRAM
-// tensors streamed in by DMA).
-func decoderDecode(cfg DecoderConfig) *Model {
-	kvLen := cfg.KVLen
-	if kvLen <= 0 {
-		kvLen = cfg.Ctx
-	}
-	g := graph.New(fmt.Sprintf("%s-decode", cfg.Name))
-	rows := cfg.Batch // one new token per sequence
-	dHead := cfg.Hidden / cfg.Heads
-
-	x := g.Input("x", rows, cfg.Hidden)
-	cur := x
-	mm := func(name string, a, w *graph.Node, m, n int) *graph.Node {
-		return g.Add(&graph.Node{Op: graph.OpMatMul, Name: name, Inputs: []int{a.ID, w.ID}, Shape: []int{m, n}})
-	}
-	add := func(name string, a, b *graph.Node) *graph.Node {
-		return g.Add(&graph.Node{Op: graph.OpAdd, Name: name, Inputs: []int{a.ID, b.ID}, Shape: append([]int(nil), a.Shape...)})
-	}
-
-	for l := 0; l < cfg.Layers; l++ {
-		p := func(s string) string { return fmt.Sprintf("l%d_%s", l, s) }
-		g1 := g.Param(p("attn_norm_gamma"), cfg.Hidden)
-		normed := g.Add(&graph.Node{
-			Op: graph.OpRMSNorm, Name: p("attn_norm"),
 			Inputs: []int{cur.ID, g1.ID}, Shape: []int{rows, cfg.Hidden},
 		})
-		var attnOut *graph.Node
-		for h := 0; h < cfg.Heads; h++ {
+		// h is the rank-local head index; rank r's env binds global head
+		// r*headsPer+h under these names.
+		var attnPart *graph.Node
+		for h := 0; h < headsPer; h++ {
 			hp := func(s string) string { return fmt.Sprintf("l%d_h%d_%s", l, h, s) }
+			// Prefill declares all three projection weights before the
+			// products: node IDs are part of kernel and TOG names, so
+			// this order keeps compiled artifacts stable.
 			wq := g.Param(hp("wq"), cfg.Hidden, dHead)
+			var wk, wv, k, v *graph.Node
+			if cfg.Prefill {
+				wk = g.Param(hp("wk"), cfg.Hidden, dHead)
+				wv = g.Param(hp("wv"), cfg.Hidden, dHead)
+			}
 			q := mm(hp("q"), normed, wq, rows, dHead)
-			// The KV cache: kvLen previously processed tokens per head.
-			kc := g.Input(hp("kcache"), kvLen, dHead)
-			vc := g.Input(hp("vcache"), kvLen, dHead)
+			if cfg.Prefill {
+				k = mm(hp("k"), normed, wk, rows, dHead)
+				v = mm(hp("v"), normed, wv, rows, dHead)
+			} else {
+				// The KV cache: kvLen previously processed tokens per
+				// head, graph inputs the NPU must stream in by DMA.
+				k = g.Input(hp("kcache"), kvLen, dHead)
+				v = g.Input(hp("vcache"), kvLen, dHead)
+			}
 			scores := g.Add(&graph.Node{
 				Op: graph.OpMatMulTB, Name: hp("scores"),
-				Inputs: []int{q.ID, kc.ID}, Shape: []int{rows, kvLen},
+				Inputs: []int{q.ID, k.ID}, Shape: []int{rows, k.Shape[0]},
 			})
 			scaled := g.Add(&graph.Node{
 				Op: graph.OpScale, Name: hp("scaled"), ScaleF: 1 / sqrtf(dHead),
-				Inputs: []int{scores.ID}, Shape: []int{rows, kvLen},
+				Inputs: []int{scores.ID}, Shape: append([]int(nil), scores.Shape...),
 			})
 			probs := g.Add(&graph.Node{
 				Op: graph.OpSoftmax, Name: hp("probs"),
-				Inputs: []int{scaled.ID}, Shape: []int{rows, kvLen},
+				Inputs: []int{scaled.ID}, Shape: append([]int(nil), scaled.Shape...),
 			})
-			ctx := mm(hp("ctx"), probs, vc, rows, dHead)
+			ctx := mm(hp("ctx"), probs, v, rows, dHead)
 			wo := g.Param(hp("wo"), dHead, cfg.Hidden)
 			proj := mm(hp("proj"), ctx, wo, rows, cfg.Hidden)
-			if attnOut == nil {
-				attnOut = proj
+			if attnPart == nil {
+				attnPart = proj
 			} else {
-				attnOut = add(hp("headsum"), attnOut, proj)
+				attnPart = add(hp("headsum"), attnPart, proj)
 			}
 		}
-		cur = add(p("res1"), attnOut, cur)
+		cur = add(p("res1"), allReduce(p("attn_ar"), attnPart), cur)
+
+		// Pre-norm GELU MLP: column-parallel w1, row-parallel w2.
 		g2 := g.Param(p("mlp_norm_gamma"), cfg.Hidden)
 		normed2 := g.Add(&graph.Node{
 			Op: graph.OpRMSNorm, Name: p("mlp_norm"),
 			Inputs: []int{cur.ID, g2.ID}, Shape: []int{rows, cfg.Hidden},
 		})
-		cur = add(p("res2"), decoderMLP(g, normed2, l, rows, cfg), cur)
+		w1 := g.Param(p("ffn_w1"), cfg.Hidden, ffnPer)
+		f1 := mm(p("ffn1"), normed2, w1, rows, ffnPer)
+		act := g.Add(&graph.Node{Op: graph.OpGELU, Name: p("gelu"), Inputs: []int{f1.ID}, Shape: []int{rows, ffnPer}})
+		w2 := g.Param(p("ffn_w2"), ffnPer, cfg.Hidden)
+		f2 := mm(p("ffn2"), act, w2, rows, cfg.Hidden)
+		cur = add(p("res2"), allReduce(p("mlp_ar"), f2), cur)
 	}
 	g.Outputs = []int{cur.ID}
 	m := newModel(g.Name, g)
@@ -212,12 +196,61 @@ func decoderDecode(cfg DecoderConfig) *Model {
 	return m
 }
 
-// decoderMLP is the GELU feed-forward block shared by both passes.
-func decoderMLP(g *graph.Graph, in *graph.Node, layer, rows int, cfg DecoderConfig) *graph.Node {
-	p := func(s string) string { return fmt.Sprintf("l%d_%s", layer, s) }
-	w1 := g.Param(p("ffn_w1"), cfg.Hidden, cfg.FFN)
-	f1 := g.Add(&graph.Node{Op: graph.OpMatMul, Name: p("ffn1"), Inputs: []int{in.ID, w1.ID}, Shape: []int{rows, cfg.FFN}})
-	act := g.Add(&graph.Node{Op: graph.OpGELU, Name: p("gelu"), Inputs: []int{f1.ID}, Shape: []int{rows, cfg.FFN}})
-	w2 := g.Param(p("ffn_w2"), cfg.FFN, cfg.Hidden)
-	return g.Add(&graph.Node{Op: graph.OpMatMul, Name: p("ffn2"), Inputs: []int{act.ID, w2.ID}, Shape: []int{rows, cfg.Hidden}})
+// ShardDecoderEnv slices a full decoder environment (weights from
+// Decoder(cfg, 1).InitParams plus inputs) into the per-rank environments a
+// Decoder(cfg, parts) replica set executes with: rank r takes global heads
+// [r*headsPer, (r+1)*headsPer) under local head names, w1 columns and w2
+// rows [r*ffnPer, (r+1)*ffnPer), and replicated copies of everything else
+// (norm gammas, x). Decode KV-cache inputs shard by head like the head
+// weights.
+func ShardDecoderEnv(cfg DecoderConfig, full *graph.Env, parts int) []*graph.Env {
+	headsPer := cfg.Heads / parts
+	ffnPer := cfg.FFN / parts
+	envs := make([]*graph.Env, parts)
+	for r := range envs {
+		env := graph.NewEnv()
+		for l := 0; l < cfg.Layers; l++ {
+			p := func(s string) string { return fmt.Sprintf("l%d_%s", l, s) }
+			env.Set(p("attn_norm_gamma"), full.Values[p("attn_norm_gamma")])
+			env.Set(p("mlp_norm_gamma"), full.Values[p("mlp_norm_gamma")])
+			for h := 0; h < headsPer; h++ {
+				gh := r*headsPer + h
+				local := func(s string) string { return fmt.Sprintf("l%d_h%d_%s", l, h, s) }
+				global := func(s string) string { return fmt.Sprintf("l%d_h%d_%s", l, gh, s) }
+				for _, w := range []string{"wq", "wo"} {
+					env.Set(local(w), full.Values[global(w)])
+				}
+				if cfg.Prefill {
+					env.Set(local("wk"), full.Values[global("wk")])
+					env.Set(local("wv"), full.Values[global("wv")])
+				} else {
+					env.Set(local("kcache"), full.Values[global("kcache")])
+					env.Set(local("vcache"), full.Values[global("vcache")])
+				}
+			}
+			env.Set(p("ffn_w1"), sliceCols(full.Values[p("ffn_w1")], r*ffnPer, ffnPer))
+			env.Set(p("ffn_w2"), sliceRows(full.Values[p("ffn_w2")], r*ffnPer, ffnPer))
+		}
+		env.Set("x", full.Values["x"])
+		envs[r] = env
+	}
+	return envs
+}
+
+// sliceCols returns columns [off, off+n) of a 2-D tensor.
+func sliceCols(t *tensor.Tensor, off, n int) *tensor.Tensor {
+	rows, cols := t.Shape[0], t.Shape[1]
+	out := tensor.New(rows, n)
+	for i := 0; i < rows; i++ {
+		copy(out.Data[i*n:(i+1)*n], t.Data[i*cols+off:i*cols+off+n])
+	}
+	return out
+}
+
+// sliceRows returns rows [off, off+n) of a 2-D tensor.
+func sliceRows(t *tensor.Tensor, off, n int) *tensor.Tensor {
+	cols := t.Shape[1]
+	out := tensor.New(n, cols)
+	copy(out.Data, t.Data[off*cols:(off+n)*cols])
+	return out
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -28,7 +29,7 @@ func decodeEnv(m *Model, cfg DecoderConfig, seed uint64) *graph.Env {
 
 func TestDecoderPrefillExecutes(t *testing.T) {
 	cfg := DecoderTinyConfig(2, 4, true)
-	m := Decoder(cfg)
+	m := Decoder(cfg, 1)
 	if got := m.InputShape; got[0] != 2*4 || got[1] != cfg.Hidden {
 		t.Fatalf("prefill input shape %v", got)
 	}
@@ -47,7 +48,7 @@ func TestDecoderPrefillExecutes(t *testing.T) {
 
 func TestDecoderDecodeExecutes(t *testing.T) {
 	cfg := DecoderTinyConfig(3, 8, false)
-	m := Decoder(cfg)
+	m := Decoder(cfg, 1)
 	if got := m.InputShape; got[0] != 3 || got[1] != cfg.Hidden {
 		t.Fatalf("decode input shape %v (want one row per sequence)", got)
 	}
@@ -75,7 +76,7 @@ func TestDecoderDecodeExecutes(t *testing.T) {
 // attention: softmax(q K^T / sqrt(d)) V.
 func TestDecoderDecodeAttentionReference(t *testing.T) {
 	cfg := DecoderTinyConfig(2, 5, false)
-	m := Decoder(cfg)
+	m := Decoder(cfg, 1)
 	env := decodeEnv(m, cfg, 11)
 	vals, err := graph.Execute(m.Graph, env)
 	if err != nil {
@@ -111,7 +112,7 @@ func TestDecoderKVLenPadding(t *testing.T) {
 	a.KVLen = 8
 	b := DecoderTinyConfig(1, 7, false)
 	b.KVLen = 8
-	ga, gb := Decoder(a).Graph, Decoder(b).Graph
+	ga, gb := Decoder(a, 1).Graph, Decoder(b, 1).Graph
 	if len(ga.Nodes) != len(gb.Nodes) {
 		t.Fatalf("padded graphs differ in size: %d vs %d", len(ga.Nodes), len(gb.Nodes))
 	}
@@ -119,6 +120,64 @@ func TestDecoderKVLenPadding(t *testing.T) {
 		na, nb := ga.Nodes[i], gb.Nodes[i]
 		if na.Op != nb.Op || fmt.Sprint(na.Shape) != fmt.Sprint(nb.Shape) {
 			t.Fatalf("node %d differs: %s%v vs %s%v", i, na.Op, na.Shape, nb.Op, nb.Shape)
+		}
+	}
+}
+
+// decoderByHand computes the whole decoder forward pass from env with
+// tensor ops alone, sharing no code with the graph builder or executor:
+// per layer, RMSNorm, every attention head (prefill projects K/V from the
+// tokens, decode reads the KV-cache inputs), the head sum and residual,
+// then RMSNorm, the GELU MLP and the second residual.
+func decoderByHand(cfg DecoderConfig, env *graph.Env) *tensor.Tensor {
+	w := func(format string, a ...any) *tensor.Tensor { return env.Values[fmt.Sprintf(format, a...)] }
+	const eps = 1e-5
+	scale := float32(1 / math.Sqrt(float64(cfg.Hidden/cfg.Heads)))
+	x := env.Values["x"]
+	for l := 0; l < cfg.Layers; l++ {
+		normed := tensor.RMSNorm(x, w("l%d_attn_norm_gamma", l), eps)
+		var attn *tensor.Tensor
+		for h := 0; h < cfg.Heads; h++ {
+			q := tensor.MatMul(normed, w("l%d_h%d_wq", l, h))
+			k, v := w("l%d_h%d_kcache", l, h), w("l%d_h%d_vcache", l, h)
+			if cfg.Prefill {
+				k = tensor.MatMul(normed, w("l%d_h%d_wk", l, h))
+				v = tensor.MatMul(normed, w("l%d_h%d_wv", l, h))
+			}
+			probs := tensor.Softmax(tensor.Scale(tensor.MatMulTransB(q, k), scale))
+			proj := tensor.MatMul(tensor.MatMul(probs, v), w("l%d_h%d_wo", l, h))
+			if attn == nil {
+				attn = proj
+			} else {
+				attn = tensor.Add(attn, proj)
+			}
+		}
+		x = tensor.Add(x, attn)
+		normed2 := tensor.RMSNorm(x, w("l%d_mlp_norm_gamma", l), eps)
+		mlp := tensor.MatMul(tensor.GELU(tensor.MatMul(normed2, w("l%d_ffn_w1", l))), w("l%d_ffn_w2", l))
+		x = tensor.Add(x, mlp)
+	}
+	return x
+}
+
+// The built decoder, prefill and decode, must equal the hand-computed
+// layer stack. This is the reference that shares no code with Decoder:
+// the tensor-parallel tests compare two outputs of the same builder.
+func TestDecoderMatchesHandReference(t *testing.T) {
+	for _, cfg := range []DecoderConfig{
+		DecoderTinyConfig(2, 4, true),
+		DecoderTinyConfig(3, 6, false),
+	} {
+		m := Decoder(cfg, 1)
+		env := decodeEnv(m, cfg, 23)
+		vals, err := graph.Execute(m.Graph, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := vals[m.OutputID], decoderByHand(cfg, env)
+		if !tensor.AllClose(got, want, 1e-4, 1e-4) {
+			t.Fatalf("%s (prefill=%v) disagrees with the hand reference (max |Δ| %g)",
+				m.Graph.Name, cfg.Prefill, tensor.MaxAbsDiff(got, want))
 		}
 	}
 }

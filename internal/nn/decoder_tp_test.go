@@ -12,7 +12,7 @@ import (
 // reference sums heads sequentially, TP sums rank partials).
 func testDecoderTPMatches(t *testing.T, cfg DecoderConfig, parts int) {
 	t.Helper()
-	ref := Decoder(cfg)
+	ref := Decoder(cfg, 1)
 	env := decodeEnv(ref, cfg, 17)
 	refVals, err := graph.Execute(ref.Graph, env)
 	if err != nil {
@@ -20,7 +20,7 @@ func testDecoderTPMatches(t *testing.T, cfg DecoderConfig, parts int) {
 	}
 	want := refVals[ref.OutputID]
 
-	tp := DecoderTP(cfg, parts)
+	tp := Decoder(cfg, parts)
 	replicas := make([]*graph.Graph, parts)
 	for r := range replicas {
 		replicas[r] = tp.Graph
@@ -55,8 +55,8 @@ func TestDecoderTPFourWay(t *testing.T) {
 // structural, so placement only rebinds tensors, never recompiles.
 func TestDecoderTPParamFootprintShrinks(t *testing.T) {
 	cfg := DecoderTinyConfig(2, 8, false)
-	full := Decoder(cfg)
-	tp := DecoderTP(cfg, 2)
+	full := Decoder(cfg, 1)
+	tp := Decoder(cfg, 2)
 	if tp.ParamBytes() >= full.ParamBytes() {
 		t.Fatalf("TP shard params (%d B) should be smaller than full model (%d B)",
 			tp.ParamBytes(), full.ParamBytes())

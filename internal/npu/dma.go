@@ -54,15 +54,6 @@ func (d DMADesc) TotalBytes() int {
 	return n.Outer * n.Rows * n.Cols * n.ElemBytes
 }
 
-// SpadBlockBytes returns scratchpad bytes consumed per outer block.
-func (d DMADesc) SpadBlockBytes() int {
-	n := d.Normalize()
-	if n.Transpose {
-		return n.Cols * n.SpadStride
-	}
-	return n.Rows * n.SpadStride
-}
-
 // Validate rejects descriptors the hardware cannot express.
 func (d DMADesc) Validate() error {
 	n := d.Normalize()

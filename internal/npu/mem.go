@@ -74,9 +74,6 @@ func (m *PagedMem) ReadFloats(addr uint64, n int) []float32 {
 	return out
 }
 
-// FootprintBytes returns the bytes touched (allocated pages).
-func (m *PagedMem) FootprintBytes() int64 { return int64(len(m.pages)) * pageBytes }
-
 // Scratchpad is the per-core software-managed SRAM, mapped at isa.SpadBase.
 // Its storage is paged: a page is allocated by the first store into it and a
 // word never stored reads 0, so a core whose kernel touches a few tiles of a

@@ -1,7 +1,7 @@
 // Package metrics is a small, dependency-free metrics registry exposing
 // the Prometheus text exposition format (the role of client_golang,
-// without the dependency). It supports monotonic counters, gauges,
-// fixed-bucket histograms, and scrape-time collector functions so a
+// without the dependency). It supports fixed-bucket histograms and
+// scrape-time collector functions that emit counters and gauges, so a
 // server can emit every gauge from one consistent snapshot — the property
 // the ptsimd /metrics endpoint relies on to never disagree with /stats
 // mid-scrape.
@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // Collector emits zero or more metric families at scrape time.
@@ -43,20 +42,6 @@ func (r *Registry) Register(c Collector) {
 	r.mu.Lock()
 	r.cs = append(r.cs, c)
 	r.mu.Unlock()
-}
-
-// NewCounter registers and returns a monotonic counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.Register(c)
-	return c
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.Register(g)
-	return g
 }
 
 // NewHistogram registers and returns a histogram over the given ascending
@@ -95,39 +80,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 }
 
 // --- instruments ----------------------------------------------------------
-
-// Counter is a monotonically increasing integer counter.
-type Counter struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add increases the counter by n (n must be non-negative).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Collect implements Collector.
-func (c *Counter) Collect(e *Emitter) { e.Counter(c.name, c.help, float64(c.v.Load())) }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Collect implements Collector.
-func (g *Gauge) Collect(e *Emitter) { e.Gauge(g.name, g.help, g.Value()) }
 
 // Histogram counts observations into fixed buckets.
 type Histogram struct {

@@ -13,13 +13,12 @@ var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (\+In
 
 func TestExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("jobs_done_total", "Finished jobs.")
-	g := r.NewGauge("queue_depth", "Jobs waiting.")
+	r.Register(CollectorFunc(func(e *Emitter) {
+		e.Counter("jobs_done_total", "Finished jobs.", 4)
+		e.Gauge("queue_depth", "Jobs waiting.", 7)
+	}))
 	h := r.NewHistogram("latency_seconds", "Job latency.", []float64{0.1, 1, 10})
 
-	c.Add(3)
-	c.Inc()
-	g.Set(7)
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}

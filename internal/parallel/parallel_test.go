@@ -53,7 +53,7 @@ func TestDataParallelAppendsAllReduce(t *testing.T) {
 // for the given part count.
 func compileTP(t *testing.T, cfg npu.Config, parts int) *compiler.Compiled {
 	t.Helper()
-	m := nn.DecoderTP(nn.DecoderTinyConfig(2, 8, false), parts)
+	m := nn.Decoder(nn.DecoderTinyConfig(2, 8, false), parts)
 	comp, err := compiler.New(cfg, compiler.DefaultOptions()).Compile(m.Graph)
 	if err != nil {
 		t.Fatal(err)

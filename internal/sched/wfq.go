@@ -3,7 +3,6 @@ package sched
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -193,16 +192,4 @@ func (q *FairQueue[T]) Depths() map[string]int {
 		out[name] = len(tq.items)
 	}
 	return out
-}
-
-// Tenants lists every tenant seen so far in sorted order.
-func (q *FairQueue[T]) Tenants() []string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	names := make([]string, 0, len(q.tenants))
-	for name := range q.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

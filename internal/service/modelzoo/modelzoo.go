@@ -95,6 +95,9 @@ func Known(model string) bool {
 // BuildGraph captures the graph for a spec (the model zoo of Fig. 1).
 func BuildGraph(s Spec) (*graph.Graph, error) {
 	s = s.Normalize()
+	if cfg, ok := decoderConfig(s); ok {
+		return nn.Decoder(cfg, 1).Graph, nil
+	}
 	switch s.Model {
 	case "gemm":
 		return exp.GEMMGraph(s.N), nil
@@ -108,12 +111,6 @@ func BuildGraph(s Spec) (*graph.Graph, error) {
 		return nn.BERT(nn.BERTBaseConfig(s.Batch, s.Seq)).Graph, nil
 	case "bert-large":
 		return nn.BERT(nn.BERTLargeConfig(s.Batch, s.Seq)).Graph, nil
-	case "decoder-tiny":
-		return nn.Decoder(nn.DecoderTinyConfig(s.Batch, s.Ctx, s.Prefill)).Graph, nil
-	case "decoder-small":
-		return nn.Decoder(nn.DecoderSmallConfig(s.Batch, s.Ctx, s.Prefill)).Graph, nil
-	case "decoder-base":
-		return nn.Decoder(nn.DecoderBaseConfig(s.Batch, s.Ctx, s.Prefill)).Graph, nil
 	case "mlp-train":
 		// One full training step (forward + backward + SGD updates), the
 		// §5.5 per-iteration workload.
@@ -134,7 +131,8 @@ func Topology(s Spec, mem npu.MemConfig) (topo.Config, error) {
 	return topo.Preset(s.Normalize().Topology, mem)
 }
 
-// decoderConfig resolves a decoder spec's nn config (decoder models only).
+// decoderConfig resolves a decoder spec's nn config (decoder models only);
+// it is the one place a decoder model name maps to its size.
 func decoderConfig(s Spec) (nn.DecoderConfig, bool) {
 	switch s.Model {
 	case "decoder-tiny":
@@ -178,7 +176,7 @@ func BuildRankGraph(s Spec, parts int) (*graph.Graph, error) {
 			return nil, fmt.Errorf("modelzoo: %s (heads=%d, ffn=%d) does not shard %d ways",
 				s.Model, cfg.Heads, cfg.FFN, parts)
 		}
-		return nn.DecoderTP(cfg, parts).Graph, nil
+		return nn.Decoder(cfg, parts).Graph, nil
 	default:
 		return nil, fmt.Errorf("modelzoo: unknown strategy %q", s.Parallel)
 	}

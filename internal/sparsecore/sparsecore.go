@@ -56,82 +56,6 @@ func (c Config) TileCycles(a, b *sparse.CSR) int64 {
 	return c.FetchOverhead + phase + c.PipelineFill
 }
 
-// CycleSim is the detailed reference simulator standing in for the original
-// SST-STONNE: it walks the outer products k-slice by k-slice, accounting
-// multiplier occupancy and merge throughput per slice (finer rounding than
-// the tile-level formula), plus flat-latency memory fetches per fibre. It
-// cross-checks the tile formula; the §5.1 TLS validation compares against
-// EventSim instead.
-type CycleSim struct {
-	Cfg        Config
-	MemLatency int64 // flat DRAM latency in cycles (the paper uses 100 ns)
-	LoadBW     int64 // operand-fetch bytes per cycle
-	StoreBW    int64 // writeback bytes per cycle
-	// Tiles is the number of tile steps the equivalent tiled execution
-	// performs; each pays the per-tile fetch/pipeline overhead. Zero means
-	// a single monolithic pass.
-	Tiles int
-}
-
-// Run simulates one SpMSpM and returns the total cycle count. Operand
-// streaming, compute, and result writeback overlap (the accelerator
-// pipelines fibre fetches against the multiplier/merge datapath); the run
-// is gated by the slowest of the three streams plus the fill latencies.
-func (s CycleSim) Run(a, b *sparse.CSR) int64 {
-	if a.Cols != b.Rows {
-		panic("sparsecore: dimension mismatch")
-	}
-	loadBW := s.LoadBW
-	if loadBW <= 0 {
-		loadBW = 64
-	}
-	storeBW := s.StoreBW
-	if storeBW <= 0 {
-		storeBW = loadBW
-	}
-	fetch := ceilDiv64(int64(csrBytes(a)+csrBytes(b)), loadBW)
-
-	// Per-k-slice outer products: each slice's products occupy the
-	// multipliers for ceil(n_k/M) cycles, and the merge network runs behind
-	// them; the slower unit gates each slice.
-	colNNZ := make([]int64, a.Cols)
-	for _, c := range a.ColIdx {
-		colNNZ[c]++
-	}
-	var compute int64
-	for k := 0; k < a.Cols; k++ {
-		nk := colNNZ[k] * int64(b.RowNNZ(k))
-		if nk == 0 {
-			continue
-		}
-		mc := ceilDiv64(nk, int64(s.Cfg.Multipliers))
-		gc := ceilDiv64(nk, int64(s.Cfg.MergePorts))
-		if gc > mc {
-			mc = gc
-		}
-		compute += mc
-	}
-	tiles := int64(s.Tiles)
-	if tiles < 1 {
-		tiles = 1
-	}
-	compute += tiles * (s.Cfg.PipelineFill + s.Cfg.FetchOverhead)
-
-	out := sparse.SpMSpM(a, b)
-	writeback := ceilDiv64(int64(csrBytes(out)), storeBW)
-
-	steady := fetch
-	if compute > steady {
-		steady = compute
-	}
-	if writeback > steady {
-		steady = writeback
-	}
-	// Two memory latencies bracket the pipeline: first fibre in, last
-	// result out.
-	return 2*s.MemLatency + steady
-}
-
 // csrBytes is the fibre footprint of a CSR matrix (values + column indices
 // + row pointers).
 func csrBytes(m *sparse.CSR) int {

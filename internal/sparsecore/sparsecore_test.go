@@ -3,11 +3,8 @@ package sparsecore
 import (
 	"testing"
 
-	"repro/internal/npu"
 	"repro/internal/sparse"
 	"repro/internal/tensor"
-	"repro/internal/tog"
-	"repro/internal/togsim"
 )
 
 func TestTileCyclesDataDependent(t *testing.T) {
@@ -39,22 +36,6 @@ func TestTileCyclesDeterministicPerTile(t *testing.T) {
 	}
 }
 
-func TestCycleSimCloseToTileFormula(t *testing.T) {
-	// The detailed per-slice model and the tile formula must agree within a
-	// few percent on the compute portion (§5.1 validation logic).
-	r := tensor.NewRNG(3)
-	cfg := DefaultConfig()
-	a := sparse.Random(r, 256, 256, 0.05)
-	b := sparse.Random(r, 256, 256, 0.05)
-	sim := CycleSim{Cfg: cfg, MemLatency: 0, LoadBW: 1 << 30, StoreBW: 1 << 30}
-	detailed := sim.Run(a, b)
-	formula := cfg.TileCycles(a, b)
-	ratio := float64(detailed) / float64(formula)
-	if ratio < 0.9 || ratio > 2.0 {
-		t.Fatalf("detailed %d vs formula %d (ratio %.2f) diverge too much", detailed, formula, ratio)
-	}
-}
-
 func TestBuildTiledJobStructure(t *testing.T) {
 	r := tensor.NewRNG(4)
 	a := sparse.Random(r, 64, 64, 0.1)
@@ -82,53 +63,6 @@ func TestBuildTiledJobStructure(t *testing.T) {
 	if job.OutNNZ != want {
 		t.Fatalf("tiled output nnz %d, full product %d", job.OutNNZ, want)
 	}
-}
-
-func TestTLSMatchesCycleSim(t *testing.T) {
-	// The §5.1 validation: TOGSim executing the tiled TOG with offline
-	// per-tile latencies must land within a few percent of the detailed
-	// cycle-level model under the same flat-latency memory.
-	r := tensor.NewRNG(6)
-	n := 256
-	a := sparse.Random(r, n, n, 0.05) // 95% sparsity
-	b := sparse.Random(r, n, n, 0.05)
-	cfg := npu.SmallConfig()
-	memLat := int64(100)
-
-	job, err := BuildTiledJob("spmspm", a, b, 64, DefaultConfig(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := togsim.NewFlatLatency(cfg, memLat)
-	res, err := s.Engine.Run([]*togsim.Job{{
-		Name:  "sparse",
-		TOGs:  []*tog.TOG{job.TOG},
-		Bases: []map[string]uint64{job.Bases},
-		Core:  0,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiles := (n / 64) * (n / 64) * (n / 64)
-	sim := CycleSim{
-		Cfg:        DefaultConfig(),
-		MemLatency: memLat,
-		LoadBW:     int64(cfg.Mem.Channels * cfg.Mem.BurstBytes),
-		StoreBW:    int64(cfg.NoC.FlitBytes), // store data serializes on the core's NoC port
-		Tiles:      tiles,
-	}
-	ref := sim.Run(a, b)
-	errFrac := abs64(res.Cycles-ref) / float64(ref)
-	if errFrac > 0.35 {
-		t.Fatalf("TLS %d vs detailed %d: error %.1f%%", res.Cycles, ref, errFrac*100)
-	}
-}
-
-func abs64(x int64) float64 {
-	if x < 0 {
-		return float64(-x)
-	}
-	return float64(x)
 }
 
 func TestAddCSR(t *testing.T) {
