@@ -99,7 +99,7 @@ bench-topo:
 # (BenchmarkEngineResnet18C1CN). MODEL=compile
 # profiles the cold compiler (BenchmarkCompileParallel) instead, and
 # MODEL=zoo the eight cold compiles of compile.zoo-cold
-# (BenchmarkCompileZoo), each CPU and allocated bytes.
+# (BenchmarkCompileZoo), each CPU, allocated bytes and allocated objects.
 MODEL ?= resnet18
 CORES ?= 1
 profile:

@@ -29,7 +29,7 @@ func RunFunctional(c *Compiled, g *graph.Graph, env *graph.Env) (map[string]*ten
 		if !ok {
 			continue
 		}
-		dram.WriteFloats(base, t.Data)
+		dram.StoreSpan(base, t.Data)
 	}
 	core := funcsim.NewCore(c.cfg.Core, dram)
 	for _, tg := range c.TOGs {

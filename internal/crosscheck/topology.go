@@ -14,6 +14,7 @@ import (
 	"repro/internal/npu"
 	"repro/internal/parallel"
 	"repro/internal/service"
+	"repro/internal/service/modelzoo"
 	"repro/internal/tensor"
 	"repro/internal/togsim"
 	"repro/internal/topo"
@@ -114,11 +115,9 @@ func runTopoCase(c topoCase, cache *service.Cache) error {
 		rg, err = checkTopoGemmNumerics(c, parts)
 		wantRegions = 1
 	case parallel.Tensor:
-		var cfg nn.DecoderConfig
-		if c.Model == "decoder-small" {
-			cfg = nn.DecoderSmallConfig(c.Batch, c.Ctx, c.Prefill)
-		} else {
-			cfg = nn.DecoderTinyConfig(c.Batch, c.Ctx, c.Prefill)
+		cfg, ok := modelzoo.DecoderConfig(modelzoo.Spec{Model: c.Model, Batch: c.Batch, Ctx: c.Ctx, Prefill: c.Prefill}.Normalize())
+		if !ok {
+			return fmt.Errorf("tensor parallelism on non-decoder model %q", c.Model)
 		}
 		rg, err = checkTopoDecoderNumerics(cfg, parts, c.Seed)
 		wantRegions = 2 * int64(cfg.Layers)
@@ -230,19 +229,7 @@ func checkTopoDecoderNumerics(cfg nn.DecoderConfig, parts int, seed uint64) (*gr
 	env := ref.InitParams(seed)
 	r := tensor.NewRNG(seed + 1)
 	env.Set("x", tensor.RandNormal(r, 0, 1, ref.InputShape...))
-	if !cfg.Prefill {
-		kvLen := cfg.KVLen
-		if kvLen <= 0 {
-			kvLen = cfg.Ctx
-		}
-		dHead := cfg.Hidden / cfg.Heads
-		for l := 0; l < cfg.Layers; l++ {
-			for h := 0; h < cfg.Heads; h++ {
-				env.Set(fmt.Sprintf("l%d_h%d_kcache", l, h), tensor.RandNormal(r, 0, 1, kvLen, dHead))
-				env.Set(fmt.Sprintf("l%d_h%d_vcache", l, h), tensor.RandNormal(r, 0, 1, kvLen, dHead))
-			}
-		}
-	}
+	nn.FillKVCache(env, cfg, r)
 	refVals, err := graph.Execute(ref.Graph, env)
 	if err != nil {
 		return nil, fmt.Errorf("funcsim reference: %w", err)

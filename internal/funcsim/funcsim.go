@@ -30,6 +30,9 @@ type Core struct {
 	Cfg npu.CoreConfig
 	X   [isa.NumScalarRegs]int64
 	F   [isa.NumFloatRegs]float32
+	// V is the vector register file. A register is allocated (VLEN zeros)
+	// by the first Run whose program names it, so a kernel that uses a few
+	// registers pays for those, not for all 32; it stays nil until then.
 	V   [isa.NumVectorRegs][]float32
 	VL  int
 	Mem npu.AddressSpace
@@ -52,13 +55,8 @@ type Core struct {
 // NewCore returns a functional core with fresh architectural state backed by
 // the given DRAM.
 func NewCore(cfg npu.CoreConfig, dram *npu.PagedMem) *Core {
-	var v [isa.NumVectorRegs][]float32
-	for i := range v {
-		v[i] = make([]float32, cfg.VLEN())
-	}
 	return &Core{
 		Cfg: cfg,
-		V:   v,
 		Mem: npu.AddressSpace{DRAM: dram, Spad: npu.NewScratchpad(cfg.SpadBytes)},
 		SA:  systolic.New(cfg.SARows, cfg.SACols),
 		VL:  cfg.VLEN(),
@@ -71,6 +69,7 @@ func (c *Core) Run(p *isa.Program) (int64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
+	c.allocVectorRegs(p)
 	limit := c.MaxInstrs
 	if limit == 0 {
 		limit = 2_000_000_000
@@ -96,6 +95,19 @@ func (c *Core) Run(p *isa.Program) (int64, error) {
 			return executed, nil
 		}
 		pc = next
+	}
+}
+
+// allocVectorRegs allocates every vector register the validated program p
+// names that the core has not allocated yet.
+func (c *Core) allocVectorRegs(p *isa.Program) {
+	var buf [4]isa.Reg
+	for _, in := range p.Instrs {
+		for _, r := range in.Writes(in.Reads(buf[:0])) {
+			if r.File == isa.FileV && c.V[r.Idx] == nil {
+				c.V[r.Idx] = make([]float32, c.Cfg.VLEN())
+			}
+		}
 	}
 }
 
@@ -195,15 +207,9 @@ func (c *Core) exec(pc int, in isa.Instr) (next int, halted bool, err error) {
 
 	// --- vector memory ---
 	case isa.OpVLE32:
-		base := uint64(c.X[in.Rs1])
-		for i := 0; i < c.VL; i++ {
-			c.V[in.Rd][i] = c.Mem.LoadF(base + uint64(4*i))
-		}
+		c.Mem.LoadSpan(uint64(c.X[in.Rs1]), c.V[in.Rd][:c.VL])
 	case isa.OpVSE32:
-		base := uint64(c.X[in.Rs1])
-		for i := 0; i < c.VL; i++ {
-			c.Mem.StoreF(base+uint64(4*i), c.V[in.Rs2][i])
-		}
+		c.Mem.StoreSpan(uint64(c.X[in.Rs1]), c.V[in.Rs2][:c.VL])
 	case isa.OpVLSE32:
 		base, stride := uint64(c.X[in.Rs1]), uint64(c.X[in.Rs2])
 		for i := 0; i < c.VL; i++ {

@@ -117,8 +117,8 @@ func TestVectorOpsAndSETVL(t *testing.T) {
 		a[i] = float32(i)
 		b[i] = float32(2 * i)
 	}
-	c.Mem.DRAM.WriteFloats(0, a)
-	c.Mem.DRAM.WriteFloats(uint64(4*vlen), b)
+	c.Mem.DRAM.StoreSpan(0, a)
+	c.Mem.DRAM.StoreSpan(uint64(4*vlen), b)
 	run(t, c, `
 		addi x1, x0, 8
 		setvl x2, x1
@@ -146,7 +146,7 @@ func TestVectorOpsAndSETVL(t *testing.T) {
 
 func TestVectorScalarOpsAndSFU(t *testing.T) {
 	c := newTestCore()
-	c.Mem.DRAM.WriteFloats(0, []float32{1, 2, 3, 4})
+	c.Mem.DRAM.StoreSpan(0, []float32{1, 2, 3, 4})
 	run(t, c, `
 		addi x1, x0, 4
 		setvl x2, x1
@@ -206,7 +206,7 @@ func TestStridedVectorLoadStore(t *testing.T) {
 func TestDMAMvinMvout(t *testing.T) {
 	c := newTestCore()
 	src := []float32{1, 2, 3, 4, 5, 6}
-	c.Mem.DRAM.WriteFloats(0, src)
+	c.Mem.DRAM.StoreSpan(0, src)
 	run(t, c, `
 		addi x1, x0, 2      # rows
 		addi x2, x0, 3      # cols
@@ -257,8 +257,8 @@ func TestSystolicGEMMKernel(t *testing.T) {
 	r := tensor.NewRNG(1)
 	in := tensor.RandNormal(r, 0, 1, 4, 3)
 	w := tensor.RandNormal(r, 0, 1, 3, 5)
-	dram.WriteFloats(0, in.Data)
-	dram.WriteFloats(1024, w.Data)
+	dram.StoreSpan(0, in.Data)
+	dram.StoreSpan(1024, w.Data)
 
 	b := isa.NewBuilder("gemm")
 	// VL = 5 for weight rows and outputs.
@@ -341,5 +341,47 @@ func TestTraceHookAndCounters(t *testing.T) {
 	}
 	if c.ClassCounts[isa.ClassScalar] != 9 {
 		t.Fatalf("scalar class count = %d", c.ClassCounts[isa.ClassScalar])
+	}
+}
+
+// TestVectorRegistersOnDemand pins the lazy vector register file: NewCore
+// allocates none, Run allocates exactly the registers its program names, a
+// register read before any write reads zeros, and a register keeps its value
+// into the next program run on the same core.
+func TestVectorRegistersOnDemand(t *testing.T) {
+	c := newTestCore()
+	for i, v := range c.V {
+		if v != nil {
+			t.Fatalf("NewCore allocated v%d before any Run", i)
+		}
+	}
+	c.Mem.DRAM.StoreSpan(0, []float32{1, 2, 3, 4})
+	run(t, c, `
+		addi x1, x0, 4
+		setvl x2, x1
+		vle32 v1, (x0)
+		vadd v3, v1, v2      # v2 is never written: it reads zeros
+		halt
+	`)
+	named := map[int]bool{1: true, 2: true, 3: true}
+	for i, v := range c.V {
+		if named[i] != (v != nil) {
+			t.Fatalf("after Run, v%d allocated = %v, want %v", i, v != nil, named[i])
+		}
+		if v != nil && len(v) != c.Cfg.VLEN() {
+			t.Fatalf("v%d has %d elements, want VLEN %d", i, len(v), c.Cfg.VLEN())
+		}
+	}
+	for i, want := range []float32{1, 2, 3, 4} {
+		if c.V[2][i] != 0 || c.V[3][i] != want {
+			t.Fatalf("element %d: v2 = %g (want 0), v3 = %g (want %g)", i, c.V[2][i], c.V[3][i], want)
+		}
+	}
+	run(t, c, `
+		vmv v5, v3
+		halt
+	`)
+	if c.V[5] == nil || c.V[5][3] != 4 || c.V[4] != nil {
+		t.Fatalf("second run: v5 = %v, v4 allocated = %v", c.V[5], c.V[4] != nil)
 	}
 }

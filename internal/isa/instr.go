@@ -53,6 +53,9 @@ func (i Instr) Validate() error {
 	if i.Rd >= 32 || i.Rs1 >= 32 || i.Rs2 >= 32 {
 		return fmt.Errorf("isa: register index out of range in %v", i)
 	}
+	if i.Op == OpVSSE32 && i.Funct >= NumVectorRegs {
+		return fmt.Errorf("isa: vector register index out of range in %v", i)
+	}
 	if i.Op == OpSFU && i.Funct >= sfuCount {
 		return fmt.Errorf("isa: SFU funct %d out of range", i.Funct)
 	}

@@ -130,6 +130,22 @@ func TestValidateCatchesBadBranch(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesVSSE32Register: vsse32 names its source vector
+// register in Funct, an 8-bit field, so machine code can name v32..v255;
+// Validate rejects it rather than leaving the simulators an index panic.
+func TestValidateCatchesVSSE32Register(t *testing.T) {
+	bad := Instr{Op: OpVSSE32, Rs1: 1, Rs2: 2, Funct: NumVectorRegs}
+	if err := bad.Validate(); err == nil {
+		t.Fatalf("%v validated", bad)
+	}
+	if _, err := Decode(Encode(bad)); err == nil {
+		t.Fatalf("decoding %v succeeded", bad)
+	}
+	if err := (Instr{Op: OpVSSE32, Funct: NumVectorRegs - 1}).Validate(); err != nil {
+		t.Fatalf("v31 rejected: %v", err)
+	}
+}
+
 func TestAssembleDisassembleRoundTrip(t *testing.T) {
 	// Every instruction form, printed then re-parsed, must be identical.
 	prog := &Program{Name: "all", Labels: map[string]int{}, Instrs: []Instr{

@@ -89,10 +89,7 @@ func Decoder(cfg DecoderConfig, parts int) *Model {
 		panic(fmt.Sprintf("nn: heads (%d) and FFN (%d) must divide across %d ranks",
 			cfg.Heads, cfg.FFN, parts))
 	}
-	kvLen := cfg.KVLen
-	if kvLen <= 0 {
-		kvLen = cfg.Ctx
-	}
+	kvLen := cfg.kvLen()
 	rows, pass := cfg.Batch, "decode" // one new token per sequence
 	if cfg.Prefill {
 		rows, pass = cfg.Batch*cfg.Ctx, "prefill"
@@ -194,6 +191,32 @@ func Decoder(cfg DecoderConfig, parts int) *Model {
 	m := newModel(g.Name, g)
 	m.OutputID = cur.ID
 	return m
+}
+
+// kvLen is the decode KV-cache length: KVLen, or Ctx when unset.
+func (c DecoderConfig) kvLen() int {
+	if c.KVLen > 0 {
+		return c.KVLen
+	}
+	return c.Ctx
+}
+
+// FillKVCache binds every KV-cache input of the decode step Decoder(cfg, 1)
+// builds (l<layer>_h<head>_kcache and _vcache, kvLen x head-dim each) in env
+// to standard normal draws from r, layer by layer, head by head, K before V;
+// ShardDecoderEnv hands them on to the shards. A prefill config has no cache
+// inputs and draws nothing.
+func FillKVCache(env *graph.Env, cfg DecoderConfig, r *tensor.RNG) {
+	if cfg.Prefill {
+		return
+	}
+	kvLen, dHead := cfg.kvLen(), cfg.Hidden/cfg.Heads
+	for l := 0; l < cfg.Layers; l++ {
+		for h := 0; h < cfg.Heads; h++ {
+			env.Set(fmt.Sprintf("l%d_h%d_kcache", l, h), tensor.RandNormal(r, 0, 1, kvLen, dHead))
+			env.Set(fmt.Sprintf("l%d_h%d_vcache", l, h), tensor.RandNormal(r, 0, 1, kvLen, dHead))
+		}
+	}
 }
 
 // ShardDecoderEnv slices a full decoder environment (weights from

@@ -13,17 +13,7 @@ func decodeEnv(m *Model, cfg DecoderConfig, seed uint64) *graph.Env {
 	env := m.InitParams(seed)
 	r := tensor.NewRNG(seed + 1)
 	env.Set("x", tensor.RandNormal(r, 0, 1, m.InputShape...))
-	kvLen := cfg.KVLen
-	if kvLen <= 0 {
-		kvLen = cfg.Ctx
-	}
-	dHead := cfg.Hidden / cfg.Heads
-	for l := 0; l < cfg.Layers; l++ {
-		for h := 0; h < cfg.Heads; h++ {
-			env.Set(fmt.Sprintf("l%d_h%d_kcache", l, h), tensor.RandNormal(r, 0, 1, kvLen, dHead))
-			env.Set(fmt.Sprintf("l%d_h%d_vcache", l, h), tensor.RandNormal(r, 0, 1, kvLen, dHead))
-		}
-	}
+	FillKVCache(env, cfg, r)
 	return env
 }
 

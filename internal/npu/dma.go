@@ -79,6 +79,10 @@ func (d DMADesc) RunIn(dram *PagedMem, spad *Scratchpad, dramAddr, spadAddr uint
 		dBase := dramAddr + uint64(o*n.OuterStride)
 		sBase := spadAddr + uint64(o*n.spadOuterBytes())
 		for r := 0; r < n.Rows; r++ {
+			if !n.Transpose {
+				rowIn(dram, spad, dBase+uint64(r*n.DRAMStride), sBase+n.spadOffset(r, 0), n.Cols)
+				continue
+			}
 			for c := 0; c < n.Cols; c++ {
 				v := dram.LoadW(dBase + uint64(r*n.DRAMStride+c*n.ElemBytes))
 				spad.StoreW(sBase+n.spadOffset(r, c), v)
@@ -98,6 +102,10 @@ func (d DMADesc) RunOut(dram *PagedMem, spad *Scratchpad, dramAddr, spadAddr uin
 		dBase := dramAddr + uint64(o*n.OuterStride)
 		sBase := spadAddr + uint64(o*n.spadOuterBytes())
 		for r := 0; r < n.Rows; r++ {
+			if !n.Transpose {
+				rowOut(dram, spad, dBase+uint64(r*n.DRAMStride), sBase+n.spadOffset(r, 0), n.Cols)
+				continue
+			}
 			for c := 0; c < n.Cols; c++ {
 				v := spad.LoadW(sBase + n.spadOffset(r, c))
 				dram.StoreW(dBase+uint64(r*n.DRAMStride+c*n.ElemBytes), v)
@@ -105,6 +113,40 @@ func (d DMADesc) RunOut(dram *PagedMem, spad *Scratchpad, dramAddr, spadAddr uin
 		}
 	}
 	return nil
+}
+
+// rowChunk is how many words a row copy moves per span.
+const rowChunk = 512
+
+// rowIn copies one contiguous row of cols words from DRAM to the scratchpad
+// through the span primitives. It panics where the per-word loop (load a
+// word, store it) would, after storing the same words.
+func rowIn(dram *PagedMem, spad *Scratchpad, dAddr, sAddr uint64, cols int) {
+	var buf [rowChunk]float32
+	for cols > 0 {
+		n := min(cols, rowChunk)
+		dram.LoadSpan(dAddr, buf[:n])
+		spad.StoreSpan(sAddr, buf[:n])
+		dAddr, sAddr, cols = dAddr+uint64(4*n), sAddr+uint64(4*n), cols-n
+	}
+}
+
+// rowOut copies one contiguous row of cols words from the scratchpad to
+// DRAM. It stores the scratchpad words in range before raising the
+// scratchpad's panic, so it too panics where the per-word loop would, after
+// storing the same words.
+func rowOut(dram *PagedMem, spad *Scratchpad, dAddr, sAddr uint64, cols int) {
+	var buf [rowChunk]float32
+	for cols > 0 {
+		n := min(cols, rowChunk)
+		i, in := spad.span(sAddr, n)
+		spad.loadWords(i, buf[:in])
+		dram.StoreSpan(dAddr, buf[:in])
+		if in < n {
+			spad.index(sAddr + uint64(4*in))
+		}
+		dAddr, sAddr, cols = dAddr+uint64(4*n), sAddr+uint64(4*n), cols-n
+	}
 }
 
 // spadOffset maps tile coordinates to the scratchpad-side byte offset,

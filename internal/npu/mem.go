@@ -58,19 +58,47 @@ func (m *PagedMem) LoadF(addr uint64) float32 { return math.Float32frombits(m.Lo
 // StoreF stores a float32.
 func (m *PagedMem) StoreF(addr uint64, v float32) { m.StoreW(addr, math.Float32bits(v)) }
 
-// WriteFloats stores a float32 slice starting at addr.
-func (m *PagedMem) WriteFloats(addr uint64, vals []float32) {
-	for i, v := range vals {
-		m.StoreF(addr+uint64(4*i), v)
+// LoadSpan loads len(dst) consecutive float32 words starting at addr, a
+// page run at a time. It is LoadF on each word in turn: the same alignment
+// panic, and a word on a page never stored reads 0.
+func (m *PagedMem) LoadSpan(addr uint64, dst []float32) {
+	if len(dst) == 0 {
+		return
+	}
+	checkAlign(addr)
+	for len(dst) > 0 {
+		w := int(addr % pageBytes / 4)
+		n := min(len(dst), pageWords-w)
+		if p, ok := m.pages[addr/pageBytes]; ok {
+			wordsToFloats(dst[:n], p[w:w+n])
+		} else {
+			clear(dst[:n])
+		}
+		addr += uint64(4 * n)
+		dst = dst[n:]
+	}
+}
+
+// StoreSpan stores src as consecutive float32 words starting at addr, a page
+// run at a time; it is StoreF on each word in turn.
+func (m *PagedMem) StoreSpan(addr uint64, src []float32) {
+	if len(src) == 0 {
+		return
+	}
+	checkAlign(addr)
+	for len(src) > 0 {
+		w := int(addr % pageBytes / 4)
+		n := min(len(src), pageWords-w)
+		floatsToWords(m.page(addr)[w:w+n], src[:n])
+		addr += uint64(4 * n)
+		src = src[n:]
 	}
 }
 
 // ReadFloats loads n float32 values starting at addr.
 func (m *PagedMem) ReadFloats(addr uint64, n int) []float32 {
 	out := make([]float32, n)
-	for i := range out {
-		out[i] = m.LoadF(addr + uint64(4*i))
-	}
+	m.LoadSpan(addr, out)
 	return out
 }
 
@@ -128,6 +156,81 @@ func (s *Scratchpad) StoreW(addr uint64, v uint32) {
 	p[i%spadPageWords] = v
 }
 
+// span applies index's checks to the first of n words from addr and returns
+// that word's index and how many of the n words lie inside the scratchpad.
+// A span mover moves those and then calls index on the first word past them,
+// which panics with the per-word message, so a span panics exactly where the
+// per-word loop would, after moving the same words.
+func (s *Scratchpad) span(addr uint64, n int) (i, in int) {
+	if n == 0 {
+		return 0, 0
+	}
+	checkAlign(addr)
+	if addr < isa.SpadBase {
+		s.index(addr)
+	}
+	off := (addr - isa.SpadBase) / 4
+	if off >= uint64(s.words) {
+		return 0, 0
+	}
+	return int(off), min(n, s.words-int(off))
+}
+
+// loadWords fills dst from the words starting at index i, a page run at a
+// time; the caller has checked the range.
+func (s *Scratchpad) loadWords(i int, dst []float32) {
+	for len(dst) > 0 {
+		w := i % spadPageWords
+		n := min(len(dst), spadPageWords-w)
+		if p := s.pages[i/spadPageWords]; p != nil {
+			wordsToFloats(dst[:n], p[w:w+n])
+		} else {
+			clear(dst[:n])
+		}
+		i += n
+		dst = dst[n:]
+	}
+}
+
+// storeWords stores src at the words starting at index i, allocating the
+// pages it touches; the caller has checked the range.
+func (s *Scratchpad) storeWords(i int, src []float32) {
+	for len(src) > 0 {
+		w := i % spadPageWords
+		n := min(len(src), spadPageWords-w)
+		p := s.pages[i/spadPageWords]
+		if p == nil {
+			p = new([spadPageWords]uint32)
+			s.pages[i/spadPageWords] = p
+		}
+		floatsToWords(p[w:w+n], src[:n])
+		i += n
+		src = src[n:]
+	}
+}
+
+// LoadSpan loads len(dst) consecutive float32 words starting at addr. It is
+// LoadF on each word in turn: it panics with the same message at the same
+// word, after loading the words before it.
+func (s *Scratchpad) LoadSpan(addr uint64, dst []float32) {
+	i, in := s.span(addr, len(dst))
+	s.loadWords(i, dst[:in])
+	if in < len(dst) {
+		s.index(addr + uint64(4*in))
+	}
+}
+
+// StoreSpan stores src as consecutive float32 words starting at addr. It is
+// StoreF on each word in turn: it panics with the same message at the same
+// word, after storing the words before it.
+func (s *Scratchpad) StoreSpan(addr uint64, src []float32) {
+	i, in := s.span(addr, len(src))
+	s.storeWords(i, src[:in])
+	if in < len(src) {
+		s.index(addr + uint64(4*in))
+	}
+}
+
 // LoadF loads a float32.
 func (s *Scratchpad) LoadF(addr uint64) float32 { return math.Float32frombits(s.LoadW(addr)) }
 
@@ -163,6 +266,45 @@ func (a AddressSpace) LoadF(addr uint64) float32 { return math.Float32frombits(a
 
 // StoreF stores a float32 to either region.
 func (a AddressSpace) StoreF(addr uint64, v float32) { a.StoreW(addr, math.Float32bits(v)) }
+
+// dramWords returns how many of n words from addr lie below isa.SpadBase,
+// after the alignment check the first word's access would make.
+func dramWords(addr uint64, n int) int {
+	if n == 0 || addr >= isa.SpadBase {
+		return 0
+	}
+	checkAlign(addr)
+	return int(min(uint64(n), (isa.SpadBase-addr)/4))
+}
+
+// LoadSpan loads len(dst) consecutive float32 words starting at addr: the
+// words below isa.SpadBase from DRAM, the rest from the scratchpad. It is
+// LoadF on each word in turn, panics included.
+func (a AddressSpace) LoadSpan(addr uint64, dst []float32) {
+	n := dramWords(addr, len(dst))
+	a.DRAM.LoadSpan(addr, dst[:n])
+	a.Spad.LoadSpan(addr+uint64(4*n), dst[n:])
+}
+
+// StoreSpan stores src as consecutive float32 words starting at addr, split
+// at isa.SpadBase like LoadSpan. It is StoreF on each word in turn.
+func (a AddressSpace) StoreSpan(addr uint64, src []float32) {
+	n := dramWords(addr, len(src))
+	a.DRAM.StoreSpan(addr, src[:n])
+	a.Spad.StoreSpan(addr+uint64(4*n), src[n:])
+}
+
+func wordsToFloats(dst []float32, src []uint32) {
+	for i, w := range src[:len(dst)] {
+		dst[i] = math.Float32frombits(w)
+	}
+}
+
+func floatsToWords(dst []uint32, src []float32) {
+	for i, v := range src[:len(dst)] {
+		dst[i] = math.Float32bits(v)
+	}
+}
 
 func checkAlign(addr uint64) {
 	if addr%4 != 0 {

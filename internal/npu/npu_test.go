@@ -53,7 +53,7 @@ func TestPagedMemRoundTrip(t *testing.T) {
 func TestPagedMemFloatsBulk(t *testing.T) {
 	m := NewPagedMem()
 	vals := []float32{1, 2, 3, 4, 5}
-	m.WriteFloats(100<<10, vals)
+	m.StoreSpan(100<<10, vals)
 	got := m.ReadFloats(100<<10, 5)
 	for i := range vals {
 		if got[i] != vals[i] {
@@ -196,7 +196,7 @@ func TestDMATranspose(t *testing.T) {
 	rows, cols := 3, 5
 	src := tensor.RandNormal(r, 0, 1, rows, cols)
 	dram := NewPagedMem()
-	dram.WriteFloats(0, src.Data)
+	dram.StoreSpan(0, src.Data)
 	spad := NewScratchpad(4096)
 	d := DMADesc{Rows: rows, Cols: cols, Transpose: true}
 	if err := d.RunIn(dram, spad, 0, isa.SpadBase); err != nil {

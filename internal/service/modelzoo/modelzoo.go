@@ -95,7 +95,7 @@ func Known(model string) bool {
 // BuildGraph captures the graph for a spec (the model zoo of Fig. 1).
 func BuildGraph(s Spec) (*graph.Graph, error) {
 	s = s.Normalize()
-	if cfg, ok := decoderConfig(s); ok {
+	if cfg, ok := DecoderConfig(s); ok {
 		return nn.Decoder(cfg, 1).Graph, nil
 	}
 	switch s.Model {
@@ -131,9 +131,10 @@ func Topology(s Spec, mem npu.MemConfig) (topo.Config, error) {
 	return topo.Preset(s.Normalize().Topology, mem)
 }
 
-// decoderConfig resolves a decoder spec's nn config (decoder models only);
-// it is the one place a decoder model name maps to its size.
-func decoderConfig(s Spec) (nn.DecoderConfig, bool) {
+// DecoderConfig resolves a decoder spec's nn config (decoder models only);
+// it is the one place a decoder model name maps to its size. s should be
+// normalized.
+func DecoderConfig(s Spec) (nn.DecoderConfig, bool) {
 	switch s.Model {
 	case "decoder-tiny":
 		return nn.DecoderTinyConfig(s.Batch, s.Ctx, s.Prefill), true
@@ -168,7 +169,7 @@ func BuildRankGraph(s Spec, parts int) (*graph.Graph, error) {
 		}
 		return parallel.DataParallel(g, parts), nil
 	case parallel.Tensor:
-		cfg, ok := decoderConfig(s)
+		cfg, ok := DecoderConfig(s)
 		if !ok {
 			return nil, fmt.Errorf("modelzoo: tensor parallelism supports decoder models, not %q", s.Model)
 		}

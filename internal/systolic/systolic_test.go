@@ -230,3 +230,77 @@ func TestGEMMTileCyclesMonotonic(t *testing.T) {
 		t.Fatal("degenerate tile must cost 0")
 	}
 }
+
+// refTiming is Timing as it was before its deserializer queue kept a head
+// index: the queue holds only un-popped rows and a pop reslices it. It is
+// the reference TestTimingQueueMatchesReslicing compares against.
+type refTiming struct {
+	cols, desCap                int
+	serFree, wsetReady, popFree int64
+	wsetRows, activeK           int
+	readyTimes                  []int64
+}
+
+func (t *refTiming) pushWeight(issue int64) int64 {
+	start := maxi64(issue, t.serFree)
+	t.serFree = start + 1
+	t.wsetRows++
+	t.wsetReady = start + 1
+	return start + 1
+}
+
+func (t *refTiming) pushInput(issue int64) int64 {
+	start := maxi64(issue, t.serFree)
+	if t.wsetRows > 0 {
+		start = maxi64(start, t.wsetReady)
+		t.activeK = t.wsetRows
+		t.wsetRows = 0
+	}
+	if len(t.readyTimes) >= t.desCap {
+		start = maxi64(start, t.readyTimes[len(t.readyTimes)-t.desCap])
+	}
+	t.serFree = start + 1
+	t.readyTimes = append(t.readyTimes, start+1+int64(t.activeK)+int64(t.cols))
+	return start + 1
+}
+
+func (t *refTiming) pop(issue int64) int64 {
+	if len(t.readyTimes) == 0 {
+		t.popFree = maxi64(issue, t.popFree) + 1
+		return t.popFree
+	}
+	start := maxi64(maxi64(issue, t.popFree), t.readyTimes[0])
+	t.readyTimes = t.readyTimes[1:]
+	t.popFree = start + 1
+	return start + 1
+}
+
+// TestTimingQueueMatchesReslicing drives Timing and the reslicing reference
+// with the same random streams of pushes and pops, issue cycles moving
+// forward by 0-3 cycles, so the deserializer fills, drains, backs up and
+// runs empty; every completion and every Outstanding count must agree.
+func TestTimingQueueMatchesReslicing(t *testing.T) {
+	r := tensor.NewRNG(11)
+	for trial := 0; trial < 200; trial++ {
+		desCap := 1 + r.Intn(4)
+		got := NewTiming(4, 3, desCap)
+		want := &refTiming{cols: 3, desCap: desCap}
+		var issue int64
+		for step := 0; step < 300; step++ {
+			issue += int64(r.Intn(4))
+			var g, w int64
+			switch op := r.Intn(10); {
+			case op == 0:
+				g, w = got.PushWeight(issue), want.pushWeight(issue)
+			case op < 6:
+				g, w = got.PushInput(issue), want.pushInput(issue)
+			default:
+				g, w = got.Pop(issue), want.pop(issue)
+			}
+			if g != w || got.Outstanding() != len(want.readyTimes) {
+				t.Fatalf("trial %d step %d: completion %d, reference %d; outstanding %d, reference %d",
+					trial, step, g, w, got.Outstanding(), len(want.readyTimes))
+			}
+		}
+	}
+}

@@ -16,7 +16,8 @@ type Timing struct {
 	wsetRows   int     // rows in the currently-loading weight set
 	wsetReady  int64   // cycle when the loading weight set is fully staged
 	activeK    int     // depth of the active (committed) weight set
-	readyTimes []int64 // ready times of output rows not yet popped, FIFO order
+	readyTimes []int64 // ready times of output rows; readyTimes[head:] are not yet popped, FIFO order
+	head       int     // index of the oldest un-popped row in readyTimes
 	popFree    int64   // first cycle the deserializer port can pop again
 
 	// Activity counters (always on, plain ints — the energy model prices
@@ -63,7 +64,7 @@ func (t *Timing) PushInput(issue int64) int64 {
 	}
 	// Deserializer backpressure: the array stalls if accepting this row
 	// would overflow the FIFO given the rows still queued.
-	if len(t.readyTimes) >= t.DesCap {
+	if len(t.readyTimes)-t.head >= t.DesCap {
 		// The oldest un-popped row must have been popped for space; the
 		// caller pops in order, so model the stall as waiting until the
 		// FIFO has room. Pop bookkeeping happens in Pop; here we
@@ -77,6 +78,12 @@ func (t *Timing) PushInput(issue int64) int64 {
 	// The output row appears in the deserializer after the array pipeline:
 	// K cycles of vertical propagation plus Cols cycles of skewed drain.
 	ready := start + 1 + int64(t.activeK) + int64(t.Cols)
+	if len(t.readyTimes) == cap(t.readyTimes) && t.head > 0 {
+		// Reuse the popped prefix rather than growing: a steady stream of
+		// pushes and pops then allocates nothing.
+		t.readyTimes = t.readyTimes[:copy(t.readyTimes, t.readyTimes[t.head:])]
+		t.head = 0
+	}
 	t.readyTimes = append(t.readyTimes, ready)
 	t.InputRows++
 	return start + 1
@@ -86,7 +93,7 @@ func (t *Timing) PushInput(issue int64) int64 {
 // the popped output row is available in the vector register file. It stalls
 // until the oldest output row is ready (implicit synchronization, §3.5).
 func (t *Timing) Pop(issue int64) int64 {
-	if len(t.readyTimes) == 0 {
+	if t.head == len(t.readyTimes) {
 		// vpop with nothing in flight: architecturally this would deadlock;
 		// the static scheduler never emits it. Treat as a 1-cycle nop so the
 		// timing model stays total.
@@ -94,15 +101,15 @@ func (t *Timing) Pop(issue int64) int64 {
 		return t.popFree
 	}
 	start := maxi64(issue, t.popFree)
-	start = maxi64(start, t.readyTimes[0])
-	t.readyTimes = t.readyTimes[1:]
+	start = maxi64(start, t.readyTimes[t.head])
+	t.head++
 	t.popFree = start + 1
 	t.OutputRows++
 	return start + 1
 }
 
 // Outstanding returns the number of output rows in flight or queued.
-func (t *Timing) Outstanding() int { return len(t.readyTimes) }
+func (t *Timing) Outstanding() int { return len(t.readyTimes) - t.head }
 
 // GEMMTileCycles returns the closed-form cycle count for one weight-
 // stationary tile operation: load a KxN weight set, stream M input rows, and

@@ -13,20 +13,6 @@ import (
 	"repro/internal/systolic"
 )
 
-// regFile identifies a register file for scoreboard dependencies.
-type regFile uint8
-
-const (
-	fileX regFile = iota
-	fileF
-	fileV
-)
-
-type regRef struct {
-	file regFile
-	idx  uint8
-}
-
 // Pipeline is a single-issue, in-order core timing model with a scoreboard.
 // Instructions issue in order when their operands and functional unit are
 // ready; completion latencies depend on the unit and the active vector
@@ -49,6 +35,11 @@ type Pipeline struct {
 	slotCount [8]int
 
 	sa *systolic.Timing
+
+	// Operand buffers Consume fills through isa.Instr.Reads and Writes, so
+	// accounting an instruction allocates nothing.
+	reads  [3]isa.Reg
+	writes [1]isa.Reg
 
 	// BranchPenalty is the redirect penalty of a taken branch (cycles).
 	BranchPenalty int64
@@ -100,12 +91,13 @@ func (p *Pipeline) Consume(e funcsim.TraceEvent) {
 
 	// Operand dependencies (RAW and WAW via dest ready times).
 	opsReady := issue
-	for _, r := range readRegs(in) {
+	for _, r := range in.Reads(p.reads[:0]) {
 		if t := p.readyTime(r); t > opsReady {
 			opsReady = t
 		}
 	}
-	for _, r := range writeRegs(in) {
+	writes := in.Writes(p.writes[:0])
+	for _, r := range writes {
 		if t := p.readyTime(r); t > opsReady {
 			opsReady = t // WAW: do not complete before prior writer
 		}
@@ -144,7 +136,7 @@ func (p *Pipeline) Consume(e funcsim.TraceEvent) {
 	}
 
 	// Writeback.
-	for _, r := range writeRegs(in) {
+	for _, r := range writes {
 		p.setReady(r, complete)
 	}
 
@@ -207,107 +199,30 @@ func (p *Pipeline) latency(in isa.Instr, vl int) (lat, occ int64) {
 	}
 }
 
-func (p *Pipeline) readyTime(r regRef) int64 {
-	switch r.file {
-	case fileX:
-		if r.idx == 0 {
+func (p *Pipeline) readyTime(r isa.Reg) int64 {
+	switch r.File {
+	case isa.FileX:
+		if r.Idx == 0 {
 			return 0
 		}
-		return p.xReady[r.idx]
-	case fileF:
-		return p.fReady[r.idx]
+		return p.xReady[r.Idx]
+	case isa.FileF:
+		return p.fReady[r.Idx]
 	default:
-		return p.vReady[r.idx]
+		return p.vReady[r.Idx]
 	}
 }
 
-func (p *Pipeline) setReady(r regRef, t int64) {
-	switch r.file {
-	case fileX:
-		if r.idx != 0 {
-			p.xReady[r.idx] = t
+func (p *Pipeline) setReady(r isa.Reg, t int64) {
+	switch r.File {
+	case isa.FileX:
+		if r.Idx != 0 {
+			p.xReady[r.Idx] = t
 		}
-	case fileF:
-		p.fReady[r.idx] = t
+	case isa.FileF:
+		p.fReady[r.Idx] = t
 	default:
-		p.vReady[r.idx] = t
-	}
-}
-
-// readRegs returns the registers an instruction reads.
-func readRegs(in isa.Instr) []regRef {
-	switch in.Op {
-	case isa.OpADDI, isa.OpSLLI, isa.OpSRLI:
-		return []regRef{{fileX, in.Rs1}}
-	case isa.OpADD, isa.OpSUB, isa.OpMUL, isa.OpAND, isa.OpOR, isa.OpXOR,
-		isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE:
-		return []regRef{{fileX, in.Rs1}, {fileX, in.Rs2}}
-	case isa.OpLUI, isa.OpJAL, isa.OpHALT, isa.OpFLI:
-		return nil
-	case isa.OpLW, isa.OpFLW:
-		return []regRef{{fileX, in.Rs1}}
-	case isa.OpSW:
-		return []regRef{{fileX, in.Rs1}, {fileX, in.Rs2}}
-	case isa.OpFSW:
-		return []regRef{{fileX, in.Rs1}, {fileF, in.Rs2}}
-	case isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFDIV, isa.OpFMIN, isa.OpFMAX:
-		return []regRef{{fileF, in.Rs1}, {fileF, in.Rs2}}
-	case isa.OpFSQRT:
-		return []regRef{{fileF, in.Rs1}}
-	case isa.OpFMVXF:
-		return []regRef{{fileF, in.Rs1}}
-	case isa.OpFMVFX, isa.OpSETVL:
-		return []regRef{{fileX, in.Rs1}}
-	case isa.OpVLE32:
-		return []regRef{{fileX, in.Rs1}}
-	case isa.OpVSE32:
-		return []regRef{{fileX, in.Rs1}, {fileV, in.Rs2}}
-	case isa.OpVLSE32:
-		return []regRef{{fileX, in.Rs1}, {fileX, in.Rs2}}
-	case isa.OpVSSE32:
-		return []regRef{{fileX, in.Rs1}, {fileX, in.Rs2}, {fileV, in.Funct}}
-	case isa.OpVADD, isa.OpVSUB, isa.OpVMUL, isa.OpVDIV, isa.OpVMAX, isa.OpVMIN:
-		return []regRef{{fileV, in.Rs1}, {fileV, in.Rs2}}
-	case isa.OpVMACC:
-		return []regRef{{fileV, in.Rd}, {fileV, in.Rs1}, {fileV, in.Rs2}}
-	case isa.OpVADDVF, isa.OpVSUBVF, isa.OpVRSUBVF, isa.OpVMULVF, isa.OpVMAXVF:
-		return []regRef{{fileV, in.Rs1}, {fileF, in.Rs2}}
-	case isa.OpVMACCVF:
-		return []regRef{{fileV, in.Rd}, {fileV, in.Rs1}, {fileF, in.Rs2}}
-	case isa.OpVBCAST:
-		return []regRef{{fileF, in.Rs1}}
-	case isa.OpVMV, isa.OpVREDSUM, isa.OpVREDMAX, isa.OpSFU:
-		return []regRef{{fileV, in.Rs1}}
-	case isa.OpCONFIG, isa.OpMVIN, isa.OpMVOUT:
-		return []regRef{{fileX, in.Rs1}, {fileX, in.Rs2}}
-	case isa.OpWAITDMA:
-		return []regRef{{fileX, in.Rs1}}
-	case isa.OpWVPUSH, isa.OpIVPUSH:
-		return []regRef{{fileV, in.Rs1}}
-	case isa.OpVPOP:
-		return nil
-	default:
-		return nil
-	}
-}
-
-// writeRegs returns the registers an instruction writes.
-func writeRegs(in isa.Instr) []regRef {
-	switch in.Op {
-	case isa.OpADDI, isa.OpADD, isa.OpSUB, isa.OpMUL, isa.OpSLLI, isa.OpSRLI,
-		isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpLUI, isa.OpJAL, isa.OpLW,
-		isa.OpFMVXF, isa.OpSETVL:
-		return []regRef{{fileX, in.Rd}}
-	case isa.OpFLW, isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFDIV, isa.OpFSQRT,
-		isa.OpFMIN, isa.OpFMAX, isa.OpFLI, isa.OpFMVFX, isa.OpVREDSUM, isa.OpVREDMAX:
-		return []regRef{{fileF, in.Rd}}
-	case isa.OpVLE32, isa.OpVLSE32, isa.OpVADD, isa.OpVSUB, isa.OpVMUL, isa.OpVDIV,
-		isa.OpVMAX, isa.OpVMIN, isa.OpVMACC, isa.OpVADDVF, isa.OpVSUBVF,
-		isa.OpVRSUBVF, isa.OpVMULVF, isa.OpVMAXVF, isa.OpVMACCVF,
-		isa.OpVBCAST, isa.OpVMV, isa.OpSFU, isa.OpVPOP:
-		return []regRef{{fileV, in.Rd}}
-	default:
-		return nil
+		p.vReady[r.Idx] = t
 	}
 }
 

@@ -73,6 +73,37 @@ func TestRAWDependencyStalls(t *testing.T) {
 	}
 }
 
+// TestVectorStoreWaitsForItsSource: a vector store stalls on the register it
+// stores, which vse32 names in Rs2 and vsse32 in Funct.
+func TestVectorStoreWaitsForItsSource(t *testing.T) {
+	cfg := npu.SmallConfig().Core
+	for _, tc := range []struct {
+		name  string
+		store func(src uint8) isa.Instr
+	}{
+		{"vse32", func(src uint8) isa.Instr { return isa.Instr{Op: isa.OpVSE32, Rs2: src} }},
+		{"vsse32", func(src uint8) isa.Instr { return isa.Instr{Op: isa.OpVSSE32, Rs2: 4, Funct: src} }},
+	} {
+		stall := func(src uint8) int64 {
+			b := isa.NewBuilder(tc.name)
+			b.Emit(isa.Instr{Op: isa.OpADDI, Rd: 1, Imm: 8})
+			b.Emit(isa.Instr{Op: isa.OpSETVL, Rd: 2, Rs1: 1})
+			b.Emit(isa.Instr{Op: isa.OpADDI, Rd: 4, Imm: 4})
+			b.Emit(isa.Instr{Op: isa.OpVADD, Rd: 5, Rs1: 20, Rs2: 21})
+			b.Emit(tc.store(src))
+			b.Emit(isa.Instr{Op: isa.OpHALT})
+			r, err := MeasureKernel(cfg, b.Build(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.StallRAW
+		}
+		if dep, indep := stall(5), stall(6); dep <= indep {
+			t.Errorf("%s of the register just written stalls %d cycles, of an idle one %d", tc.name, dep, indep)
+		}
+	}
+}
+
 func TestStructuralHazardOnFPU(t *testing.T) {
 	// Two back-to-back unpipelined fdivs contend for the FPU.
 	r := measureSrc(t, `
@@ -198,8 +229,8 @@ func TestSAGEMMKernelTiming(t *testing.T) {
 		r := tensor.NewRNG(1)
 		in := tensor.RandNormal(r, 0, 1, m, k)
 		w := tensor.RandNormal(r, 0, 1, k, n)
-		c.Mem.DRAM.WriteFloats(0, in.Data)
-		c.Mem.DRAM.WriteFloats(1<<16, w.Data)
+		c.Mem.DRAM.StoreSpan(0, in.Data)
+		c.Mem.DRAM.StoreSpan(1<<16, w.Data)
 	}
 	naive, err := MeasureKernel(cfg, buildGEMMKernel(m, k, n, 0, false), setup)
 	if err != nil {
@@ -298,5 +329,34 @@ func TestMeasureKernelAllocatesTouchedScratchpad(t *testing.T) {
 	t.Logf("MeasureKernel allocated %d bytes (scratchpad %d)", d, cfg.SpadBytes)
 	if d >= 1<<20 {
 		t.Fatalf("MeasureKernel allocated %d bytes, want < 1 MiB (scratchpad is %d)", d, cfg.SpadBytes)
+	}
+}
+
+// TestConsumeAllocatesNothing pins Pipeline.Consume at zero allocations: the
+// operand lists fill buffers the pipeline owns, and the systolic timing model
+// reuses its deserializer queue. The trace is a real GEMM tile kernel (SA
+// pushes and pops, vector loads and stores) plus one instruction of every
+// opcode, so an opcode whose operands outgrow the buffers shows here.
+func TestConsumeAllocatesNothing(t *testing.T) {
+	cfg := npu.SmallConfig().Core
+	var trace []funcsim.TraceEvent
+	core := funcsim.NewCore(cfg, npu.NewPagedMem())
+	core.Trace = func(e funcsim.TraceEvent) { trace = append(trace, e) }
+	prog := codegen.GEMM(codegen.GEMMSpec{M: 32, K: 8, N: 8, WOff: 1 << 12, OutOff: 1 << 13})
+	if _, err := core.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	for op := isa.OpADDI; op <= isa.OpVPOP; op++ {
+		trace = append(trace, funcsim.TraceEvent{Instr: isa.Instr{Op: op, Rd: 1, Rs1: 2, Rs2: 3, Funct: 4}, VL: cfg.VLEN()})
+	}
+	pipe := NewPipeline(cfg)
+	replay := func() {
+		for _, e := range trace {
+			pipe.Consume(e)
+		}
+	}
+	replay() // grow the deserializer queue to its working size
+	if n := testing.AllocsPerRun(20, replay); n != 0 {
+		t.Fatalf("replaying %d trace events allocates %v times, want 0", len(trace), n)
 	}
 }

@@ -16,7 +16,10 @@
 # (BenchmarkCompileParallel: a cold resnet18 compile on TPUv3) or zoo
 # (BenchmarkCompileZoo: the eight cold compiles of the benchmark's
 # compile.zoo-cold workload); the two compiler profiles ignore CORES, and
-# also write an allocation profile and print its alloc_space table. RUNS (default 3) is the -benchtime
+# also write an allocation profile and print its alloc_space and
+# alloc_objects tables (bytes show what fills the heap, object counts what
+# keeps mallocgc busy: a small per-instruction slice is invisible in bytes
+# yet can be a third of all allocations). RUNS (default 3) is the -benchtime
 # iteration count and ROWS (default 15) the table length. The profiles, the
 # test binary pprof needs to symbolize them, and the tables stay in
 # profile/ (git-ignored) for `go tool pprof -list` afterwards.
@@ -70,6 +73,8 @@ echo "profile: $bench x$runs"
     if [ ${#memflags[@]} -gt 0 ]; then
         echo "allocated bytes (alloc_space):"
         go tool pprof -top -sample_index=alloc_space -nodecount="$rows" "$base.test" "$base.mem.prof" 2>/dev/null | sed -n '/flat%/,$p'
+        echo "allocated objects (alloc_objects):"
+        go tool pprof -top -sample_index=alloc_objects -nodecount="$rows" "$base.test" "$base.mem.prof" 2>/dev/null | sed -n '/flat%/,$p'
     fi
 } | tee "$base.top.txt"
 echo "profile: wrote $base.prof (binary $base.test, table $base.top.txt)"
