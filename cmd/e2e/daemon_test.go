@@ -12,7 +12,8 @@ import (
 var gemm64Spec = service.JobSpec{Model: "gemm", N: 64, NPU: "small"}
 
 // A ptsimd job and a direct ptsim run of the same spec report the same
-// cycle count.
+// cycle count, and so does a repeat of the job, which the daemon serves
+// from its result cache.
 func TestPtsimdMatchesPtsim(t *testing.T) {
 	d := startDaemon(t, buildCmd(t, "ptsimd"), "-addr", "127.0.0.1:0", "-workers", "2", "-queue", "8")
 	base := d.urls(t, "ptsimd: listening", 1)[0]
@@ -29,6 +30,17 @@ func TestPtsimdMatchesPtsim(t *testing.T) {
 	getJSON(t, base+"/stats", &st)
 	if st.Done != 1 {
 		t.Fatalf("/stats counts %d done jobs, want 1", st.Done)
+	}
+
+	var again service.Job
+	waitDone(t, base, submit(t, base, gemm64Spec), &again)
+	if again.Result == nil || !again.Result.ResultHit || again.Result.Cycles != cli {
+		t.Fatalf("repeated job: %+v, want a result hit with ptsim's %d cycles", again.Result, cli)
+	}
+	getJSON(t, base+"/stats", &st)
+	if st.ResultHits != 1 || st.ResultMisses != 1 || st.TotalCycles != 2*cli {
+		t.Fatalf("/stats after the repeat: result hits %d misses %d, %d cycles; want 1, 1, %d",
+			st.ResultHits, st.ResultMisses, st.TotalCycles, 2*cli)
 	}
 }
 
@@ -60,16 +72,21 @@ func TestPtsimfleetPeerCacheAndDrain(t *testing.T) {
 	// The fleet routed the GEMM to one member, which measured its kernels
 	// and pushed each kernel's latency to that entry's hash owner. The
 	// same spec submitted to each member directly must be measured
-	// nowhere.
+	// nowhere. The member that ran it serves it from its result cache;
+	// the other two simulate it, so their cycles are a fresh check.
 	before := make([]service.Stats, len(members))
 	for i, m := range members {
 		getJSON(t, m+"/stats", &before[i])
 	}
+	hits := 0
 	for i, m := range members {
 		var job service.Job
 		waitDone(t, m, submit(t, m, spec), &job)
 		if job.Result == nil || job.Result.Cycles != cycles {
 			t.Fatalf("member %s reported %+v, want %d cycles", m, job.Result, cycles)
+		}
+		if job.Result.ResultHit {
+			hits++
 		}
 		var after service.Stats
 		getJSON(t, m+"/stats", &after)
@@ -77,6 +94,9 @@ func TestPtsimfleetPeerCacheAndDrain(t *testing.T) {
 			t.Fatalf("member %s measured a warmed spec again (kernels_measured %d -> %d); the peer tier should have served it",
 				m, before[i].KernelsMeasured, after.KernelsMeasured)
 		}
+	}
+	if hits != 1 {
+		t.Fatalf("%d members served the fleet's spec from their result cache, want only the one that ran it", hits)
 	}
 
 	var st fleet.Stats

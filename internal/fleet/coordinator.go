@@ -100,6 +100,7 @@ type MemberStats struct {
 type FleetTotals struct {
 	CacheHits       int64 `json:"cache_hits"`
 	CacheMisses     int64 `json:"cache_misses"`
+	ResultHits      int64 `json:"result_hits"`
 	DiskHits        int64 `json:"disk_hits"`
 	PeerHits        int64 `json:"peer_hits"`
 	PeerMisses      int64 `json:"peer_misses"`
@@ -415,6 +416,7 @@ func (c *Coordinator) Stats() Stats {
 		if svc := ms.Service; svc != nil {
 			st.Fleet.CacheHits += svc.CacheHits
 			st.Fleet.CacheMisses += svc.CacheMisses
+			st.Fleet.ResultHits += svc.ResultHits
 			st.Fleet.DiskHits += svc.DiskHits
 			st.Fleet.PeerHits += svc.PeerHits
 			st.Fleet.PeerMisses += svc.PeerMisses
@@ -480,6 +482,7 @@ func (c *Coordinator) collect(e *metrics.Emitter) {
 
 	e.Counter("ptsimfleet_fleet_cache_hits_total", "Compile-cache hits summed across members.", float64(st.Fleet.CacheHits))
 	e.Counter("ptsimfleet_fleet_cache_misses_total", "Compile-cache misses summed across members.", float64(st.Fleet.CacheMisses))
+	e.Counter("ptsimfleet_fleet_result_hits_total", "Result-cache hits summed across members.", float64(st.Fleet.ResultHits))
 	e.Counter("ptsimfleet_fleet_peer_hits_total", "Peer-cache hits summed across members.", float64(st.Fleet.PeerHits))
 	e.Counter("ptsimfleet_fleet_peer_puts_total", "Peer-cache pushes summed across members.", float64(st.Fleet.PeerPuts))
 	e.Counter("ptsimfleet_fleet_kernels_measured_total", "Kernel measurements summed across members.", float64(st.Fleet.KernelsMeasured))

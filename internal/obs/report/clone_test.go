@@ -1,0 +1,67 @@
+package report
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// Clone copies every reference a Report holds. A field added later that
+// holds a slice, pointer or map fails here until Clone copies it too.
+func TestCloneCoversEveryReference(t *testing.T) {
+	var refs []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			path := prefix + f.Name
+			ft := f.Type
+			switch ft.Kind() {
+			case reflect.Slice, reflect.Pointer, reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+				refs = append(refs, path)
+				if ft.Kind() == reflect.Slice || ft.Kind() == reflect.Pointer {
+					ft = ft.Elem()
+				}
+			}
+			if ft.Kind() == reflect.Struct {
+				walk(path+".", ft)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(Report{}))
+	sort.Strings(refs)
+	want := []string{"Activity", "Cores", "Energy", "Jobs", "Mem", "Topology", "Topology.PerPackage"}
+	if !reflect.DeepEqual(refs, want) {
+		t.Fatalf("Report holds references %v; Clone copies %v", refs, want)
+	}
+
+	full := func() Report {
+		return Report{
+			Cycles:   7,
+			Cores:    []CoreReport{{Core: 0, SAUtil: 0.5}},
+			Jobs:     []JobReport{{Name: "j", End: 7}},
+			Mem:      &MemReport{Reads: 1},
+			Activity: &ActivityTotals{Cycles: 7},
+			Energy:   &EnergyReport{TotalMilliJ: 1},
+			Topology: &TopologyReport{Packages: 1, PerPackage: []PackageReport{{Package: 0}}},
+		}
+	}
+	r := full()
+	c := r.Clone()
+	if !reflect.DeepEqual(c, r) {
+		t.Fatalf("clone differs: %+v", c)
+	}
+	c.Cores[0].SAUtil = 9
+	c.Jobs[0].End = 9
+	c.Mem.Reads = 9
+	c.Activity.Cycles = 9
+	c.Energy.TotalMilliJ = 9
+	c.Topology.Packages = 9
+	c.Topology.PerPackage[0].Package = 9
+	if !reflect.DeepEqual(r, full()) {
+		t.Fatalf("mutating the clone changed the original: %+v", r)
+	}
+	if (Report{}).Clone().Cores != nil {
+		t.Fatal("Clone turned a nil slice into an empty one")
+	}
+}

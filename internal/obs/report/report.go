@@ -8,6 +8,7 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -174,6 +175,31 @@ func Build(cfg npu.Config, in Inputs) Report {
 		r.Topology = buildTopology(cfg, res, in.Topo)
 	}
 	return r
+}
+
+// Clone returns a deep copy of r: the copy shares no slice element or
+// pointee with r, so a caller may mutate either freely.
+func (r Report) Clone() Report {
+	r.Cores = slices.Clone(r.Cores)
+	r.Jobs = slices.Clone(r.Jobs)
+	r.Mem = clonePtr(r.Mem)
+	r.Activity = clonePtr(r.Activity)
+	r.Energy = clonePtr(r.Energy)
+	if r.Topology != nil {
+		t := *r.Topology
+		t.PerPackage = slices.Clone(t.PerPackage)
+		r.Topology = &t
+	}
+	return r
+}
+
+// clonePtr returns a pointer to a copy of *p (nil for nil).
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
 }
 
 // Summary is the one-line run summary every CLI prints (and the

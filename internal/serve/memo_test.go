@@ -7,7 +7,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/npu"
 	"repro/internal/obs"
-	"repro/internal/obs/report"
 	"repro/internal/service/modelzoo"
 	"repro/internal/togsim"
 	"repro/internal/topo"
@@ -53,12 +52,12 @@ func memoState(t *testing.T) (*runState, *int) {
 		},
 	}
 	sc.defaults()
-	return &runState{cfg: sc, sims: map[modelzoo.Spec]report.ActivityTotals{}}, &calls
+	return newRunState(sc), &calls
 }
 
-// A repeated shape is simulated once: the second call replays the stored
-// cycles and activity, still goes through the compile path, and adds no
-// memo entry.
+// A repeated shape is compiled and simulated once: the second call replays
+// the stored cycles and activity, reuses the run's artifact without asking
+// the compile path again (still a hit), and adds no memo entry.
 func TestIterateMemoReplaysShape(t *testing.T) {
 	s, calls := memoState(t)
 	spec := modelzoo.Spec{Model: "decoder-tiny", Batch: 1, Ctx: 16}
@@ -76,11 +75,11 @@ func TestIterateMemoReplaysShape(t *testing.T) {
 	if c1 <= 0 || c1 != c2 || a1 != a2 || h1 != h2 || !h1 {
 		t.Fatalf("replayed iteration differs: (%d, %+v, %v) vs (%d, %+v, %v)", c1, a1, h1, c2, a2, h2)
 	}
-	if len(s.sims) != 1 {
-		t.Fatalf("memo holds %d entries after one shape twice, want 1", len(s.sims))
+	if len(s.sims) != 1 || len(s.comps) != 1 {
+		t.Fatalf("memo holds %d outcomes and %d artifacts after one shape twice, want 1 each", len(s.sims), len(s.comps))
 	}
-	if *calls != 3 {
-		t.Fatalf("compile called %d times, want 3 (priming + both iterations)", *calls)
+	if *calls != 2 {
+		t.Fatalf("compile called %d times, want 2 (priming + the first iteration)", *calls)
 	}
 }
 

@@ -11,13 +11,13 @@
 //
 // Every NPU iteration is one compiled graph timed on a fresh TLS engine, so
 // serving cycles are bit-identical to a standalone ptsim run of the same
-// shape; each distinct shape is simulated once per run and then replayed
-// (engine runs = PrefillShapes + DecodeShapes). Decode graphs are shaped
-// by the KV length padded up to
-// Config.KVBlock — the paged-KV trick that makes decode steps at nearby
-// context lengths share one compiled artifact: the first step at a given
-// (batch, padded-KV) shape compiles, every later step at that shape is a
-// content-addressed cache hit.
+// shape; each distinct shape is compiled and simulated once per run and
+// then replayed (engine runs = PrefillShapes + DecodeShapes). Decode graphs
+// are shaped by the KV length padded up to Config.KVBlock — the paged-KV
+// trick that makes decode steps at nearby context lengths share one
+// compiled artifact: the first step at a given (batch, padded-KV) shape
+// compiles (or fetches from the content-addressed cache), every later step
+// at that shape reuses the run's artifact and counts as a cache hit.
 //
 // All scheduling happens in simulated cycles; the report contains no host
 // time, so a seeded scenario reproduces exactly (the serve-determinism
@@ -173,7 +173,11 @@ func Run(cfg Config, reqs []Request) (report.ServeReport, error) {
 			return report.ServeReport{}, fmt.Errorf("serve: request %d (%q) needs positive prompt and output", i, r.ID)
 		}
 	}
-	return (&runState{cfg: cfg, sims: map[modelzoo.Spec]report.ActivityTotals{}}).run(reqs)
+	return newRunState(cfg).run(reqs)
+}
+
+func newRunState(cfg Config) *runState {
+	return &runState{cfg: cfg, comps: map[modelzoo.Spec]*compiler.Compiled{}, sims: map[modelzoo.Spec]report.ActivityTotals{}}
 }
 
 // run is Run's scheduler loop over a validated, defaulted config.
@@ -274,10 +278,14 @@ type runState struct {
 	prefillAct report.ActivityTotals
 	decodeAct  report.ActivityTotals
 
-	// sims holds each shape's engine outcome (Cycles included): a fresh
-	// stack under the run's fixed NPU, net, topology and MaxCycles always
-	// simulates a spec to the same result.
-	sims map[modelzoo.Spec]report.ActivityTotals
+	// comps holds each shape's artifact for the rest of the run, so a
+	// shape is compiled once per run however few artifacts the compile
+	// path keeps; a repeat counts as a compile hit. sims holds each
+	// shape's engine outcome (Cycles included): a fresh stack under the
+	// run's fixed NPU, net, topology and MaxCycles always simulates a spec
+	// to the same result.
+	comps map[modelzoo.Spec]*compiler.Compiled
+	sims  map[modelzoo.Spec]report.ActivityTotals
 }
 
 // prefill simulates one request's prompt pass (starting at serve cycle
@@ -316,15 +324,20 @@ func (s *runState) decode(batch, kvLen int, at int64) (int64, error) {
 // fresh core.Stack — the same compile-then-simulate funnel as a standalone
 // run, so iteration cycles are bit-identical to ptsim's, on one package or
 // one rank per package of the serving topology — or, for a shape already
-// run, replays the stored outcome (compile-hit accounting is unchanged). It
-// returns the iteration's activity totals for phase energy accounting.
+// run, reuses the run's artifact (a compile hit) and replays the stored
+// outcome. It returns the iteration's activity totals for phase energy
+// accounting.
 func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.ActivityTotals, bool, error) {
 	if s.cfg.Topo.Packages() > 1 {
 		spec.Topology, spec.Parallel = s.cfg.Topo.Name, s.cfg.Parallel
 	}
-	comp, hit, err := s.cfg.Compile(spec)
-	if err != nil {
-		return 0, report.ActivityTotals{}, false, err
+	comp, hit := s.comps[spec], true
+	if comp == nil {
+		var err error
+		if comp, hit, err = s.cfg.Compile(spec); err != nil {
+			return 0, report.ActivityTotals{}, false, err
+		}
+		s.comps[spec] = comp
 	}
 	// A probe needs every iteration's spans at its own serve offset, so
 	// probed runs neither replay nor store.

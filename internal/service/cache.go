@@ -34,45 +34,48 @@ func ContentKey(spec JobSpec) (string, error) {
 	return CompileKey(r.Spec, r.Cfg, r.Opts), nil
 }
 
-// cacheEntry is one in-flight or finished compilation. ready is closed when
-// comp/err are set; waiters block on it, giving singleflight semantics —
-// N concurrent identical submissions compile exactly once.
-type cacheEntry struct {
-	ready chan struct{}
-	comp  *compiler.Compiled
-	err   error
-}
+// artifactEntries bounds the compiled artifacts the compile cache keeps;
+// in-flight compiles are never evicted and do not count. A plain job reads
+// its artifact only while it simulates: the result cache serves a repeated
+// spec without it, so a few artifacts cover the misses running at once and
+// specs that differ only in how they are simulated (net, max_cycles). A
+// serving job is not result-cached and keeps its iteration artifacts only
+// for its own run, so a repeated serving job whose trace has more shapes
+// than this re-lowers them: a recompile measures no kernel, because the
+// per-core latency caches stay, but it does rerun lowering (DESIGN.md
+// "Bounded tables" has the measured cost).
+const artifactEntries = 8
 
 // Cache is the content-addressed compile cache of the simulation service:
 // it stores, per CompileKey, the compiled TOGs plus the tile-latency table,
 // so repeated or swept requests skip compilation (and even distinct models
 // on the same core configuration reuse each other's kernel measurements
-// through the shared per-core latency cache). An attached Store is handed
-// to every per-core latency cache, which reads each kernel it lacks from
-// the store and writes each new measurement back as its own entry — the
-// paper's offline tile-latency cache surviving process restarts and shared
-// across a fleet.
+// through the shared per-core latency cache). It keeps the artifactEntries
+// most recently used artifacts, and the kernel latencies behind them for
+// its whole life. An attached Store is handed to every per-core latency
+// cache, which reads each kernel it lacks from the store and writes each
+// new measurement back as its own entry — the paper's offline tile-latency
+// cache surviving process restarts and shared across a fleet.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
+	arts *flightTable[*compiler.Compiled]
+
+	mu sync.Mutex
 	// lat shares measured kernel latencies across compilations, keyed by
 	// the core configuration they were measured on (latencies depend only
 	// on npu.CoreConfig, not on the full machine). The caches are the
 	// compiler's own thread-safe singleflight tables, so compilations on
 	// different workers dedupe measurements live, not just after the fact.
-	lat   map[string]*compiler.LatencyCache
-	store cache.Store
-	hook  func(*compiler.Compiler)
-
-	hits, misses int64
-	measured     int64
+	lat      map[string]*compiler.LatencyCache
+	store    cache.Store
+	hook     func(*compiler.Compiler)
+	measured int64
 }
 
 // NewCache returns an empty compile cache.
 func NewCache() *Cache {
 	return &Cache{
-		entries: map[string]*cacheEntry{},
-		lat:     map[string]*compiler.LatencyCache{},
+		arts: newFlightTable[*compiler.Compiled](artifactEntries),
+		lat:  map[string]*compiler.LatencyCache{},
 	}
 }
 
@@ -112,9 +115,15 @@ func (c *Cache) StoreStats() (hits, misses int64) {
 // served by a finished or in-flight entry; a miss is a call that ran the
 // compiler.
 func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	hits, misses, _, _ = c.arts.stats()
+	return hits, misses
+}
+
+// Evictions reports the artifacts dropped so far to keep the cache within
+// its bound.
+func (c *Cache) Evictions() int64 {
+	_, _, ev, _ := c.arts.stats()
+	return ev
 }
 
 // Measured reports kernel measurements run by compilations so far. A
@@ -133,22 +142,27 @@ func (c *Cache) Measured() int64 {
 // entry receive the error without being counted as hits.
 func (c *Cache) Compile(key string, cfg npu.Config, opts compiler.Options,
 	build func() (*graph.Graph, error)) (*compiler.Compiled, bool, error) {
-
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			return nil, false, e.err
+	return c.arts.Do(key, func() (*compiler.Compiled, error) {
+		comp := c.compiler(cfg, opts)
+		g, err := build()
+		if err != nil {
+			return nil, err
 		}
-		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
-		return e.comp, true, nil
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	c.entries[key] = e
-	c.misses++
+		out, err := comp.Compile(g)
+		if err == nil {
+			c.mu.Lock()
+			c.measured += comp.MeasureCount()
+			c.mu.Unlock()
+		}
+		return out, err
+	})
+}
+
+// compiler returns a new compiler for cfg and opts over the shared latency
+// cache of cfg's core, with the compiler hook applied.
+func (c *Cache) compiler(cfg npu.Config, opts compiler.Options) *compiler.Compiler {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	coreKey := cache.CanonicalHash(cfg.Core)
 	lc := c.lat[coreKey]
 	if lc == nil {
@@ -160,21 +174,7 @@ func (c *Cache) Compile(key string, cfg npu.Config, opts compiler.Options,
 	if c.hook != nil {
 		c.hook(comp)
 	}
-	c.mu.Unlock()
-
-	e.comp, e.err = c.build(comp, build)
-	c.mu.Lock()
-	if e.err != nil {
-		delete(c.entries, key)
-	} else {
-		c.measured += comp.MeasureCount()
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	if e.err != nil {
-		return nil, false, e.err
-	}
-	return e.comp, false, nil
+	return comp
 }
 
 // CompileSpec is Compile for a model-zoo spec: it derives the spec's
@@ -186,12 +186,4 @@ func (c *Cache) CompileSpec(spec modelzoo.Spec, cfg npu.Config, opts compiler.Op
 		return modelzoo.BuildFor(spec, cfg.Mem)
 	})
 	return comp, key, hit, err
-}
-
-func (c *Cache) build(comp *compiler.Compiler, build func() (*graph.Graph, error)) (*compiler.Compiled, error) {
-	g, err := build()
-	if err != nil {
-		return nil, err
-	}
-	return comp.Compile(g)
 }

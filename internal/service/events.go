@@ -47,29 +47,25 @@ type StreamEvent[E any] interface {
 // Hub fans job events out to SSE subscribers. Publishing never blocks: a
 // subscriber that cannot keep up drops events (the buffer holds the most
 // recent window, and terminal states are always the last thing sent before
-// close).
+// close). It keeps state only for jobs that have subscribers.
 type Hub[E StreamEvent[E]] struct {
 	mu   sync.Mutex
 	subs map[string][]chan E
-	done map[string]bool
 	seq  int64
 }
 
 func NewHub[E StreamEvent[E]]() *Hub[E] {
-	return &Hub[E]{subs: map[string][]chan E{}, done: map[string]bool{}}
+	return &Hub[E]{subs: map[string][]chan E{}}
 }
 
-// Subscribe returns a channel of events for the job and a cancel func.
-// Subscribing to an already-finished job returns a closed channel: the
-// caller renders the final job snapshot and ends the stream.
+// Subscribe returns a channel of events for the job and a cancel func that
+// must be called once the caller stops reading. The hub does not remember
+// finished jobs: a subscriber to one receives nothing, so the caller
+// snapshots the job after subscribing (as EventsHandler does) and ends the
+// stream on a terminal snapshot.
 func (h *Hub[E]) Subscribe(jobID string) (<-chan E, func()) {
 	ch := make(chan E, 64)
 	h.mu.Lock()
-	if h.done[jobID] {
-		h.mu.Unlock()
-		close(ch)
-		return ch, func() {}
-	}
 	h.subs[jobID] = append(h.subs[jobID], ch)
 	h.mu.Unlock()
 	cancel := func() {
@@ -78,9 +74,14 @@ func (h *Hub[E]) Subscribe(jobID string) (<-chan E, func()) {
 		subs := h.subs[jobID]
 		for i, c := range subs {
 			if c == ch {
-				h.subs[jobID] = append(subs[:i], subs[i+1:]...)
-				return
+				subs = append(subs[:i], subs[i+1:]...)
+				break
 			}
+		}
+		if len(subs) == 0 {
+			delete(h.subs, jobID)
+		} else {
+			h.subs[jobID] = subs
 		}
 	}
 	return ch, cancel
@@ -101,13 +102,11 @@ func (h *Hub[E]) Publish(jobID string, ev E) {
 	h.mu.Unlock()
 }
 
-// Finish closes every subscriber stream of jobID; later subscribers get a
-// pre-closed channel.
+// Finish closes every subscriber stream of jobID and forgets the job.
 func (h *Hub[E]) Finish(jobID string) {
 	h.mu.Lock()
 	subs := h.subs[jobID]
 	delete(h.subs, jobID)
-	h.done[jobID] = true
 	h.mu.Unlock()
 	for _, ch := range subs {
 		close(ch)

@@ -54,6 +54,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"ptsimd_jobs_failed_total 0",
 		fmt.Sprintf("ptsimd_compile_cache_hits_total %d", st.CacheHits),
 		fmt.Sprintf("ptsimd_compile_cache_misses_total %d", st.CacheMisses),
+		"ptsimd_compile_cache_evictions_total 0",
+		fmt.Sprintf("ptsimd_result_cache_hits_total %d", n-1),
+		"ptsimd_result_cache_misses_total 1",
+		"ptsimd_result_cache_evictions_total 0",
 		fmt.Sprintf("ptsimd_simulated_cycles_total %d", st.TotalCycles),
 		"ptsimd_jobs_queued 0",
 		"ptsimd_jobs_running 0",

@@ -1,6 +1,7 @@
 // Package service is the simulation-as-a-service subsystem: a bounded job
 // queue feeding a pool of workers that each run an independent
-// togsim.Engine, in front of a content-addressed compile cache
+// togsim.Engine, behind a result cache (resolved spec → JobResult, so each
+// distinct job is simulated once) and a content-addressed compile cache
 // (CompileKey → compiled TOGs + tile-latency table). TLS is fast precisely
 // so that many simulations become cheap (§3.8, §3.10); this package turns
 // that into throughput — a long-running daemon (cmd/ptsimd) amortizes
@@ -260,6 +261,10 @@ type JobResult struct {
 	CompileMs   float64 `json:"compile_ms"` // host time spent compiling (0 on cache hit)
 	CacheHit    bool    `json:"cache_hit"`  // compilation served from the cache
 	CompileKey  string  `json:"compile_key"`
+	// ResultHit reports a result served from the service's result cache:
+	// an identical spec was simulated before, so this job simulated nothing
+	// (WallMs and CompileMs are 0, CacheHit is true).
+	ResultHit bool `json:"result_hit,omitempty"`
 
 	// Report is the derived observability breakdown (per-core utilization,
 	// per-job cycle classes, memory bandwidth) — the same formatter ptsim
@@ -272,8 +277,8 @@ type JobResult struct {
 	ServeReport *report.ServeReport `json:"serve_report,omitempty"`
 }
 
-// Canonical returns a deep copy with every host-time field zeroed —
-// WallMs, CompileMs, CacheHit, and the reports' wall clocks. Everything
+// Canonical returns a copy with every host-time field zeroed — WallMs,
+// CompileMs, CacheHit, ResultHit, and the reports' wall clocks. Everything
 // left is a deterministic function of the spec, which is exactly the claim
 // the fleet determinism oracle and the chaos test pin with DeepEqual:
 // where a job ran (cold cache, warm peer, re-dispatched after a member
@@ -282,6 +287,7 @@ func (r JobResult) Canonical() JobResult {
 	r.WallMs = 0
 	r.CompileMs = 0
 	r.CacheHit = false
+	r.ResultHit = false
 	if r.Report != nil {
 		rep := *r.Report
 		rep.WallMs = 0
@@ -295,6 +301,17 @@ func (r JobResult) Canonical() JobResult {
 	return r
 }
 
+// clone returns a deep copy of r that shares no Report with it. Serving
+// results, which carry a ServeReport instead, are never cached, so only
+// the Report needs copying.
+func (r JobResult) clone() JobResult {
+	if r.Report != nil {
+		rep := r.Report.Clone()
+		r.Report = &rep
+	}
+	return r
+}
+
 // Job is the service's record of one submission. Snapshot copies are
 // returned to callers; the live record is only mutated by the service,
 // under its board's lock.
@@ -304,7 +321,8 @@ type Job struct {
 	State State   `json:"state"`
 	Error string  `json:"error,omitempty"`
 	// ErrorKind classifies failures machine-readably; "deadlock" carries
-	// the engine's full stuck-job diagnostic in Error.
+	// the engine's full stuck-job diagnostic in Error, "panic" the panic
+	// value and its stack.
 	ErrorKind string     `json:"error_kind,omitempty"`
 	Result    *JobResult `json:"result,omitempty"`
 	Submitted time.Time  `json:"submitted"`
@@ -361,6 +379,16 @@ type Stats struct {
 
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
+	// CacheEvictions counts compiled artifacts dropped to keep the compile
+	// cache within artifactEntries.
+	CacheEvictions int64 `json:"cache_evictions"`
+
+	// ResultHits counts jobs served from the result cache, ResultMisses
+	// jobs that simulated (serving jobs are neither), ResultEvictions
+	// results dropped to keep the cache within resultEntries.
+	ResultHits      int64 `json:"result_hits"`
+	ResultMisses    int64 `json:"result_misses"`
+	ResultEvictions int64 `json:"result_evictions"`
 
 	// DiskHits/DiskMisses count lookups against the attached artifact
 	// store stack — persistent disk and/or remote peer tiers (always zero
@@ -389,10 +417,11 @@ type Stats struct {
 	TenantQueued map[string]int64 `json:"tenant_queued,omitempty"`
 	TenantDone   map[string]int64 `json:"tenant_done,omitempty"`
 
-	// TotalCycles sums simulated cycles over finished jobs; WallSeconds
-	// sums the host time those simulations took; CyclesPerSecond is their
-	// ratio — the aggregate simulation rate the paper's speed argument is
-	// about.
+	// TotalCycles sums the cycles of finished jobs, result-cache hits
+	// included; WallSeconds sums the host time of the jobs that simulated;
+	// CyclesPerSecond divides the cycles of those same jobs (hits, which
+	// simulate nothing, excluded) by WallSeconds — the aggregate simulation
+	// rate the paper's speed argument is about.
 	TotalCycles     int64   `json:"total_cycles"`
 	WallSeconds     float64 `json:"wall_seconds"`
 	CyclesPerSecond float64 `json:"cycles_per_second"`
@@ -419,11 +448,24 @@ type Stats struct {
 	QueueDepth int `json:"queue_depth"`
 }
 
+// resultEntries bounds the result cache. An entry is one JobResult with
+// its Report plus the table's bookkeeping: about 1.1 KiB for a
+// single-package spec and 0.3 KiB more per further package (DESIGN.md), so
+// the cache holds about 1.2 MB of single-package results, 2.2 MB of
+// four-package ones — a few compiled artifacts' worth.
+const resultEntries = 1024
+
 // Service runs simulations from a bounded weighted-fair queue on a fixed
 // worker pool.
 type Service struct {
 	cfg   Config
 	cache *Cache
+
+	// results is the result cache: resolved spec → JobResult, for
+	// non-serving jobs. engineRun simulates a resolved spec on a miss;
+	// tests replace it to inject faults.
+	results   *flightTable[JobResult]
+	engineRun func(r Resolved, probe obs.Probe) (JobResult, error)
 
 	// localStore is the tier this node serves to fleet peers over
 	// /cache/{key} (memory, or memory-over-disk); the compile cache sees
@@ -438,8 +480,9 @@ type Service struct {
 
 	// Run accounting, guarded by the board's lock so that Stats is one
 	// consistent snapshot (the cache has its own lock).
-	cycles      int64
-	wallNs      int64
+	cycles      int64 // every finished job's cycles
+	simCycles   int64 // the cycles of jobs that simulated (no result hit)
+	wallNs      int64 // the host time of those jobs
 	cacheHits   int64
 	cacheMisses int64
 	serveReqs   int64
@@ -464,12 +507,14 @@ func New(cfg Config) *Service {
 		cfg.QueueDepth = 64
 	}
 	s := &Service{
-		cfg:    cfg,
-		cache:  NewCache(),
-		jobs:   NewBoard("job-", cfg.QueueDepth, cfg.TenantQueueDepth, cfg.TenantWeights, func(j *Job) Job { return *j }),
-		reg:    metrics.NewRegistry(),
-		events: NewHub[JobEvent](),
+		cfg:     cfg,
+		cache:   NewCache(),
+		results: newFlightTable[JobResult](resultEntries),
+		jobs:    NewBoard("job-", cfg.QueueDepth, cfg.TenantQueueDepth, cfg.TenantWeights, func(j *Job) Job { return *j }),
+		reg:     metrics.NewRegistry(),
+		events:  NewHub[JobEvent](),
 	}
+	s.engineRun = s.simulate
 	s.queueWait = s.reg.NewHistogram("ptsimd_queue_wait_seconds",
 		"Time jobs spend queued before a worker picks them up.",
 		metrics.ExpBuckets(0.001, 4, 10))
@@ -575,6 +620,10 @@ func (s *Service) collect(e *metrics.Emitter) {
 	e.Counter("ptsimd_jobs_failed_total", "Jobs that ended in an error.", float64(st.Failed))
 	e.Counter("ptsimd_compile_cache_hits_total", "Compilations served from the content-addressed cache.", float64(st.CacheHits))
 	e.Counter("ptsimd_compile_cache_misses_total", "Compilations that ran the compiler.", float64(st.CacheMisses))
+	e.Counter("ptsimd_compile_cache_evictions_total", "Compiled artifacts evicted to keep the compile cache within its bound.", float64(st.CacheEvictions))
+	e.Counter("ptsimd_result_cache_hits_total", "Jobs served from the result cache without simulating.", float64(st.ResultHits))
+	e.Counter("ptsimd_result_cache_misses_total", "Jobs that simulated because the result cache had no result for their spec.", float64(st.ResultMisses))
+	e.Counter("ptsimd_result_cache_evictions_total", "Results evicted to keep the result cache within its bound.", float64(st.ResultEvictions))
 	e.Counter("ptsimd_compile_disk_hits_total", "Persistent-store lookups that found a valid artifact.", float64(st.DiskHits))
 	e.Counter("ptsimd_compile_disk_misses_total", "Persistent-store lookups that missed (absent, corrupt, or stale).", float64(st.DiskMisses))
 	e.Counter("ptsimd_kernels_measured_total", "Kernel measurements run by compilations (zero on warm-cache compiles).", float64(st.KernelsMeasured))
@@ -592,10 +641,10 @@ func (s *Service) collect(e *metrics.Emitter) {
 		e.CounterVec("ptsimd_tenant_jobs_done_total", "Finished jobs per tenant.",
 			"tenant", metrics.TenantSamples(st.TenantDone))
 	}
-	e.Counter("ptsimd_simulated_cycles_total", "Simulated cycles summed over finished jobs.", float64(st.TotalCycles))
+	e.Counter("ptsimd_simulated_cycles_total", "Simulated cycles summed over finished jobs, result-cache hits included.", float64(st.TotalCycles))
 	e.Counter("ptsimd_serve_requests_total", "Requests completed by serving jobs.", float64(st.ServeRequests))
 	e.Counter("ptsimd_serve_tokens_generated_total", "Tokens generated by serving jobs.", float64(st.ServeTokens))
-	e.Gauge("ptsimd_simulation_cycles_per_second", "Aggregate simulation rate: simulated cycles per host second.", st.CyclesPerSecond)
+	e.Gauge("ptsimd_simulation_cycles_per_second", "Aggregate simulation rate: cycles per host second of the jobs that simulated (result-cache hits excluded).", st.CyclesPerSecond)
 	if len(st.EnergyJoules) > 0 {
 		// Fixed unit order keeps the scrape byte-stable.
 		samples := make([]metrics.LabeledSample, 0, len(report.EnergyUnits))
@@ -674,7 +723,9 @@ func (s *Service) Wait(id string) (Job, error) { return s.jobs.Wait(id) }
 // field is read under the same lock acquisition.
 func (s *Service) Stats() Stats {
 	var st Stats
+	var simCycles int64
 	c := s.jobs.Counts(func() {
+		simCycles = s.simCycles
 		st = Stats{
 			CacheHits: s.cacheHits, CacheMisses: s.cacheMisses,
 			TotalCycles: s.cycles, WallSeconds: float64(s.wallNs) / 1e9,
@@ -688,11 +739,13 @@ func (s *Service) Stats() Stats {
 			st.PeerHits, st.PeerMisses = s.peer.Stats()
 			st.PeerPuts, st.PeerErrors = s.peer.NetStats()
 		}
+		st.CacheEvictions = s.cache.Evictions()
+		st.ResultHits, st.ResultMisses, st.ResultEvictions, _ = s.results.stats()
 	})
 	st.Submitted, st.Queued, st.Running, st.Done, st.Failed = c.Submitted, c.Queued, c.Running, c.Done, c.Failed
 	st.TenantQueued, st.TenantDone = c.TenantQueued, c.TenantDone
 	if st.WallSeconds > 0 {
-		st.CyclesPerSecond = float64(st.TotalCycles) / st.WallSeconds
+		st.CyclesPerSecond = float64(simCycles) / st.WallSeconds
 	}
 	return st
 }
@@ -758,7 +811,15 @@ func (s *Service) run(j *Job) {
 	if j.Spec.Serve == nil {
 		probe = progressProbe(s.events, j.ID)
 	}
-	res, err := s.Simulate(j.Spec, probe)
+	res, err := func() (res JobResult, err error) {
+		// A panic fails this job alone, not the daemon and every queued job.
+		defer func() {
+			if p := recover(); p != nil {
+				err = asPanicError(p)
+			}
+		}()
+		return s.Simulate(j.Spec, probe)
+	}()
 
 	final := JobEvent{Kind: "state", Tenant: j.Spec.Tenant}
 	s.jobs.Finish(j.ID, func() bool {
@@ -767,14 +828,21 @@ func (s *Service) run(j *Job) {
 			j.State = StateFailed
 			j.Error = err.Error()
 			var dl *togsim.DeadlockError
-			if errors.As(err, &dl) {
+			var pe *PanicError
+			switch {
+			case errors.As(err, &dl):
 				j.ErrorKind = "deadlock"
+			case errors.As(err, &pe):
+				j.ErrorKind = "panic"
 			}
 		} else {
 			j.State = StateDone
 			j.Result = &res
 			s.cycles += res.Cycles
-			s.wallNs += int64(res.WallMs * 1e6)
+			if !res.ResultHit {
+				s.simCycles += res.Cycles
+				s.wallNs += int64(res.WallMs * 1e6)
+			}
 			final.Cycles = res.Cycles
 		}
 		final.State, final.Error = j.State, j.Error
@@ -795,14 +863,55 @@ func (s *Service) run(j *Job) {
 // events (for serving jobs, stitched onto one timeline); attached probes
 // are proven invisible in Results by the crosscheck probe oracle, so
 // observing a job can never change its outcome.
+//
+// A non-serving spec is simulated once per service: its result is kept in
+// the result cache under the canonical hash of the resolved spec (with the
+// effective max_cycles filled in), and an identical spec — whatever its
+// tenant or priority — gets a copy with ResultHit set and no host time,
+// probe left silent. Concurrent identical specs wait for the one run;
+// errors are not kept. Hits account energy in the service stats exactly as
+// runs do.
 func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
-	r, err := spec.Resolve()
+	r, err := s.resolve(spec)
 	if err != nil {
 		return JobResult{}, err
 	}
 	if r.Serve != nil {
 		return s.runServe(r, probe)
 	}
+	res, hit, err := s.results.Do(cache.CanonicalHash(r), func() (JobResult, error) {
+		return s.engineRun(r, probe)
+	})
+	if err != nil {
+		return JobResult{}, err
+	}
+	res = res.clone()
+	if hit {
+		res.WallMs, res.CompileMs, res.CacheHit, res.ResultHit = 0, 0, true, true
+		res.Report.WallMs = 0
+	}
+	s.accountEnergy(res.Report.Energy)
+	s.accountPackages(res.Report.Topology)
+	return res, nil
+}
+
+// resolve is spec.Resolve with the effective cycle limit filled in, so
+// that a spec naming the default limit and one leaving it out are the same
+// result-cache key.
+func (s *Service) resolve(spec JobSpec) (Resolved, error) {
+	r, err := spec.Resolve()
+	if r.MaxCycles == 0 {
+		r.MaxCycles = s.cfg.MaxCycles
+	}
+	if r.MaxCycles == 0 {
+		r.MaxCycles = togsim.DefaultMaxCycles
+	}
+	return r, err
+}
+
+// simulate compiles (or fetches) one resolved non-serving spec and runs it
+// on a fresh core.Stack.
+func (s *Service) simulate(r Resolved, probe obs.Probe) (JobResult, error) {
 	compileStart := time.Now()
 	comp, key, hit, err := s.compile(r.Spec, r.Cfg, r.Opts)
 	if err != nil {
@@ -818,9 +927,6 @@ func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 		st.AttachProbe(probe)
 	}
 	st.Engine.MaxCycles = r.MaxCycles
-	if st.Engine.MaxCycles == 0 {
-		st.Engine.MaxCycles = s.cfg.MaxCycles
-	}
 	jobs, err := st.Place(comp.Name, comp)
 	if err != nil {
 		return JobResult{}, err
@@ -830,8 +936,6 @@ func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 		return JobResult{}, err
 	}
 	rep := report.Build(st.Cfg, in)
-	s.accountEnergy(rep.Energy)
-	s.accountPackages(rep.Topology)
 	return JobResult{
 		Cycles:      res.Cycles,
 		FreqMHz:     r.Cfg.FreqMHz,
@@ -875,17 +979,13 @@ func (s *Service) ServeCompileFn(cfg npu.Config, opts compiler.Options) serve.Co
 // with every iteration compiled through the shared cache.
 func (s *Service) runServe(r Resolved, probe obs.Probe) (JobResult, error) {
 	sv := *r.Serve
-	maxCycles := r.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = s.cfg.MaxCycles
-	}
 	cfg := serve.Config{
 		Model:     r.Spec.Model,
 		NPU:       r.Cfg,
 		Net:       r.Net,
 		MaxBatch:  sv.MaxBatch,
 		KVBlock:   sv.KVBlock,
-		MaxCycles: maxCycles,
+		MaxCycles: r.MaxCycles,
 		Compile:   s.ServeCompileFn(r.Cfg, r.Opts),
 		Probe:     probe,
 	}

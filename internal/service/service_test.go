@@ -16,9 +16,11 @@ import (
 	"repro/internal/service/modelzoo"
 )
 
-// A batch of N identical submissions compiles exactly once (cache hit
-// count N-1), every job reports the same cycle count, and that count is
-// bit-identical to a standalone run through the same path ptsim uses.
+// A batch of N identical submissions compiles and simulates exactly once
+// (one compile miss, no compile hit: the N-1 repeats are result hits and
+// never reach the compile cache), every job reports the same cycle count,
+// and that count is bit-identical to a standalone run through the same
+// path ptsim uses.
 func TestServiceCompilesOnceAndMatchesStandalone(t *testing.T) {
 	svc := New(Config{Workers: 4, QueueDepth: 16})
 	svc.Start()
@@ -51,8 +53,9 @@ func TestServiceCompilesOnceAndMatchesStandalone(t *testing.T) {
 		}
 	}
 	st := svc.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != n-1 {
-		t.Fatalf("cache hits=%d misses=%d, want hits=%d misses=1", st.CacheHits, st.CacheMisses, n-1)
+	if st.CacheMisses != 1 || st.CacheHits != 0 || st.ResultMisses != 1 || st.ResultHits != n-1 {
+		t.Fatalf("cache hits=%d misses=%d, result hits=%d misses=%d; want 0, 1, %d, 1",
+			st.CacheHits, st.CacheMisses, st.ResultHits, st.ResultMisses, n-1)
 	}
 	if st.Done != n || st.Failed != 0 || st.Running != 0 || st.Queued != 0 {
 		t.Fatalf("stats %+v: want %d done and nothing else", st, n)
