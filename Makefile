@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt funnel-gate vet test race check bench bench-serve bench-energy bench-topo profile fuzz-smoke crosscheck cover clean
+.PHONY: all build fmt funnel-gate vet test race check bench profile fuzz-smoke crosscheck cover clean
 
 all: check
 
@@ -73,24 +73,6 @@ cover:
 # Engine micro-benchmarks, including the event-vs-strict TLS comparison.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkTLSEngine' -benchtime 1x .
-
-# LLM inference benchmarks: per-iteration prefill/decode cycles swept over
-# batch and context, plus a continuous-batching serving run with latency
-# percentiles -> BENCH_serve.json.
-bench-serve:
-	bash scripts/bench_serve.sh
-
-# Energy-efficiency benchmarks: decode energy-per-token swept over batch
-# and context on decoder-small, plus the end-to-end serving mJ/token
-# figure -> BENCH_energy.json.
-bench-energy:
-	bash scripts/bench_energy.sh
-
-# Multi-package scaling benchmarks: decoder-small decode cycles/token and
-# mJ/token over packages {1,2,4} x parallelism {data,tensor}
-# -> BENCH_topo.json.
-bench-topo:
-	bash scripts/bench_topo.sh
 
 # CPU profile of the untraced serial engine on one model: runs the matching
 # BenchmarkEngine<Model>C<n>Serial with -cpuprofile into profile/ and prints

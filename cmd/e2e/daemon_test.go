@@ -15,14 +15,14 @@ var gemm64Spec = service.JobSpec{Model: "gemm", N: 64, NPU: "small"}
 // cycle count, and so does a repeat of the job, which the daemon serves
 // from its result cache.
 func TestPtsimdMatchesPtsim(t *testing.T) {
-	d := startDaemon(t, buildCmd(t, "ptsimd"), "-addr", "127.0.0.1:0", "-workers", "2", "-queue", "8")
+	d := startDaemon(t, buildCmd(t, "cmd/ptsimd"), "-addr", "127.0.0.1:0", "-workers", "2", "-queue", "8")
 	base := d.urls(t, "ptsimd: listening", 1)[0]
 	var job service.Job
 	waitDone(t, base, submit(t, base, gemm64Spec), &job)
 	if job.Result == nil {
 		t.Fatal("done job has no result")
 	}
-	cli := tlsCycles(t, mustRun(t, buildCmd(t, "ptsim"), gemm64...))
+	cli := tlsCycles(t, mustRun(t, buildCmd(t, "cmd/ptsim"), gemm64...))
 	if job.Result.Cycles != cli {
 		t.Fatalf("service reported %d cycles, ptsim %d", job.Result.Cycles, cli)
 	}
@@ -50,7 +50,7 @@ func TestPtsimdMatchesPtsim(t *testing.T) {
 // measurement, because the members fetch its kernel latencies over the
 // peer cache tier; and SIGTERM drains the whole fleet cleanly.
 func TestPtsimfleetPeerCacheAndDrain(t *testing.T) {
-	d := startDaemon(t, buildCmd(t, "ptsimfleet"), "-n", "3", "-addr", "127.0.0.1:0", "-workers", "2")
+	d := startDaemon(t, buildCmd(t, "cmd/ptsimfleet"), "-n", "3", "-addr", "127.0.0.1:0", "-workers", "2")
 	coord := d.urls(t, "ptsimfleet: coordinator", 1)[0]
 	members := d.urls(t, "ptsimfleet: member", 3)
 
@@ -65,7 +65,7 @@ func TestPtsimfleetPeerCacheAndDrain(t *testing.T) {
 		t.Fatal("done fleet job has no result")
 	}
 	cycles := jobA.Result.Cycles
-	if cli := tlsCycles(t, mustRun(t, buildCmd(t, "ptsim"), gemm64...)); cycles != cli {
+	if cli := tlsCycles(t, mustRun(t, buildCmd(t, "cmd/ptsim"), gemm64...)); cycles != cli {
 		t.Fatalf("fleet reported %d cycles, ptsim %d", cycles, cli)
 	}
 

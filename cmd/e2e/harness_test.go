@@ -1,6 +1,7 @@
-// Package e2e drives the built commands end to end: it builds each
-// ./cmd/<name> once, runs it as a user would, starts the daemons on
-// ephemeral ports and talks to them over HTTP. It holds only tests.
+// Package e2e drives the built commands and examples end to end: it builds
+// each ./cmd/<name> and ./examples/<name> once, runs it as a user would,
+// starts the daemons on ephemeral ports and talks to them over HTTP. It
+// holds only tests.
 package e2e
 
 import (
@@ -26,7 +27,7 @@ import (
 // binDir holds the command binaries, built at most once per test process.
 var (
 	binDir string
-	builds sync.Map // command name -> *build
+	builds sync.Map // package path -> *build
 )
 
 type build struct {
@@ -47,15 +48,17 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// buildCmd returns the path of ./cmd/<name>, building it on first use.
-func buildCmd(t *testing.T, name string) string {
+// buildCmd returns the path of the binary of the main package at pkg
+// (relative to the module root, e.g. "cmd/ptsim" or "examples/chiplet"),
+// building it on first use.
+func buildCmd(t *testing.T, pkg string) string {
 	t.Helper()
-	v, _ := builds.LoadOrStore(name, &build{})
+	v, _ := builds.LoadOrStore(pkg, &build{})
 	b := v.(*build)
 	b.once.Do(func() {
-		b.path = filepath.Join(binDir, name)
-		if out, err := exec.Command("go", "build", "-o", b.path, "repro/cmd/"+name).CombinedOutput(); err != nil {
-			b.err = fmt.Errorf("building %s: %v\n%s", name, err, out)
+		b.path = filepath.Join(binDir, filepath.Base(pkg))
+		if out, err := exec.Command("go", "build", "-o", b.path, "repro/"+pkg).CombinedOutput(); err != nil {
+			b.err = fmt.Errorf("building %s: %v\n%s", pkg, err, out)
 		}
 	})
 	if b.err != nil {

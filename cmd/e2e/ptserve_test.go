@@ -23,7 +23,7 @@ var (
 // ptserveTiny runs ptserve on the tiny decoder plus extra flags.
 func ptserveTiny(t *testing.T, extra ...string) (string, string, error) {
 	args := append([]string{"-model", "decoder-tiny", "-small", "-prompt", "8", "-gen", "3"}, extra...)
-	return run(buildCmd(t, "ptserve"), args...)
+	return run(buildCmd(t, "cmd/ptserve"), args...)
 }
 
 // ptserve validates its flags with the daemon's resolver: a spec ptsimd
@@ -70,7 +70,7 @@ func TestPtserveZeroFlagMeansWireDefault(t *testing.T) {
 // cache hit, and the default run, which replays repeated shapes, reports
 // exactly what -trace, which simulates every iteration, reports.
 func TestPtserveReplayMatchesFullSimulation(t *testing.T) {
-	ptserve := buildCmd(t, "ptserve")
+	ptserve := buildCmd(t, "cmd/ptserve")
 	var rep, traced report.ServeReport
 	runJSON(t, &rep, ptserve, serveScenario...)
 	runJSON(t, &traced, ptserve, append(serveScenario, "-trace", filepath.Join(t.TempDir(), "t.json"))...)
@@ -108,7 +108,7 @@ func TestPtserveReplayMatchesFullSimulation(t *testing.T) {
 func TestPtserveTraceIsStitched(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "serve.trace.json")
 	var rep report.ServeReport
-	runJSON(t, &rep, buildCmd(t, "ptserve"), append(tinyServe, "-trace", path)...)
+	runJSON(t, &rep, buildCmd(t, "cmd/ptserve"), append(tinyServe, "-trace", path)...)
 	var lastEnd int64
 	for _, ev := range checkTrace(t, path, true) {
 		if ev.Ph == "X" {
@@ -124,7 +124,7 @@ func TestPtserveTraceIsStitched(t *testing.T) {
 // are positive, and the prefill and decode phases sum to the total.
 func TestPtserveEnergyByPhase(t *testing.T) {
 	var rep report.ServeReport
-	runJSON(t, &rep, buildCmd(t, "ptserve"), tinyServe...)
+	runJSON(t, &rep, buildCmd(t, "cmd/ptserve"), tinyServe...)
 	if rep.TotalEnergyMJ <= 0 || rep.EnergyPerTokenMJ <= 0 {
 		t.Fatalf("total_energy_mj %v and energy_per_token_mj %v must be positive", rep.TotalEnergyMJ, rep.EnergyPerTokenMJ)
 	}

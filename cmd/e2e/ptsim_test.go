@@ -18,7 +18,7 @@ var pkg2Tensor = []string{"-model", "decoder-tiny", "-ctx", "8", "-small", "-top
 // the run knobs apply to it: -max-cycles bounds it, -trace records it, and
 // -json renders its topology section.
 func TestPtsimTopologyRunHonoursRunFlags(t *testing.T) {
-	ptsim := buildCmd(t, "ptsim")
+	ptsim := buildCmd(t, "cmd/ptsim")
 	if _, stderr, err := run(ptsim, append(pkg2Tensor, "-max-cycles", "100")...); err == nil {
 		t.Fatal("-max-cycles 100 must abort a ~10k-cycle run with a non-zero exit")
 	} else if !strings.Contains(stderr, "exceeded max cycles (100)") || !strings.Contains(stderr, "unfinished") {
@@ -44,7 +44,7 @@ func TestPtsimTopologyRunHonoursRunFlags(t *testing.T) {
 // before it compiles anything: a run ptsimd would reject at admission, or
 // one ptsim cannot do, never starts.
 func TestPtsimRejectsBeforeCompiling(t *testing.T) {
-	ptsim := buildCmd(t, "ptsim")
+	ptsim := buildCmd(t, "cmd/ptsim")
 	for _, tc := range []struct {
 		flags []string
 		want  string
@@ -73,7 +73,7 @@ func TestPtsimRejectsBeforeCompiling(t *testing.T) {
 // Both simulation modes run on the same stack, so -max-cycles bounds an ILS
 // run exactly as it bounds a TLS run.
 func TestPtsimMaxCyclesBoundsEveryMode(t *testing.T) {
-	ptsim := buildCmd(t, "ptsim")
+	ptsim := buildCmd(t, "cmd/ptsim")
 	for _, mode := range []string{"tls", "ils"} {
 		stdout, stderr, err := run(ptsim, append(gemm64, "-mode", mode, "-max-cycles", "10")...)
 		if err == nil {
@@ -90,7 +90,7 @@ func TestPtsimMaxCyclesBoundsEveryMode(t *testing.T) {
 // cycle count, and its trace carries every track including power over
 // time (TestPtsimTopologyRunHonoursRunFlags checks a multi-package trace).
 func TestPtsimTraceKeepsCycles(t *testing.T) {
-	ptsim := buildCmd(t, "ptsim")
+	ptsim := buildCmd(t, "cmd/ptsim")
 	plain := tlsCycles(t, mustRun(t, ptsim, gemm64...))
 	gemmTrace := filepath.Join(t.TempDir(), "gemm.trace.json")
 	traced := tlsCycles(t, mustRun(t, ptsim, append(gemm64, "-trace", gemmTrace)...))
@@ -106,7 +106,7 @@ func TestPtsimWarmCacheMeasuresNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 512-GEMM runs (~6s)")
 	}
-	ptsim := buildCmd(t, "ptsim")
+	ptsim := buildCmd(t, "cmd/ptsim")
 	args := []string{"-model", "gemm", "-n", "512", "-small", "-cache-dir", filepath.Join(t.TempDir(), "cache")}
 	cold := mustRun(t, ptsim, args...)
 	warm := mustRun(t, ptsim, args...)
@@ -128,7 +128,7 @@ func TestPtsimWarmCacheMeasuresNothing(t *testing.T) {
 // order, to its total, which is positive, and compute activity is counted.
 func TestPtsimEnergySumsExactly(t *testing.T) {
 	var rep report.Report
-	runJSON(t, &rep, buildCmd(t, "ptsim"), append(gemm64, "-json")...)
+	runJSON(t, &rep, buildCmd(t, "cmd/ptsim"), append(gemm64, "-json")...)
 	act, en := rep.Activity, rep.Energy
 	if act == nil || en == nil {
 		t.Fatalf("want activity and energy sections, got %+v and %+v", act, en)
@@ -167,7 +167,7 @@ func checkEnergySum(t *testing.T, en report.EnergyReport) {
 // topology totals.
 func TestPtsimTopologyBreakdownSumsExactly(t *testing.T) {
 	var rep report.Report
-	runJSON(t, &rep, buildCmd(t, "ptsim"), append(pkg2Tensor, "-json")...)
+	runJSON(t, &rep, buildCmd(t, "cmd/ptsim"), append(pkg2Tensor, "-json")...)
 	topo := rep.Topology
 	if topo == nil {
 		t.Fatal("no topology section in the report")

@@ -15,7 +15,7 @@ import (
 // the default, and neither the strict-tick reference loop nor a report
 // cache is a user option.
 func TestTogsimRejectsUnknownSelectors(t *testing.T) {
-	togsim := buildCmd(t, "togsim")
+	togsim := buildCmd(t, "cmd/togsim")
 	dir := t.TempDir()
 	b := tog.NewBuilder("tiny", "in")
 	b.Load("in", npu.DMADesc{Rows: 8, Cols: 128}, tog.AddrExpr{}, 0, 0)

@@ -1,11 +1,13 @@
 // Command experiments regenerates the paper's evaluation tables and
 // figures (Fig. 5-10 plus the §5.1 sparse validation) on the TPUv3-like
-// configuration.
+// configuration, and the LLM inference table (prefill/decode sweep, energy
+// per token, multi-package scaling and a serving run).
 //
 // Usage:
 //
 //	experiments -fig all            # everything, full scale
 //	experiments -fig 5 -quick       # one figure, scaled-down workloads
+//	experiments -fig llm            # the LLM table (it has no quick mode)
 //	experiments -list
 package main
 
@@ -17,6 +19,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/exp"
 	"repro/internal/npu"
+	"repro/internal/service"
 )
 
 type figure struct {
@@ -25,7 +28,9 @@ type figure struct {
 	run  func(cfg npu.Config, quick bool) (fmt.Stringer, error)
 }
 
-func figures() []figure {
+// figures lists every table; npuName is the NPU preset the LLM table's
+// job specs name.
+func figures(npuName string) []figure {
 	return []figure{
 		{"5", "simulation accuracy vs detailed reference", func(c npu.Config, q bool) (fmt.Stringer, error) { return exp.Fig5(c, q) }},
 		{"6", "simulation speed (TLS vs ILS vs baselines)", func(c npu.Config, q bool) (fmt.Stringer, error) { return exp.Fig6(c, q) }},
@@ -37,20 +42,23 @@ func figures() []figure {
 		{"9", "chiplet NPU scheduling", func(c npu.Config, q bool) (fmt.Stringer, error) { return exp.Fig9(c, q) }},
 		{"10", "training batch-size study", func(c npu.Config, q bool) (fmt.Stringer, error) { return exp.Fig10(c, q) }},
 		{"sparseval", "§5.1 sparse-core TLS validation", func(c npu.Config, q bool) (fmt.Stringer, error) { return exp.SparseValidation(c, q) }},
+		{"llm", "LLM prefill/decode, energy per token, multi-package scaling, serving", func(npu.Config, bool) (fmt.Stringer, error) {
+			return llm(service.New(service.Config{}), npuName)
+		}},
 	}
 }
 
 func main() { cli.Main("experiments", run) }
 
 func run() error {
-	fig := flag.String("fig", "all", "figure to regenerate (5, 6, 7a, 7b, 8a, 8b, 8c, 9, 10, sparseval, all)")
+	fig := flag.String("fig", "all", "figure to regenerate (5, 6, 7a, 7b, 8a, 8b, 8c, 9, 10, sparseval, llm, all)")
 	quick := flag.Bool("quick", false, "scaled-down workloads for fast runs")
 	machine := cli.BindMachine(flag.CommandLine, false)
 	list := flag.Bool("list", false, "list available figures")
 	flag.Parse()
 
 	if *list {
-		for _, f := range figures() {
+		for _, f := range figures("") {
 			fmt.Printf("%-10s %s\n", f.name, f.desc)
 		}
 		return nil
@@ -60,7 +68,7 @@ func run() error {
 		return err
 	}
 	ran := false
-	for _, f := range figures() {
+	for _, f := range figures(machine.Preset()) {
 		if *fig != "all" && *fig != f.name {
 			continue
 		}

@@ -10,48 +10,20 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/exp"
+	"repro/internal/golden"
 	"repro/internal/npu"
 	"repro/internal/obs/report"
 	"repro/internal/serve"
 	"repro/internal/service/modelzoo"
 	"repro/internal/togsim"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
-
-// goldenCompare diffs got against testdata/golden/<name>, rewriting the
-// file instead when -update is set.
-func goldenCompare(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", "golden", name)
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run `go test -run TestGolden -update .`): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s\nIf the change is intentional, regenerate with `go test -run TestGolden -update .`",
-			name, got, want)
-	}
-}
 
 // goldenReport produces the deterministic report both golden tests render:
 // the quickstart GEMM on the small machine, wall time zeroed.
@@ -78,7 +50,7 @@ func goldenReport(t *testing.T) (npu.Config, report.Report) {
 // TestGoldenPtsimReport pins the text rendering of ptsim -report.
 func TestGoldenPtsimReport(t *testing.T) {
 	_, full := goldenReport(t)
-	goldenCompare(t, "ptsim_report.txt", []byte(full.Text()))
+	golden.Check(t, "testdata/golden/ptsim_report.txt", []byte(full.Text()))
 }
 
 // TestGoldenPtsimJSON pins the JSON rendering of ptsim -json (indented
@@ -91,7 +63,7 @@ func TestGoldenPtsimJSON(t *testing.T) {
 	if err := enc.Encode(full); err != nil {
 		t.Fatal(err)
 	}
-	goldenCompare(t, "ptsim_report.json", buf.Bytes())
+	golden.Check(t, "testdata/golden/ptsim_report.json", buf.Bytes())
 }
 
 // TestGoldenTogsimJSON pins the JSON rendering of togsim -json: the first
@@ -123,7 +95,7 @@ func TestGoldenTogsimJSON(t *testing.T) {
 	if err := enc.Encode(rep); err != nil {
 		t.Fatal(err)
 	}
-	goldenCompare(t, "togsim_report.json", buf.Bytes())
+	golden.Check(t, "testdata/golden/togsim_report.json", buf.Bytes())
 }
 
 // goldenTopoReport produces the deterministic multi-package report the
@@ -165,7 +137,7 @@ func goldenTopoReport(t *testing.T) report.Report {
 // parallel run (ptsim -topology mesh2x2 -parallel tensor -report).
 func TestGoldenTopoReport(t *testing.T) {
 	full := goldenTopoReport(t)
-	goldenCompare(t, "topo_report.txt", []byte(full.Text()))
+	golden.Check(t, "testdata/golden/topo_report.txt", []byte(full.Text()))
 }
 
 // TestGoldenTopoJSON pins the JSON rendering of the same run (indented
@@ -178,7 +150,7 @@ func TestGoldenTopoJSON(t *testing.T) {
 	if err := enc.Encode(full); err != nil {
 		t.Fatal(err)
 	}
-	goldenCompare(t, "topo_report.json", buf.Bytes())
+	golden.Check(t, "testdata/golden/topo_report.json", buf.Bytes())
 }
 
 // goldenServeReport produces the deterministic serving report both serve
@@ -224,7 +196,7 @@ func goldenServeReport(t *testing.T) report.ServeReport {
 // TestGoldenServeReport pins the text rendering of ptserve -report.
 func TestGoldenServeReport(t *testing.T) {
 	rep := goldenServeReport(t)
-	goldenCompare(t, "serve_report.txt", []byte(rep.Text()))
+	golden.Check(t, "testdata/golden/serve_report.txt", []byte(rep.Text()))
 }
 
 // TestGoldenServeJSON pins the JSON rendering of ptserve -json (indented
@@ -237,5 +209,5 @@ func TestGoldenServeJSON(t *testing.T) {
 	if err := enc.Encode(rep); err != nil {
 		t.Fatal(err)
 	}
-	goldenCompare(t, "serve_report.json", buf.Bytes())
+	golden.Check(t, "testdata/golden/serve_report.json", buf.Bytes())
 }

@@ -52,8 +52,8 @@ func BindMachine(fs *flag.FlagSet, withNet bool) *Machine {
 	return m
 }
 
-// preset is the NPU preset name -small selects.
-func (m *Machine) preset() string {
+// Preset is the NPU preset name -small selects.
+func (m *Machine) Preset() string {
 	if m.Small {
 		return "small"
 	}
@@ -63,7 +63,7 @@ func (m *Machine) preset() string {
 // Resolve returns the machine through service.ResolveMachine, the resolver
 // every job spec goes through, so a bad -net fails with its message.
 func (m *Machine) Resolve() (npu.Config, togsim.NetKind, error) {
-	return service.ResolveMachine(m.preset(), m.Net)
+	return service.ResolveMachine(m.Preset(), m.Net)
 }
 
 // Job is the flag set ptsim and ptserve share, bound to a service.JobSpec.
@@ -90,7 +90,7 @@ func BindJob(fs *flag.FlagSet, model string) *Job {
 // and resolves it with JobSpec.Resolve.
 func (j *Job) Spec() service.JobSpec {
 	return service.JobSpec{Model: j.Model, Topology: j.Topology, Parallel: j.Parallel,
-		NPU: j.preset(), Net: j.Net, MaxCycles: j.MaxCycles}
+		NPU: j.Preset(), Net: j.Net, MaxCycles: j.MaxCycles}
 }
 
 // Output is the -json/-trace pair: where a command's report and trace go.

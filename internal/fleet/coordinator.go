@@ -220,7 +220,7 @@ func (c *Coordinator) Submit(spec service.JobSpec) (Job, error) {
 		return Job{}, err
 	}
 	j, err := c.jobs.Submit(spec.Tenant, spec.Priority, func(id string) *Job {
-		return &Job{ID: id, Spec: spec, Key: key, State: service.StateQueued, tried: map[string]bool{}}
+		return &Job{ID: id, Spec: spec.Clone(), Key: key, State: service.StateQueued, tried: map[string]bool{}}
 	})
 	if err == nil {
 		c.events.Publish(j.ID, Event{Kind: "state", State: service.StateQueued})
@@ -234,14 +234,14 @@ func (c *Coordinator) Get(id string) (Job, bool) { return c.jobs.Get(id) }
 // Wait blocks until the job finishes and returns its final snapshot.
 func (c *Coordinator) Wait(id string) (Job, error) { return c.jobs.Wait(id) }
 
-// snapshot copies the caller-visible fields of a live record.
+// snapshot deep-copies the caller-visible fields of a live record.
 func snapshot(j *Job) Job {
 	cp := Job{
-		ID: j.ID, Spec: j.Spec, Key: j.Key, State: j.State,
+		ID: j.ID, Spec: j.Spec.Clone(), Key: j.Key, State: j.State,
 		Member: j.Member, Attempts: j.Attempts, Error: j.Error,
 	}
 	if j.Result != nil {
-		r := *j.Result
+		r := j.Result.Clone()
 		cp.Result = &r
 	}
 	return cp

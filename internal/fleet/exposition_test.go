@@ -2,18 +2,14 @@ package fleet
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/golden"
 	"repro/internal/obs/metrics/promtest"
 	"repro/internal/service"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
 // The coordinator's /metrics shape is pinned by a golden file: families,
 // types, labels, and histogram bounds, with run-dependent values stripped.
@@ -48,24 +44,7 @@ func TestFleetExpositionGolden(t *testing.T) {
 	promtest.CheckFamilies(t, fams)
 	got := []byte(promtest.Strip(fams))
 
-	path := filepath.Join("testdata", "golden", "coordinator_metrics.golden")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/fleet -run TestFleetExpositionGolden -update`): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("coordinator exposition drifted from golden.\n--- got ---\n%s\n--- want ---\n%s\nRegenerate with `go test ./internal/fleet -run TestFleetExpositionGolden -update`",
-			got, want)
-	}
+	golden.Check(t, "testdata/golden/coordinator_metrics.golden", got)
 }
 
 // After a live fleet ran jobs, the merged families must reflect the member

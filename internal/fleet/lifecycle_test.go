@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"runtime"
@@ -201,5 +203,80 @@ func settles(t *testing.T, baseline int) {
 			t.Fatalf("%d goroutines after Close, %d before:\n%s", runtime.NumGoroutine(), baseline, buf)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// Job snapshots are deep copies on a ptsimd service and on a coordinator
+// alike: an in-process caller that mutates what Wait returns — the result,
+// its report, the spec's pointers — leaves the job record as it was, so
+// the next Get reads it unchanged.
+func TestSnapshotsShareNothingWithTheRecord(t *testing.T) {
+	fusion := true
+	spec := service.JobSpec{Model: "gemm", N: 32, NPU: "small", Fusion: &fusion}
+	t.Run("service", func(t *testing.T) {
+		s := service.New(service.Config{Workers: 1})
+		s.Start()
+		t.Cleanup(s.Close)
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSnapshotsIsolated(t, func() (service.Job, error) { return s.Wait(j.ID) },
+			func() (service.Job, bool) { return s.Get(j.ID) },
+			func(j *service.Job) (*service.JobSpec, *service.JobResult) { return &j.Spec, j.Result })
+	})
+	t.Run("coordinator", func(t *testing.T) {
+		fl, err := StartLocal(LocalOptions{N: 2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fl.Close)
+		j, err := fl.Coord.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSnapshotsIsolated(t, func() (Job, error) { return fl.Coord.Wait(j.ID) },
+			func() (Job, bool) { return fl.Coord.Get(j.ID) },
+			func(j *Job) (*service.JobSpec, *service.JobResult) { return &j.Spec, j.Result })
+	})
+}
+
+// checkSnapshotsIsolated waits for a finished job, mutates one snapshot's
+// result, report and spec, and fails unless a fresh Get still renders
+// exactly as the job did before.
+func checkSnapshotsIsolated[J any](t *testing.T, wait func() (J, error), get func() (J, bool),
+	parts func(*J) (*service.JobSpec, *service.JobResult)) {
+	t.Helper()
+	before, err := wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, res := parts(&snap)
+	if res == nil || res.Report == nil || res.Report.Energy == nil || len(res.Report.Cores) == 0 {
+		t.Fatalf("job finished without a full report: %+v", snap)
+	}
+	res.Cycles++
+	res.Report.Cycles++
+	res.Report.Cores[0].SAUtil = -1
+	res.Report.Energy.TotalMilliJ = -1
+	*spec.Fusion = !*spec.Fusion
+	after, ok := get()
+	if !ok {
+		t.Fatal("job vanished")
+	}
+	got, err := json.Marshal(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("mutating a snapshot changed the job record:\nbefore %s\nafter  %s", want, got)
 	}
 }

@@ -9,18 +9,14 @@ package nn_test
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/service/modelzoo"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
 // graphLine renders one golden line: case, graph name, node count, and
 // the hash of every node (all fields, in ID order) plus the outputs.
@@ -66,22 +62,5 @@ func TestGraphStructureGolden(t *testing.T) {
 	padded.KVLen = 8
 	buf.WriteString(graphLine("decoder-tiny/kvlen=8/parts=1", nn.Decoder(padded, 1).Graph))
 
-	path := filepath.Join("testdata", "graphs.golden")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/nn -run TestGraphStructureGolden -update`): %v", err)
-	}
-	if got := buf.Bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("graph structure drifted from %s.\n--- got ---\n%s\n--- want ---\n%s\nIf the change is intentional, regenerate with `go test ./internal/nn -run TestGraphStructureGolden -update`",
-			path, got, want)
-	}
+	golden.Check(t, "testdata/graphs.golden", buf.Bytes())
 }

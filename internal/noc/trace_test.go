@@ -1,19 +1,14 @@
 package noc
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
 // crossbarTrace drives a CN crossbar the way togsim's standard fabric
 // does — wide core ports (width = channels), one-flit channel ports, an
@@ -126,22 +121,5 @@ func crossbarTrace(t *testing.T) string {
 // a byte of testdata/crossbar_trace.txt. Regenerate after an intentional
 // timing change with `go test ./internal/noc -run TestCrossbarTraceGolden -update`.
 func TestCrossbarTraceGolden(t *testing.T) {
-	got := []byte(crossbarTrace(t))
-	path := filepath.Join("testdata", "crossbar_trace.txt")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/noc -run TestCrossbarTraceGolden -update`): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("crossbar trace drifted from %s; regenerate with -update only for an intentional timing change", path)
-	}
+	golden.Check(t, "testdata/crossbar_trace.txt", []byte(crossbarTrace(t)))
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// Clone copies every reference a Report holds. A field added later that
-// holds a slice, pointer or map fails here until Clone copies it too.
-func TestCloneCoversEveryReference(t *testing.T) {
+// references lists the field paths of typ that hold a slice, pointer,
+// map, interface, channel or function, descending into structs.
+func references(typ reflect.Type) []string {
 	var refs []string
 	var walk func(prefix string, typ reflect.Type)
 	walk = func(prefix string, typ reflect.Type) {
@@ -28,8 +28,15 @@ func TestCloneCoversEveryReference(t *testing.T) {
 			}
 		}
 	}
-	walk("", reflect.TypeOf(Report{}))
+	walk("", typ)
 	sort.Strings(refs)
+	return refs
+}
+
+// Clone copies every reference a Report holds. A field added later that
+// holds a slice, pointer or map fails here until Clone copies it too.
+func TestCloneCoversEveryReference(t *testing.T) {
+	refs := references(reflect.TypeOf(Report{}))
 	want := []string{"Activity", "Cores", "Energy", "Jobs", "Mem", "Topology", "Topology.PerPackage"}
 	if !reflect.DeepEqual(refs, want) {
 		t.Fatalf("Report holds references %v; Clone copies %v", refs, want)
@@ -63,5 +70,36 @@ func TestCloneCoversEveryReference(t *testing.T) {
 	}
 	if (Report{}).Clone().Cores != nil {
 		t.Fatal("Clone turned a nil slice into an empty one")
+	}
+}
+
+// ServeReport.Clone copies every reference a ServeReport holds, on the same
+// terms as Report.Clone.
+func TestServeCloneCoversEveryReference(t *testing.T) {
+	refs := references(reflect.TypeOf(ServeReport{}))
+	want := []string{"DecodeEnergy", "PerRequest", "PrefillEnergy", "Timeline"}
+	if !reflect.DeepEqual(refs, want) {
+		t.Fatalf("ServeReport holds references %v; Clone copies %v", refs, want)
+	}
+	full := func() ServeReport {
+		return ServeReport{
+			Requests:      1,
+			PrefillEnergy: &EnergyReport{TotalMilliJ: 1},
+			DecodeEnergy:  &EnergyReport{TotalMilliJ: 2},
+			PerRequest:    []ServeRequestReport{{ID: "r0", TTFTMs: 1}},
+			Timeline:      []BatchSample{{Cycle: 1, Batch: 1}},
+		}
+	}
+	r := full()
+	c := r.Clone()
+	if !reflect.DeepEqual(c, r) {
+		t.Fatalf("clone differs: %+v", c)
+	}
+	c.PrefillEnergy.TotalMilliJ = 9
+	c.DecodeEnergy.TotalMilliJ = 9
+	c.PerRequest[0].TTFTMs = 9
+	c.Timeline[0].Batch = 9
+	if !reflect.DeepEqual(r, full()) {
+		t.Fatalf("mutating the clone changed the original: %+v", r)
 	}
 }

@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -80,6 +81,16 @@ type ServeReport struct {
 
 	PerRequest []ServeRequestReport `json:"per_request,omitempty"`
 	Timeline   []BatchSample        `json:"timeline,omitempty"`
+}
+
+// Clone returns a deep copy of r: the copy shares no slice element or
+// pointee with r, so a caller may mutate either freely.
+func (r ServeReport) Clone() ServeReport {
+	r.PrefillEnergy = clonePtr(r.PrefillEnergy)
+	r.DecodeEnergy = clonePtr(r.DecodeEnergy)
+	r.PerRequest = slices.Clone(r.PerRequest)
+	r.Timeline = slices.Clone(r.Timeline)
+	return r
 }
 
 // Percentile returns the nearest-rank q-th percentile of xs (q in (0,100]).

@@ -1,15 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
+	"repro/internal/golden"
+)
 
 // A serving trace with more distinct iteration shapes than the compile
 // cache keeps artifacts still reports the compile hits of an unbounded
@@ -32,20 +28,5 @@ func TestServeReportIndependentOfArtifactBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
-	path := filepath.Join("testdata", "serve_uniform_report.json")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run `go test ./internal/service -run TestServeReportIndependentOfArtifactBound -update`): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("canonical ServeReport drifted from %s:\n%s", path, got)
-	}
+	golden.Check(t, "testdata/serve_uniform_report.json", got)
 }

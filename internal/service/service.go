@@ -301,15 +301,46 @@ func (r JobResult) Canonical() JobResult {
 	return r
 }
 
-// clone returns a deep copy of r that shares no Report with it. Serving
-// results, which carry a ServeReport instead, are never cached, so only
-// the Report needs copying.
-func (r JobResult) clone() JobResult {
+// Clone returns a deep copy of r that shares no report with it.
+func (r JobResult) Clone() JobResult {
 	if r.Report != nil {
 		rep := r.Report.Clone()
 		r.Report = &rep
 	}
+	if r.ServeReport != nil {
+		sr := r.ServeReport.Clone()
+		r.ServeReport = &sr
+	}
 	return r
+}
+
+// Clone returns a deep copy of s that shares no pointer with it.
+func (s JobSpec) Clone() JobSpec {
+	s.Fusion = clonePtr(s.Fusion)
+	s.ConvOpt = clonePtr(s.ConvOpt)
+	s.Serve = clonePtr(s.Serve)
+	return s
+}
+
+// clonePtr returns a pointer to a copy of *p (nil for nil).
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
+}
+
+// snapshot returns a deep copy of a live job record, so that a caller
+// holding it can neither see nor make later changes to the record.
+func (j *Job) snapshot() Job {
+	cp := *j
+	cp.Spec = j.Spec.Clone()
+	if j.Result != nil {
+		r := j.Result.Clone()
+		cp.Result = &r
+	}
+	return cp
 }
 
 // Job is the service's record of one submission. Snapshot copies are
@@ -510,7 +541,7 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		cache:   NewCache(),
 		results: newFlightTable[JobResult](resultEntries),
-		jobs:    NewBoard("job-", cfg.QueueDepth, cfg.TenantQueueDepth, cfg.TenantWeights, func(j *Job) Job { return *j }),
+		jobs:    NewBoard("job-", cfg.QueueDepth, cfg.TenantQueueDepth, cfg.TenantWeights, (*Job).snapshot),
 		reg:     metrics.NewRegistry(),
 		events:  NewHub[JobEvent](),
 	}
@@ -704,7 +735,7 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 		return Job{}, err
 	}
 	j, err := s.jobs.Submit(spec.Tenant, spec.Priority, func(id string) *Job {
-		return &Job{ID: id, Spec: spec, State: StateQueued, Submitted: time.Now()}
+		return &Job{ID: id, Spec: spec.Clone(), State: StateQueued, Submitted: time.Now()}
 	})
 	if err == nil {
 		s.events.Publish(j.ID, JobEvent{Kind: "state", State: StateQueued, Tenant: spec.Tenant})
@@ -885,7 +916,7 @@ func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 	if err != nil {
 		return JobResult{}, err
 	}
-	res = res.clone()
+	res = res.Clone()
 	if hit {
 		res.WallMs, res.CompileMs, res.CacheHit, res.ResultHit = 0, 0, true, true
 		res.Report.WallMs = 0

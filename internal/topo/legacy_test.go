@@ -6,7 +6,7 @@ package topo_test
 // single-core-package chain must be bit-identical — same cycle counts,
 // same per-job results, same traffic stats — on arbitrary workloads. The
 // §5.4 experiment additionally pins absolute cycle numbers in
-// internal/exp (TestFig9Regression).
+// testdata/golden/fig9.txt (internal/exp's TestFig9Quick).
 
 import (
 	"reflect"

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/golden"
 )
 
 func TestGoldenZooKernelLatencies(t *testing.T) {
@@ -37,5 +38,5 @@ func TestGoldenZooKernelLatencies(t *testing.T) {
 		}
 	}
 
-	goldenCompare(t, "zoo_kernel_latencies.txt", got.Bytes())
+	golden.Check(t, "testdata/golden/zoo_kernel_latencies.txt", got.Bytes())
 }
