@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt funnel-gate vet test race check bench profile fuzz-smoke crosscheck cover clean
+.PHONY: all build fmt funnel-gate vet test golden race check bench profile fuzz-smoke crosscheck cover clean
 
 all: check
 
@@ -22,6 +22,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Rewrites every golden file: go test -update on exactly the packages whose
+# tests import internal/golden, the package that defines -update (any other
+# package rejects the flag).
+golden:
+	$(GO) test $$($(GO) list -f '{{.ImportPath}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | \
+		awk '/ repro\/internal\/golden( |$$)/ {print $$1}') -update
 
 # The experiment suite (internal/exp) simulates full workloads and runs
 # well past go test's default 10m per-package budget under the race

@@ -481,7 +481,7 @@ func BenchmarkCompileWarmDisk(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm.AttachStore(disk)
+	warm.Compiler.Cache().SetStore(disk)
 	if _, err := warm.Compile(g); err != nil {
 		b.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func BenchmarkCompileWarmDisk(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.AttachStore(d)
+		sim.Compiler.Cache().SetStore(d)
 		if _, err := sim.Compile(g); err != nil {
 			b.Fatal(err)
 		}

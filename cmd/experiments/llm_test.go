@@ -8,10 +8,10 @@ import (
 )
 
 // TestLLMTable pins the LLM table in testdata/golden/llm.txt and checks
-// that it simulates each distinct spec once: twelve sweep iterations and
-// four multi-package points miss the result cache, the single-package
-// point hits the batch-1 ctx-128 decode step, and the one serving run
-// completes its eight requests.
+// that it simulates each distinct spec once: twelve sweep iterations, four
+// multi-package points and the one serving run miss the result cache, the
+// single-package point hits the batch-1 ctx-128 decode step, and the
+// serving run completes its eight requests.
 func TestLLMTable(t *testing.T) {
 	svc := service.New(service.Config{})
 	res, err := llm(svc, "tpuv3")
@@ -20,8 +20,8 @@ func TestLLMTable(t *testing.T) {
 	}
 	golden.Check(t, "../../testdata/golden/llm.txt", []byte(res))
 	st := svc.Stats()
-	if st.ResultMisses != 16 || st.ResultHits != 1 || st.ServeRequests != 8 {
-		t.Fatalf("want 16 result misses, 1 hit and one 8-request serving run; got %d misses, %d hits, %d serving requests",
+	if st.ResultMisses != 17 || st.ResultHits != 1 || st.ServeRequests != 8 {
+		t.Fatalf("want 17 result misses, 1 hit and one 8-request serving run; got %d misses, %d hits, %d serving requests",
 			st.ResultMisses, st.ResultHits, st.ServeRequests)
 	}
 }

@@ -95,12 +95,13 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown autotune objective %q (cycles, energy-delay)", *tuneObjective)
 	}
+	var disk *cache.Disk
 	if job.CacheDir != "" {
-		disk, err := cache.NewDisk(job.CacheDir)
-		if err != nil {
+		var err error
+		if disk, err = cache.NewDisk(job.CacheDir); err != nil {
 			return fmt.Errorf("opening cache dir: %w", err)
 		}
-		sim.AttachStore(disk)
+		sim.Compiler.Cache().SetStore(disk)
 	}
 	sim.Probe = out.Probe()
 	comp, err := sim.Compile(g)
@@ -109,8 +110,8 @@ func run() error {
 	}
 	fmt.Fprintf(logw, "compiled %q: %d layers, %d unique kernels measured, %.1f MB DRAM footprint\n",
 		g.Name, len(comp.TOGs), sim.Compiler.MeasureCount(), float64(comp.TotalBytes)/1e6)
-	if job.CacheDir != "" {
-		hits, misses := sim.DiskStats()
+	if disk != nil {
+		hits, misses := disk.Stats()
 		fmt.Fprintf(logw, "disk cache: %d hits, %d misses (%s)\n", hits, misses, job.CacheDir)
 	}
 

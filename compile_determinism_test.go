@@ -135,7 +135,7 @@ func TestCompileWarmDiskIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldSim.AttachStore(disk)
+			coldSim.Compiler.Cache().SetStore(disk)
 			want, err := coldSim.Compile(g)
 			if err != nil {
 				t.Fatal(err)
@@ -151,7 +151,7 @@ func TestCompileWarmDiskIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warmSim.AttachStore(disk2)
+			warmSim.Compiler.Cache().SetStore(disk2)
 			got, err := warmSim.Compile(g)
 			if err != nil {
 				t.Fatal(err)
@@ -159,7 +159,7 @@ func TestCompileWarmDiskIdentical(t *testing.T) {
 			if n := warmSim.Compiler.MeasureCount(); n != 0 {
 				t.Fatalf("warm compile re-measured %d kernels", n)
 			}
-			if hits, _ := warmSim.DiskStats(); hits == 0 {
+			if hits, _ := disk2.Stats(); hits == 0 {
 				t.Fatal("warm compile never hit the disk store")
 			}
 			if !reflect.DeepEqual(want, got) {
@@ -182,7 +182,7 @@ func TestCorruptDiskEntryRecompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSim.AttachStore(disk)
+	coldSim.Compiler.Cache().SetStore(disk)
 	want, err := coldSim.Compile(g)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestCorruptDiskEntryRecompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recSim.AttachStore(disk2)
+	recSim.Compiler.Cache().SetStore(disk2)
 	got, err := recSim.Compile(g)
 	if err != nil {
 		t.Fatalf("compile against corrupted cache: %v", err)
@@ -224,7 +224,7 @@ func TestCorruptDiskEntryRecompiles(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("recompile after corruption differs from the original")
 	}
-	if _, misses := recSim.DiskStats(); misses == 0 {
+	if _, misses := disk2.Stats(); misses == 0 {
 		t.Fatal("corrupted entry did not register as a store miss")
 	}
 }

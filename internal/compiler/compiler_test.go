@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/autograd"
@@ -483,6 +484,24 @@ func TestSquareGEMMFitsSmallScratchpad(t *testing.T) {
 		}
 		if !tensor.AllClose(got[comp.OutputTensors[g.Outputs[0]]], cpu[g.Outputs[0]], 1e-3, 1e-3) {
 			t.Fatalf("GEMM(%d): NPU result differs from CPU", n)
+		}
+	}
+}
+
+// A training step whose batch exceeds VLEN cannot lower its fused loss in
+// one pass: the compile returns an error instead of panicking inside a
+// codegen worker, where no caller can recover it.
+func TestSoftmaxCEBatchBeyondVLENIsAnError(t *testing.T) {
+	cfg := small()
+	for _, batch := range []int{cfg.Core.VLEN() + 1, 64} {
+		m, lossID := nn.MLPWithLoss(nn.DefaultMLP(batch))
+		ts, err := autograd.Build(m.Graph, lossID, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(cfg, DefaultOptions()).Compile(ts.Graph)
+		if err == nil || !strings.Contains(err.Error(), "exceeds VLEN") {
+			t.Fatalf("batch %d (VLEN %d): want a softmax_ce VLEN error, got %v", batch, cfg.Core.VLEN(), err)
 		}
 	}
 }

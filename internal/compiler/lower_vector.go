@@ -403,6 +403,9 @@ func (st *state) lowerSoftmaxCE(n *graph.Node, withGrad bool) error {
 	if cols > vlen {
 		return fmt.Errorf("softmax_ce over %d cols exceeds VLEN %d", cols, vlen)
 	}
+	if rows > vlen {
+		return fmt.Errorf("softmax_ce over %d rows (batch) exceeds VLEN %d", rows, vlen)
+	}
 	inBytes := int64(rows*cols) * 4
 	if 2*inBytes+int64(rows)*4+1024 > st.spadBudget() {
 		return fmt.Errorf("softmax_ce batch does not fit scratchpad")

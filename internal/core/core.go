@@ -23,7 +23,6 @@ import (
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/obs/report"
-	"repro/internal/service/cache"
 	"repro/internal/togsim"
 	"repro/internal/topo"
 )
@@ -39,6 +38,10 @@ const (
 
 // Simulator bundles a target NPU configuration with a compiler whose kernel
 // latency cache persists across compilations (the TOG cache of §3.10).
+// SimulateTLS is the one run body for a compiled artifact, and it needs
+// only the machine (Cfg, Topo, MaxCycles, Probe): a caller whose artifact
+// comes from elsewhere, such as the service's compile cache, runs it on a
+// Simulator value with no Compiler.
 type Simulator struct {
 	Cfg      npu.Config
 	Compiler *compiler.Compiler
@@ -60,33 +63,11 @@ type Simulator struct {
 
 	// Objective selects what AutoTune minimizes (default TuneCycles).
 	Objective TuneObjective
-
-	// store is the persistent tier handed to the compiler's latency cache
-	// (the offline TOG cache of §3.10 on disk), kept for DiskStats.
-	store cache.Store
 }
 
 // NewSimulator returns a simulator for the given NPU and compiler options.
 func NewSimulator(cfg npu.Config, opts compiler.Options) *Simulator {
 	return &Simulator{Cfg: cfg, Compiler: compiler.New(cfg, opts)}
-}
-
-// AttachStore connects a persistent artifact store to the compiler's
-// latency cache, which reads a kernel's latency from it before measuring
-// and writes every new measurement back (compiler.LatencyCache). Corrupt
-// or stale entries read as misses (clean re-measure).
-func (s *Simulator) AttachStore(st cache.Store) {
-	s.store = st
-	s.Compiler.Cache().SetStore(st)
-}
-
-// DiskStats reports the attached store's hits and misses (zeros without a
-// store).
-func (s *Simulator) DiskStats() (hits, misses int64) {
-	if s.store == nil {
-		return 0, 0
-	}
-	return s.store.Stats()
 }
 
 // Compile lowers a captured graph to kernels and TOGs.
@@ -157,9 +138,10 @@ func (s *Simulator) SimulateTLS(comp *compiler.Compiled, kind NetKind) (Report, 
 	return s.simulateTLS(comp, kind, s.Probe)
 }
 
-// simulateTLS is the one run body behind SimulateTLS, SimulateILS and
-// every AutoTune candidate: a fresh stack carrying this simulator's run
-// knobs.
+// simulateTLS is the one run body for a compiled artifact, behind
+// SimulateTLS, SimulateILS and every AutoTune candidate, and through
+// SimulateTLS behind every ptsimd job and serving iteration: a fresh stack
+// carrying this simulator's run knobs.
 func (s *Simulator) simulateTLS(comp *compiler.Compiled, kind NetKind, probe obs.Probe) (Report, error) {
 	st := NewStack(s.Cfg, kind, dram.FRFCFS, s.Topo)
 	st.Engine.MaxCycles = s.MaxCycles

@@ -311,13 +311,13 @@ func (ck *Checker) checkWorkers(cs Case, art *artifacts) error {
 func (ck *Checker) checkStore(cs Case, art *artifacts) error {
 	store := cache.NewMemory()
 	cold := core.NewSimulator(cs.NPU, cs.Opts)
-	cold.AttachStore(store)
+	cold.Compiler.Cache().SetStore(store)
 	c1, err := cold.Compile(art.g)
 	if err != nil {
 		return fmt.Errorf("cold compile: %v", err)
 	}
 	warm := core.NewSimulator(cs.NPU, cs.Opts)
-	warm.AttachStore(store)
+	warm.Compiler.Cache().SetStore(store)
 	c2, err := warm.Compile(art.g)
 	if err != nil {
 		return fmt.Errorf("warm compile: %v", err)

@@ -26,10 +26,9 @@ func svcPool() []service.JobSpec {
 }
 
 // A result-cache hit is what a service that never saw the spec computes:
-// every spec of the benchmark pool and of the fleet oracle's batch runs
-// twice on one service (the second run a hit, serving jobs excepted) and
-// once on a fresh service per spec, and the canonical results agree.
-// Serving jobs are not result-cached: their first run is compared.
+// every spec of the benchmark pool and of the fleet oracle's batch, serving
+// spec included, runs twice on one service (the second run a hit) and once
+// on a fresh service per spec, and the canonical results agree.
 func TestResultHitMatchesFreshService(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the benchmark's job pool three times")
@@ -45,17 +44,12 @@ func TestResultHitMatchesFreshService(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again.ResultHit != (spec.Serve == nil) {
-			t.Fatalf("spec %d %+v: second run result_hit=%v", i, spec, again.ResultHit)
+		if !again.ResultHit {
+			t.Fatalf("spec %d %+v: second run is not a result hit", i, spec)
 		}
 		fresh, err := service.New(service.Config{}).Simulate(spec, nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if spec.Serve != nil {
-			// A serving report counts the compile hits of its own run, so
-			// only the first run of it is a fresh service's run.
-			again = first
 		}
 		if fresh.ResultHit || !reflect.DeepEqual(again.Canonical(), fresh.Canonical()) ||
 			!reflect.DeepEqual(first.Canonical(), fresh.Canonical()) {

@@ -65,27 +65,60 @@ func Fig8a(cfg npu.Config, quick bool) (*Fig8aResult, error) {
 	return res, nil
 }
 
-// Fig8bRow compares conv layout optimization on a full model (§5.3).
-type Fig8bRow struct {
+// ConvLayoutRow compares one workload's cycles without and with the conv
+// layout optimization (§5.3).
+type ConvLayoutRow struct {
 	Workload               string
 	Unoptimized, Optimized int64
 }
 
-// Fig8bResult is the batch-1 conv-tiling study.
-type Fig8bResult struct{ Rows []Fig8bRow }
+// ConvLayoutResult is one conv-tiling study: Fig. 8b or Fig. 8c.
+type ConvLayoutResult struct {
+	Title string
+	Rows  []ConvLayoutRow
+}
 
-func (r *Fig8bResult) String() string {
+func (r *ConvLayoutResult) String() string {
 	t := &Table{Header: []string{"workload", "HWNC(unopt)", "optimized", "speedup"}}
 	for _, row := range r.Rows {
 		t.Add(row.Workload, fmt.Sprintf("%d", row.Unoptimized), fmt.Sprintf("%d", row.Optimized),
 			Speedup(float64(row.Unoptimized)/float64(row.Optimized)))
 	}
-	return "Fig. 8b — conv tiling optimizations, batch size 1\n" + t.String()
+	return r.Title + "\n" + t.String()
+}
+
+// convLayoutStudy simulates each workload with and without the conv layout
+// optimization.
+func convLayoutStudy(cfg npu.Config, title string, workloads []Workload) (*ConvLayoutResult, error) {
+	res := &ConvLayoutResult{Title: title}
+	for _, w := range workloads {
+		row := ConvLayoutRow{Workload: w.Name}
+		for _, opt := range []bool{false, true} {
+			opts := compiler.DefaultOptions()
+			opts.ConvLayoutOpt = opt
+			sim := core.NewSimulator(cfg, opts)
+			comp, err := sim.Compile(w.Graph)
+			if err != nil {
+				return nil, err
+			}
+			rep, err := sim.SimulateTLS(comp, core.SimpleNet)
+			if err != nil {
+				return nil, err
+			}
+			if opt {
+				row.Optimized = rep.Cycles
+			} else {
+				row.Unoptimized = rep.Cycles
+			}
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res, nil
 }
 
 // Fig8b runs ResNets at batch 1 with and without the conv layout
 // optimization.
-func Fig8b(cfg npu.Config, quick bool) (*Fig8bResult, error) {
+func Fig8b(cfg npu.Config, quick bool) (*ConvLayoutResult, error) {
 	var models []Workload
 	if quick {
 		rc := nn.ResNet18Config(1)
@@ -97,89 +130,24 @@ func Fig8b(cfg npu.Config, quick bool) (*Fig8bResult, error) {
 			{Name: "ResNet-50", Graph: nn.ResNet(nn.ResNet50Config(1)).Graph},
 		}
 	}
-	res := &Fig8bResult{}
-	for _, m := range models {
-		row := Fig8bRow{Workload: m.Name}
-		for _, opt := range []bool{false, true} {
-			opts := compiler.DefaultOptions()
-			opts.ConvLayoutOpt = opt
-			sim := core.NewSimulator(cfg, opts)
-			comp, err := sim.Compile(m.Graph)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := sim.SimulateTLS(comp, core.SimpleNet)
-			if err != nil {
-				return nil, err
-			}
-			if opt {
-				row.Optimized = rep.Cycles
-			} else {
-				row.Unoptimized = rep.Cycles
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// Fig8cRow compares layouts for a small-input-channel conv.
-type Fig8cRow struct {
-	Workload               string
-	Unoptimized, Optimized int64
-}
-
-// Fig8cResult is the small-C conv study.
-type Fig8cResult struct{ Rows []Fig8cRow }
-
-func (r *Fig8cResult) String() string {
-	t := &Table{Header: []string{"workload", "HWNC(unopt)", "optimized", "speedup"}}
-	for _, row := range r.Rows {
-		t.Add(row.Workload, fmt.Sprintf("%d", row.Unoptimized), fmt.Sprintf("%d", row.Optimized),
-			Speedup(float64(row.Unoptimized)/float64(row.Optimized)))
-	}
-	return "Fig. 8c — conv tiling for small input-channel counts\n" + t.String()
+	return convLayoutStudy(cfg, "Fig. 8b — conv tiling optimizations, batch size 1", models)
 }
 
 // Fig8c runs small-C convolutions at batch 1 and a larger batch, with and
 // without the layout optimization (HNWC merges the x-taps into the SA
 // panel).
-func Fig8c(cfg npu.Config, quick bool) (*Fig8cResult, error) {
+func Fig8c(cfg npu.Config, quick bool) (*ConvLayoutResult, error) {
 	bigBatch := 64
 	hw := 56
 	if quick {
 		bigBatch = 8
 		hw = 28
 	}
-	shapes := []struct {
-		c, batch int
-	}{
-		{4, 1}, {8, 1}, {4, bigBatch}, {8, bigBatch},
-	}
-	res := &Fig8cResult{}
-	for _, s := range shapes {
+	var convs []Workload
+	for _, s := range []struct{ c, batch int }{{4, 1}, {8, 1}, {4, bigBatch}, {8, bigBatch}} {
 		cs := tensor.ConvShape{N: s.batch, C: s.c, H: hw, W: hw, K: 64, KH: 3, KW: 3, Stride: 1, Pad: 1}
 		name := fmt.Sprintf("CONV(C=%d,b=%d)", s.c, s.batch)
-		row := Fig8cRow{Workload: name}
-		for _, opt := range []bool{false, true} {
-			opts := compiler.DefaultOptions()
-			opts.ConvLayoutOpt = opt
-			sim := core.NewSimulator(cfg, opts)
-			comp, err := sim.Compile(ConvGraph(name, cs))
-			if err != nil {
-				return nil, err
-			}
-			rep, err := sim.SimulateTLS(comp, core.SimpleNet)
-			if err != nil {
-				return nil, err
-			}
-			if opt {
-				row.Optimized = rep.Cycles
-			} else {
-				row.Unoptimized = rep.Cycles
-			}
-		}
-		res.Rows = append(res.Rows, row)
+		convs = append(convs, Workload{Name: name, Graph: ConvGraph(name, cs)})
 	}
-	return res, nil
+	return convLayoutStudy(cfg, "Fig. 8c — conv tiling for small input-channel counts", convs)
 }

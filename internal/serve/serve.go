@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/obs/report"
@@ -320,13 +319,13 @@ func (s *runState) decode(batch, kvLen int, at int64) (int64, error) {
 	return cycles, err
 }
 
-// iterate compiles (or fetches) one iteration's graph and runs it on a
-// fresh core.Stack — the same compile-then-simulate funnel as a standalone
-// run, so iteration cycles are bit-identical to ptsim's, on one package or
-// one rank per package of the serving topology — or, for a shape already
-// run, reuses the run's artifact (a compile hit) and replays the stored
-// outcome. It returns the iteration's activity totals for phase energy
-// accounting.
+// iterate compiles (or fetches) one iteration's graph and runs it through
+// core.Simulator's run body — the same compile-then-simulate funnel as a
+// standalone run, so iteration cycles are bit-identical to ptsim's, on one
+// package or one rank per package of the serving topology — or, for a
+// shape already run, reuses the run's artifact (a compile hit) and replays
+// the stored outcome. It returns the iteration's activity totals for phase
+// energy accounting.
 func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.ActivityTotals, bool, error) {
 	if s.cfg.Topo.Packages() > 1 {
 		spec.Topology, spec.Parallel = s.cfg.Topo.Name, s.cfg.Parallel
@@ -344,28 +343,22 @@ func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.Activity
 	if act, ok := s.sims[spec]; ok && s.cfg.Probe == nil {
 		return act.Cycles, act, hit, nil
 	}
-	st := core.NewStack(s.cfg.NPU, s.cfg.Net, dram.FRFCFS, s.cfg.Topo)
-	if s.cfg.MaxCycles > 0 {
-		st.Engine.MaxCycles = s.cfg.MaxCycles
-	}
+	sim := core.Simulator{Cfg: s.cfg.NPU, Topo: s.cfg.Topo, MaxCycles: s.cfg.MaxCycles}
 	if s.cfg.Probe != nil {
 		// Stitch this iteration's spans onto the serve timeline: the
 		// engine's cycle 0 is serve cycle `at`.
-		st.AttachProbe(obs.OffsetProbe{Base: s.cfg.Probe, Delta: at})
+		sim.Probe = obs.OffsetProbe{Base: s.cfg.Probe, Delta: at}
 	}
-	jobs, err := st.Place(comp.Name, comp)
+	rep, err := sim.SimulateTLS(comp, s.cfg.Net)
 	if err != nil {
 		return 0, report.ActivityTotals{}, hit, err
 	}
-	res, in, err := st.Run(jobs)
-	if err != nil {
-		return 0, report.ActivityTotals{}, hit, err
-	}
-	act := report.Totals(res, in.Mem, in.NoCFlits, in.LinkFlits)
+	in := rep.Inputs()
+	act := report.Totals(in.Res, in.Mem, in.NoCFlits, in.LinkFlits)
 	if s.cfg.Probe == nil {
 		s.sims[spec] = act
 	}
-	return res.Cycles, act, hit, nil
+	return rep.Cycles, act, hit, nil
 }
 
 // report assembles the final ServeReport (no host time: deterministic).

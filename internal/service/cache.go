@@ -39,11 +39,11 @@ func ContentKey(spec JobSpec) (string, error) {
 // its artifact only while it simulates: the result cache serves a repeated
 // spec without it, so a few artifacts cover the misses running at once and
 // specs that differ only in how they are simulated (net, max_cycles). A
-// serving job is not result-cached and keeps its iteration artifacts only
-// for its own run, so a repeated serving job whose trace has more shapes
-// than this re-lowers them: a recompile measures no kernel, because the
-// per-core latency caches stay, but it does rerun lowering (DESIGN.md
-// "Bounded tables" has the measured cost).
+// serving job keeps its iteration artifacts only for its own run; an exact
+// repeat is a result hit, but a different trace that shares more shapes
+// with it than this re-lowers them: a recompile measures no kernel,
+// because the per-core latency caches stay, but it does rerun lowering
+// (DESIGN.md "Bounded tables" has the measured cost).
 const artifactEntries = 8
 
 // Cache is the content-addressed compile cache of the simulation service:

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -166,15 +167,12 @@ func TestResultKeyCoversJobSpec(t *testing.T) {
 		"Fusion":    with(gemm, func(s *JobSpec) { s.Fusion = &off }),
 		"ConvOpt":   with(gemm, func(s *JobSpec) { s.ConvOpt = &off }),
 		"MaxCycles": with(gemm, func(s *JobSpec) { s.MaxCycles = 12345 }),
+		"Serve":     with(dec, func(s *JobSpec) { s.Serve = &ServeSpec{} }),
 	}
 	ignored := map[string][2]JobSpec{
 		"Tenant":   with(gemm, func(s *JobSpec) { s.Tenant = "other" }),
 		"Priority": with(gemm, func(s *JobSpec) { s.Priority = 3 }),
 	}
-	// Serving jobs are never result-cached (their report describes the
-	// run's own compile hits), so Serve needs no key.
-	bypass := map[string]bool{"Serve": true}
-
 	svc := New(Config{})
 	key := func(spec JobSpec) string {
 		r, err := svc.resolve(spec)
@@ -194,7 +192,7 @@ func TestResultKeyCoversJobSpec(t *testing.T) {
 			if key(pair[0]) != key(pair[1]) {
 				t.Errorf("JobSpec.%s does not change the run but changes the result key", name)
 			}
-		} else if !bypass[name] {
+		} else {
 			t.Errorf("JobSpec.%s is not classified as result-affecting or not", name)
 		}
 	}
@@ -297,6 +295,88 @@ func TestResultAndArtifactBounds(t *testing.T) {
 	if results > resultEntries || arts > artifactEntries || st.ResultEvictions == 0 || st.CacheEvictions == 0 {
 		t.Fatalf("tables hold %d results and %d artifacts (bounds %d, %d), evictions %d and %d",
 			results, arts, resultEntries, artifactEntries, st.ResultEvictions, st.CacheEvictions)
+	}
+}
+
+// A serving spec joins the result cache like any other: the repeat is a
+// hit that simulates nothing, computes what the run computed, and books
+// the same requests, tokens and energy into the stats.
+func TestServeJobIsResultCached(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	runs := countRuns(svc)
+	svc.Start()
+	defer svc.Close()
+	spec := JobSpec{Model: "decoder-tiny", NPU: "small",
+		Serve: &ServeSpec{Requests: 2, Prompt: 4, Output: 4, MaxBatch: 2, KVBlock: 16, Seed: 3}}
+	var results []JobResult
+	var stats []Stats
+	for i := 0; i < 2; i++ {
+		j, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin, err := svc.Wait(j.ID)
+		if err != nil || fin.State != StateDone {
+			t.Fatalf("serve job %d: %v %s %q", i, err, fin.State, fin.Error)
+		}
+		results = append(results, *fin.Result)
+		stats = append(stats, svc.Stats())
+	}
+	run, hit := results[0], results[1]
+	if run.ResultHit || !hit.ResultHit || hit.WallMs != 0 || hit.ServeReport.WallMs != 0 {
+		t.Fatalf("result_hit %v then %v, hit wall %g/%g ms: want a run, then a hit without host time",
+			run.ResultHit, hit.ResultHit, hit.WallMs, hit.ServeReport.WallMs)
+	}
+	if !reflect.DeepEqual(run.Canonical(), hit.Canonical()) {
+		t.Fatalf("the hit differs from the run:\nrun: %+v\nhit: %+v", *run.ServeReport, *hit.ServeReport)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("%d simulations, want 1", n)
+	}
+	first, second := stats[0], stats[1]
+	if first.ServeRequests != 2 || second.ServeRequests != 2*first.ServeRequests ||
+		second.ServeTokens != 2*first.ServeTokens || first.ServeTokens != run.ServeReport.TokensOut {
+		t.Fatalf("serve requests %d then %d, tokens %d then %d: the hit must book what the run booked",
+			first.ServeRequests, second.ServeRequests, first.ServeTokens, second.ServeTokens)
+	}
+	if len(first.EnergyJoules) == 0 {
+		t.Fatal("the serving run booked no energy")
+	}
+	for unit, j := range first.EnergyJoules {
+		if got := second.EnergyJoules[unit]; math.Abs(got-2*j) > 1e-12*math.Abs(j) {
+			t.Fatalf("energy %s: %g J after the run, %g after the hit; want twice", unit, j, got)
+		}
+	}
+	if second.ResultMisses != 1 || second.ResultHits != 1 {
+		t.Fatalf("result misses %d hits %d, want 1 and 1", second.ResultMisses, second.ResultHits)
+	}
+}
+
+// A spec the compiler rejects fails its job with the compiler's error, and
+// the service runs the next job. A training step whose batch exceeds the
+// small core's VLEN must be a compile error: a panic inside a codegen
+// worker is beyond Service.run's recover and would end the process.
+func TestUncompilableSpecFailsOnlyItsJob(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	svc.Start()
+	defer svc.Close()
+	wait := func(spec JobSpec) Job {
+		j, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin, err := svc.Wait(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fin
+	}
+	bad := wait(JobSpec{Model: "mlp-train", Batch: 64, NPU: "small"})
+	if bad.State != StateFailed || !strings.Contains(bad.Error, "exceeds VLEN") {
+		t.Fatalf("mlp-train batch 64 on small: state %s error %q, want a VLEN error", bad.State, bad.Error)
+	}
+	if good := wait(JobSpec{Model: "gemm", N: 64, NPU: "small"}); good.State != StateDone {
+		t.Fatalf("the next job: state %s error %q", good.State, good.Error)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
@@ -415,8 +414,8 @@ type Stats struct {
 	CacheEvictions int64 `json:"cache_evictions"`
 
 	// ResultHits counts jobs served from the result cache, ResultMisses
-	// jobs that simulated (serving jobs are neither), ResultEvictions
-	// results dropped to keep the cache within resultEntries.
+	// jobs that simulated (serving jobs included), ResultEvictions results
+	// dropped to keep the cache within resultEntries.
 	ResultHits      int64 `json:"result_hits"`
 	ResultMisses    int64 `json:"result_misses"`
 	ResultEvictions int64 `json:"result_evictions"`
@@ -483,7 +482,9 @@ type Stats struct {
 // its Report plus the table's bookkeeping: about 1.1 KiB for a
 // single-package spec and 0.3 KiB more per further package (DESIGN.md), so
 // the cache holds about 1.2 MB of single-package results, 2.2 MB of
-// four-package ones — a few compiled artifacts' worth.
+// four-package ones — a few compiled artifacts' worth. A serving entry
+// holds a ServeReport instead, 1.4 KiB at the ServeSpec defaults plus about
+// 0.18 KiB per further request.
 const resultEntries = 1024
 
 // Service runs simulations from a bounded weighted-fair queue on a fixed
@@ -492,9 +493,9 @@ type Service struct {
 	cfg   Config
 	cache *Cache
 
-	// results is the result cache: resolved spec → JobResult, for
-	// non-serving jobs. engineRun simulates a resolved spec on a miss;
-	// tests replace it to inject faults.
+	// results is the result cache: resolved spec → JobResult, for every
+	// job. engineRun simulates a resolved spec on a miss; tests replace it
+	// to inject faults.
 	results   *flightTable[JobResult]
 	engineRun func(r Resolved, probe obs.Probe) (JobResult, error)
 
@@ -793,6 +794,28 @@ func copyMap(m map[string]float64) map[string]float64 {
 	return out
 }
 
+// account books one finished job's simulated outcome, a run or a result
+// hit alike, into the cumulative service counters: energy by unit class
+// and by package, and for a serving job its requests, tokens, TTFT samples
+// and the energy of both phases.
+func (s *Service) account(res JobResult) {
+	if rep := res.Report; rep != nil {
+		s.accountEnergy(rep.Energy)
+		s.accountPackages(rep.Topology)
+	}
+	if sr := res.ServeReport; sr != nil {
+		for _, rr := range sr.PerRequest {
+			s.serveTTFT.Observe(rr.TTFTMs / 1e3)
+		}
+		s.jobs.Locked(func() {
+			s.serveReqs += int64(sr.Requests)
+			s.serveTokens += sr.TokensOut
+		})
+		s.accountEnergy(sr.PrefillEnergy)
+		s.accountEnergy(sr.DecodeEnergy)
+	}
+}
+
 // accountEnergy folds one finished run's derived energy breakdown into the
 // cumulative service counters. No-op for a nil breakdown (the config has
 // no energy table).
@@ -886,29 +909,27 @@ func (s *Service) run(j *Job) {
 }
 
 // Simulate is one job's whole pipeline, run synchronously on the caller's
-// goroutine: resolve, compile-or-fetch, run on a core.Stack — the same
-// funnel a standalone ptsim run goes through, so service cycles are
-// bit-identical to the CLI's for the same spec, on one package or many. A
-// serving job replays its arrival trace through serve.Run instead; this is
-// the whole of ptserve. probe, when non-nil, receives the engine's trace
-// events (for serving jobs, stitched onto one timeline); attached probes
-// are proven invisible in Results by the crosscheck probe oracle, so
-// observing a job can never change its outcome.
+// goroutine: resolve, then look the resolved spec up in the result cache
+// and, on a miss, compile-or-fetch and run it through core.Simulator's run
+// body — the same funnel a standalone ptsim run goes through, so service
+// cycles are bit-identical to the CLI's for the same spec, on one package
+// or many. A serving job replays its arrival trace through serve.Run
+// instead; this is the whole of ptserve. probe, when non-nil, receives the
+// engine's trace events (for serving jobs, stitched onto one timeline);
+// attached probes are proven invisible in Results by the crosscheck probe
+// oracle, so observing a job can never change its outcome.
 //
-// A non-serving spec is simulated once per service: its result is kept in
-// the result cache under the canonical hash of the resolved spec (with the
-// effective max_cycles filled in), and an identical spec — whatever its
-// tenant or priority — gets a copy with ResultHit set and no host time,
-// probe left silent. Concurrent identical specs wait for the one run;
-// errors are not kept. Hits account energy in the service stats exactly as
-// runs do.
+// Every spec, serving specs included, is simulated once per service: its
+// result is kept in the result cache under the canonical hash of the
+// resolved spec (with the effective max_cycles filled in), and an
+// identical spec — whatever its tenant or priority — gets a copy with
+// ResultHit set and no host time, probe left silent. Concurrent identical
+// specs wait for the one run; errors are not kept. Hits account energy and
+// serving counters in the service stats exactly as runs do.
 func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 	r, err := s.resolve(spec)
 	if err != nil {
 		return JobResult{}, err
-	}
-	if r.Serve != nil {
-		return s.runServe(r, probe)
 	}
 	res, hit, err := s.results.Do(cache.CanonicalHash(r), func() (JobResult, error) {
 		return s.engineRun(r, probe)
@@ -919,10 +940,14 @@ func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 	res = res.Clone()
 	if hit {
 		res.WallMs, res.CompileMs, res.CacheHit, res.ResultHit = 0, 0, true, true
-		res.Report.WallMs = 0
+		if res.Report != nil {
+			res.Report.WallMs = 0
+		}
+		if res.ServeReport != nil {
+			res.ServeReport.WallMs = 0
+		}
 	}
-	s.accountEnergy(res.Report.Energy)
-	s.accountPackages(res.Report.Topology)
+	s.account(res)
 	return res, nil
 }
 
@@ -940,9 +965,12 @@ func (s *Service) resolve(spec JobSpec) (Resolved, error) {
 	return r, err
 }
 
-// simulate compiles (or fetches) one resolved non-serving spec and runs it
-// on a fresh core.Stack.
+// simulate is the result cache's miss path: a serving spec replays its
+// trace (runServe); any other spec is compiled (or fetched) and run once.
 func (s *Service) simulate(r Resolved, probe obs.Probe) (JobResult, error) {
+	if r.Serve != nil {
+		return s.runServe(r, probe)
+	}
 	compileStart := time.Now()
 	comp, key, hit, err := s.compile(r.Spec, r.Cfg, r.Opts)
 	if err != nil {
@@ -952,26 +980,17 @@ func (s *Service) simulate(r Resolved, probe obs.Probe) (JobResult, error) {
 	if hit {
 		compileMs = 0
 	}
-
-	st := core.NewStack(r.Cfg, r.Net, dram.FRFCFS, r.Topo)
-	if probe != nil {
-		st.AttachProbe(probe)
-	}
-	st.Engine.MaxCycles = r.MaxCycles
-	jobs, err := st.Place(comp.Name, comp)
+	sim := core.Simulator{Cfg: r.Cfg, Topo: r.Topo, MaxCycles: r.MaxCycles, Probe: probe}
+	run, err := sim.SimulateTLS(comp, r.Net)
 	if err != nil {
 		return JobResult{}, err
 	}
-	res, in, err := st.Run(jobs)
-	if err != nil {
-		return JobResult{}, err
-	}
-	rep := report.Build(st.Cfg, in)
+	rep := report.Build(run.Machine, run.Inputs())
 	return JobResult{
-		Cycles:      res.Cycles,
+		Cycles:      run.Cycles,
 		FreqMHz:     r.Cfg.FreqMHz,
-		SimulatedMs: float64(res.Cycles) / float64(r.Cfg.FreqMHz) / 1e3,
-		WallMs:      float64(in.Wall) / 1e6,
+		SimulatedMs: float64(run.Cycles) / float64(r.Cfg.FreqMHz) / 1e3,
+		WallMs:      float64(run.WallClock) / 1e6,
 		CompileMs:   compileMs,
 		CacheHit:    hit,
 		CompileKey:  key,
@@ -996,18 +1015,9 @@ func (s *Service) compile(spec modelzoo.Spec, cfg npu.Config, opts compiler.Opti
 	return comp, key, hit, err
 }
 
-// ServeCompileFn adapts the service's compile cache to the serving loop's
-// compile interface.
-func (s *Service) ServeCompileFn(cfg npu.Config, opts compiler.Options) serve.CompileFn {
-	return func(spec modelzoo.Spec) (*compiler.Compiled, bool, error) {
-		comp, _, hit, err := s.compile(spec, cfg, opts)
-		return comp, hit, err
-	}
-}
-
-// runServe is a serving job's whole pipeline: synthesize the seeded
-// arrival trace and replay it through the continuous-batching scheduler,
-// with every iteration compiled through the shared cache.
+// runServe is a serving job's whole run: synthesize the seeded arrival
+// trace and replay it through the continuous-batching scheduler, with
+// every iteration compiled through the shared cache.
 func (s *Service) runServe(r Resolved, probe obs.Probe) (JobResult, error) {
 	sv := *r.Serve
 	cfg := serve.Config{
@@ -1017,8 +1027,11 @@ func (s *Service) runServe(r Resolved, probe obs.Probe) (JobResult, error) {
 		MaxBatch:  sv.MaxBatch,
 		KVBlock:   sv.KVBlock,
 		MaxCycles: r.MaxCycles,
-		Compile:   s.ServeCompileFn(r.Cfg, r.Opts),
-		Probe:     probe,
+		Compile: func(spec modelzoo.Spec) (*compiler.Compiled, bool, error) {
+			comp, _, hit, err := s.compile(spec, r.Cfg, r.Opts)
+			return comp, hit, err
+		},
+		Probe: probe,
 	}
 	if r.Topo.Packages() > 1 {
 		cfg.Topo, cfg.Parallel = r.Topo, r.Spec.Parallel
@@ -1034,19 +1047,8 @@ func (s *Service) runServe(r Resolved, probe obs.Probe) (JobResult, error) {
 	if err != nil {
 		return JobResult{}, err
 	}
-	wall := time.Since(start)
 	rep.NPU = r.NPU
-	rep.WallMs = float64(wall) / 1e6
-	for _, rr := range rep.PerRequest {
-		s.serveTTFT.Observe(rr.TTFTMs / 1e3)
-	}
-	s.jobs.Locked(func() {
-		s.serveReqs += int64(rep.Requests)
-		s.serveTokens += rep.TokensOut
-	})
-	// Serving jobs account each phase's energy.
-	s.accountEnergy(rep.PrefillEnergy)
-	s.accountEnergy(rep.DecodeEnergy)
+	rep.WallMs = float64(time.Since(start)) / 1e6
 	return JobResult{
 		Cycles:      rep.Cycles,
 		FreqMHz:     r.Cfg.FreqMHz,

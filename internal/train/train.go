@@ -6,13 +6,10 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/npu"
 	"repro/internal/tensor"
-	"repro/internal/togsim"
-	"repro/internal/topo"
 )
 
 // Backend selects where training steps execute.
@@ -184,13 +181,13 @@ func MeasureIterationCyclesOptim(mlp nn.MLPConfig, opt autograd.Optim, cfg npu.C
 	if err != nil {
 		return 0, err
 	}
-	c := compiler.New(cfg, compiler.DefaultOptions())
-	comp, err := c.Compile(ts.Graph)
+	sim := core.NewSimulator(cfg, compiler.DefaultOptions())
+	comp, err := sim.Compile(ts.Graph)
 	if err != nil {
 		return 0, err
 	}
-	r, _, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run([]*togsim.Job{comp.Job("trainstep", 0, 0)})
-	return r.Cycles, err
+	rep, err := sim.SimulateTLS(comp, core.SimpleNet)
+	return rep.Cycles, err
 }
 
 // StepsToLoss returns how many steps a loss curve took to first dip below

@@ -22,8 +22,13 @@
 # service.ResolveMachine. And it fails if non-test Go outside internal/tog/
 # and the engine's resumable interpreter (internal/togsim/context.go) has
 # a `case tog.LoopBegin` — every other TOG pass expands loops through
-# tog.Walk, the one walker, over the one matcher (*TOG).MatchEnd. Also prints the non-test Go line count outside
-# bench/, so "the code got smaller" is a number. Wired into `make check`.
+# tog.Walk, the one walker, over the one matcher (*TOG).MatchEnd. And it
+# fails if non-test Go outside internal/core/ and internal/crosscheck/
+# calls Stack.Place — one compiled artifact runs through one run body,
+# core.Simulator.SimulateTLS (the crosscheck exception is the strict-tick
+# topology oracle, which sets Engine.StrictTick). Also prints the non-test
+# Go line count outside bench/, so "the code got smaller" is a number.
+# Wired into `make check`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -80,6 +85,15 @@ hits=$(echo "$files" |
   xargs grep -nE -e 'case [^:]*\btog\.LoopBegin\b' || true)
 if [ -n "$hits" ]; then
   echo "funnel-gate: FAIL — a TOG loop interpreter outside internal/tog (use tog.Walk):"
+  echo "$hits"
+  exit 1
+fi
+
+hits=$(echo "$files" |
+  grep -v -e '^internal/core/' -e '^internal/crosscheck/' |
+  xargs grep -nE -e '\.Place\(' || true)
+if [ -n "$hits" ]; then
+  echo "funnel-gate: FAIL — a second run body for a compiled artifact (use core.Simulator.SimulateTLS):"
   echo "$hits"
   exit 1
 fi
