@@ -1,6 +1,8 @@
 package e2e
 
 import (
+	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +15,9 @@ var gemm64Spec = service.JobSpec{Model: "gemm", N: 64, NPU: "small"}
 
 // A ptsimd job and a direct ptsim run of the same spec report the same
 // cycle count, and so does a repeat of the job, which the daemon serves
-// from its result cache.
+// from its result cache. The first job takes the 202-plus-poll path; the
+// repeat runs in one POST /jobs?wait=1, whose 200 answer carries the same
+// canonical result, and an invalid spec is still refused with 400 there.
 func TestPtsimdMatchesPtsim(t *testing.T) {
 	d := startDaemon(t, buildCmd(t, "cmd/ptsimd"), "-addr", "127.0.0.1:0", "-workers", "2", "-queue", "8")
 	base := d.urls(t, "ptsimd: listening", 1)[0]
@@ -33,10 +37,14 @@ func TestPtsimdMatchesPtsim(t *testing.T) {
 	}
 
 	var again service.Job
-	waitDone(t, base, submit(t, base, gemm64Spec), &again)
+	runJob(t, base, gemm64Spec, &again)
 	if again.Result == nil || !again.Result.ResultHit || again.Result.Cycles != cli {
 		t.Fatalf("repeated job: %+v, want a result hit with ptsim's %d cycles", again.Result, cli)
 	}
+	if got, want := again.Result.Canonical(), job.Result.Canonical(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("?wait=1 result differs from the polled one:\nwait: %+v\npoll: %+v", got, want)
+	}
+	postSpec(t, base+"/jobs?wait=1", service.JobSpec{Model: "no-such-model"}, http.StatusBadRequest)
 	getJSON(t, base+"/stats", &st)
 	if st.ResultHits != 1 || st.ResultMisses != 1 || st.TotalCycles != 2*cli {
 		t.Fatalf("/stats after the repeat: result hits %d misses %d, %d cycles; want 1, 1, %d",

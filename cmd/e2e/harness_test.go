@@ -253,23 +253,15 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
-// submit POSTs spec to base/jobs and returns the job id.
+// submit POSTs spec to base/jobs, which must answer 202, and returns the
+// job id.
 func submit(t *testing.T, base string, spec service.JobSpec) string {
 	t.Helper()
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var job struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil || resp.StatusCode != http.StatusAccepted || job.ID == "" {
-		t.Fatalf("POST %s/jobs %s: %s, id %q, %v", base, body, resp.Status, job.ID, err)
+	if err := json.Unmarshal(postSpec(t, base+"/jobs", spec, http.StatusAccepted), &job); err != nil || job.ID == "" {
+		t.Fatalf("POST %s/jobs: id %q, %v", base, job.ID, err)
 	}
 	return job.ID
 }
@@ -306,6 +298,47 @@ func waitDone(t *testing.T, base, id string, job any) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// runJob runs spec on base in one request, POST /jobs?wait=1, and decodes
+// the finished record into job (a service.Job or a fleet.Job); a failed
+// job fails the test.
+func runJob(t *testing.T, base string, spec service.JobSpec, job any) {
+	t.Helper()
+	body := postSpec(t, base+"/jobs?wait=1", spec, http.StatusOK)
+	var st struct {
+		State service.State `json:"state"`
+		Error string        `json:"error"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != service.StateDone {
+		t.Fatalf("job %+v ended %q: %s", spec, st.State, st.Error)
+	}
+	if err := json.Unmarshal(body, job); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// postSpec POSTs spec to url, requires the answer code and returns the
+// body.
+func postSpec(t *testing.T, url string, spec service.JobSpec, code int) []byte {
+	t.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != code {
+		t.Fatalf("POST %s %s: %s, want %d: %s %v", url, body, resp.Status, code, reply, err)
+	}
+	return reply
 }
 
 // checkTrace validates a Chrome/Perfetto trace written by ptsim, togsim or

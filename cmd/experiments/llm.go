@@ -29,12 +29,11 @@ func exact(x float64) string { return strconv.FormatFloat(x, 'f', -1, 64) }
 // over batch × context (with energy for decode steps), a ctx-128 decode
 // step over packages × parallelism, and one serving run. Every point is a
 // job spec run through svc's one run funnel, Service.Simulate, on the
-// npuName machine (both presets price energy), so each distinct spec is
-// simulated once: the one-package point is the batch-1 ctx-128 decode
-// step, a result-cache hit.
-func llm(svc *service.Service, npuName string) (text, error) {
+// TPUv3 preset, so each distinct spec is simulated once: the one-package
+// point is the batch-1 ctx-128 decode step, a result-cache hit.
+func llm(svc *service.Service) (text, error) {
 	run := func(spec service.JobSpec) (service.JobResult, error) {
-		spec.Model, spec.NPU = llmModel, npuName
+		spec.Model, spec.NPU = llmModel, preset
 		return svc.Simulate(spec, nil)
 	}
 	var b strings.Builder

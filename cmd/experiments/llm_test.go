@@ -14,7 +14,7 @@ import (
 // serving run completes its eight requests.
 func TestLLMTable(t *testing.T) {
 	svc := service.New(service.Config{})
-	res, err := llm(svc, "tpuv3")
+	res, err := llm(svc)
 	if err != nil {
 		t.Fatal(err)
 	}

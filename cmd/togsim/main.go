@@ -28,7 +28,7 @@ func main() { cli.Main("togsim", run) }
 
 func run() error {
 	togPath := flag.String("tog", "", "path to a TOG JSON file")
-	machine := cli.BindMachine(flag.CommandLine, true)
+	machine := cli.BindMachine(flag.CommandLine)
 	out := cli.BindOutput(flag.CommandLine, "run")
 	sched := flag.String("sched", "frfcfs", "memory scheduler: frfcfs or fcfs")
 	dump := flag.Bool("stats", false, "print TOG static statistics only (no simulation)")

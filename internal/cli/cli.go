@@ -39,21 +39,19 @@ func Main(name string, run func() error) {
 // a run simulates.
 type Machine struct {
 	Small bool
-	Net   string // "" for a command without -net: the simple network
+	Net   string
 }
 
-// BindMachine binds -small and, when withNet is set, -net.
-func BindMachine(fs *flag.FlagSet, withNet bool) *Machine {
+// BindMachine binds -small and -net.
+func BindMachine(fs *flag.FlagSet) *Machine {
 	m := &Machine{}
 	fs.BoolVar(&m.Small, "small", false, "use the small NPU config instead of TPUv3")
-	if withNet {
-		fs.StringVar(&m.Net, "net", "sn", "interconnect model: sn (simple) or cn (cycle-accurate crossbar)")
-	}
+	fs.StringVar(&m.Net, "net", "sn", "interconnect model: sn (simple) or cn (cycle-accurate crossbar)")
 	return m
 }
 
-// Preset is the NPU preset name -small selects.
-func (m *Machine) Preset() string {
+// preset is the NPU preset name -small selects.
+func (m *Machine) preset() string {
 	if m.Small {
 		return "small"
 	}
@@ -63,7 +61,7 @@ func (m *Machine) Preset() string {
 // Resolve returns the machine through service.ResolveMachine, the resolver
 // every job spec goes through, so a bad -net fails with its message.
 func (m *Machine) Resolve() (npu.Config, togsim.NetKind, error) {
-	return service.ResolveMachine(m.Preset(), m.Net)
+	return service.ResolveMachine(m.preset(), m.Net)
 }
 
 // Job is the flag set ptsim and ptserve share, bound to a service.JobSpec.
@@ -77,7 +75,7 @@ type Job struct {
 // BindJob binds -model (defaulting to model), -topology, -parallel,
 // -small, -net, -max-cycles and -cache-dir.
 func BindJob(fs *flag.FlagSet, model string) *Job {
-	j := &Job{Machine: BindMachine(fs, true)}
+	j := &Job{Machine: BindMachine(fs)}
 	fs.StringVar(&j.Model, "model", model, "model to simulate")
 	fs.StringVar(&j.Topology, "topology", "single", "topology preset: single, pkg2, or meshXxY (e.g. mesh2x2)")
 	fs.StringVar(&j.Parallel, "parallel", "none", "cross-package parallelism: none, data, or tensor (multi-package topologies)")
@@ -90,7 +88,7 @@ func BindJob(fs *flag.FlagSet, model string) *Job {
 // and resolves it with JobSpec.Resolve.
 func (j *Job) Spec() service.JobSpec {
 	return service.JobSpec{Model: j.Model, Topology: j.Topology, Parallel: j.Parallel,
-		NPU: j.Preset(), Net: j.Net, MaxCycles: j.MaxCycles}
+		NPU: j.preset(), Net: j.Net, MaxCycles: j.MaxCycles}
 }
 
 // Output is the -json/-trace pair: where a command's report and trace go.

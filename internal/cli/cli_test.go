@@ -67,21 +67,20 @@ func TestBindJob(t *testing.T) {
 	}
 }
 
-// -small picks the preset by name through the service resolver; a command
-// that binds no -net simulates the simple network and rejects the flag.
+// -small picks the preset by name and -net the interconnect, both through
+// the service resolver.
 func TestBindMachine(t *testing.T) {
 	for _, tc := range []struct {
-		args    []string
-		withNet bool
-		cfg     npu.Config
-		net     togsim.NetKind
+		args []string
+		cfg  npu.Config
+		net  togsim.NetKind
 	}{
-		{nil, false, npu.TPUv3Config(), togsim.SimpleNet},
-		{[]string{"-small"}, false, npu.SmallConfig(), togsim.SimpleNet},
-		{[]string{"-small", "-net", "cn"}, true, npu.SmallConfig(), togsim.CycleNet},
+		{nil, npu.TPUv3Config(), togsim.SimpleNet},
+		{[]string{"-small"}, npu.SmallConfig(), togsim.SimpleNet},
+		{[]string{"-small", "-net", "cn"}, npu.SmallConfig(), togsim.CycleNet},
 	} {
 		fs := newFlagSet()
-		m := BindMachine(fs, tc.withNet)
+		m := BindMachine(fs)
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
@@ -89,11 +88,6 @@ func TestBindMachine(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(cfg, tc.cfg) || net != tc.net {
 			t.Fatalf("%v: Resolve() = %s, %v, %v", tc.args, cfg.Name, net, err)
 		}
-	}
-	fs := newFlagSet()
-	BindMachine(fs, false)
-	if err := fs.Parse([]string{"-net", "cn"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("-net without a -net flag: err = %v", err)
 	}
 }
 

@@ -226,14 +226,15 @@ type state struct {
 	// lowered right now (moved into pending by addTOG).
 	pending    []pendingTOG
 	curPatches []latPatch
-	// kernelReqs / measureErrs are the deduplicated work lists (one entry
-	// per kernel id / per signature), in first-occurrence (lowering) order
-	// so that the kernel map and error selection are deterministic.
-	// Lowering only appends to them; each entry is filled in by the worker
-	// that runs its job.
+	// kernelReqs is the deduplicated codegen work list (one entry per
+	// kernel id) and jobErrs holds one error per pool job, codegen and
+	// measurement alike, both in first-occurrence (lowering) order so that
+	// the kernel map and error selection are deterministic. Lowering only
+	// appends to them; each entry is filled in by the worker that runs its
+	// job.
 	kernelReqs  []*kernelReq
 	seenKernel  map[string]bool
-	measureErrs []*error
+	jobErrs     []*error
 	seenMeasure map[string]bool
 	gemmKeys    map[codegen.GEMMSpec]gemmKey
 
@@ -330,7 +331,7 @@ func (c *Compiler) Compile(g *graph.Graph) (*Compiled, error) {
 		return nil, err
 	}
 	c.phase(t0, PhaseCodegen, func() error { st.work.codegen.Wait(); return nil })
-	if err := c.phase(t0, PhaseMeasure, func() error { st.work.workers.Wait(); return st.measureErr() }); err != nil {
+	if err := c.phase(t0, PhaseMeasure, func() error { st.work.workers.Wait(); return st.jobErr() }); err != nil {
 		return nil, err
 	}
 	if err := c.phase(t0, PhaseEmit, func() error { return c.emitPass(st) }); err != nil {
@@ -547,16 +548,19 @@ func (st *state) computeKernel(b *tog.Builder, unit tog.Unit, sig, id string, ge
 		st.seenKernel[id] = true
 		req := &kernelReq{id: id}
 		st.kernelReqs = append(st.kernelReqs, req)
+		err := new(error)
+		st.jobErrs = append(st.jobErrs, err)
 		st.work.codegen.Add(1)
 		st.work.add(func() {
 			defer st.work.codegen.Done()
+			defer recoverTo(err, "generating", id)
 			req.prog = gen()
 		})
 	}
 	if !st.seenMeasure[sig] {
 		st.seenMeasure[sig] = true
 		err := new(error)
-		st.measureErrs = append(st.measureErrs, err)
+		st.jobErrs = append(st.jobErrs, err)
 		st.work.add(func() { *err = st.c.resolve(st.m, sig, gen) })
 	}
 	b.ComputeKernel(unit, 0, id)

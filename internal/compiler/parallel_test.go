@@ -18,6 +18,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/npu"
 	"repro/internal/service/cache"
+	"repro/internal/tog"
 )
 
 // countingMeasurer wraps the real measurer and counts invocations, so
@@ -274,6 +275,58 @@ func TestMeasureErrorNotCached(t *testing.T) {
 	c.Measurer = nil // back to the real timing measurer
 	if _, err := c.Compile(testGraph()); err != nil {
 		t.Fatalf("compile after failed measurement: %v", err)
+	}
+}
+
+// TestMeasurePanicIsAnError: a measurer that panics on one signature fails
+// the compile with an error naming that signature and the panic, instead
+// of ending the process from a pool goroutine. Nothing is cached for the
+// signature, so a later compile on the same shared latency cache measures
+// it.
+func TestMeasurePanicIsAnError(t *testing.T) {
+	g := chainGraph(24, 16, 40, 24)
+	comp, err := New(small(), DefaultOptions()).Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := signatureOrder(comp)[1]
+	lc := NewLatencyCache(small().Core)
+	c := NewShared(small(), DefaultOptions(), lc)
+	c.Measurer = measureFunc(func(cfg npu.CoreConfig, p *isa.Program) (int64, error) {
+		if p.Name == bad {
+			panic("injected measurer fault")
+		}
+		return TimingMeasurer{}.Measure(cfg, p)
+	})
+	_, err = c.Compile(g)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) || !strings.Contains(err.Error(), "injected measurer fault") {
+		t.Fatalf("got %v, want an error naming signature %q and the panic", err, bad)
+	}
+	if _, ok := lc.Get(bad); ok {
+		t.Fatalf("signature %q was cached after its measurement panicked", bad)
+	}
+	cm := &countingMeasurer{}
+	again := NewShared(small(), DefaultOptions(), lc)
+	again.Measurer = cm
+	if _, err := again.Compile(g); err != nil {
+		t.Fatalf("compile after the panic: %v", err)
+	}
+	if _, ok := lc.Get(bad); !ok || cm.calls.Load() != 1 {
+		t.Fatalf("the later compile made %d measurements (cached: %v), want the one of %q", cm.calls.Load(), ok, bad)
+	}
+}
+
+// TestCodegenPanicIsAnError: a kernel generator that panics in a pool job
+// becomes the compile's first error, naming the kernel and the panic,
+// instead of ending the process.
+func TestCodegenPanicIsAnError(t *testing.T) {
+	c := New(small(), DefaultOptions())
+	st := &state{c: c, m: TimingMeasurer{}, seenKernel: map[string]bool{}, seenMeasure: map[string]bool{}, work: startPool(2)}
+	st.computeKernel(tog.NewBuilder("t"), tog.UnitVector, "sig0", "kern0", func() *isa.Program { panic("injected codegen fault") })
+	st.work.close()
+	st.work.workers.Wait()
+	if err := st.jobErr(); err == nil || !strings.Contains(err.Error(), `generating "kern0"`) || !strings.Contains(err.Error(), "injected codegen fault") {
+		t.Fatalf("got %v, want the codegen panic of kernel kern0", err)
 	}
 }
 

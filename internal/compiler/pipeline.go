@@ -177,11 +177,15 @@ func (c *Compiler) phase(t0 time.Time, name Phase, f func() error) error {
 // invariant the latency cache has always relied on.
 func (c *Compiler) resolve(m Measurer, sig string, gen func() *isa.Program) error {
 	c.lookups.Add(1)
-	_, measured, err := c.lat.resolve(sig, func() (int64, error) {
-		return m.Measure(c.Cfg.Core, gen())
+	_, measured, err := c.lat.resolve(sig, func() (lat int64, err error) {
+		defer recoverTo(&err, "measuring", sig)
+		if lat, err = m.Measure(c.Cfg.Core, gen()); err != nil {
+			err = fmt.Errorf("compiler: measuring %q: %w", sig, err)
+		}
+		return lat, err
 	})
 	if err != nil {
-		return fmt.Errorf("compiler: measuring %q: %w", sig, err)
+		return err
 	}
 	if measured {
 		c.measured.Add(1)
@@ -189,11 +193,20 @@ func (c *Compiler) resolve(m Measurer, sig string, gen func() *isa.Program) erro
 	return nil
 }
 
-// measureErr returns the first failed measurement in signature
-// first-occurrence order — the one a serial compile would have hit first —
-// so the reported error does not depend on the worker count.
-func (st *state) measureErr() error {
-	for _, err := range st.measureErrs {
+// recoverTo turns a panic in the pool job that defers it into *err: the
+// pool's goroutines are outside every caller's recover, so an escaped
+// codegen or measurement panic would end the process.
+func recoverTo(err *error, doing, kernel string) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("compiler: %s %q: panic: %v", doing, kernel, p)
+	}
+}
+
+// jobErr returns the first failed pool job in first-occurrence order —
+// the one a serial compile would have hit first — so the reported error
+// does not depend on the worker count.
+func (st *state) jobErr() error {
+	for _, err := range st.jobErrs {
 		if *err != nil {
 			return *err
 		}

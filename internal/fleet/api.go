@@ -12,6 +12,8 @@ import (
 //	POST /jobs             submit; 202 with the fleet job snapshot, 429 on
 //	                       coordinator overload (global or per-tenant),
 //	                       503 once the coordinator is draining
+//	POST /jobs?wait=1      the same admission, then 200 with the finished
+//	                       fleet job once it has ended (done or failed)
 //	GET  /jobs/{id}        fleet job snapshot (routing member, attempts,
 //	                       result once done)
 //	GET  /jobs/{id}/events SSE stream of routing and lifecycle events
@@ -20,7 +22,7 @@ import (
 //	GET  /members          fleet membership and health
 func NewHandler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", service.SubmitHandler(c.Submit))
+	mux.HandleFunc("POST /jobs", service.SubmitHandler(c.Submit, func(j Job) (Job, error) { return c.Wait(j.ID) }))
 	mux.HandleFunc("GET /jobs/{id}", service.GetHandler(c.Get))
 	mux.HandleFunc("GET /jobs/{id}/events", service.EventsHandler(c.events, func(id string) (Event, bool) {
 		job, ok := c.Get(id)

@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -172,5 +175,65 @@ func TestChaosAllMembersDead(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal(fmt.Errorf("job against dead fleet hung"))
+	}
+}
+
+// A member that hangs inside POST /jobs holds its dispatch only until the
+// prober marks it down: that aborts the request waiting on it, and the job
+// finishes on the other member well inside the probes' 10 s timeout.
+func TestHungMemberAbortsItsDispatch(t *testing.T) {
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			// Never answers. Reading the body lets the server notice when
+			// the client hangs up, which ends the request.
+			_, _ = io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+			return
+		}
+		http.Error(w, "hung", http.StatusInternalServerError)
+	}))
+	defer hung.Close()
+	svc := service.New(service.Config{Workers: 1})
+	svc.Start()
+	defer svc.Close()
+	good := httptest.NewServer(service.NewHandler(svc))
+	defer good.Close()
+
+	c, err := NewCoordinator(Config{
+		Members:        []Member{{Name: "hung", URL: hung.URL}, {Name: "good", URL: good.URL}},
+		HealthInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := service.JobSpec{Model: "gemm", NPU: "small"}
+	for spec.N = 16; ; spec.N += 8 {
+		key, err := service.ContentKey(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ring.Owner(key) == "hung" {
+			break
+		}
+	}
+	j, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Close()
+
+	done := make(chan Job, 1)
+	go func() {
+		fin, _ := c.Wait(j.ID)
+		done <- fin
+	}()
+	select {
+	case fin := <-done:
+		if fin.State != service.StateDone || fin.Member != "good" || fin.Attempts != 2 {
+			t.Fatalf("job owned by the hung member: %+v, want done on good at attempt 2", fin)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("job owned by the hung member did not finish within 2 s")
 	}
 }

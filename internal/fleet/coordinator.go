@@ -24,8 +24,8 @@ type Config struct {
 	// weigh 1), mirroring the per-member service queues.
 	TenantWeights map[string]int
 	// Dispatchers is the number of concurrent dispatch loops
-	// (default 2 per member): each owns a job end to end — submit to the
-	// routed member, poll, re-dispatch on member death, finish.
+	// (default 2 per member): each owns a job end to end — run it on the
+	// routed member in one request, re-dispatch on member death, finish.
 	Dispatchers int
 	// HealthInterval is the member probe period (default 250ms).
 	HealthInterval time.Duration
@@ -248,8 +248,10 @@ func snapshot(j *Job) Job {
 }
 
 // runJob owns one job end to end: walk the key's ring preference order,
-// submit to the first live member not already tried, poll for the result,
-// and on member death re-dispatch until MaxAttempts is exhausted.
+// run the job on the first live member not already tried, and on member
+// death re-dispatch until MaxAttempts is exhausted. The prober runs until
+// the board has drained, so Close waits out a dispatch on a member that
+// dies meanwhile.
 func (c *Coordinator) runJob(j *Job) {
 	for {
 		m := c.pickMember(j)
@@ -267,30 +269,20 @@ func (c *Coordinator) runJob(j *Job) {
 		m.noteDispatch()
 		c.events.Publish(j.ID, Event{Kind: "route", State: service.StateRunning, Member: m.Name, Attempt: attempt})
 
-		remote, err := m.submit(j.Spec)
-		if err != nil {
-			if isPermanent(err) {
-				c.finish(j, nil, err)
-				return
-			}
-			m.markDown()
-			if !c.requeue(j, m) {
-				c.finish(j, nil, fmt.Errorf("fleet: job failed after %d attempts: %w", j.Attempts, err))
-				return
-			}
-			continue
+		final, err := m.submit(j.Spec)
+		switch {
+		case err == nil:
+			c.finish(j, &final, nil)
+			return
+		case isPermanent(err):
+			c.finish(j, nil, err)
+			return
 		}
-		final, err := c.pollResult(m, remote.ID)
-		if err != nil {
-			m.markDown()
-			if !c.requeue(j, m) {
-				c.finish(j, nil, fmt.Errorf("fleet: job failed after %d attempts: %w", j.Attempts, err))
-				return
-			}
-			continue
+		m.markDown()
+		if !c.requeue(j, m) {
+			c.finish(j, nil, fmt.Errorf("fleet: job failed after %d attempts: %w", j.Attempts, err))
+			return
 		}
-		c.finish(j, final, nil)
-		return
 	}
 }
 
@@ -334,33 +326,6 @@ func (c *Coordinator) requeue(j *Job, failed *memberState) bool {
 	}
 	c.events.Publish(j.ID, Event{Kind: "route", State: service.StateQueued, Member: failed.Name, Attempt: attempt})
 	return true
-}
-
-// pollResult polls the member for the remote job until it reaches a
-// terminal state. Transport errors are tolerated up to healthFailures in a
-// row (a blip), then reported; a member marked down by the health loop
-// aborts the poll immediately so stranded jobs re-dispatch fast. The
-// prober runs until the board has drained, so Close waits out a poll.
-func (c *Coordinator) pollResult(m *memberState, remoteID string) (*service.Job, error) {
-	errs := 0
-	for {
-		job, err := m.getJob(remoteID)
-		switch {
-		case err != nil:
-			errs++
-			if errs >= healthFailures {
-				return nil, err
-			}
-		case job.State.Terminal():
-			return &job, nil
-		default:
-			errs = 0
-		}
-		if !m.isUp() {
-			return nil, fmt.Errorf("fleet: member %s went down mid-job", m.Name)
-		}
-		time.Sleep(pollInterval)
-	}
 }
 
 // finish records the job's terminal state exactly once (the board's

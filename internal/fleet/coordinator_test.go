@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -371,4 +373,56 @@ func compareCanonical(a, b *service.JobResult) error {
 		return fmt.Errorf("results differ:\na: %+v\nb: %+v", ca, cb)
 	}
 	return nil
+}
+
+// A dispatch is one member request: per job the member sees exactly one
+// POST /jobs?wait=1 and is never polled on GET /jobs/{id}, a result hit
+// included.
+func TestDispatchIsOneMemberRequest(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	svc.Start()
+	defer svc.Close()
+	var mu sync.Mutex
+	var waits, others int
+	h := service.NewHandler(svc)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/jobs") {
+			mu.Lock()
+			if r.Method == http.MethodPost && r.URL.RawQuery == "wait=1" {
+				waits++
+			} else {
+				others++
+			}
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	c, err := NewCoordinator(Config{Members: []Member{{Name: "m0", URL: srv.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Close()
+
+	specs := []service.JobSpec{
+		{Model: "gemm", N: 32, NPU: "small"},
+		{Model: "gemm", N: 48, NPU: "small"},
+		{Model: "gemm", N: 32, NPU: "small"}, // a result hit on the member
+	}
+	for _, spec := range specs {
+		j, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin, err := c.Wait(j.ID); err != nil || fin.State != service.StateDone {
+			t.Fatalf("job %+v: %+v, %v", spec, fin, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if waits != len(specs) || others != 0 {
+		t.Fatalf("member saw %d POST /jobs?wait=1 and %d other /jobs requests for %d jobs, want %d and 0",
+			waits, others, len(specs), len(specs))
+	}
 }

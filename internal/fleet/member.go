@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,10 +34,9 @@ const (
 	healthFailures = 3
 	// maxRespBytes caps any member response the coordinator parses.
 	maxRespBytes = 8 << 20
-	// memberTimeout bounds each member HTTP round trip; pollInterval is a
-	// dispatcher's result-poll period.
+	// memberTimeout bounds each health probe. A dispatch has no such
+	// bound: it lasts as long as its job, and the health path ends it.
 	memberTimeout = 10 * time.Second
-	pollInterval  = 5 * time.Millisecond
 )
 
 // permanentError marks a member rejection that re-dispatching cannot fix
@@ -52,14 +52,19 @@ func isPermanent(err error) bool {
 }
 
 // memberState is the coordinator's live view of one member: the HTTP
-// client, health, the last /stats snapshot the health loop cached (the
+// clients, health, the last /stats snapshot the health loop cached (the
 // source of the fleet-merged metric families), and dispatch accounting.
 type memberState struct {
 	Member
-	client *http.Client
+	probes *http.Client // bounded by memberTimeout
+	jobs   *http.Client // unbounded: a dispatch waits for its job
 
-	mu         sync.Mutex
-	up         bool
+	mu sync.Mutex
+	up bool
+	// live carries every dispatch to the member: marking the member down
+	// aborts them all, and marking it up again renews it.
+	live       context.Context
+	abort      context.CancelFunc
 	fails      int // consecutive probe failures
 	skip       int // health probes to skip (backoff while down)
 	skipLeft   int // countdown of the current skip window
@@ -69,26 +74,39 @@ type memberState struct {
 }
 
 func newMemberState(m Member) *memberState {
+	live, abort := context.WithCancel(context.Background())
 	return &memberState{
 		Member: m,
-		client: &http.Client{Timeout: memberTimeout},
+		probes: &http.Client{Timeout: memberTimeout},
+		jobs:   &http.Client{},
 		up:     true, // optimistic until the first probe says otherwise
+		live:   live, abort: abort,
 	}
 }
 
-// submit posts the spec, retrying briefly on 429 (the member's queue, or
-// the tenant's share of it, is momentarily full). A 4xx other than 429 is
-// permanent; transport errors and 5xx (a draining member answers 503) are
-// retryable by re-dispatch.
+// submit runs the spec on the member in one round trip, POST /jobs?wait=1,
+// and returns the member's finished job. It retries briefly on 429 (the
+// member's queue, or the tenant's share of it, is momentarily full). A 4xx
+// other than 429 is permanent; transport errors, 5xx (a draining member
+// answers 503) and a member marked down mid-job are retryable by
+// re-dispatch.
 func (m *memberState) submit(spec service.JobSpec) (service.Job, error) {
 	var job service.Job
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return job, &permanentError{err}
 	}
+	m.mu.Lock()
+	live := m.live
+	m.mu.Unlock()
 	backoff := submitBackoff
 	for attempt := 0; ; attempt++ {
-		resp, err := m.client.Post(m.URL+"/jobs", "application/json", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(live, http.MethodPost, m.URL+"/jobs?wait=1", bytes.NewReader(body))
+		if err != nil {
+			return job, &permanentError{err}
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := m.jobs.Do(req)
 		if err != nil {
 			return job, err
 		}
@@ -98,7 +116,7 @@ func (m *memberState) submit(spec service.JobSpec) (service.Job, error) {
 			return job, rerr
 		}
 		switch {
-		case resp.StatusCode == http.StatusAccepted:
+		case resp.StatusCode == http.StatusOK:
 			return job, json.Unmarshal(data, &job)
 		case resp.StatusCode == http.StatusTooManyRequests && attempt < submitRetries:
 			time.Sleep(backoff)
@@ -116,24 +134,6 @@ func (m *memberState) submit(spec service.JobSpec) (service.Job, error) {
 	}
 }
 
-// getJob fetches one job snapshot from the member.
-func (m *memberState) getJob(id string) (service.Job, error) {
-	var job service.Job
-	resp, err := m.client.Get(m.URL + "/jobs/" + id)
-	if err != nil {
-		return job, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRespBytes))
-	if err != nil {
-		return job, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return job, fmt.Errorf("fleet: member %s: %s: %s", m.Name, resp.Status, strings.TrimSpace(string(data)))
-	}
-	return job, json.Unmarshal(data, &job)
-}
-
 // probe hits /stats and updates health: one success marks the member up
 // and caches the snapshot; healthFailures consecutive failures mark it
 // down, after which probes back off exponentially (1, 2, 4, ... intervals,
@@ -148,7 +148,7 @@ func (m *memberState) probe() {
 	m.mu.Unlock()
 
 	var st service.Stats
-	resp, err := m.client.Get(m.URL + "/stats")
+	resp, err := m.probes.Get(m.URL + "/stats")
 	if err == nil {
 		data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRespBytes))
 		resp.Body.Close()
@@ -162,6 +162,9 @@ func (m *memberState) probe() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err == nil {
+		if !m.up {
+			m.live, m.abort = context.WithCancel(context.Background())
+		}
 		m.up = true
 		m.fails = 0
 		m.skip = 0
@@ -172,6 +175,7 @@ func (m *memberState) probe() {
 	m.fails++
 	if m.fails >= healthFailures {
 		m.up = false
+		m.abort()
 		if m.skip < 8 {
 			if m.skip == 0 {
 				m.skip = 1
@@ -190,15 +194,16 @@ func (m *memberState) isUp() bool {
 	return m.up
 }
 
-// markDown records an observed failure from the dispatch path (a transport
-// error submitting or polling), feeding the same counter the prober uses so
-// a dead member is detected from either side.
+// markDown records an observed failure from the dispatch path, feeding the
+// same counter the prober uses so a dead member is detected from either
+// side.
 func (m *memberState) markDown() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.fails++
 	if m.fails >= healthFailures {
 		m.up = false
+		m.abort()
 	}
 }
 

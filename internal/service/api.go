@@ -16,6 +16,8 @@ import (
 //	                       it) is full — the body names the tenant for
 //	                       per-tenant throttling, 400 on an invalid spec,
 //	                       503 once the daemon is draining
+//	POST /jobs?wait=1      the same admission, then 200 with the finished
+//	                       job once it has ended (done or failed)
 //	GET  /jobs/{id}        job snapshot (state, result once done); 404 if
 //	                       unknown
 //	GET  /jobs/{id}/events Server-Sent Events stream of the job's
@@ -36,7 +38,7 @@ import (
 // the daemon binary stays a thin main.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", SubmitHandler(s.Submit))
+	mux.HandleFunc("POST /jobs", SubmitHandler(s.Submit, func(j Job) (Job, error) { return s.Wait(j.ID) }))
 	mux.HandleFunc("GET /jobs/{id}", GetHandler(s.Get))
 	mux.HandleFunc("GET /jobs/{id}/events", EventsHandler(s.events, func(id string) (JobEvent, bool) {
 		job, ok := s.Get(id)
@@ -89,8 +91,11 @@ func NewHandler(s *Service) http.Handler {
 // when the queue or the tenant's share of it is full — the body and the
 // X-Overloaded-Tenant header name the tenant — 503 once the front end is
 // closed (a retryable refusal: a coordinator re-dispatches elsewhere), and
-// 400 on an invalid spec.
-func SubmitHandler[J any](submit func(JobSpec) (J, error)) http.HandlerFunc {
+// 400 on an invalid spec. With ?wait=1 an admitted job is answered 200
+// with the snapshot wait returns once the job has ended, so one request
+// runs a job to its result; the wait lasts as long as the job, whether or
+// not the client is still there.
+func SubmitHandler[J any](submit func(JobSpec) (J, error), wait func(J) (J, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
@@ -115,7 +120,15 @@ func SubmitHandler[J any](submit func(JobSpec) (J, error)) http.HandlerFunc {
 			}
 			return
 		}
-		WriteJSON(w, http.StatusAccepted, job)
+		if r.URL.Query().Get("wait") != "1" {
+			WriteJSON(w, http.StatusAccepted, job)
+			return
+		}
+		if job, err = wait(job); err != nil {
+			WriteError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		WriteJSON(w, http.StatusOK, job)
 	}
 }
 

@@ -10,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compiler"
+	"repro/internal/isa"
+	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/service/cache"
 )
@@ -378,6 +381,47 @@ func TestUncompilableSpecFailsOnlyItsJob(t *testing.T) {
 	if good := wait(JobSpec{Model: "gemm", N: 64, NPU: "small"}); good.State != StateDone {
 		t.Fatalf("the next job: state %s error %q", good.State, good.Error)
 	}
+}
+
+// A kernel measurement that panics in the compiler's worker pool, outside
+// Service.run's recover, fails that job alone with the panic in its error;
+// the next job on the same service measures the kernel and completes.
+func TestMeasurePanicFailsOnlyItsJob(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	var panicked atomic.Bool
+	svc.cache.SetCompilerHook(func(c *compiler.Compiler) {
+		c.Measurer = panicOnce{&panicked}
+	})
+	svc.Start()
+	defer svc.Close()
+	spec := JobSpec{Model: "gemm", N: 64, NPU: "small"}
+	wait := func() Job {
+		j, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin, err := svc.Wait(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fin
+	}
+	if bad := wait(); bad.State != StateFailed || !strings.Contains(bad.Error, "injected measurer fault") {
+		t.Fatalf("job whose measurement panicked: state %s error %q", bad.State, bad.Error)
+	}
+	if good := wait(); good.State != StateDone {
+		t.Fatalf("the next job: state %s error %q", good.State, good.Error)
+	}
+}
+
+// panicOnce is a compiler.Measurer whose first measurement panics.
+type panicOnce struct{ done *atomic.Bool }
+
+func (m panicOnce) Measure(cfg npu.CoreConfig, p *isa.Program) (int64, error) {
+	if m.done.CompareAndSwap(false, true) {
+		panic("injected measurer fault")
+	}
+	return compiler.TimingMeasurer{}.Measure(cfg, p)
 }
 
 // A panic while simulating fails that job alone, with the panic and its
