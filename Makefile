@@ -59,10 +59,13 @@ fuzz-smoke:
 	bash scripts/fuzz_smoke.sh
 
 # Cross-simulator differential gate: 200 seeded random workloads through
-# every oracle (zero divergences required), the fleet-determinism oracle
-# (1-node vs 3-node sharded fleet, bit-identical), then the fault-injection
-# self-tests, which pass only if a deliberate fault — a +1-cycle latency
-# perturbation or a corrupted fleet-member response — is detected.
+# every oracle (zero divergences required), the serve-determinism oracle
+# (each seeded serving job fresh, probed and on a warmed service whose
+# compile cache already holds its shapes, bit-identical), the
+# fleet-determinism oracle (1-node vs 3-node sharded fleet,
+# bit-identical), then the fault-injection self-tests, which pass only if
+# a deliberate fault — a +1-cycle latency perturbation or a corrupted
+# fleet-member response — is detected.
 crosscheck:
 	$(GO) run ./cmd/ptsimcheck -seed 1 -n 200
 	$(GO) run ./cmd/ptsimcheck -serve -seed 1

@@ -66,8 +66,8 @@ func TestPtserveZeroFlagMeansWireDefault(t *testing.T) {
 }
 
 // Every request is served with positive throughput and latencies, every
-// decode step past the first at a (batch, padded-KV) shape is a compile
-// cache hit, and the default run, which replays repeated shapes, reports
+// decode step past the first at a (batch, padded-KV) shape counts as a
+// hit, and the default run, which replays repeated shapes, reports
 // exactly what -trace, which simulates every iteration, reports.
 func TestPtserveReplayMatchesFullSimulation(t *testing.T) {
 	ptserve := buildCmd(t, "cmd/ptserve")

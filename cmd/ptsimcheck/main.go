@@ -39,7 +39,7 @@ func run() error {
 	seed := flag.Uint64("seed", 1, "generation stream seed")
 	n := flag.Int("n", 200, "number of cases to generate and check")
 	replay := flag.String("replay", "", "replay a recorded repro JSON file instead of generating")
-	serveCheck := flag.Bool("serve", false, "run the serve-determinism oracle (same seed twice) instead of the case generator")
+	serveCheck := flag.Bool("serve", false, "run the serve-determinism oracle (same seed fresh, probed and on a warmed service) instead of the case generator")
 	topoCheck := flag.Bool("topo", false, "run the topology-parallel oracle (data/tensor-parallel numerics vs single-core funcsim + engine bit-identity on multi-package fabrics) instead of the case generator")
 	fleetCheck := flag.Bool("fleet", false, "run the fleet-determinism oracle (seeded mixed batch through a 1-node service vs a 3-node sharded fleet, bit-identical JobResults) instead of the case generator")
 	faultFleet := flag.Bool("fault-fleet", false, "self-test: corrupt one fleet member's response; the run SUCCEEDS only if the fleet oracle detects it (implies -fleet)")
@@ -64,7 +64,7 @@ func run() error {
 		if err := crosscheck.CheckServe(int64(*seed)); err != nil {
 			return err
 		}
-		fmt.Printf("ok: serve-determinism (seed %d, replay) in %v\n",
+		fmt.Printf("ok: serve-determinism (seed %d, replay, probed and warmed legs) in %v\n",
 			*seed, time.Since(start).Round(time.Millisecond))
 		return nil
 	}

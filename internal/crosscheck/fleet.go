@@ -11,13 +11,13 @@ import (
 )
 
 // CheckFleet is the fleet-determinism oracle: a seeded batch of mixed jobs
-// — gemm/mlp shapes, a seeded decoder serving scenario, a multi-package
-// tensor-parallel topology job, spread over tenants and priorities — runs
-// once through a single in-process service and once through a 3-member
-// local fleet (consistent-hash routing, peer cache tiers, weighted-fair
-// dispatch). Every JobResult must be bit-identical after canonicalization
-// (host-time fields zeroed): where a job ran must never change what it
-// computed.
+// — gemm/mlp shapes, a seeded decoder serving scenario behind plain jobs at
+// its iteration shapes, a multi-package tensor-parallel topology job,
+// spread over tenants and priorities — runs once through a single
+// in-process service and once through a 3-member local fleet
+// (consistent-hash routing, peer cache tiers, weighted-fair dispatch).
+// Every JobResult must be bit-identical after canonicalization (host-time
+// fields zeroed): where a job ran must never change what it computed.
 //
 // With faultFleet set, the coordinator's ResultFault hook corrupts exactly
 // one member response (+1 cycle) and the check SUCCEEDS only if the
@@ -107,7 +107,7 @@ func CheckFleet(seed int64, faultFleet bool) error {
 func fleetSpecs(seed int64) []service.JobSpec {
 	rng := rand.New(rand.NewSource(seed))
 	tenants := []string{"alpha", "beta", "gamma"}
-	specs := make([]service.JobSpec, 0, 9)
+	specs := make([]service.JobSpec, 0, 10)
 	for i := 0; i < 5; i++ {
 		specs = append(specs, service.JobSpec{
 			Model: "gemm", N: 24 + 8*rng.Intn(6), NPU: "small",
@@ -118,8 +118,14 @@ func fleetSpecs(seed int64) []service.JobSpec {
 		Model: "mlp", Batch: 1 + rng.Intn(2), NPU: "small",
 		Tenant: tenants[rng.Intn(len(tenants))],
 	})
+	// Plain jobs at the serving scenario's prefill shape and first decode
+	// shape, ahead of it: wherever the serving job lands, the compile cache
+	// may already hold its shapes, and its report must not show it.
+	specs = append(specs,
+		service.JobSpec{Model: "decoder-tiny", Ctx: 4, Prefill: true, NPU: "small", Tenant: "beta"},
+		service.JobSpec{Model: "decoder-tiny", Ctx: 16, NPU: "small", Tenant: "beta"})
 	// A seeded continuous-batching decoder scenario: the serve scheduler,
-	// KV cache, and per-step compile caching all join the contract.
+	// KV cache, and per-step shape reuse all join the contract.
 	specs = append(specs, service.JobSpec{
 		Model: "decoder-tiny", NPU: "small", Tenant: "beta",
 		Serve: &service.ServeSpec{Requests: 2, Prompt: 4, Output: 4,

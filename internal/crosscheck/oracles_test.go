@@ -2,9 +2,9 @@ package crosscheck
 
 import "testing"
 
-// The serve-determinism oracle passes clean: replaying the same seeded
-// trace twice and swapping serial for parallel engines must not move a
-// single cycle.
+// The serve-determinism oracle passes clean: the same seeded serving job on
+// a fresh service, again, probed, and on a warmed service must not move a
+// single field of the canonical result.
 func TestCheckServe(t *testing.T) {
 	if err := CheckServe(2); err != nil {
 		t.Fatal(err)

@@ -53,9 +53,10 @@ type ServeReport struct {
 	TPOTp50Ms float64 `json:"tpot_p50_ms"`
 	TPOTp99Ms float64 `json:"tpot_p99_ms"`
 
-	// Compile-cache behaviour of the autoregressive loop: prefill compiles
-	// once per distinct prompt shape; decode steps past the first at a given
-	// (batch, padded-KV) shape must all be cache hits.
+	// Shape reuse of the autoregressive loop, counted inside this run: each
+	// distinct prompt shape and (batch, padded-KV) decode shape is compiled
+	// and simulated once, and every later iteration at it is a hit, so
+	// Hits = Runs/Steps − Shapes whatever the compile cache held before.
 	PrefillRuns   int64 `json:"prefill_runs"`
 	PrefillHits   int64 `json:"prefill_cache_hits"`
 	PrefillShapes int   `json:"prefill_shapes"`

@@ -1,8 +1,7 @@
 // Package serve is the LLM inference serving subsystem: it replays a trace
 // of generation requests through an iteration-level continuous-batching
 // scheduler, timing every prefill pass and decode step on the NPU timing
-// model and accounting tokens, latencies, and compile-cache behaviour per
-// request.
+// model and accounting tokens, latencies, and shape reuse per request.
 //
 // The scheduler is the vLLM/Orca-style loop at iteration granularity:
 // between any two NPU iterations, newly arrived requests are admitted (up
@@ -11,13 +10,14 @@
 //
 // Every NPU iteration is one compiled graph timed on a fresh TLS engine, so
 // serving cycles are bit-identical to a standalone ptsim run of the same
-// shape; each distinct shape is compiled and simulated once per run and
-// then replayed (engine runs = PrefillShapes + DecodeShapes). Decode graphs
-// are shaped by the KV length padded up to Config.KVBlock — the paged-KV
-// trick that makes decode steps at nearby context lengths share one
-// compiled artifact: the first step at a given (batch, padded-KV) shape
-// compiles (or fetches from the content-addressed cache), every later step
-// at that shape reuses the run's artifact and counts as a cache hit.
+// shape. A run keeps one table of its iteration shapes, keyed by spec: each
+// distinct shape is compiled and simulated once per run and then replayed
+// (engine runs = PrefillShapes + DecodeShapes). Decode graphs are shaped by
+// the KV length padded up to Config.KVBlock — the paged-KV trick that makes
+// decode steps at nearby context lengths share one compiled artifact. The
+// report's hits count reuse inside the run (iterations minus shapes), never
+// what the compile path had cached before it, so a spec reports the same
+// numbers however warm the caller is.
 //
 // All scheduling happens in simulated cycles; the report contains no host
 // time, so a seeded scenario reproduces exactly (the serve-determinism
@@ -40,10 +40,10 @@ import (
 	"repro/internal/topo"
 )
 
-// CompileFn resolves a model spec to its compiled artifact, reporting
-// whether the compilation was served from a cache. The service layer
-// adapts its content-addressed compile cache to this signature; tests can
-// substitute a plain compiler.
+// CompileFn resolves a model spec to its compiled artifact. The bool says
+// whether a cache served it; serve ignores it, since a run counts reuse
+// within itself. The service layer adapts its content-addressed compile
+// cache to this signature; tests can substitute a plain compiler.
 type CompileFn func(spec modelzoo.Spec) (*compiler.Compiled, bool, error)
 
 // Request is one generation request in the arrival trace.
@@ -176,7 +176,7 @@ func Run(cfg Config, reqs []Request) (report.ServeReport, error) {
 }
 
 func newRunState(cfg Config) *runState {
-	return &runState{cfg: cfg, comps: map[modelzoo.Spec]*compiler.Compiled{}, sims: map[modelzoo.Spec]report.ActivityTotals{}}
+	return &runState{cfg: cfg, shapes: map[modelzoo.Spec]*shape{}}
 }
 
 // run is Run's scheduler loop over a validated, defaulted config.
@@ -207,7 +207,7 @@ func (s *runState) run(reqs []Request) (report.ServeReport, error) {
 		for len(waiting) > 0 && len(running) < cfg.MaxBatch && waiting[0].Arrival <= now {
 			req := &reqState{Request: waiting[0]}
 			waiting = waiting[1:]
-			cycles, err := s.prefill(req.Prompt, now)
+			cycles, err := s.iterate(modelzoo.Spec{Model: cfg.Model, Batch: 1, Ctx: req.Prompt, Prefill: true}, now)
 			if err != nil {
 				return report.ServeReport{}, err
 			}
@@ -236,7 +236,7 @@ func (s *runState) run(reqs []Request) (report.ServeReport, error) {
 			}
 		}
 		kvLen := (kvCtx + cfg.KVBlock - 1) / cfg.KVBlock * cfg.KVBlock
-		cycles, err := s.decode(len(running), kvLen, now)
+		cycles, err := s.iterate(modelzoo.Spec{Model: cfg.Model, Batch: len(running), Ctx: kvLen}, now)
 		if err != nil {
 			return report.ServeReport{}, err
 		}
@@ -263,102 +263,66 @@ func (s *runState) run(reqs []Request) (report.ServeReport, error) {
 type runState struct {
 	cfg Config
 
-	prefillRuns, prefillHits int64
-	decodeSteps, decodeHits  int64
-	prefillShapes            map[string]bool
-	decodeShapes             map[string]bool
+	// shapes is the run's table of distinct iteration specs; every count
+	// and activity total the report prints derives from it.
+	shapes map[modelzoo.Spec]*shape
 
 	timeline    []report.BatchSample
 	occCycles   int64
 	occWeighted int64
-
-	// Per-phase activity roll-ups across every iteration's engine run, for
-	// the post-hoc energy derivation (plain int64s: deterministic).
-	prefillAct report.ActivityTotals
-	decodeAct  report.ActivityTotals
-
-	// comps holds each shape's artifact for the rest of the run, so a
-	// shape is compiled once per run however few artifacts the compile
-	// path keeps; a repeat counts as a compile hit. sims holds each
-	// shape's engine outcome (Cycles included): a fresh stack under the
-	// run's fixed NPU, net, topology and MaxCycles always simulates a spec
-	// to the same result.
-	comps map[modelzoo.Spec]*compiler.Compiled
-	sims  map[modelzoo.Spec]report.ActivityTotals
 }
 
-// prefill simulates one request's prompt pass (starting at serve cycle
-// `at`) and returns its cycles.
-func (s *runState) prefill(prompt int, at int64) (int64, error) {
-	if s.prefillShapes == nil {
-		s.prefillShapes = map[string]bool{}
-	}
-	s.prefillRuns++
-	s.prefillShapes[fmt.Sprintf("ctx%d", prompt)] = true
-	cycles, act, hit, err := s.iterate(modelzoo.Spec{Model: s.cfg.Model, Batch: 1, Ctx: prompt, Prefill: true}, at)
-	if hit {
-		s.prefillHits++
-	}
-	s.prefillAct.Add(act)
-	return cycles, err
+// shape is one distinct iteration spec of a run. Its artifact is kept for
+// the rest of the run, so the shape is compiled once however few artifacts
+// the compile path keeps. A fresh stack under the run's fixed NPU, net,
+// topology and MaxCycles always simulates a spec to the same outcome, so
+// an unprobed run simulates the shape once and replays that outcome.
+type shape struct {
+	comp *compiler.Compiled
+	once report.ActivityTotals // one iteration's engine outcome, Cycles included
+	runs int64                 // iterations at this shape
+	act  report.ActivityTotals // activity summed over those iterations (plain int64s: deterministic)
 }
 
-// decode simulates one continuous-batch decode iteration starting at serve
-// cycle `at`.
-func (s *runState) decode(batch, kvLen int, at int64) (int64, error) {
-	if s.decodeShapes == nil {
-		s.decodeShapes = map[string]bool{}
-	}
-	s.decodeSteps++
-	s.decodeShapes[fmt.Sprintf("b%d_kv%d", batch, kvLen)] = true
-	cycles, act, hit, err := s.iterate(modelzoo.Spec{Model: s.cfg.Model, Batch: batch, Ctx: kvLen}, at)
-	if hit {
-		s.decodeHits++
-	}
-	s.decodeAct.Add(act)
-	return cycles, err
-}
-
-// iterate compiles (or fetches) one iteration's graph and runs it through
-// core.Simulator's run body — the same compile-then-simulate funnel as a
-// standalone run, so iteration cycles are bit-identical to ptsim's, on one
-// package or one rank per package of the serving topology — or, for a
-// shape already run, reuses the run's artifact (a compile hit) and replays
-// the stored outcome. It returns the iteration's activity totals for phase
-// energy accounting.
-func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, report.ActivityTotals, bool, error) {
+// iterate runs one iteration of the given spec starting at serve cycle
+// `at` and returns its cycles. A shape's first iteration compiles its graph
+// and runs it through core.Simulator's run body — the same compile-then-
+// simulate funnel as a standalone run, so iteration cycles are bit-identical
+// to ptsim's, on one package or one rank per package of the serving
+// topology. A later iteration at the shape reuses the run's artifact and
+// replays the stored outcome.
+func (s *runState) iterate(spec modelzoo.Spec, at int64) (int64, error) {
 	if s.cfg.Topo.Packages() > 1 {
 		spec.Topology, spec.Parallel = s.cfg.Topo.Name, s.cfg.Parallel
 	}
-	comp, hit := s.comps[spec], true
-	if comp == nil {
-		var err error
-		if comp, hit, err = s.cfg.Compile(spec); err != nil {
-			return 0, report.ActivityTotals{}, false, err
+	sh := s.shapes[spec]
+	if sh == nil {
+		comp, _, err := s.cfg.Compile(spec)
+		if err != nil {
+			return 0, err
 		}
-		s.comps[spec] = comp
+		sh = &shape{comp: comp}
+		s.shapes[spec] = sh
 	}
-	// A probe needs every iteration's spans at its own serve offset, so
-	// probed runs neither replay nor store.
-	if act, ok := s.sims[spec]; ok && s.cfg.Probe == nil {
-		return act.Cycles, act, hit, nil
+	// A probe needs every iteration's spans at its own serve offset, so a
+	// probed run simulates every iteration instead of replaying.
+	if sh.runs == 0 || s.cfg.Probe != nil {
+		sim := core.Simulator{Cfg: s.cfg.NPU, Topo: s.cfg.Topo, MaxCycles: s.cfg.MaxCycles}
+		if s.cfg.Probe != nil {
+			// Stitch this iteration's spans onto the serve timeline: the
+			// engine's cycle 0 is serve cycle `at`.
+			sim.Probe = obs.OffsetProbe{Base: s.cfg.Probe, Delta: at}
+		}
+		rep, err := sim.SimulateTLS(sh.comp, s.cfg.Net)
+		if err != nil {
+			return 0, err
+		}
+		in := rep.Inputs()
+		sh.once = report.Totals(in.Res, in.Mem, in.NoCFlits, in.LinkFlits)
 	}
-	sim := core.Simulator{Cfg: s.cfg.NPU, Topo: s.cfg.Topo, MaxCycles: s.cfg.MaxCycles}
-	if s.cfg.Probe != nil {
-		// Stitch this iteration's spans onto the serve timeline: the
-		// engine's cycle 0 is serve cycle `at`.
-		sim.Probe = obs.OffsetProbe{Base: s.cfg.Probe, Delta: at}
-	}
-	rep, err := sim.SimulateTLS(comp, s.cfg.Net)
-	if err != nil {
-		return 0, report.ActivityTotals{}, hit, err
-	}
-	in := rep.Inputs()
-	act := report.Totals(in.Res, in.Mem, in.NoCFlits, in.LinkFlits)
-	if s.cfg.Probe == nil {
-		s.sims[spec] = act
-	}
-	return rep.Cycles, act, hit, nil
+	sh.runs++
+	sh.act.Add(sh.once)
+	return sh.once.Cycles, nil
 }
 
 // report assembles the final ServeReport (no host time: deterministic).
@@ -382,15 +346,23 @@ func (s *runState) report(cfg Config, done []*reqState, end int64) report.ServeR
 		Cycles:      end,
 		SimulatedMs: toMs(end),
 
-		PrefillRuns:   s.prefillRuns,
-		PrefillHits:   s.prefillHits,
-		PrefillShapes: len(s.prefillShapes),
-		DecodeSteps:   s.decodeSteps,
-		DecodeHits:    s.decodeHits,
-		DecodeShapes:  len(s.decodeShapes),
-
 		Timeline: s.timeline,
 	}
+	// Per-phase activity roll-ups for the post-hoc energy derivation.
+	var prefillAct, decodeAct report.ActivityTotals
+	for spec, sh := range s.shapes {
+		if spec.Prefill {
+			r.PrefillShapes++
+			r.PrefillRuns += sh.runs
+			prefillAct.Add(sh.act)
+		} else {
+			r.DecodeShapes++
+			r.DecodeSteps += sh.runs
+			decodeAct.Add(sh.act)
+		}
+	}
+	r.PrefillHits = r.PrefillRuns - int64(r.PrefillShapes)
+	r.DecodeHits = r.DecodeSteps - int64(r.DecodeShapes)
 	if s.occCycles > 0 {
 		r.AvgBatchOccupancy = float64(s.occWeighted) / float64(s.occCycles)
 	}
@@ -426,8 +398,8 @@ func (s *runState) report(cfg Config, done []*reqState, end int64) report.ServeR
 	// static leakage is charged only while an engine was running (serve-
 	// level idle gaps have no simulated hardware to leak). The total is the
 	// exact sum of the two phase totals.
-	r.PrefillEnergy = report.BuildEnergy(cfg.NPU, s.prefillAct)
-	r.DecodeEnergy = report.BuildEnergy(cfg.NPU, s.decodeAct)
+	r.PrefillEnergy = report.BuildEnergy(cfg.NPU, prefillAct)
+	r.DecodeEnergy = report.BuildEnergy(cfg.NPU, decodeAct)
 	if r.PrefillEnergy != nil || r.DecodeEnergy != nil {
 		if r.PrefillEnergy != nil {
 			r.TotalEnergyMJ += r.PrefillEnergy.TotalMilliJ

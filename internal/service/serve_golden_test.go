@@ -8,10 +8,11 @@ import (
 )
 
 // A serving trace with more distinct iteration shapes than the compile
-// cache keeps artifacts still reports the compile hits of an unbounded
-// cache: each shape is compiled once per run and every repeat counts as a
-// hit, so no mid-run eviction can re-lower a shape and move PrefillHits or
-// DecodeHits. The golden was generated before the artifact bound existed.
+// cache keeps artifacts reports what an unbounded cache would. This holds
+// by construction: a run keeps each shape's artifact and counts a hit as
+// a repeat inside the run (runs − shapes), so neither eviction nor what
+// the cache held before moves PrefillHits or DecodeHits. The golden was
+// generated before the artifact bound existed.
 func TestServeReportIndependentOfArtifactBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("48-request serving trace")

@@ -349,7 +349,8 @@ func TestServiceServeJob(t *testing.T) {
 	if rep.TokensPerSec <= 0 || rep.TTFTp50Ms <= 0 {
 		t.Fatalf("degenerate serving report: %+v", rep)
 	}
-	// Every decode step past the first at a given shape hits the cache.
+	// Every decode step past the first at a given shape is a hit: a repeat
+	// inside the run.
 	if want := rep.DecodeSteps - int64(rep.DecodeShapes); rep.DecodeHits != want {
 		t.Fatalf("decode hits %d, want %d (%d steps over %d shapes)",
 			rep.DecodeHits, want, rep.DecodeSteps, rep.DecodeShapes)

@@ -26,7 +26,10 @@
 # fails if non-test Go outside internal/core/ and internal/crosscheck/
 # calls Stack.Place — one compiled artifact runs through one run body,
 # core.Simulator.SimulateTLS (the crosscheck exception is the strict-tick
-# topology oracle, which sets Engine.StrictTick). Also prints the non-test
+# topology oracle, which sets Engine.StrictTick). And it fails if non-test
+# Go outside internal/service/ and bench/ calls serve.Run( — a serving run
+# is a service.JobSpec with Serve set, run through Service.Simulate, the
+# one front door (the serve oracle included). Also prints the non-test
 # Go line count outside bench/, so "the code got smaller" is a number.
 # Wired into `make check`.
 set -euo pipefail
@@ -94,6 +97,15 @@ hits=$(echo "$files" |
   xargs grep -nE -e '\.Place\(' || true)
 if [ -n "$hits" ]; then
   echo "funnel-gate: FAIL — a second run body for a compiled artifact (use core.Simulator.SimulateTLS):"
+  echo "$hits"
+  exit 1
+fi
+
+hits=$(echo "$files" |
+  grep -v -e '^internal/service/' |
+  xargs grep -n -e 'serve\.Run(' || true)
+if [ -n "$hits" ]; then
+  echo "funnel-gate: FAIL — a serving run outside the service (submit a service.JobSpec with Serve set):"
   echo "$hits"
   exit 1
 fi
