@@ -15,6 +15,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/funcsim"
 	"repro/internal/graph"
+	"repro/internal/nn"
 	"repro/internal/noc"
 	"repro/internal/npu"
 	"repro/internal/obs"
@@ -224,7 +225,7 @@ func BenchmarkSparseValidation(b *testing.B) {
 func BenchmarkCompileGEMM1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := compiler.New(benchCfg(), compiler.DefaultOptions())
-		if _, err := c.Compile(exp.GEMMGraph(1024)); err != nil {
+		if _, err := c.Compile(nn.GEMM(1024)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -349,7 +350,7 @@ func BenchmarkAblationSchedulerFCFS(b *testing.B)   { ablationScheduler(b, dram.
 func ablationGEMMCycles(b *testing.B, cfg npu.Config) {
 	b.Helper()
 	c := compiler.New(cfg, compiler.DefaultOptions())
-	comp, err := c.Compile(exp.GEMMGraph(512))
+	comp, err := c.Compile(nn.GEMM(512))
 	if err != nil {
 		b.Fatal(err)
 	}

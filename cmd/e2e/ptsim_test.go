@@ -1,11 +1,14 @@
 package e2e
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/obs/report"
+	"repro/internal/service"
 )
 
 // gemm64 is the small GEMM every end-to-end cycle comparison runs.
@@ -88,7 +91,8 @@ func TestPtsimMaxCyclesBoundsEveryMode(t *testing.T) {
 
 // Probes never perturb the simulation: a traced run has the plain run's
 // cycle count, and its trace carries every track including power over
-// time (TestPtsimTopologyRunHonoursRunFlags checks a multi-package trace).
+// time and the compiler's pass spans (TestPtsimTopologyRunHonoursRunFlags
+// checks a multi-package trace).
 func TestPtsimTraceKeepsCycles(t *testing.T) {
 	ptsim := buildCmd(t, "cmd/ptsim")
 	plain := tlsCycles(t, mustRun(t, ptsim, gemm64...))
@@ -97,7 +101,40 @@ func TestPtsimTraceKeepsCycles(t *testing.T) {
 	if plain != traced {
 		t.Fatalf("tracing changed the cycle count: %d plain vs %d traced", plain, traced)
 	}
-	checkTrace(t, gemmTrace, true)
+	compile := 0
+	for _, ev := range checkTrace(t, gemmTrace, true) {
+		if ev.PID == obs.PIDCompile && ev.Ph == "X" {
+			compile++
+		}
+	}
+	if compile == 0 {
+		t.Fatalf("%s: no compile-track spans", gemmTrace)
+	}
+}
+
+// ptsim -autotune is a sweep of job specs: the winner it reports has the
+// cycles Service.Simulate gives the same spec with that M-tile cap.
+func TestPtsimAutotuneIsAJobSweep(t *testing.T) {
+	out := mustRun(t, buildCmd(t, "cmd/ptsim"), "-model", "gemm", "-n", "256", "-small", "-autotune")
+	var maxMt int
+	var cycles int64
+	for _, line := range strings.Split(out, "\n") {
+		if _, rest, ok := strings.Cut(line, "autotune: best "); ok {
+			if _, err := fmt.Sscanf(rest, "MaxMt=%d -> %d cycles", &maxMt, &cycles); err != nil {
+				t.Fatalf("malformed autotune line %q: %v", line, err)
+			}
+		}
+	}
+	if cycles == 0 {
+		t.Fatalf("no autotune line in:\n%s", out)
+	}
+	res, err := service.New(service.Config{}).Simulate(service.JobSpec{Model: "gemm", N: 256, NPU: "small", MaxMt: maxMt}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles != cycles {
+		t.Fatalf("autotune reports MaxMt=%d -> %d cycles; Service.Simulate gives %d", maxMt, cycles, res.Cycles)
+	}
 }
 
 // Two runs against one -cache-dir give identical cycles, and the warm run

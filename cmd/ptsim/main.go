@@ -3,9 +3,11 @@
 // printing cycles, simulated time, and compiler statistics — the
 // PyTorchSim workflow of Fig. 1 from the command line.
 //
-// Model building and NPU selection live in internal/service/modelzoo, the
-// same path the ptsimd daemon uses, so a CLI run and a service job of the
-// same spec are bit-identical.
+// A ptsim run is a ptsimd job run in-process, as a ptserve run is: the
+// flags fill a service.JobSpec, the service's compile cache compiles it,
+// Service.Simulate runs TLS and Service.AutoTune sweeps the tile sizes,
+// so a CLI run and a service job of the same spec are bit-identical.
+// -mode ils runs the same cached artifact instruction by instruction.
 //
 // Usage:
 //
@@ -23,10 +25,9 @@ import (
 	"strings"
 
 	"repro/internal/cli"
+	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/obs/report"
-	"repro/internal/service/cache"
-	"repro/internal/service/modelzoo"
+	"repro/internal/service"
 	"repro/internal/tog"
 )
 
@@ -80,39 +81,36 @@ func run() error {
 			return fmt.Errorf("-autotune is not supported with multi-package topologies")
 		}
 	}
-	g, err := modelzoo.BuildRankGraph(r.Spec, r.Topo.Packages())
-	if err != nil {
-		return err
-	}
-
-	sim := core.NewSimulator(r.Cfg, r.Opts)
-	sim.MaxCycles = r.MaxCycles
-	sim.Topo = r.Topo
 	switch *tuneObjective {
-	case "cycles":
-	case "energy-delay":
-		sim.Objective = core.TuneEnergyDelay
+	case "cycles", "energy-delay":
 	default:
 		return fmt.Errorf("unknown autotune objective %q (cycles, energy-delay)", *tuneObjective)
 	}
-	var disk *cache.Disk
+
+	// The daemon's own front door: the same compile cache compiles the
+	// spec, and the TLS run and every autotune candidate are
+	// Service.Simulate calls, so a ptsim run is a ptsimd job run in-process.
+	svc := service.New(service.Config{})
 	if job.CacheDir != "" {
-		var err error
-		if disk, err = cache.NewDisk(job.CacheDir); err != nil {
+		if err := svc.EnableDiskCache(job.CacheDir); err != nil {
 			return fmt.Errorf("opening cache dir: %w", err)
 		}
-		sim.Compiler.Cache().SetStore(disk)
 	}
-	sim.Probe = out.Probe()
-	comp, err := sim.Compile(g)
+	// The artifact the dumps and ILS need; the TLS run below is its cache
+	// hit. Only this compile reports its passes to the -trace probe (the
+	// hook replaces the service's phase metrics, which ptsim never reads).
+	probe := out.Probe()
+	svc.Cache().SetCompilerHook(func(c *compiler.Compiler) { c.Probe = probe })
+	comp, _, _, err := svc.Cache().CompileSpec(r.Spec, r.Cfg, r.Opts)
+	svc.Cache().SetCompilerHook(nil)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(logw, "compiled %q: %d layers, %d unique kernels measured, %.1f MB DRAM footprint\n",
-		g.Name, len(comp.TOGs), sim.Compiler.MeasureCount(), float64(comp.TotalBytes)/1e6)
-	if disk != nil {
-		hits, misses := disk.Stats()
-		fmt.Fprintf(logw, "disk cache: %d hits, %d misses (%s)\n", hits, misses, job.CacheDir)
+		comp.Name, len(comp.TOGs), svc.Cache().Measured(), float64(comp.TotalBytes)/1e6)
+	if job.CacheDir != "" {
+		st := svc.Stats()
+		fmt.Fprintf(logw, "disk cache: %d hits, %d misses (%s)\n", st.DiskHits, st.DiskMisses, job.CacheDir)
 	}
 
 	if *dumpTOG != "" && len(comp.TOGs) > 0 {
@@ -138,42 +136,48 @@ func run() error {
 		fmt.Fprintf(logw, "wrote %d kernels to %s (reassemble with cmd/asm)\n", len(comp.Kernels), *dumpKernels)
 	}
 
-	switch *mode {
-	case "ils":
+	if *mode == "ils" {
+		// ILS runs the artifact on a compiler-less simulator, the way
+		// Service.Simulate runs TLS.
+		sim := &core.Simulator{Cfg: r.Cfg, MaxCycles: r.MaxCycles}
 		rep, ils, err := sim.SimulateILS(comp, r.Net)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("ILS: %s; %d dynamic instructions across %d kernel instances\n",
 			rep.String(), ils.Instrs, ils.KernelRuns)
-	case "tls":
-		if multi {
-			fmt.Fprintf(logw, "topology %s: %d packages x %d cores, %s parallelism, one rank per package\n",
-				r.Topo.Name, r.Topo.Packages(), r.Topo.CoresPerPackage, r.Spec.Parallel)
-		}
-		rep, err := sim.SimulateTLS(comp, r.Net)
+		return nil
+	}
+
+	if multi {
+		fmt.Fprintf(logw, "topology %s: %d packages x %d cores, %s parallelism, one rank per package\n",
+			r.Topo.Name, r.Topo.Packages(), r.Topo.CoresPerPackage, r.Spec.Parallel)
+	}
+	res, err := svc.Simulate(spec, probe)
+	if err != nil {
+		return err
+	}
+	if *autotune {
+		maxMt, tuned, err := svc.AutoTune(spec, *tuneObjective == "energy-delay")
 		if err != nil {
 			return err
 		}
-		if *autotune {
-			opts, _, tuned, err := sim.AutoTune(g, nil, r.Net)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(logw, "autotune: best MaxMt=%d -> %d cycles (heuristic: %d, %+.1f%%)\n",
-				opts.MaxMt, tuned.Cycles, rep.Cycles,
-				100*float64(tuned.Cycles-rep.Cycles)/float64(rep.Cycles))
-			rep = tuned
+		fmt.Fprintf(logw, "autotune: best MaxMt=%d -> %d cycles (heuristic: %d, %+.1f%%)\n",
+			maxMt, tuned.Cycles, res.Cycles,
+			100*float64(tuned.Cycles-res.Cycles)/float64(res.Cycles))
+		// The heuristic's candidate is a result hit with no host time:
+		// when it wins, render the run that timed it.
+		if maxMt != 0 {
+			res = tuned
 		}
-		// One formatter for every surface: the CLI summary, -report, -json,
-		// and the ptsimd job response all render the same report.Report;
-		// the compact default leaves out the per-job breakdown -report adds.
-		if err := out.Render(report.Build(rep.Machine, rep.Inputs()), "TLS", *showReport); err != nil {
-			return err
-		}
-		return out.WriteTrace(logw)
 	}
-	return nil
+	// One formatter for every surface: the CLI summary, -report, -json,
+	// and the ptsimd job response all render the same report.Report;
+	// the compact default leaves out the per-job breakdown -report adds.
+	if err := out.Render(*res.Report, "TLS", *showReport); err != nil {
+		return err
+	}
+	return out.WriteTrace(logw)
 }
 
 // sanitize maps a kernel id to a safe filename.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/dram"
 	"repro/internal/exp"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/togsim"
 )
@@ -60,7 +61,7 @@ func TestEquivalenceQuickstartGEMM(t *testing.T) {
 		t.Skip("tier-2: full TPUv3 GEMM under three engine modes, ~2s (DESIGN.md \"Test tiers\")")
 	}
 	c := compiler.New(benchCfg(), compiler.DefaultOptions())
-	comp, err := c.Compile(exp.GEMMGraph(512))
+	comp, err := c.Compile(nn.GEMM(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestEquivalenceMultiTenant(t *testing.T) {
 	cfg := benchCfg()
 	cfg.Cores = 2
 	c := compiler.New(cfg, compiler.DefaultOptions())
-	big, err := c.Compile(exp.GEMMGraph(512))
+	big, err := c.Compile(nn.GEMM(512))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Quickstart: build a small model graph, compile it for the TPUv3-like
 // NPU, simulate it with TLS, cross-check the cycle count against ILS, and
 // validate the NPU's numeric output against the CPU reference — the whole
-// PyTorchSim workflow (Fig. 1) in one file.
+// PyTorchSim workflow (Fig. 1) in one file — then autotune a GEMM's tile
+// size through the simulation service.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/npu"
+	"repro/internal/service"
 	"repro/internal/tensor"
 )
 
@@ -81,12 +83,20 @@ func main() {
 	}
 	fmt.Println("functional check: NPU output matches the CPU reference")
 
-	// 6. Autotune: sweep tile-size candidates through TLS — the simulator
-	// doubles as the compiler's cost model.
-	opts, _, tuned, err := sim.AutoTune(g, nil, core.SimpleNet)
+	// 6. Autotune: sweep M-tile caps through TLS — the simulator doubles as
+	// the compiler's cost model. The sweep runs job specs through the
+	// simulation service, so it tunes a model-zoo GEMM rather than the
+	// hand-built graph above.
+	svc := service.New(service.Config{})
+	spec := service.JobSpec{Model: "gemm", N: 256}
+	def, err := svc.Simulate(spec, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("autotune: MaxMt=%d -> %d cycles (heuristic default: %d)\n",
-		opts.MaxMt, tuned.Cycles, tls.Cycles)
+	maxMt, tuned, err := svc.AutoTune(spec, false)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("autotune GEMM(256): MaxMt=%d -> %d cycles (heuristic default: %d)\n",
+		maxMt, tuned.Cycles, def.Cycles)
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/exp"
+	"repro/internal/nn"
 	"repro/internal/npu"
 	"repro/internal/sparse"
 	"repro/internal/sparsecore"
@@ -28,7 +28,7 @@ func main() {
 
 	// Dense job: GEMM(512) compiled through the standard backend.
 	sim := core.NewSimulator(cfg, compiler.DefaultOptions())
-	comp, err := sim.Compile(exp.GEMMGraph(512))
+	comp, err := sim.Compile(nn.GEMM(512))
 	if err != nil {
 		log.Fatal(err)
 	}

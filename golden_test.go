@@ -16,8 +16,8 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/exp"
 	"repro/internal/golden"
+	"repro/internal/nn"
 	"repro/internal/npu"
 	"repro/internal/obs/report"
 	"repro/internal/serve"
@@ -31,7 +31,7 @@ func goldenReport(t *testing.T) (npu.Config, report.Report) {
 	t.Helper()
 	cfg := npu.SmallConfig()
 	sim := core.NewSimulator(cfg, compiler.DefaultOptions())
-	comp, err := sim.Compile(exp.GEMMGraph(64))
+	comp, err := sim.Compile(nn.GEMM(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestGoldenPtsimJSON(t *testing.T) {
 func TestGoldenTogsimJSON(t *testing.T) {
 	cfg := npu.SmallConfig()
 	c := compiler.New(cfg, compiler.DefaultOptions())
-	comp, err := c.Compile(exp.GEMMGraph(64))
+	comp, err := c.Compile(nn.GEMM(64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,22 +63,6 @@ func DefaultOptions() Options {
 	return Options{Fusion: true, DMA: DMASelective, ConvLayoutOpt: true}
 }
 
-// TileCandidates returns the option sets the autotuner sweeps: the default
-// heuristic plus capped M-tile variants. Smaller M tiles trade scratchpad
-// reuse for finer DMA-compute overlap; which wins depends on the layer's
-// aspect ratio and the memory system, which is exactly why the sweep runs
-// each candidate through TLS instead of scoring a static model.
-func TileCandidates() []Options {
-	base := DefaultOptions()
-	out := []Options{base}
-	for _, mt := range []int{32, 64, 128} {
-		o := base
-		o.MaxMt = mt
-		out = append(out, o)
-	}
-	return out
-}
-
 func (o Options) maxMt() int {
 	if o.MaxMt > 0 {
 		return o.MaxMt

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/compiler"
@@ -57,12 +56,10 @@ type Simulator struct {
 	MaxCycles int64
 
 	// Probe, when non-nil, is attached to every TLS stack this simulator
-	// builds (engine spans plus fabric/NoC/DRAM counters) and to the
-	// compiler (compile-phase spans). It never changes simulation results.
+	// builds (engine spans plus fabric/NoC/DRAM counters). It never changes
+	// simulation results; compile-phase spans come from the compiler's own
+	// Probe.
 	Probe obs.Probe
-
-	// Objective selects what AutoTune minimizes (default TuneCycles).
-	Objective TuneObjective
 }
 
 // NewSimulator returns a simulator for the given NPU and compiler options.
@@ -72,23 +69,8 @@ func NewSimulator(cfg npu.Config, opts compiler.Options) *Simulator {
 
 // Compile lowers a captured graph to kernels and TOGs.
 func (s *Simulator) Compile(g *graph.Graph) (*compiler.Compiled, error) {
-	if s.Compiler.Probe == nil {
-		s.Compiler.Probe = s.Probe
-	}
 	return s.Compiler.Compile(g)
 }
-
-// TuneObjective selects AutoTune's winner metric.
-type TuneObjective int
-
-const (
-	// TuneCycles picks the candidate with the fewest cycles (default).
-	TuneCycles TuneObjective = iota
-	// TuneEnergyDelay minimizes cycles x total energy (an energy-delay
-	// product), falling back to cycles when the configuration has no
-	// energy table. Tie-break is the earliest candidate either way.
-	TuneEnergyDelay
-)
 
 // Report summarizes a timing simulation.
 type Report struct {
@@ -139,9 +121,9 @@ func (s *Simulator) SimulateTLS(comp *compiler.Compiled, kind NetKind) (Report, 
 }
 
 // simulateTLS is the one run body for a compiled artifact, behind
-// SimulateTLS, SimulateILS and every AutoTune candidate, and through
-// SimulateTLS behind every ptsimd job and serving iteration: a fresh stack
-// carrying this simulator's run knobs.
+// SimulateTLS and SimulateILS, and through SimulateTLS behind every ptsimd
+// job, autotune candidate and serving iteration: a fresh stack carrying
+// this simulator's run knobs.
 func (s *Simulator) simulateTLS(comp *compiler.Compiled, kind NetKind, probe obs.Probe) (Report, error) {
 	st := NewStack(s.Cfg, kind, dram.FRFCFS, s.Topo)
 	st.Engine.MaxCycles = s.MaxCycles
@@ -168,79 +150,6 @@ func (s *Simulator) simulateTLS(comp *compiler.Compiled, kind NetKind, probe obs
 		Machine:   st.Cfg,
 		Topo:      in.Topo,
 	}, nil
-}
-
-// AutoTune compiles the graph under each candidate option set, simulates
-// each in TLS, and returns the fastest (options, compilation, report).
-// A nil candidates slice sweeps compiler.TileCandidates(). Candidates run
-// concurrently and all share the simulator's kernel-latency cache, so a
-// tile shape common to several candidates (and to any earlier Compile on
-// this simulator) is measured exactly once across the whole sweep. The
-// winner is deterministic: fewest cycles, earliest candidate on ties —
-// identical to what the old serial loop picked.
-func (s *Simulator) AutoTune(g *graph.Graph, candidates []compiler.Options, kind NetKind) (compiler.Options, *compiler.Compiled, Report, error) {
-	if candidates == nil {
-		candidates = compiler.TileCandidates()
-	}
-	if len(candidates) == 0 {
-		return compiler.Options{}, nil, Report{}, fmt.Errorf("core: no autotune candidates")
-	}
-	type outcome struct {
-		comp *compiler.Compiled
-		rep  Report
-	}
-	results := make([]*outcome, len(candidates))
-	var wg sync.WaitGroup
-	for i, opts := range candidates {
-		wg.Add(1)
-		go func(i int, opts compiler.Options) {
-			defer wg.Done()
-			c := compiler.NewShared(s.Cfg, opts, s.Compiler.Cache())
-			comp, err := c.Compile(g)
-			if err != nil {
-				// A candidate that does not fit (e.g. tile exceeds
-				// scratchpad) is skipped, not fatal.
-				return
-			}
-			// Untraced: concurrent candidates would interleave on one probe.
-			rep, err := s.simulateTLS(comp, kind, nil)
-			if err != nil {
-				return
-			}
-			results[i] = &outcome{comp: comp, rep: rep}
-		}(i, opts)
-	}
-	wg.Wait()
-
-	best := -1
-	var bestScore float64
-	for i, r := range results {
-		if r == nil {
-			continue
-		}
-		score := s.tuneScore(r.rep)
-		if best < 0 || score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	if best < 0 {
-		return compiler.Options{}, nil, Report{}, fmt.Errorf("core: no autotune candidate compiled successfully")
-	}
-	return candidates[best], results[best].comp, results[best].rep, nil
-}
-
-// tuneScore is the metric AutoTune minimizes for one candidate's report.
-// It is a deterministic function of the candidate's int64 counters (the
-// energy derivation is post-hoc float math over identical inputs), so the
-// sweep picks the same winner on every run and at every worker count.
-func (s *Simulator) tuneScore(rep Report) float64 {
-	if s.Objective == TuneEnergyDelay {
-		in := rep.Inputs()
-		if e := report.BuildEnergy(rep.Machine, report.Totals(in.Res, in.Mem, in.NoCFlits, in.LinkFlits)); e != nil {
-			return float64(rep.Cycles) * e.TotalMilliJ
-		}
-	}
-	return float64(rep.Cycles)
 }
 
 // SimulateILS runs the compiled model in Instruction-Level Simulation

@@ -46,56 +46,3 @@ func TestILSMatchesTLSCyclesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAutoTuneNeverWorseThanDefault(t *testing.T) {
-	sim := NewSimulator(npu.SmallConfig(), compiler.DefaultOptions())
-	g := graph.New("gemm")
-	x := g.Input("x", 96, 64)
-	w := g.Param("w", 64, 48)
-	mm := g.Add(&graph.Node{Op: graph.OpMatMul, Inputs: []int{x.ID, w.ID}, Shape: []int{96, 48}})
-	g.Outputs = []int{mm.ID}
-
-	comp, err := sim.Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := sim.SimulateTLS(comp, SimpleNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, tunedComp, rep, err := sim.AutoTune(g, nil, SimpleNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tunedComp == nil {
-		t.Fatal("autotune returned no compilation")
-	}
-	if rep.Cycles > def.Cycles {
-		t.Fatalf("autotune (MaxMt=%d, %d cycles) worse than default (%d cycles)",
-			opts.MaxMt, rep.Cycles, def.Cycles)
-	}
-	// Deterministic: a second sweep picks the same winner.
-	opts2, _, rep2, err := sim.AutoTune(g, nil, SimpleNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts2.MaxMt != opts.MaxMt || rep2.Cycles != rep.Cycles {
-		t.Fatalf("autotune nondeterministic: (%d,%d) vs (%d,%d)",
-			opts.MaxMt, rep.Cycles, opts2.MaxMt, rep2.Cycles)
-	}
-}
-
-func TestAutoTuneSkipsInfeasibleCandidates(t *testing.T) {
-	sim := NewSimulator(npu.SmallConfig(), compiler.DefaultOptions())
-	g := graph.New("gemm")
-	x := g.Input("x", 32, 32)
-	w := g.Param("w", 32, 32)
-	mm := g.Add(&graph.Node{Op: graph.OpMatMul, Inputs: []int{x.ID, w.ID}, Shape: []int{32, 32}})
-	g.Outputs = []int{mm.ID}
-	if _, _, _, err := sim.AutoTune(g, []compiler.Options{}, SimpleNet); err == nil {
-		t.Fatal("expected error for empty candidate list")
-	}
-	if _, _, _, err := sim.AutoTune(g, nil, SimpleNet); err != nil {
-		t.Fatal(err)
-	}
-}

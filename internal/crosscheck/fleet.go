@@ -80,8 +80,8 @@ func CheckFleet(seed int64, faultFleet bool) error {
 		if got := fin.Result.Canonical(); !reflect.DeepEqual(got, want[i]) {
 			divergences++
 			if firstDiff == "" {
-				firstDiff = fmt.Sprintf("job %d (key %s, member %s, attempts %d):\nfleet:  %+v\nsingle: %+v",
-					i, fin.Key, fin.Member, fin.Attempts, got, want[i])
+				firstDiff = fmt.Sprintf("job %d (key %s, member %s, attempts %d):\nfleet:  %s\nsingle: %s",
+					i, fin.Key, fin.Member, fin.Attempts, resultJSON(got), resultJSON(want[i]))
 			}
 		}
 	}

@@ -57,14 +57,22 @@ func CheckServe(seed int64) error {
 				return fmt.Errorf("serve %s %s failed: %w", leg, sc.name, err)
 			}
 			if got := again.Canonical(); !reflect.DeepEqual(want, got) {
-				w, _ := json.Marshal(want)
-				g, _ := json.Marshal(got)
 				return fmt.Errorf("serve-determinism (%s, %s): same seed %d, different results:\nfresh: %s\n%s: %s",
-					sc.name, leg, seed, w, leg, g)
+					sc.name, leg, seed, resultJSON(want), leg, resultJSON(got))
 			}
 		}
 	}
 	return nil
+}
+
+// resultJSON renders a job result for a divergence message: as JSON, so
+// its reports print by value rather than as pointer addresses.
+func resultJSON(r service.JobResult) string {
+	data, err := json.Marshal(r)
+	if err != nil {
+		return fmt.Sprintf("<%v>", err)
+	}
+	return string(data)
 }
 
 // warmedServe runs spec on a service that has already run it at another

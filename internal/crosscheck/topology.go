@@ -8,7 +8,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/npu"
@@ -177,7 +176,7 @@ func runTopoCase(c topoCase, cache *service.Cache) error {
 // the output all_reduce sums across ranks, so every rank's result must
 // match the elementwise sum of the per-rank single-graph outputs.
 func checkTopoGemmNumerics(c topoCase, parts int) (*graph.Graph, error) {
-	g := exp.GEMMGraph(c.GemmN)
+	g := nn.GEMM(c.GemmN)
 	rg := parallel.DataParallel(g, parts)
 	r := tensor.NewRNG(c.Seed)
 	envs := make([]*graph.Env, parts)

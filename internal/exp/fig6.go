@@ -10,6 +10,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/npu"
 )
 
@@ -41,7 +42,7 @@ func Fig6(cfg npu.Config, quick bool) (*Fig6Result, error) {
 	// Untimed warmup so the first timed row does not absorb one-time process
 	// costs (page faults, heap growth, cold code paths): on the quick sizes
 	// those costs rival the measurement itself.
-	if warm, err := sim.Compile(GEMMGraph(64)); err == nil {
+	if warm, err := sim.Compile(nn.GEMM(64)); err == nil {
 		if _, err := sim.SimulateTLS(warm, core.SimpleNet); err != nil {
 			return nil, err
 		}
@@ -51,7 +52,7 @@ func Fig6(cfg npu.Config, quick bool) (*Fig6Result, error) {
 	}
 	res := &Fig6Result{}
 	for _, n := range sizes {
-		g := GEMMGraph(n)
+		g := nn.GEMM(n)
 		comp, err := sim.Compile(g)
 		if err != nil {
 			return nil, err

@@ -43,7 +43,7 @@ func Fig8a(cfg npu.Config, quick bool) (*Fig8aResult, error) {
 			opts := compiler.DefaultOptions()
 			opts.DMA = mode
 			sim := core.NewSimulator(cfg, opts)
-			comp, err := sim.Compile(GEMMGraph(n))
+			comp, err := sim.Compile(nn.GEMM(n))
 			if err != nil {
 				return nil, err
 			}

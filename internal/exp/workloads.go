@@ -22,16 +22,8 @@ func GEMMRectGraph(m, k, n int) *graph.Graph {
 	return g
 }
 
-// GEMMGraph builds the GEMM(N) kernel workload of §4.1: two square NxN
-// matrices.
-func GEMMGraph(n int) *graph.Graph {
-	g := graph.New(fmt.Sprintf("GEMM(%d)", n))
-	x := g.Input("x", n, n)
-	w := g.Param("w", n, n)
-	mm := g.Add(&graph.Node{Op: graph.OpMatMul, Name: "mm", Inputs: []int{x.ID, w.ID}, Shape: []int{n, n}})
-	g.Outputs = []int{mm.ID}
-	return g
-}
+// GEMMGraph is nn.GEMM, kept for the benchmark module's callers.
+func GEMMGraph(n int) *graph.Graph { return nn.GEMM(n) }
 
 // ConvSpec returns CONV0-3 of §4.1: 3x3 filters; output channels 64, 128,
 // 256, 512; feature maps 56, 28, 14, 7; matching input/output channels.
@@ -92,7 +84,7 @@ func KernelWorkloads(quick bool) []Workload {
 		sizes = []int{128, 256, 512}
 	}
 	for _, n := range sizes {
-		out = append(out, Workload{Name: fmt.Sprintf("GEMM(%d)", n), Graph: GEMMGraph(n)})
+		out = append(out, Workload{Name: fmt.Sprintf("GEMM(%d)", n), Graph: nn.GEMM(n)})
 	}
 	convs := []int{0, 1, 2, 3}
 	if quick {

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/autograd"
-	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/npu"
@@ -100,7 +99,7 @@ func BuildGraph(s Spec) (*graph.Graph, error) {
 	}
 	switch s.Model {
 	case "gemm":
-		return exp.GEMMGraph(s.N), nil
+		return nn.GEMM(s.N), nil
 	case "mlp":
 		return nn.MLP(nn.DefaultMLP(s.Batch)).Graph, nil
 	case "resnet18":

@@ -29,8 +29,13 @@
 # topology oracle, which sets Engine.StrictTick). And it fails if non-test
 # Go outside internal/service/ and bench/ calls serve.Run( — a serving run
 # is a service.JobSpec with Serve set, run through Service.Simulate, the
-# one front door (the serve oracle included). Also prints the non-test
-# Go line count outside bench/, so "the code got smaller" is a number.
+# one front door (the serve oracle included). And it fails if non-test Go
+# under cmd/ calls core.NewSimulator(, compiler.New( or
+# compiler.NewShared( — a command compiles through the service's compile
+# cache and runs through Service.Simulate, as a ptsimd job does. And it
+# fails if internal/service depends on internal/exp — the front door does
+# not link the figure drivers. Also prints the non-test Go line count
+# outside bench/, so "the code got smaller" is a number.
 # Wired into `make check`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -107,6 +112,20 @@ hits=$(echo "$files" |
 if [ -n "$hits" ]; then
   echo "funnel-gate: FAIL — a serving run outside the service (submit a service.JobSpec with Serve set):"
   echo "$hits"
+  exit 1
+fi
+
+hits=$(echo "$files" | grep '^cmd/' |
+  xargs grep -nE -e 'core\.NewSimulator\(' -e 'compiler\.New(Shared)?\(' || true)
+if [ -n "$hits" ]; then
+  echo "funnel-gate: FAIL — a command builds its own compiler (use service.Service: Cache().CompileSpec, Simulate):"
+  echo "$hits"
+  exit 1
+fi
+
+if go list -deps ./internal/service | grep -qx 'repro/internal/exp'; then
+  echo "funnel-gate: FAIL — internal/service depends on internal/exp (the figure drivers):"
+  go list -deps ./internal/service | grep '^repro/internal/exp'
   exit 1
 fi
 
