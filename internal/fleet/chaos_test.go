@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -235,5 +237,48 @@ func TestHungMemberAbortsItsDispatch(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("job owned by the hung member did not finish within 2 s")
+	}
+}
+
+// A panic while the coordinator finishes a dispatch fails that job alone,
+// with the panic in its error: the fault hook runs outside the board's
+// lock, the dispatcher recovers, and the next job finishes done without a
+// duplicate completion.
+func TestDispatchPanicFailsOnlyItsJob(t *testing.T) {
+	var panicked atomic.Bool
+	fl, err := StartLocal(LocalOptions{
+		N: 2, Workers: 1,
+		ResultFault: func(string, *service.JobResult) {
+			if panicked.CompareAndSwap(false, true) {
+				panic("injected dispatch fault")
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	run := func(n int) Job {
+		t.Helper()
+		j, err := fl.Coord.Submit(service.JobSpec{Model: "gemm", N: n, NPU: "small"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin, err := fl.Coord.Wait(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fin
+	}
+	if bad := run(32); bad.State != service.StateFailed ||
+		!strings.HasPrefix(bad.Error, "panic: injected dispatch fault") || !strings.Contains(bad.Error, "goroutine ") {
+		t.Fatalf("job whose dispatch panicked: %+v, want failed with the panic and its stack", bad)
+	}
+	if good := run(40); good.State != service.StateDone || good.Result == nil {
+		t.Fatalf("the next job: %+v, want done", good)
+	}
+	if st := fl.Coord.Stats(); st.Done != 1 || st.Failed != 1 || st.DuplicateCompletions != 0 {
+		t.Fatalf("stats after a dispatch panic: done %d failed %d duplicates %d, want 1, 1, 0",
+			st.Done, st.Failed, st.DuplicateCompletions)
 	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -251,8 +252,14 @@ func snapshot(j *Job) Job {
 // run the job on the first live member not already tried, and on member
 // death re-dispatch until MaxAttempts is exhausted. The prober runs until
 // the board has drained, so Close waits out a dispatch on a member that
-// dies meanwhile.
+// dies meanwhile. A panic fails this job alone, as it does in a member's
+// worker, instead of the coordinator and every queued job.
 func (c *Coordinator) runJob(j *Job) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.finish(j, nil, &service.PanicError{Value: p, Stack: debug.Stack()})
+		}
+	}()
 	for {
 		m := c.pickMember(j)
 		if m == nil {
@@ -272,6 +279,10 @@ func (c *Coordinator) runJob(j *Job) {
 		final, err := m.submit(j.Spec)
 		switch {
 		case err == nil:
+			// Outside Finish, whose callback runs under the board's lock.
+			if final.Result != nil && c.cfg.ResultFault != nil {
+				c.cfg.ResultFault(m.Name, final.Result)
+			}
 			c.finish(j, &final, nil)
 			return
 		case isPermanent(err):
@@ -346,12 +357,8 @@ func (c *Coordinator) finish(j *Job, final *service.Job, err error) {
 		default:
 			j.State = service.StateDone
 			if final.Result != nil {
-				r := *final.Result
-				if c.cfg.ResultFault != nil {
-					c.cfg.ResultFault(j.Member, &r)
-				}
-				j.Result = &r
-				ev.Cycles = r.Cycles
+				j.Result = final.Result
+				ev.Cycles = final.Result.Cycles
 			}
 		}
 		ev.State, ev.Error = j.State, j.Error

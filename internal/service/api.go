@@ -15,9 +15,12 @@ import (
 //	                       429 when the queue (or the tenant's share of
 //	                       it) is full — the body names the tenant for
 //	                       per-tenant throttling, 400 on an invalid spec,
-//	                       503 once the daemon is draining
+//	                       503 once the daemon is draining. A spec whose
+//	                       result is cached comes back already done with
+//	                       its result, whatever the queue holds
 //	POST /jobs?wait=1      the same admission, then 200 with the finished
-//	                       job once it has ended (done or failed)
+//	                       job once it has ended (done or failed); at once
+//	                       for a cached spec
 //	GET  /jobs/{id}        job snapshot (state, result once done); 404 if
 //	                       unknown
 //	GET  /jobs/{id}/events Server-Sent Events stream of the job's
@@ -87,7 +90,9 @@ func NewHandler(s *Service) http.Handler {
 }
 
 // SubmitHandler is POST /jobs for any front end that admits a JobSpec (a
-// ptsimd member or the fleet coordinator): 202 with the job snapshot, 429
+// ptsimd member or the fleet coordinator): 202 with the job snapshot —
+// already done when the front end answered the job at admission, as a
+// ptsimd member does a result-cache hit — 429
 // when the queue or the tenant's share of it is full — the body and the
 // X-Overloaded-Tenant header name the tenant — 503 once the front end is
 // closed (a retryable refusal: a coordinator re-dispatches elsewhere), and

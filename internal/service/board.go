@@ -100,6 +100,29 @@ func (b *Board[J]) Submit(tenant string, priority int, newJob func(id string) *J
 	return b.snapshot(rec), nil
 }
 
+// Record admits one job for tenant that is finished at admission: it takes
+// no queue slot and no worker. newJob builds the record, already in its
+// terminal state, from the next minted ID; it runs under the lock, so it
+// may also book the front end's counters. The job counts as submitted and
+// done, and Wait returns at once. A closed board returns ErrClosed.
+func (b *Board[J]) Record(tenant string, newJob func(id string) *J) (snap J, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return snap, ErrClosed
+	}
+	b.nextID++
+	id := fmt.Sprintf("%s%d", b.prefix, b.nextID)
+	rec := newJob(id)
+	done := make(chan struct{})
+	close(done)
+	b.byID[id] = &boardEntry[J]{rec: rec, tenant: tenant, done: done, finished: true}
+	b.counts.Submitted++
+	b.counts.Done++
+	b.tenantDone[tenant]++
+	return b.snapshot(rec), nil
+}
+
 // Get returns a snapshot of the job with the given ID.
 func (b *Board[J]) Get(id string) (snap J, ok bool) {
 	b.mu.Lock()

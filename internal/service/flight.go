@@ -95,6 +95,22 @@ func (t *flightTable[V]) Do(key string, fn func() (V, error)) (v V, hit bool, er
 	return f.val, false, f.err
 }
 
+// Peek returns key's finished value without blocking and without running
+// anything: it counts a hit and makes the entry the most recently used. An
+// absent or in-flight key returns false and counts nothing (a failed
+// entry has left the table, so it is absent).
+func (t *flightTable[V]) Peek(key string) (v V, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f := t.entries[key]
+	if f == nil || f.elem == nil {
+		return v, false
+	}
+	t.lru.MoveToFront(f.elem)
+	t.hits++
+	return f.val, true
+}
+
 // land publishes f's outcome and releases its waiters. A value joins the
 // eviction order, evicting the least recently used beyond max; an error
 // leaves the table.

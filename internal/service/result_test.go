@@ -14,7 +14,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/npu"
 	"repro/internal/obs"
-	"repro/internal/service/cache"
 )
 
 // countRuns wraps the service's engine run and counts the simulations.
@@ -182,7 +181,7 @@ func TestResultKeyCoversJobSpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
-		return cache.CanonicalHash(r)
+		return resultKey(r)
 	}
 	typ := reflect.TypeOf(JobSpec{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -539,6 +538,62 @@ func TestFlightKeepsInFlightEntries(t *testing.T) {
 	}
 	if _, _, ev, held := tab.stats(); ev != 3 || held != 1 {
 		t.Fatalf("evictions %d held %d, want 3 and 1", ev, held)
+	}
+}
+
+// Peek answers only from a finished entry: it returns the value, counts a
+// hit and makes the entry the most recently used; an in-flight entry
+// returns false without blocking, and a failed or evicted one is absent.
+func TestFlightPeek(t *testing.T) {
+	tab := newFlightTable[int](2)
+	for k, v := range map[string]int{"a": 1, "b": 2} {
+		if _, _, err := tab.Do(k, func() (int, error) { return v, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// "a" was used first; peeking it makes "b" the least recently used.
+	if v, ok := tab.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %d %v, want 1 true", v, ok)
+	}
+	if hits, misses, _, _ := tab.stats(); hits != 1 || misses != 2 {
+		t.Fatalf("hits %d misses %d after one Peek, want 1 and 2", hits, misses)
+	}
+	if _, _, err := tab.Do("c", func() (int, error) { return 3, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tab.Peek("b"); ok {
+		t.Fatal("Peek found the evicted least recently used entry")
+	}
+	if !tab.held("a") {
+		t.Fatal("Peek did not make its entry the most recently used")
+	}
+
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _ = tab.Do("slow", func() (int, error) { <-release; return 4, nil })
+	}()
+	for !tab.held("slow") {
+		time.Sleep(time.Millisecond)
+	}
+	if _, ok := tab.Peek("slow"); ok {
+		t.Fatal("Peek returned an in-flight entry")
+	}
+	close(release)
+	<-done
+
+	if _, _, err := tab.Do("bad", func() (int, error) { return 0, errors.New("failed") }); err == nil {
+		t.Fatal("want the run's error")
+	}
+	if _, ok := tab.Peek("bad"); ok {
+		t.Fatal("Peek returned a failed entry")
+	}
+	if _, ok := tab.Peek("never"); ok {
+		t.Fatal("Peek returned an absent key")
+	}
+	if hits, _, _, _ := tab.stats(); hits != 1 {
+		t.Fatalf("%d hits, want only the one finished Peek counted", hits)
 	}
 }
 

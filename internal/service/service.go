@@ -730,10 +730,18 @@ func (s *Service) Close() {
 // Submit validates and enqueues a job. It never blocks: a full queue
 // returns *OverloadError immediately (admission control), a closed service
 // ErrClosed, an invalid spec the validation error, and otherwise the
-// queued job's snapshot is returned.
+// queued job's snapshot is returned. A spec whose result the result cache
+// already holds is answered at admission instead: the job is recorded done
+// with the hit as its result, takes no queue slot and no worker, and so is
+// bounded by neither queue depth. A spec still in flight queues as usual
+// and its worker joins the flight.
 func (s *Service) Submit(spec JobSpec) (Job, error) {
-	if _, err := spec.Resolve(); err != nil {
+	r, err := s.resolve(spec)
+	if err != nil {
 		return Job{}, err
+	}
+	if res, ok := s.results.Peek(resultKey(r)); ok {
+		return s.finishAtAdmission(spec, hitResult(res))
 	}
 	j, err := s.jobs.Submit(spec.Tenant, spec.Priority, func(id string) *Job {
 		return &Job{ID: id, Spec: spec.Clone(), State: StateQueued, Submitted: time.Now()}
@@ -742,6 +750,28 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 		s.events.Publish(j.ID, JobEvent{Kind: "state", State: StateQueued, Tenant: spec.Tenant})
 	}
 	return j, err
+}
+
+// finishAtAdmission records a job whose result is a result-cache hit as
+// done, books it as run's Finish books a hit (its cycles under the board's
+// lock, then account), observes both latency histograms at zero and ends
+// its event stream.
+func (s *Service) finishAtAdmission(spec JobSpec, res JobResult) (Job, error) {
+	j, err := s.jobs.Record(spec.Tenant, func(id string) *Job {
+		s.cycles += res.Cycles
+		now := time.Now()
+		return &Job{ID: id, Spec: spec.Clone(), State: StateDone, Result: &res,
+			Submitted: now, Started: now, Finished: now}
+	})
+	if err != nil {
+		return j, err
+	}
+	s.account(res)
+	s.queueWait.Observe(0)
+	s.jobLat.Observe(0)
+	s.events.Publish(j.ID, JobEvent{Kind: "state", State: StateDone, Tenant: spec.Tenant, Cycles: res.Cycles})
+	s.events.Finish(j.ID)
+	return j, nil
 }
 
 // Get returns a snapshot of the job with the given id.
@@ -931,24 +961,39 @@ func (s *Service) Simulate(spec JobSpec, probe obs.Probe) (JobResult, error) {
 	if err != nil {
 		return JobResult{}, err
 	}
-	res, hit, err := s.results.Do(cache.CanonicalHash(r), func() (JobResult, error) {
+	res, hit, err := s.results.Do(resultKey(r), func() (JobResult, error) {
 		return s.engineRun(r, probe)
 	})
 	if err != nil {
 		return JobResult{}, err
 	}
-	res = res.Clone()
 	if hit {
-		res.WallMs, res.CompileMs, res.CacheHit, res.ResultHit = 0, 0, true, true
-		if res.Report != nil {
-			res.Report.WallMs = 0
-		}
-		if res.ServeReport != nil {
-			res.ServeReport.WallMs = 0
-		}
+		res = hitResult(res)
+	} else {
+		res = res.Clone()
 	}
 	s.account(res)
 	return res, nil
+}
+
+// resultKey is the result-cache key of a resolved spec: Simulate runs and
+// looks up results under it, and Submit answers a hit at admission under
+// it.
+func resultKey(r Resolved) string { return cache.CanonicalHash(r) }
+
+// hitResult is a cached result as a hit reports it: a deep copy with
+// ResultHit and CacheHit set and every host time (WallMs, CompileMs, the
+// reports' wall clocks) zeroed, since the hit simulated nothing.
+func hitResult(res JobResult) JobResult {
+	res = res.Clone()
+	res.WallMs, res.CompileMs, res.CacheHit, res.ResultHit = 0, 0, true, true
+	if res.Report != nil {
+		res.Report.WallMs = 0
+	}
+	if res.ServeReport != nil {
+		res.ServeReport.WallMs = 0
+	}
+	return res
 }
 
 // resolve is spec.Resolve with the effective cycle limit filled in, so

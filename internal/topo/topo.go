@@ -69,6 +69,11 @@ func (c Config) Validate() error {
 	if c.PkgAddrBits < 16 || c.PkgAddrBits > 48 {
 		return fmt.Errorf("topo: package address bits %d outside [16,48]", c.PkgAddrBits)
 	}
+	// Each package owns 1<<PkgAddrBits bytes of a 64-bit address space.
+	// Comparing by division keeps an oversized mesh from overflowing.
+	if limit := 1 << (64 - c.PkgAddrBits); c.MeshX > limit/c.MeshY {
+		return fmt.Errorf("topo: mesh %dx%d exceeds the %d packages of the address space", c.MeshX, c.MeshY, limit)
+	}
 	if c.MemPerPackage.Channels < 1 {
 		return fmt.Errorf("topo: package memory needs at least one channel")
 	}
@@ -204,10 +209,11 @@ func Preset(name string, mem npu.MemConfig) (Config, error) {
 		c.MeshX, c.MeshY = x, y
 	}
 	c.MemPerPackage = mem
-	if ch := mem.Channels / c.Packages(); ch >= 1 {
-		c.MemPerPackage.Channels = ch
-	} else {
-		c.MemPerPackage.Channels = 1
+	c.MemPerPackage.Channels = 1
+	// A mesh too large for the address space overflows Packages(); Validate
+	// rejects it below.
+	if p := c.Packages(); p >= 1 && mem.Channels/p >= 1 {
+		c.MemPerPackage.Channels = mem.Channels / p
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err

@@ -45,6 +45,10 @@ func TestPresets(t *testing.T) {
 	if _, err := topo.Preset("donut", base.Mem); err == nil {
 		t.Fatal("unknown preset must error")
 	}
+	// 2^64 packages overflow Packages() to 0.
+	if _, err := topo.Preset("mesh4294967296x4294967296", base.Mem); err == nil {
+		t.Fatal("a mesh beyond the address space must error")
+	}
 }
 
 func TestRouteAndRing(t *testing.T) {
@@ -266,6 +270,7 @@ func TestValidateRejectsBadTrees(t *testing.T) {
 		func(c *topo.Config) { c.MeshX = 0 },
 		func(c *topo.Config) { c.CoresPerPackage = 0 },
 		func(c *topo.Config) { c.PkgAddrBits = 8 },
+		func(c *topo.Config) { c.MeshX, c.MeshY = 1<<16, 1<<17 }, // 2^33 packages of 2^32 bytes
 		func(c *topo.Config) { c.MemPerPackage.Channels = 0 },
 		func(c *topo.Config) { c.LinkBytesPerCycle = 0 },
 		func(c *topo.Config) { c.NoCLatency = -1 },
