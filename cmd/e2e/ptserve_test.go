@@ -2,6 +2,8 @@ package e2e
 
 import (
 	"encoding/json"
+	"errors"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -41,10 +43,13 @@ func TestPtserveRejectsWhatTheDaemonRejects(t *testing.T) {
 		{[]string{"-model", "gemm"}, "need a decoder model"},
 		{[]string{"-model", "decoder-huge"}, `unknown model "decoder-huge"`},
 		{[]string{"-topology", "pkg2"}, "requires tensor parallelism"},
+		{[]string{"-rate", "NaN"}, "rate_per_sec NaN is not finite"},
+		{[]string{"-rate", "1e-300"}, "past the cycle clock"},
 	} {
 		_, stderr, err := ptserveTiny(t, tc.flags...)
-		if err == nil {
-			t.Errorf("%v: want a non-zero exit", tc.flags)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: want exit status 1, got %v", tc.flags, err)
 			continue
 		}
 		if !strings.Contains(stderr, tc.want) || strings.Contains(stderr, "panic") {

@@ -82,7 +82,7 @@ func run() error {
 		bases[t] = next
 		next += 1 << 28
 	}
-	_, in, err := st.Run([]*togsim.Job{{Name: g.Name, TOGs: []*tog.TOG{g}, Bases: []map[string]uint64{bases}}})
+	in, err := st.Run([]*togsim.Job{{Name: g.Name, TOGs: []*tog.TOG{g}, Bases: []map[string]uint64{bases}}})
 	if err != nil {
 		return err
 	}

@@ -67,14 +67,14 @@ func main() {
 		{"weights remote", []*togsim.Job{place(0, 0, 1, 0), place(1, 1, 0, 1)}},
 		{"everything remote", []*togsim.Job{place(0, 1, 1, 1), place(1, 0, 0, 0)}},
 	} {
-		res, in, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, chipCfg).Run(pl.jobs)
+		in, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, chipCfg).Run(pl.jobs)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fab := in.Topo
 		local := float64(fab.LocalBytes) / float64(fab.LocalBytes+fab.RemoteBytes)
 		fmt.Printf("%-34s %8d cycles, %5.1f%% traffic stayed on-chiplet\n",
-			pl.name, res.Cycles, 100*local)
+			pl.name, in.Res.Cycles, 100*local)
 	}
 }
 

@@ -58,10 +58,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, _, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run(jobs)
+		in, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run(jobs)
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := in.Res
 		name := "temporal"
 		if policy == sched.Spatial {
 			name = "spatial"

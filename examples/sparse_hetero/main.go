@@ -54,11 +54,11 @@ func main() {
 	}
 
 	// Run co-located on shared DRAM with FR-FCFS.
-	res, in, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run([]*togsim.Job{dense, sparseJob})
+	in, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run([]*togsim.Job{dense, sparseJob})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, j := range res.Jobs {
+	for _, j := range in.Res.Jobs {
 		fmt.Printf("%-14s %8d cycles (start %d, end %d)\n", j.Name, j.End-j.Start, j.Start, j.End)
 	}
 	st := in.Mem

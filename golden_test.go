@@ -125,7 +125,7 @@ func goldenTopoReport(t *testing.T) report.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, in, err := st.Run(jobs)
+	in, err := st.Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,6 @@ type GEMMSpec struct {
 	BiasOff    int64
 	GammaOff   int64 // scale_shift epilogue: gamma row
 	BetaOff    int64 // scale_shift epilogue: beta row
-	PipeDepth  int   // software pipelining depth (rows in flight); 0 = default
 
 	// InRowStride is the byte stride between consecutive input-tile rows in
 	// scratchpad; 0 means K*4 (a densely packed tile). A K-panel kernel
@@ -145,25 +144,16 @@ func emitLoadConst(b *isa.Builder, rd uint8, v int64) {
 }
 
 // GEMM generates the weight-stationary GEMM tile kernel. Weight rows are
-// pushed first; input rows then stream through the array in groups (the
-// next group's rows are pushed before the current group's outputs pop, so
-// up to two groups are in flight and the SA fill/drain latency is hidden);
-// row addresses advance by pointer increments, and the vector length only
-// changes at group boundaries. Each popped output row has the epilogue
-// applied and is stored (or accumulated) to the output tile.
+// pushed first; then all M input rows stream through the array before the
+// first output pops — the deserializer FIFO (accumulator) is deep enough
+// to hold a full tile's outputs, so the SA's K+N pipeline fill is paid
+// once per tile. Row addresses advance by pointer increments, and the
+// vector length changes once between the pushes and the pops. Each popped
+// output row has the epilogue applied and is stored (or accumulated) to
+// the output tile.
 func GEMM(spec GEMMSpec) *isa.Program {
 	if spec.M <= 0 || spec.K <= 0 || spec.N <= 0 {
 		panic(fmt.Sprintf("codegen: bad GEMM spec %+v", spec))
-	}
-	// By default all M rows stream before the first pop: the deserializer
-	// FIFO (accumulator) is deep enough to hold a full tile's outputs, so
-	// the SA's K+N pipeline fill is paid once per tile, not per group.
-	group := spec.PipeDepth
-	if group <= 0 {
-		group = spec.M
-	}
-	if group > spec.M {
-		group = spec.M
 	}
 	inStride := spec.InRowStride
 	if inStride == 0 {
@@ -205,55 +195,34 @@ func GEMM(spec GEMMSpec) *isa.Program {
 	emitLoadConst(b, rStrideIn, inStride)
 	emitLoadConst(b, rStrideOut, outStride)
 
-	pushGroup := func(rows int) {
-		emitSetVL(b, spec.K)
-		for g := 0; g < rows; g++ {
-			b.Emit(isa.Instr{Op: isa.OpVLE32, Rd: vIn, Rs1: rInPtr})
-			b.Emit(isa.Instr{Op: isa.OpIVPUSH, Rs1: vIn})
-			b.Emit(isa.Instr{Op: isa.OpADD, Rd: rInPtr, Rs1: rInPtr, Rs2: rStrideIn})
-		}
+	emitSetVL(b, spec.K)
+	for m := 0; m < spec.M; m++ {
+		b.Emit(isa.Instr{Op: isa.OpVLE32, Rd: vIn, Rs1: rInPtr})
+		b.Emit(isa.Instr{Op: isa.OpIVPUSH, Rs1: vIn})
+		b.Emit(isa.Instr{Op: isa.OpADD, Rd: rInPtr, Rs1: rInPtr, Rs2: rStrideIn})
 	}
-	popGroup := func(rows int) {
-		emitSetVL(b, spec.N)
-		for g := 0; g < rows; g++ {
-			b.Emit(isa.Instr{Op: isa.OpVPOP, Rd: vOut})
-			if spec.Accumulate {
-				b.Emit(isa.Instr{Op: isa.OpVLE32, Rd: vAcc, Rs1: rOutPtr})
-				b.Emit(isa.Instr{Op: isa.OpVADD, Rd: vOut, Rs1: vOut, Rs2: vAcc})
-			}
-			if spec.Epi.Bias {
-				b.Emit(isa.Instr{Op: isa.OpVADD, Rd: vOut, Rs1: vOut, Rs2: vBias})
-			}
-			if spec.Epi.ScaleShift {
-				b.Emit(isa.Instr{Op: isa.OpVMUL, Rd: vOut, Rs1: vOut, Rs2: vGamma})
-				b.Emit(isa.Instr{Op: isa.OpVADD, Rd: vOut, Rs1: vOut, Rs2: vBeta})
-			}
-			if spec.Epi.ReLU {
-				b.Emit(isa.Instr{Op: isa.OpVMAXVF, Rd: vOut, Rs1: vOut, Rs2: fZero})
-			}
-			if spec.Epi.GELU {
-				b.Emit(isa.Instr{Op: isa.OpSFU, Rd: vOut, Rs1: vOut, Funct: isa.SFUGelu})
-			}
-			b.Emit(isa.Instr{Op: isa.OpVSE32, Rs2: vOut, Rs1: rOutPtr})
-			b.Emit(isa.Instr{Op: isa.OpADD, Rd: rOutPtr, Rs1: rOutPtr, Rs2: rStrideOut})
+	emitSetVL(b, spec.N)
+	for m := 0; m < spec.M; m++ {
+		b.Emit(isa.Instr{Op: isa.OpVPOP, Rd: vOut})
+		if spec.Accumulate {
+			b.Emit(isa.Instr{Op: isa.OpVLE32, Rd: vAcc, Rs1: rOutPtr})
+			b.Emit(isa.Instr{Op: isa.OpVADD, Rd: vOut, Rs1: vOut, Rs2: vAcc})
 		}
-	}
-
-	// Group sizes covering M.
-	var groups []int
-	for m := 0; m < spec.M; m += group {
-		g := group
-		if spec.M-m < g {
-			g = spec.M - m
+		if spec.Epi.Bias {
+			b.Emit(isa.Instr{Op: isa.OpVADD, Rd: vOut, Rs1: vOut, Rs2: vBias})
 		}
-		groups = append(groups, g)
-	}
-	pushGroup(groups[0])
-	for i := range groups {
-		if i+1 < len(groups) {
-			pushGroup(groups[i+1])
+		if spec.Epi.ScaleShift {
+			b.Emit(isa.Instr{Op: isa.OpVMUL, Rd: vOut, Rs1: vOut, Rs2: vGamma})
+			b.Emit(isa.Instr{Op: isa.OpVADD, Rd: vOut, Rs1: vOut, Rs2: vBeta})
 		}
-		popGroup(groups[i])
+		if spec.Epi.ReLU {
+			b.Emit(isa.Instr{Op: isa.OpVMAXVF, Rd: vOut, Rs1: vOut, Rs2: fZero})
+		}
+		if spec.Epi.GELU {
+			b.Emit(isa.Instr{Op: isa.OpSFU, Rd: vOut, Rs1: vOut, Funct: isa.SFUGelu})
+		}
+		b.Emit(isa.Instr{Op: isa.OpVSE32, Rs2: vOut, Rs1: rOutPtr})
+		b.Emit(isa.Instr{Op: isa.OpADD, Rd: rOutPtr, Rs1: rOutPtr, Rs2: rStrideOut})
 	}
 	b.Emit(isa.Instr{Op: isa.OpHALT})
 	return b.Build()

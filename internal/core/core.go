@@ -134,15 +134,15 @@ func (s *Simulator) simulateTLS(comp *compiler.Compiled, kind NetKind, probe obs
 	if err != nil {
 		return Report{}, err
 	}
-	res, in, err := st.Run(jobs)
+	in, err := st.Run(jobs)
 	if err != nil {
 		return Report{}, err
 	}
 	return Report{
-		Cycles:    res.Cycles,
+		Cycles:    in.Res.Cycles,
 		FreqMHz:   st.Cfg.FreqMHz,
-		Jobs:      res.Jobs,
-		Cores:     res.Cores,
+		Jobs:      in.Res.Jobs,
+		Cores:     in.Res.Cores,
 		MemStats:  in.Mem,
 		NoCFlits:  in.NoCFlits,
 		LinkFlits: in.LinkFlits,

@@ -73,13 +73,14 @@ func (s *Stack) Place(name string, comp *compiler.Compiled) ([]*togsim.Job, erro
 	return parallel.PlaceJobs(name, comp, s.fab.Config())
 }
 
-// Run simulates jobs to completion and returns the result together with
-// everything report.Build needs about this run, whichever fabric ran it.
-func (s *Stack) Run(jobs []*togsim.Job) (togsim.Result, report.Inputs, error) {
+// Run simulates jobs to completion and returns everything report.Build
+// needs about this run, whichever fabric ran it: the engine result (Res)
+// and the fabric's counters.
+func (s *Stack) Run(jobs []*togsim.Job) (report.Inputs, error) {
 	start := time.Now()
 	res, err := s.Engine.Run(jobs)
 	if err != nil {
-		return togsim.Result{}, report.Inputs{}, err
+		return report.Inputs{}, err
 	}
 	in := report.Inputs{Res: res, Wall: time.Since(start)}
 	if s.std != nil {
@@ -87,5 +88,5 @@ func (s *Stack) Run(jobs []*togsim.Job) (togsim.Result, report.Inputs, error) {
 	} else {
 		in.Mem, in.LinkFlits, in.Topo = s.fab.MemTotals(), s.fab.LinkFlits, s.fab
 	}
-	return res, in, nil
+	return in, nil
 }

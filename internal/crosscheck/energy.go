@@ -25,7 +25,7 @@ func (ck *Checker) checkEnergy(cs Case, art *artifacts) error {
 	}
 
 	totals := func(strict bool) (report.ActivityTotals, error) {
-		_, in, err := cs.runEngine(art.comp, strict, nil)
+		in, err := cs.runEngine(art.comp, strict, nil)
 		return report.Totals(in.Res, in.Mem, in.NoCFlits, in.LinkFlits), err
 	}
 	event, err := totals(false)

@@ -100,8 +100,9 @@ func (cs Case) buildJobs(comp *compiler.Compiled) []*togsim.Job {
 }
 
 // runEngine executes the case's jobs on a fresh single-package stack in the
-// requested engine mode, returning the result and the run's report inputs.
-func (cs Case) runEngine(comp *compiler.Compiled, strict bool, probe obs.Probe) (togsim.Result, report.Inputs, error) {
+// requested engine mode, returning the run's report inputs (its result
+// among them).
+func (cs Case) runEngine(comp *compiler.Compiled, strict bool, probe obs.Probe) (report.Inputs, error) {
 	st := core.NewStack(cs.NPU, cs.netKind(), dram.FRFCFS, topo.Config{})
 	st.Engine.StrictTick = strict
 	if probe != nil {
@@ -127,17 +128,19 @@ func (ck *Checker) prepare(cs Case) (*artifacts, *Failure) {
 		ck.Fault(comp)
 	}
 	art := &artifacts{g: g, comp: comp}
-	art.tls, _, err = cs.runEngine(comp, false, nil)
+	in, err := cs.runEngine(comp, false, nil)
 	if err != nil {
 		return nil, &Failure{Case: cs, Oracle: "engine", Detail: err.Error()}
 	}
+	art.tls = in.Res
 	if cs.Jobs > 1 {
 		solo := cs
 		solo.Jobs = 1
-		art.solo, _, err = solo.runEngine(comp, false, nil)
+		in, err := solo.runEngine(comp, false, nil)
 		if err != nil {
 			return nil, &Failure{Case: cs, Oracle: "engine", Detail: err.Error()}
 		}
+		art.solo = in.Res
 	} else {
 		art.solo = art.tls
 	}
@@ -258,12 +261,12 @@ func maxAbsDiff(a, b *tensor.Tensor) float64 {
 // checkStrictTick requires the strict per-cycle polling loop to reproduce
 // the event-driven result bit for bit.
 func (ck *Checker) checkStrictTick(cs Case, art *artifacts) error {
-	strict, _, err := cs.runEngine(art.comp, true, nil)
+	strict, err := cs.runEngine(art.comp, true, nil)
 	if err != nil {
 		return fmt.Errorf("strict run: %v", err)
 	}
-	if !reflect.DeepEqual(art.tls, strict) {
-		return fmt.Errorf("event %+v != strict %+v", art.tls, strict)
+	if !reflect.DeepEqual(art.tls, strict.Res) {
+		return fmt.Errorf("event %+v != strict %+v", art.tls, strict.Res)
 	}
 	return nil
 }
@@ -272,12 +275,12 @@ func (ck *Checker) checkStrictTick(cs Case, art *artifacts) error {
 // the Result while still producing a non-empty trace.
 func (ck *Checker) checkProbe(cs Case, art *artifacts) error {
 	tw := obs.NewTraceWriter()
-	traced, _, err := cs.runEngine(art.comp, false, tw)
+	traced, err := cs.runEngine(art.comp, false, tw)
 	if err != nil {
 		return fmt.Errorf("traced run: %v", err)
 	}
-	if !reflect.DeepEqual(art.tls, traced) {
-		return fmt.Errorf("plain %+v != traced %+v", art.tls, traced)
+	if !reflect.DeepEqual(art.tls, traced.Res) {
+		return fmt.Errorf("plain %+v != traced %+v", art.tls, traced.Res)
 	}
 	if tw.Len() == 0 {
 		return fmt.Errorf("traced run produced an empty trace")

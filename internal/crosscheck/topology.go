@@ -263,6 +263,6 @@ func runTopoEngine(tc topo.Config, name string, art *compiler.Compiled, strict b
 	if err != nil {
 		return togsim.Result{}, nil, err
 	}
-	res, in, err := st.Run(jobs)
-	return res, in.Topo, err
+	in, err := st.Run(jobs)
+	return in.Res, in.Topo, err
 }

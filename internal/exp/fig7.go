@@ -101,8 +101,8 @@ func Fig7a(cfg npu.Config, quick bool) (*Fig7aResult, error) {
 	halfCfg.Mem.Channels = cfg.Mem.Channels / 2
 
 	run := func(c npu.Config, jobs []*togsim.Job) ([]togsim.JobResult, error) {
-		res, _, err := core.NewStack(c, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run(jobs)
-		return res.Jobs, err
+		in, err := core.NewStack(c, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run(jobs)
+		return in.Res.Jobs, err
 	}
 
 	soloD, err := run(halfCfg, []*togsim.Job{denseJob(0)})
@@ -188,12 +188,12 @@ func Fig7b(cfg npu.Config, quick bool) (*Fig7bResult, error) {
 		bw  float64
 	}
 	run := func(c npu.Config, jobs []*togsim.Job) ([]runOut, error) {
-		res, in, err := core.NewStack(c, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run(jobs)
+		in, err := core.NewStack(c, togsim.SimpleNet, dram.FRFCFS, topo.Config{}).Run(jobs)
 		if err != nil {
 			return nil, err
 		}
 		var out []runOut
-		for i, jr := range res.Jobs {
+		for i, jr := range in.Res.Jobs {
 			dur := jr.End - jr.Start
 			out = append(out, runOut{
 				lat: dur,

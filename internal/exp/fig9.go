@@ -126,18 +126,18 @@ func Fig9(cfg npu.Config, quick bool) (*Fig9Result, error) {
 		{Name: "q10", TOGs: comp.TOGs, Bases: fillBases(len(comp.TOGs), map[string]uint64{"x": 1 << 26, "w": iBytes, outName: iBytes + wBytes + 2<<24}), Core: 1, Src: 1},
 		{Name: "q11", TOGs: comp.TOGs, Bases: fillBases(len(comp.TOGs), map[string]uint64{"x": 1 << 26, "w": iBytes, outName: iBytes + wBytes + 3<<24}), Core: 1, Src: 1},
 	}
-	monoRes, _, err := mono.Run(monoJobs)
+	monoIn, err := mono.Run(monoJobs)
 	if err != nil {
 		return nil, err
 	}
-	res.Monolithic = monoRes.Cycles
+	res.Monolithic = monoIn.Res.Cycles
 
 	for _, m := range mappings {
-		r, in, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topoCfg).Run(m.jobs())
+		in, err := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, topoCfg).Run(m.jobs())
 		if err != nil {
 			return nil, fmt.Errorf("fig9: mapping %s: %w", m.name, err)
 		}
-		fab := in.Topo
+		fab, r := in.Topo, in.Res
 		localFrac := float64(fab.LocalBytes) / float64(fab.LocalBytes+fab.RemoteBytes)
 		switch m.name {
 		case "best":

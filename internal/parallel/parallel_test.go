@@ -68,8 +68,8 @@ func compileTP(t *testing.T, cfg npu.Config, parts int) *compiler.Compiled {
 func simulate(cfg npu.Config, tc topo.Config, jobs []*togsim.Job, strict bool) (togsim.Result, *topo.Fabric, error) {
 	st := core.NewStack(cfg, togsim.SimpleNet, dram.FRFCFS, tc)
 	st.Engine.StrictTick = strict
-	res, in, err := st.Run(jobs)
-	return res, in.Topo, err
+	in, err := st.Run(jobs)
+	return in.Res, in.Topo, err
 }
 
 // TestPlaceAndSimulateTP: a tensor-parallel decoder on 2 packages must run

@@ -16,6 +16,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -199,12 +200,36 @@ func (s JobSpec) Resolve() (Resolved, error) {
 			return r, err
 		}
 		sv := s.Serve.withDefaults()
+		if math.IsNaN(sv.RatePerSec) || math.IsInf(sv.RatePerSec, 0) {
+			return r, fmt.Errorf("service: serve rate_per_sec %v is not finite", sv.RatePerSec)
+		}
+		if lo := minServeRate(sv.Requests, r.Cfg.FreqMHz); sv.RatePerSec < lo {
+			return r, fmt.Errorf("service: serve rate_per_sec %g could put %d arrivals past the cycle clock at %d MHz (minimum %g)",
+				sv.RatePerSec, sv.Requests, r.Cfg.FreqMHz, lo)
+		}
 		r.Serve = &sv
 	}
 	if !modelzoo.Known(s.Model) {
 		return r, fmt.Errorf("service: unknown model %q (have %v)", s.Model, modelzoo.Models())
 	}
 	return r, nil
+}
+
+// A serving trace's arrivals are cycles of the resolved clock:
+// sched.PoissonArrivals draws each gap as ExpFloat64()·freq/rate cycles,
+// and math/rand's ExpFloat64 stays below expDrawMax (its ziggurat tail is
+// re − ln u with u ≥ 2⁻⁶³, under 51.4). So n requests arrive within
+// n·expDrawMax·freq/rate cycles, and minServeRate keeps that under
+// maxTraceCycles, leaving the int64 clock headroom for the run itself.
+const (
+	expDrawMax     = 64
+	maxTraceCycles = 1 << 62
+)
+
+// minServeRate is the lowest arrival rate (per simulated second) whose
+// trace of n requests at freqMHz cannot leave maxTraceCycles.
+func minServeRate(n, freqMHz int) float64 {
+	return float64(n) * expDrawMax * float64(freqMHz) * 1e6 / maxTraceCycles
 }
 
 // ResolveMachine maps an NPU preset name and an interconnect name onto the

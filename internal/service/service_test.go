@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -129,6 +130,44 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Queued != 0 {
 		t.Fatalf("invalid specs consumed queue slots: %+v", st)
+	}
+}
+
+// A serving rate whose arrival trace could leave the int64 cycle clock is
+// rejected at admission, over HTTP as in process; a rate at the bound is
+// accepted.
+func TestServeRateMustFitTheCycleClock(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 2})
+	defer svc.Close()
+	serveAt := func(rate float64) JobSpec {
+		return JobSpec{Model: "decoder-tiny", NPU: "small", Serve: &ServeSpec{Requests: 3, RatePerSec: rate}}
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 1e-300} {
+		if _, err := serveAt(rate).Resolve(); err == nil {
+			t.Errorf("rate %v: resolved, want an error", rate)
+		}
+	}
+	r, err := serveAt(0).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serveAt(minServeRate(3, r.Cfg.FreqMHz)).Resolve(); err != nil {
+		t.Errorf("rate at the bound: %v", err)
+	}
+
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"model":"decoder-tiny","npu":"small","serve":{"requests":3,"rate_per_sec":1e-300}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("rate_per_sec 1e-300: %d, want 400", resp.StatusCode)
+	}
+	if st := svc.Stats(); st.Queued != 0 || st.Submitted != 0 {
+		t.Fatalf("rejected serving spec reached the board: %+v", st)
 	}
 }
 

@@ -29,10 +29,8 @@ type MemReq struct {
 	owner *context
 	slot  int // owner's pendingTag index for the DMA tag this request belongs to
 
-	// StdFabric's bookkeeping: the request's registry tag (0 until the
-	// fabric holds it) and, for a store, the bursts the NoC has accepted.
-	tag  int64
-	sent int
+	tag  int64 // the InFlight tag while a fabric holds the request, else 0
+	sent int   // StdFabric: a store's bursts the NoC accepted so far
 }
 
 // Fabric is the memory subsystem seen by the TOG engine: it accepts memory
@@ -70,13 +68,13 @@ type Fabric interface {
 // order keeps every channel's burst order — and with it the timing —
 // exactly that of per-burst submission.
 type StdFabric struct {
+	InFlight
 	Mem dram.Controller
 	Net noc.Network
 
 	// Probe receives in-flight occupancy counters on obs.FabricTrack when
 	// non-nil (emitted only when the value changes; never affects timing).
-	Probe       obs.Probe
-	lastPending int
+	Probe obs.Probe
 
 	cores    int
 	channels int
@@ -105,55 +103,33 @@ type StdFabric struct {
 	stagedHead []int
 	stagedCnt  int
 
-	// In-flight registries. The fabric owns the Tag field of every
-	// dram.Request / noc.Message it creates. A DRAM burst or a load's
-	// response carries its request's slot tag; a store burst crossing the
-	// NoC (a message from a core port) carries a wire tag, naming the
-	// one-burst run it stages on arrival.
-	slots sim.Registry[slot]
+	// The fabric owns the Tag field of every dram.Request / noc.Message it
+	// creates. A DRAM burst or a load's response carries its request's
+	// InFlight tag; a store burst crossing the NoC (a message from a core
+	// port) carries a wire tag, naming the one-burst run it stages on
+	// arrival.
 	wires sim.Registry[run]
 
 	delayedDue []*MemReq // scratch for draining delayed each tick
-	done       []*MemReq
-	doneSpare  []*MemReq // double buffer swapped with done at Completed
-	pending    int       // bursts in flight
 
-	// Freelists for the per-burst bookkeeping records. DMA-heavy runs
-	// create one dram.Request and up to one noc.Message per burst; both are
-	// fully owned by the fabric once created and fully released at
-	// completion, so they recycle through these pools instead of the
-	// allocator (pinned by the allocs/op benchmark assertion).
-	drPool  []*dram.Request
+	// Freelist of NoC messages, up to one per burst, recycled like the
+	// InFlight table's dram.Requests.
 	msgPool []*noc.Message
-}
-
-// slot is one in-flight request and its bursts not yet completed.
-type slot struct {
-	r    *MemReq
-	left int
 }
 
 // run is one channel's share of a request: left bursts, the first at addr
 // and each further one stride bytes on.
 type run struct {
-	tag  int64 // the request's slot tag
+	tag  int64 // the request's InFlight tag
 	addr uint64
 	left int
 }
 
-// newDram takes a request record from the pool (or allocates one), fully
-// reinitializes it, including the controller's private fields, for the
-// head burst of rn, and locates it — the burst's one address decomposition.
+// newDram makes the controller request for the head burst of rn and
+// locates it — the burst's one address decomposition.
 func (f *StdFabric) newDram(rn *run) *dram.Request {
-	var dr *dram.Request
-	if n := len(f.drPool); n > 0 {
-		dr = f.drPool[n-1]
-		f.drPool = f.drPool[:n-1]
-	} else {
-		dr = new(dram.Request)
-	}
-	r := f.slots.At(rn.tag).r
-	*dr = dram.Request{Addr: rn.addr, IsWrite: r.IsWrite, Src: r.Src, Tag: rn.tag}
+	r := f.Req(rn.tag)
+	dr := f.NewDram(dram.Request{Addr: rn.addr, IsWrite: r.IsWrite, Src: r.Src, Tag: rn.tag})
 	f.amap.Locate(dr)
 	return dr
 }
@@ -218,27 +194,14 @@ func (f *StdFabric) release(r *MemReq) {
 	}
 }
 
-// burstDone retires one burst of the request tagged tag, completing the
-// request at its last burst.
-func (f *StdFabric) burstDone(tag int64) {
-	f.pending--
-	if sl := f.slots.At(tag); sl.left > 1 {
-		sl.left--
-		return
-	}
-	r := f.slots.Take(tag).r
-	r.tag, r.sent = 0, 0 // the record may be submitted again
-	f.done = append(f.done, r)
-}
-
 // Submit implements Fabric.
 func (f *StdFabric) Submit(r *MemReq) bool {
 	n := f.bursts(r)
 	if !r.IsWrite {
 		// Loads: header-only request path is a fixed delay before the DRAM.
-		r.tag = f.slots.Add(slot{r, n})
+		f.Open(r, n)
 		f.delayed.Push(0, f.cycle+f.reqDelay, r)
-		f.pending += n
+		f.Issue(n)
 		return true
 	}
 	// Stores: each burst's data flows core -> memory through the NoC
@@ -252,11 +215,12 @@ func (f *StdFabric) Submit(r *MemReq) bool {
 			return false
 		}
 		if r.tag == 0 {
-			r.tag = f.slots.Add(slot{r, n})
+			f.Open(r, n)
 		}
 		msg.Tag = f.wires.Add(run{tag: r.tag, addr: addr, left: 1})
-		f.pending++
+		f.Issue(1)
 	}
+	r.sent = 0 // the record may be submitted again once it completes
 	return true
 }
 
@@ -279,7 +243,7 @@ func (f *StdFabric) Tick() {
 		if src < f.cores {
 			f.stage(dst-f.cores, f.wires.Take(tag))
 		} else {
-			f.burstDone(tag)
+			f.BurstDone(tag)
 		}
 	}
 
@@ -297,12 +261,12 @@ func (f *StdFabric) Tick() {
 	f.Mem.Tick()
 	for _, dr := range f.Mem.Completed() {
 		tag, port, addr, write := dr.Tag, f.cores+dr.Channel(), dr.Addr, dr.IsWrite
-		f.drPool = append(f.drPool, dr)
+		f.FreeDram(dr)
 		if write {
-			f.burstDone(tag)
+			f.BurstDone(tag)
 			continue
 		}
-		r := f.slots.At(tag).r
+		r := f.Req(tag)
 		msg := f.newMsg(port, r.Core, f.burstBytes(r, addr))
 		msg.Tag = tag
 		// The NoC response port may be busy; stage in the port's FIFO (it
@@ -314,9 +278,8 @@ func (f *StdFabric) Tick() {
 	}
 	// Retry staged responses, per port, stopping at the first refusal.
 	f.retryResponses()
-	if f.Probe != nil && f.pending != f.lastPending {
-		f.Probe.Counter(obs.FabricTrack, "fabric.inflight", f.cycle, float64(f.pending))
-		f.lastPending = f.pending
+	if f.Probe != nil {
+		f.ProbePending(f.Probe, obs.FabricTrack, "fabric.inflight", f.cycle)
 	}
 }
 
@@ -351,7 +314,7 @@ func (f *StdFabric) submitChannel(ch int) {
 // the earliest of the request-path delay queue, the DRAM controller, and
 // the NoC.
 func (f *StdFabric) NextEvent() int64 {
-	if len(f.done) > 0 || f.stagedCnt > 0 || f.toMemCnt > 0 {
+	if f.Undrained() || f.stagedCnt > 0 || f.toMemCnt > 0 {
 		return f.cycle + 1
 	}
 	next := sim.Earliest(f.delayed.NextCycle(), f.Mem.NextEvent(), f.Net.NextEvent())
@@ -384,16 +347,3 @@ func (f *StdFabric) retryResponses() {
 		f.stagedResp[src], f.stagedHead[src] = sim.CompactFIFO(q, h)
 	}
 }
-
-// Completed implements Fabric. The returned slice is valid until the next
-// Completed call: the fabric keeps two buffers and swaps them, so the
-// steady state performs no allocation.
-func (f *StdFabric) Completed() []*MemReq {
-	out := f.done
-	f.done = f.doneSpare[:0]
-	f.doneSpare = out
-	return out
-}
-
-// Pending implements Fabric.
-func (f *StdFabric) Pending() int { return f.pending }

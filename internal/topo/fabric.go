@@ -25,10 +25,11 @@ type PackageStats struct {
 // Fabric implements togsim.Fabric over the topology tree: one FR-FCFS
 // DRAM controller per package and per-direction occupancy on every mesh
 // link, with remote requests store-and-forwarded hop by hop along the
-// deterministic X-then-Y route. With two packages and NoCLatency zero it
-// reproduces the pre-topology chiplet fabric bit-identically (its timing
-// rules are a superset: a direct link is a one-hop route).
+// deterministic X-then-Y route. With two packages it reproduces the
+// pre-topology chiplet fabric bit-identically (its timing rules are a
+// superset: a direct link is a one-hop route).
 type Fabric struct {
+	togsim.InFlight
 	cfg   Config
 	mems  []*dram.Memory
 	cycle int64
@@ -46,20 +47,10 @@ type Fabric struct {
 	// the links.
 	toMem     [][]stagedReq
 	toMemHead []int
-	returns   sim.EventQueue[int64] // slot tags of loads returning
-	// In-flight registries: a request's slot counts its bursts not yet
-	// completed, and a burst's dram.Request carries the tag of its burst
-	// record.
-	slots     sim.Registry[reqSlot]
-	bursts    sim.Registry[burstRec]
-	returned  []int64 // reused buffer for draining returns each tick
-	done      []*togsim.MemReq
-	doneSpare []*togsim.MemReq // double buffer swapped with done at Completed
-	pending   int              // bursts in flight
-
-	// Freelist of per-burst controller requests: the fabric owns each one
-	// from submitBurst until its controller completes it.
-	drPool []*dram.Request
+	returns   sim.EventQueue[int64] // InFlight tags of loads returning
+	// A burst's dram.Request carries the tag of its burst record.
+	bursts   sim.Registry[burstRec]
+	returned []int64 // reused buffer for draining returns each tick
 
 	// Stats (fabric-wide; Pkg holds the per-package split).
 	LocalBytes, RemoteBytes int64
@@ -70,10 +61,9 @@ type Fabric struct {
 
 	// Probe receives link traffic and occupancy counters on obs.LinkTrack
 	// when non-nil (change-triggered; never affects timing).
-	Probe       obs.Probe
-	lastPending int
-	lastBytes   int64
-	lastFlits   int64
+	Probe     obs.Probe
+	lastBytes int64
+	lastFlits int64
 }
 
 type stagedReq struct {
@@ -81,13 +71,7 @@ type stagedReq struct {
 	req *dram.Request
 }
 
-// reqSlot is one in-flight request and its bursts not yet completed.
-type reqSlot struct {
-	r    *togsim.MemReq
-	left int
-}
-
-// burstRec is one burst in flight: its request's slot tag and its size.
+// burstRec is one burst in flight: its request's InFlight tag and its size.
 type burstRec struct {
 	slot  int64
 	bytes int
@@ -172,14 +156,14 @@ func (f *Fabric) linkDelay(a, b int, bytes int, now int64) int64 {
 // is the unit of link serialization and of DRAM access.
 func (f *Fabric) Submit(r *togsim.MemReq) bool {
 	burst := f.cfg.MemPerPackage.BurstBytes
-	tag := f.slots.Add(reqSlot{r, (r.Bytes + burst - 1) / burst})
+	tag := f.Open(r, (r.Bytes+burst-1)/burst)
 	for off := 0; off < r.Bytes; off += burst {
 		f.submitBurst(r, tag, r.Addr+uint64(off), min(burst, r.Bytes-off))
 	}
 	return true
 }
 
-// submitBurst stages one burst of r, whose slot is tagged tag, for its
+// submitBurst stages one burst of r, tagged tag in the InFlight table, for its
 // package's controller.
 func (f *Fabric) submitBurst(r *togsim.MemReq, tag int64, addr uint64, bytes int) {
 	src := f.cfg.PackageOfCore(r.Core)
@@ -195,20 +179,13 @@ func (f *Fabric) submitBurst(r *togsim.MemReq, tag int64, addr uint64, bytes int
 	}
 
 	// The controller sees the local offset within its package's stack.
-	var dr *dram.Request
-	if n := len(f.drPool); n > 0 {
-		dr = f.drPool[n-1]
-		f.drPool = f.drPool[:n-1]
-	} else {
-		dr = new(dram.Request)
-	}
-	*dr = dram.Request{
+	dr := f.NewDram(dram.Request{
 		Addr:    f.cfg.LocalOff(addr),
 		IsWrite: r.IsWrite,
 		Src:     r.Src,
 		Tag:     f.bursts.Add(burstRec{tag, bytes}),
-	}
-	at := f.cycle + 1 + f.cfg.NoCLatency
+	})
+	at := f.cycle + 1
 	if !local {
 		// Request traverses the link path; stores carry data, loads a header.
 		hdr := 8
@@ -218,18 +195,7 @@ func (f *Fabric) submitBurst(r *togsim.MemReq, tag int64, addr uint64, bytes int
 		at = f.linkDelay(src, dst, hdr, f.cycle)
 	}
 	f.toMem[dst] = append(f.toMem[dst], stagedReq{at: at, req: dr})
-	f.pending++
-}
-
-// burstDone retires one burst of the request tagged tag, completing the
-// request at its last burst.
-func (f *Fabric) burstDone(tag int64) {
-	f.pending--
-	if sl := f.slots.At(tag); sl.left > 1 {
-		sl.left--
-		return
-	}
-	f.done = append(f.done, f.slots.Take(tag).r)
+	f.Issue(1)
 }
 
 // Tick implements togsim.Fabric.
@@ -249,12 +215,12 @@ func (f *Fabric) Tick() {
 		m.Tick()
 		for _, dr := range m.Completed() {
 			b := f.bursts.Take(dr.Tag)
-			f.drPool = append(f.drPool, dr)
-			r := f.slots.At(b.slot).r
+			f.FreeDram(dr)
+			r := f.Req(b.slot)
 			src := f.cfg.PackageOfCore(r.Core)
 			if src == p || r.IsWrite {
 				// Local completion, or write acknowledged at the controller.
-				f.burstDone(b.slot)
+				f.BurstDone(b.slot)
 				continue
 			}
 			// Load data returns over the links; queue by arrival cycle.
@@ -268,13 +234,10 @@ func (f *Fabric) Tick() {
 	// Deliver link-returned loads due this cycle.
 	f.returned = f.returns.PopDue(f.cycle, f.returned[:0])
 	for _, tag := range f.returned {
-		f.burstDone(tag)
+		f.BurstDone(tag)
 	}
 	if f.Probe != nil {
-		if f.pending != f.lastPending {
-			f.Probe.Counter(obs.LinkTrack, "topo.inflight", f.cycle, float64(f.pending))
-			f.lastPending = f.pending
-		}
+		f.ProbePending(f.Probe, obs.LinkTrack, "topo.inflight", f.cycle)
 		if b := f.LocalBytes + f.RemoteBytes; b != f.lastBytes {
 			f.Probe.Counter(obs.LinkTrack, "topo.bytes_total", f.cycle, float64(b))
 			f.lastBytes = b
@@ -291,7 +254,7 @@ func (f *Fabric) Tick() {
 // is already due but stalled on a full controller); beyond that the fabric
 // wakes for link returns and the package DRAM controllers.
 func (f *Fabric) NextEvent() int64 {
-	if len(f.done) > 0 {
+	if f.Undrained() {
 		return f.cycle + 1
 	}
 	next := f.returns.NextCycle()
@@ -325,16 +288,5 @@ func (f *Fabric) SkipTo(cycle int64) {
 		m.SkipTo(cycle)
 	}
 }
-
-// Completed implements togsim.Fabric.
-func (f *Fabric) Completed() []*togsim.MemReq {
-	out := f.done
-	f.done = f.doneSpare[:0]
-	f.doneSpare = out
-	return out
-}
-
-// Pending implements togsim.Fabric.
-func (f *Fabric) Pending() int { return f.pending }
 
 var _ togsim.Fabric = (*Fabric)(nil)

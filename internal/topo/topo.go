@@ -45,11 +45,6 @@ type Config struct {
 	// paper values are 19 cycles and 34 B/cycle at 940 MHz.
 	LinkLatency       int64 `json:"link_latency"`
 	LinkBytesPerCycle int64 `json:"link_bytes_per_cycle"`
-
-	// NoCLatency is an extra on-package latency added to every local memory
-	// submission. Zero keeps the fabric bit-identical to the pre-topology
-	// chiplet fabric (which had no such term).
-	NoCLatency int64 `json:"noc_latency,omitempty"`
 }
 
 // Packages returns the package count of the mesh.
@@ -84,9 +79,6 @@ func (c Config) Validate() error {
 		if c.LinkBytesPerCycle < 1 {
 			return fmt.Errorf("topo: link bandwidth %d B/cycle must be positive", c.LinkBytesPerCycle)
 		}
-	}
-	if c.NoCLatency < 0 {
-		return fmt.Errorf("topo: negative NoC latency %d", c.NoCLatency)
 	}
 	return nil
 }

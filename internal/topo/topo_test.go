@@ -273,7 +273,6 @@ func TestValidateRejectsBadTrees(t *testing.T) {
 		func(c *topo.Config) { c.MeshX, c.MeshY = 1<<16, 1<<17 }, // 2^33 packages of 2^32 bytes
 		func(c *topo.Config) { c.MemPerPackage.Channels = 0 },
 		func(c *topo.Config) { c.LinkBytesPerCycle = 0 },
-		func(c *topo.Config) { c.NoCLatency = -1 },
 	} {
 		c := good
 		mut(&c)

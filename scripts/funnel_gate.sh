@@ -34,7 +34,10 @@
 # compiler.NewShared( — a command compiles through the service's compile
 # cache and runs through Service.Simulate, as a ptsimd job does. And it
 # fails if internal/service depends on internal/exp — the front door does
-# not link the figure drivers. Also prints the non-test Go line count
+# not link the figure drivers. And it fails if non-test Go outside
+# internal/togsim/ declares a `Completed() []*togsim.MemReq` method — a
+# fabric embeds togsim.InFlight, the one in-flight request table, and gets
+# Completed and Pending from it. Also prints the non-test Go line count
 # outside bench/, so "the code got smaller" is a number.
 # Wired into `make check`.
 set -euo pipefail
@@ -126,6 +129,15 @@ fi
 if go list -deps ./internal/service | grep -qx 'repro/internal/exp'; then
   echo "funnel-gate: FAIL — internal/service depends on internal/exp (the figure drivers):"
   go list -deps ./internal/service | grep '^repro/internal/exp'
+  exit 1
+fi
+
+hits=$(echo "$files" |
+  grep -v -e '^internal/togsim/' |
+  xargs grep -nE -e 'func \([^)]*\) Completed\(\) \[\]\*togsim\.MemReq\b' || true)
+if [ -n "$hits" ]; then
+  echo "funnel-gate: FAIL — a fabric keeps its own completion list (embed togsim.InFlight):"
+  echo "$hits"
   exit 1
 fi
 
